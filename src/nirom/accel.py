@@ -4,8 +4,8 @@ The sequential latent-space loops (RBF forecasting, MLP rollouts inside the
 neural-ODE trainer) are written once, in numba-compatible vectorized numpy,
 and compiled with ``@njit`` when the backend is active. With the backend off
 the very same functions run as plain numpy, so both paths share one source
-of truth and can be benchmarked against each other
-(``benchmarks/bench_backends.py``).
+of truth and can be benchmarked against each other (``perfbench/run.py``
+under either ``NIROM_NUMBA`` value).
 
 Selection is controlled by the ``NIROM_NUMBA`` environment variable, read
 once at import:

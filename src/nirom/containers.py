@@ -7,6 +7,8 @@ These helpers keep the per-format readers and writers short and make the
 round-trips bit-exact.
 """
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -20,10 +22,14 @@ _F64 = struct.Struct("<d")
 
 
 def _read_exact(f, n: int) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise FormatError(f"truncated file: expected {n} bytes, got {len(buf)}")
-    return buf
+    """Read n bytes, refusing a declared size beyond the end of the file
+    before anything is allocated for it."""
+    pos = f.tell()
+    left = f.seek(0, os.SEEK_END) - pos
+    f.seek(pos)
+    if n > left:
+        raise FormatError(f"truncated file: expected {n} bytes, got {left}")
+    return f.read(n)
 
 
 def write_header(f, magic: bytes, version: int = 1) -> None:
@@ -126,7 +132,7 @@ def write_c128_array(f, a: np.ndarray) -> None:
 
 
 def read_c128_array(f, shape) -> np.ndarray:
-    size = int(np.prod(shape))
+    size = math.prod(shape)
     buf = _read_exact(f, 16 * size)
     inter = np.frombuffer(buf, dtype="<f8", count=2 * size)
     flat = inter[0::2] + 1j * inter[1::2]

@@ -15,7 +15,7 @@ import numpy as np
 from . import containers as io
 from .errors import NumericalError
 from .pod import thin_svd_matrix
-from .snapshot import SnapshotSet
+from .snapshot import SnapshotSet, uniform_step
 
 DMD_MAGIC = b"DMD1"
 
@@ -61,9 +61,7 @@ def dmd_fit(snapshots: SnapshotSet, r: int) -> DmdModel:
     one-step map; its eigenvectors W lift to exact modes X' V / sigma W.
     """
     data, times = snapshots.data, snapshots.times
-    dts = np.diff(times)
-    if np.any(np.abs(dts - dts[0]) > 1e-9 * abs(dts[0])):
-        raise ValueError("fitting requires uniformly spaced snapshots")
+    dt = uniform_step(times, "fitting requires uniformly spaced snapshots")
     n, m = data.shape
     if not 1 <= r <= min(n, m - 1):
         raise ValueError(f"rank must be in [1, {min(n, m - 1)}], got {r}")
@@ -93,7 +91,7 @@ def dmd_fit(snapshots: SnapshotSet, r: int) -> DmdModel:
         phi[:, order],
         lam[order],
         b[order],
-        dt=float(dts[0]),
+        dt=dt,
         t0=float(times[0]),
         component=snapshots.component,
     )
@@ -129,14 +127,6 @@ def dmd_forecast(model: DmdModel, times: np.ndarray) -> SnapshotSet:
     powers = _eig_powers(model.eigenvalues, p)
     data = (model.modes @ (powers * model.amplitudes[:, None])).real
     return SnapshotSet(data, times, model.component)
-
-
-def dmd_spectrum(model: DmdModel) -> list[tuple[float, float]]:
-    """(growth rate, angular frequency) per mode: log(lambda) / dt."""
-    if np.any(model.eigenvalues == 0):
-        raise NumericalError("zero eigenvalue has no finite logarithm")
-    omega = np.log(model.eigenvalues) / model.dt
-    return [(float(w.real), float(w.imag)) for w in omega]
 
 
 # ---------------------------------------------------------------------------

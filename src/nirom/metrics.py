@@ -56,20 +56,6 @@ def spatial_rmse(
     return out
 
 
-def relative_error_field(
-    pred: SnapshotSet, truth: SnapshotSet, floor: float | None = None
-) -> SnapshotSet:
-    """Pointwise |pred - truth| / max(|truth|, floor). The default floor is
-    1e-8 of the largest truth magnitude."""
-    _check_aligned(pred, truth)
-    if floor is None:
-        floor = 1e-8 * np.max(np.abs(truth.data))
-    if floor <= 0:
-        raise ValueError(f"floor must be positive, got {floor}")
-    err = np.abs(pred.data - truth.data) / np.maximum(np.abs(truth.data), floor)
-    return SnapshotSet(err, truth.times, truth.component)
-
-
 CSV_HEADER = ["method", "component", "time", "rmse"]
 
 

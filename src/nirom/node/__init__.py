@@ -14,12 +14,10 @@ from .network import (
     net_init,
     preset_net,
     save_net,
-    scale_apply,
     scale_fit,
-    scale_invert,
 )
 from .solvers import SolverSpec, ode_solve
-from .gradients import AdjointState, grad, loss_mse
+from .gradients import grad, loss_mse
 from .training import (
     LrSchedule,
     TrainConfig,
@@ -33,7 +31,6 @@ from .training import (
 __all__ = [
     "ACTIVATIONS",
     "PRESETS",
-    "AdjointState",
     "DynamicsNet",
     "LrSchedule",
     "NodePreset",
@@ -54,8 +51,6 @@ __all__ = [
     "ode_solve",
     "preset_net",
     "save_net",
-    "scale_apply",
     "scale_fit",
-    "scale_invert",
     "train",
 ]

@@ -8,8 +8,6 @@ re-anchors its state at each observation time and refuses to continue when
 the backward re-integration drifts from the stored forward pass.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import SolverError
@@ -20,29 +18,6 @@ from .solvers import FIXED_METHODS, SolverSpec, fixed_rollout, tableau
 
 GRAD_MODES = ("backprop_through_solver", "adjoint")
 ADJOINT_DRIFT_RTOL = 1e-3
-
-
-@dataclass(frozen=True)
-class AdjointState:
-    """Costate bundle [dL/dz, dL/dw, dL/dt] carried by the backward pass."""
-
-    z_bar: np.ndarray
-    w_bar: np.ndarray
-    t_bar: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "z_bar", np.asarray(self.z_bar, dtype=np.float64))
-        object.__setattr__(self, "w_bar", np.asarray(self.w_bar, dtype=np.float64))
-        if self.z_bar.ndim != 1 or self.w_bar.ndim != 1:
-            raise ValueError("costate components must be vectors")
-
-    @property
-    def dim(self) -> int:
-        return self.z_bar.size + self.w_bar.size + 1
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.z_bar, self.w_bar, [self.t_bar]])
 
 
 def loss_mse(pred, target) -> float:
@@ -97,16 +72,16 @@ def _loss_cotangent(net: DynamicsNet, out: np.ndarray, target: np.ndarray):
 
 
 def _backprop_grad(net, z0, times, target, solver):
-    out, schedule, stage_z, stage_cache = fixed_rollout(
+    out, schedule, stage_cache = fixed_rollout(
         net, z0, times, solver, want_cache=True
     )
     loss, out_bar = _loss_cotangent(net, out, target)
     a, b, c = tableau(solver.method)
     meta = pack_meta(net)
-    gw, z0_bar = kernels.rollout_backward(
-        net.params, *meta, a, b, c, *schedule, stage_z, stage_cache, out_bar
+    gw, _ = kernels.rollout_backward(
+        net.params, *meta, a, b, c, *schedule, stage_cache, out_bar
     )
-    return loss, gw, z0_bar
+    return loss, gw
 
 
 def _adjoint_grad(net, z0, times, target, solver):
@@ -115,7 +90,7 @@ def _adjoint_grad(net, z0, times, target, solver):
             "adjoint gradients need a fixed-step solver: the adaptive "
             "integrator's dense output cannot be replayed exactly backwards"
         )
-    out, (sub_t0, sub_h, out_idx), _, _ = fixed_rollout(
+    out, (sub_t0, sub_h, out_idx), _ = fixed_rollout(
         net, z0, times, solver, want_cache=False
     )
     loss, out_bar = _loss_cotangent(net, out, target)
@@ -128,16 +103,14 @@ def _adjoint_grad(net, z0, times, target, solver):
     z = out[:, M - 1].copy()
     a = out_bar[:, M - 1].copy()
     gw = np.zeros(net.params.size)
-    gt = 0.0
     for k in range(M - 1, 0, -1):
         lo = ends[k - 2] + 1 if k >= 2 else 0
         hi = ends[k - 1]
         for i in range(hi, lo - 1, -1):
-            z, a, dgt = kernels.adjoint_step(
+            z, a = kernels.adjoint_step(
                 net.params, *meta, sub_t0[i] + sub_h[i], -sub_h[i],
                 z, a, gw, a_tab, b_tab, c_tab,
             )
-            gt += dgt
         anchor = out[:, k - 1]
         drift = float(np.linalg.norm(z - anchor))
         limit = ADJOINT_DRIFT_RTOL * (1.0 + float(np.linalg.norm(anchor)))
@@ -149,17 +122,15 @@ def _adjoint_grad(net, z0, times, target, solver):
             )
         z = anchor.copy()
         a = a + out_bar[:, k - 1]
-    return loss, gw, AdjointState(a, gw, gt)
+    return loss, gw
 
 
 def _loss_and_grad(net, z0, times, target, solver, mode):
     if mode == "backprop_through_solver":
-        loss, gw, _ = _backprop_grad(net, z0, times, target, solver)
-    elif mode == "adjoint":
-        loss, gw, _ = _adjoint_grad(net, z0, times, target, solver)
-    else:
-        raise ValueError(f"unknown gradient mode {mode!r}; expected {GRAD_MODES}")
-    return loss, gw
+        return _backprop_grad(net, z0, times, target, solver)
+    if mode == "adjoint":
+        return _adjoint_grad(net, z0, times, target, solver)
+    raise ValueError(f"unknown gradient mode {mode!r}; expected {GRAD_MODES}")
 
 
 def grad(

@@ -7,9 +7,10 @@ Network layout: parameters live in one flat vector, packed W0, b0, W1, b1,
 a single flat buffer so the reverse pass needs no recomputation; each
 activation's derivative is recoverable from its output value alone.
 
-The rollout/backward pair is generic over explicit Runge-Kutta tableaus, so
-one code path serves euler, midpoint, rk4, and the frozen-schedule reverse
-pass of the adaptive integrator.
+rk_step holds the one forward Runge-Kutta stage loop, generic over explicit
+tableaus: the fixed-step rollout, the adjoint step and the adaptive
+integrator's trial steps all advance through it, and rollout_backward
+reverses it for euler, midpoint, rk4 and the frozen dopri5 schedule.
 """
 
 import numpy as np
@@ -97,46 +98,56 @@ def nn_vjp(params, sizes, acts, w_off, b_off, c_off, mid, half, tin, u, cache, g
 
 
 @maybe_njit
+def rk_step(
+    params, sizes, acts, w_off, b_off, c_off, mid, half, tin,
+    t0, h, z, a_tab, b_tab, c_tab, first, k, caches,
+):
+    """One explicit RK step of size h from (t0, z) over a Butcher tableau.
+
+    Fills the stage derivatives k[first:] (rows below `first` are supplied
+    by the caller, e.g. a first-same-as-last stage) and stage st's layer
+    cache into caches[st]. Returns the advanced state.
+    """
+    for st in range(first, b_tab.shape[0]):
+        u = z.copy()
+        for j in range(st):
+            if a_tab[st, j] != 0.0:
+                u += (h * a_tab[st, j]) * k[j]
+        k[st] = nn_forward(
+            params, sizes, acts, w_off, b_off, c_off, mid, half, tin,
+            t0 + c_tab[st] * h, u, caches[st],
+        )
+    znew = z.copy()
+    for st in range(b_tab.shape[0]):
+        if b_tab[st] != 0.0:
+            znew += (h * b_tab[st]) * k[st]
+    return znew
+
+
+@maybe_njit
 def rollout_rk(
     params, sizes, acts, w_off, b_off, c_off, mid, half, tin,
     z0, a_tab, b_tab, c_tab, sub_t0, sub_h, out_idx, n_out,
-    want_cache, stage_z, stage_cache,
+    want_cache, stage_cache,
 ):
     """March an explicit RK tableau over a precomputed substep schedule.
 
     out_idx[i] >= 0 marks the output column to record after substep i; the
     first column is always the initial state. With want_cache the stage
-    input states and layer caches are stored for the reverse sweep.
+    layer caches are stored for the reverse sweep.
     """
-    dim = z0.shape[0]
     n_stages = b_tab.shape[0]
-    out = np.empty((dim, n_out))
+    out = np.empty((z0.shape[0], n_out))
     out[:, 0] = z0
     z = z0.copy()
-    k = np.empty((n_stages, dim))
-    scratch = np.empty(c_off[c_off.shape[0] - 1])
+    k = np.empty((n_stages, z0.shape[0]))
+    scratch = np.empty((n_stages, c_off[c_off.shape[0] - 1]))
     for i in range(sub_t0.shape[0]):
-        t0 = sub_t0[i]
-        h = sub_h[i]
-        for st in range(n_stages):
-            u = z.copy()
-            for j in range(st):
-                if a_tab[st, j] != 0.0:
-                    u += (h * a_tab[st, j]) * k[j]
-            if want_cache == 1:
-                stage_z[i, st] = u
-                k[st] = nn_forward(
-                    params, sizes, acts, w_off, b_off, c_off, mid, half, tin,
-                    t0 + c_tab[st] * h, u, stage_cache[i, st],
-                )
-            else:
-                k[st] = nn_forward(
-                    params, sizes, acts, w_off, b_off, c_off, mid, half, tin,
-                    t0 + c_tab[st] * h, u, scratch,
-                )
-        for st in range(n_stages):
-            if b_tab[st] != 0.0:
-                z = z + (h * b_tab[st]) * k[st]
+        caches = stage_cache[i] if want_cache == 1 else scratch
+        z = rk_step(
+            params, sizes, acts, w_off, b_off, c_off, mid, half, tin,
+            sub_t0[i], sub_h[i], z, a_tab, b_tab, c_tab, 0, k, caches,
+        )
         if out_idx[i] >= 0:
             out[:, out_idx[i]] = z
     return out
@@ -145,12 +156,11 @@ def rollout_rk(
 @maybe_njit
 def rollout_backward(
     params, sizes, acts, w_off, b_off, c_off, mid, half, tin,
-    a_tab, b_tab, c_tab, sub_t0, sub_h, out_idx,
-    stage_z, stage_cache, out_bar,
+    a_tab, b_tab, c_tab, sub_t0, sub_h, out_idx, stage_cache, out_bar,
 ):
     """Reverse sweep of rollout_rk: cotangents of every recorded output
     column flow back to the parameters and the initial state."""
-    dim = stage_z.shape[2]
+    dim = out_bar.shape[0]
     n_stages = b_tab.shape[0]
     gw = np.zeros(params.shape[0])
     zbar = np.zeros(dim)
@@ -184,9 +194,10 @@ def adjoint_step(
         dz/dt = f(t, z)
         da/dt = -(df/dz)^T a
         dgw/dt = -(df/dw)^T a      (accumulated into gw)
-        dgt/dt = -(df/dt)^T a      (returned as the step's contribution)
 
-    Returns the updated (z, a) and the gt increment.
+    The state stages never read the costate, so z advances first through
+    rk_step and the costate stages then pull back through its cached layers.
+    Returns the updated (z, a).
     """
     dim = z.shape[0]
     n_stages = b_tab.shape[0]
@@ -194,33 +205,26 @@ def adjoint_step(
     kz = np.empty((n_stages, dim))
     ka = np.empty((n_stages, dim))
     kg = np.empty((n_stages, n_params))
-    kt = np.empty(n_stages)
-    cache = np.empty(c_off[c_off.shape[0] - 1])
+    caches = np.empty((n_stages, c_off[c_off.shape[0] - 1]))
+    znew = rk_step(
+        params, sizes, acts, w_off, b_off, c_off, mid, half, tin,
+        t0, h, z, a_tab, b_tab, c_tab, 0, kz, caches,
+    )
     for st in range(n_stages):
-        uz = z.copy()
         ua = a.copy()
         for j in range(st):
             if a_tab[st, j] != 0.0:
-                uz += (h * a_tab[st, j]) * kz[j]
                 ua += (h * a_tab[st, j]) * ka[j]
-        t = t0 + c_tab[st] * h
-        kz[st] = nn_forward(
-            params, sizes, acts, w_off, b_off, c_off, mid, half, tin, t, uz, cache
-        )
         gtmp = np.zeros(n_params)
-        zb, tb = nn_vjp(
-            params, sizes, acts, w_off, b_off, c_off, mid, half, tin, ua, cache, gtmp
+        zb, _ = nn_vjp(
+            params, sizes, acts, w_off, b_off, c_off, mid, half, tin,
+            ua, caches[st], gtmp,
         )
         ka[st] = -zb
         kg[st] = -gtmp
-        kt[st] = -tb
-    znew = z.copy()
     anew = a.copy()
-    gt = 0.0
     for st in range(n_stages):
         if b_tab[st] != 0.0:
-            znew += (h * b_tab[st]) * kz[st]
             anew += (h * b_tab[st]) * ka[st]
             gw += (h * b_tab[st]) * kg[st]
-            gt += h * b_tab[st] * kt[st]
-    return znew, anew, gt
+    return znew, anew

@@ -63,20 +63,6 @@ def scale_fit(traj: LatentTrajectory) -> ScaleMap:
     return ScaleMap((hi + lo) / 2.0, (hi - lo) / 2.0)
 
 
-def scale_apply(smap: ScaleMap, traj: LatentTrajectory) -> LatentTrajectory:
-    if traj.dim != smap.dim:
-        raise ValueError("trajectory dimension does not match the scaling map")
-    coeffs = (traj.coeffs - smap.mid[:, None]) / smap.half[:, None]
-    return LatentTrajectory(coeffs, traj.times)
-
-
-def scale_invert(smap: ScaleMap, traj: LatentTrajectory) -> LatentTrajectory:
-    if traj.dim != smap.dim:
-        raise ValueError("trajectory dimension does not match the scaling map")
-    coeffs = traj.coeffs * smap.half[:, None] + smap.mid[:, None]
-    return LatentTrajectory(coeffs, traj.times)
-
-
 @dataclass(frozen=True)
 class DynamicsNet:
     """MLP right-hand side for the latent ODE.

@@ -134,8 +134,8 @@ def fixed_rollout(net: DynamicsNet, z0, times, solver: SolverSpec,
                   want_cache: bool = False):
     """March a fixed tableau over the schedule; optionally keep stage caches.
 
-    Returns (out, schedule, stage_z, stage_cache); the cache arrays are
-    1-element dummies when want_cache is false.
+    Returns (out, schedule, stage_cache); the cache is a 1-element dummy
+    when want_cache is false.
     """
     a, b, c = tableau(solver.method)
     if solver.method in FIXED_METHODS:
@@ -148,20 +148,17 @@ def fixed_rollout(net: DynamicsNet, z0, times, solver: SolverSpec,
         )
     meta = pack_meta(net)
     cache_len = int(meta[4][-1])
-    n_stages = b.shape[0]
     if want_cache:
-        stage_z = np.empty((sub_t0.size, n_stages, net.state_dim))
-        stage_cache = np.empty((sub_t0.size, n_stages, cache_len))
+        stage_cache = np.empty((sub_t0.size, b.shape[0], cache_len))
     else:
-        stage_z = np.empty((1, 1, net.state_dim))
         stage_cache = np.empty((1, 1, cache_len))
     out = kernels.rollout_rk(
         net.params, *meta, z0, a, b, c, sub_t0, sub_h, out_idx,
-        times.size, 1 if want_cache else 0, stage_z, stage_cache,
+        times.size, 1 if want_cache else 0, stage_cache,
     )
     if not np.all(np.isfinite(out)):
         raise NumericalError("integration produced non-finite state")
-    return out, (sub_t0, sub_h, out_idx), stage_z, stage_cache
+    return out, (sub_t0, sub_h, out_idx), stage_cache
 
 
 def ode_solve(net: DynamicsNet, z0, times, solver: SolverSpec) -> LatentTrajectory:
@@ -169,7 +166,7 @@ def ode_solve(net: DynamicsNet, z0, times, solver: SolverSpec) -> LatentTrajecto
     times = _check_times(times)
     z0 = _check_state(net, z0)
     if solver.method in FIXED_METHODS:
-        out, _, _, _ = fixed_rollout(net, z0, times, solver, want_cache=False)
+        out, _, _ = fixed_rollout(net, z0, times, solver, want_cache=False)
         return LatentTrajectory(out, times)
     out = _dopri5_dense(net, z0, times, solver)
     return LatentTrajectory(out, times)
@@ -179,9 +176,7 @@ def ode_solve(net: DynamicsNet, z0, times, solver: SolverSpec) -> LatentTrajecto
 # Adaptive Dormand-Prince 4(5)
 # ---------------------------------------------------------------------------
 
-_DP_A = tableau("dopri5")[0]
-_DP_B = tableau("dopri5")[1]
-_DP_C = tableau("dopri5")[2]
+_DP_A, _DP_B, _DP_C = tableau("dopri5")
 # embedded 4th-order error weights (advance minus embedded), FSAL stage last
 _DP_E = np.array([
     71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
@@ -241,26 +236,6 @@ def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray,
     return min(100.0 * h0, h1, span)
 
 
-def _dp_step(rhs, t: float, h: float, y: np.ndarray, f0: np.ndarray):
-    """One trial step; returns (ynew, f_new, error_vector, stages k)."""
-    dim = y.shape[0]
-    k = np.empty((7, dim))
-    k[0] = f0
-    for st in range(1, 6):
-        u = y.copy()
-        for j in range(st):
-            if _DP_A[st, j] != 0.0:
-                u += (h * _DP_A[st, j]) * k[j]
-        k[st] = rhs(t + _DP_C[st] * h, u)
-    ynew = y.copy()
-    for st in range(6):
-        if _DP_B[st] != 0.0:
-            ynew += (h * _DP_B[st]) * k[st]
-    k[6] = rhs(t + h, ynew)
-    err = h * (_DP_E @ k)
-    return ynew, k[6], err, k
-
-
 def _dense_eval(y, ynew, k1, k7, k, h, theta):
     """Hairer quartic interpolant inside one accepted step."""
     ydiff = ynew - y
@@ -298,6 +273,7 @@ def _dopri5_core(net, z0, times, solver, clamp):
         return out, (np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
 
     h = _initial_step(rhs, t, y, f0, t_end - t, solver.rtol, solver.atol)
+    caches = np.empty((_DP_B.size, rhs.scratch.size))
     facold = 1e-4
     n_steps = 0
     while t < t_end:
@@ -315,7 +291,14 @@ def _dopri5_core(net, z0, times, solver, clamp):
                 landing = next_out
         if t + h <= t:
             raise SolverError(f"step size underflow at t={t:.6g}")
-        ynew, fnew, err_vec, k = _dp_step(rhs, t, h, y, f0)
+        # trial step: stage 0 is the previous step's last (FSAL) stage
+        k = np.empty((7, y.shape[0]))
+        k[0] = f0
+        ynew = kernels.rk_step(
+            rhs.params, *rhs.meta, t, h, y, _DP_A, _DP_B, _DP_C, 1, k, caches,
+        )
+        k[6] = rhs(t + h, ynew)
+        err_vec = h * (_DP_E @ k)
         if not (np.all(np.isfinite(ynew)) and np.all(np.isfinite(err_vec))):
             raise NumericalError(
                 f"integration produced non-finite state at t={t:.6g}"
@@ -347,7 +330,7 @@ def _dopri5_core(net, z0, times, solver, clamp):
                         break
             t = t + h
             y = ynew
-            f0 = fnew
+            f0 = k[6]
             fac = fac11 / facold ** _BETA
             fac = max(1.0 / _FAC_MAX, min(1.0 / _FAC_MIN, fac / _SAFE))
             h = h / fac

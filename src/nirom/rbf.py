@@ -17,6 +17,7 @@ from . import containers as io
 from .accel import maybe_njit
 from .errors import FitError, NumericalError
 from .pod import LatentTrajectory
+from .snapshot import uniform_step
 
 RBF_MAGIC = b"RBF1"
 
@@ -67,23 +68,13 @@ class DerivativeTable:
     times: np.ndarray  # (Mc,)
 
 
-def kernel_eval(r: float, c: float) -> float:
-    """Exponential kernel exp(-c r); continuous but not differentiable at 0."""
-    if r < 0:
-        raise ValueError(f"radius must be nonnegative, got {r}")
-    if c <= 0:
-        raise ValueError(f"shape factor must be positive, got {c}")
-    return float(np.exp(-c * r))
-
-
 def build_derivatives(traj: LatentTrajectory) -> DerivativeTable:
     """Forward differences on a uniform time grid."""
     if traj.n_steps < 2:
         raise ValueError("need at least two snapshots to difference")
-    dts = np.diff(traj.times)
-    dt = dts[0]
-    if np.any(np.abs(dts - dt) > 1e-9 * abs(dt)):
-        raise ValueError("derivative targets require uniformly spaced times")
+    dt = uniform_step(
+        traj.times, "derivative targets require uniformly spaced times"
+    )
     values = (traj.coeffs[:, 1:] - traj.coeffs[:, :-1]) / dt
     return DerivativeTable(values, traj.times[:-1].copy())
 
@@ -132,28 +123,29 @@ def fit(traj: LatentTrajectory, c: float) -> RbfModel:
     )
 
 
+@maybe_njit
+def _field(centers, coeffs, c, z):
+    """sum_k coeffs[:, k] * exp(-c * ||z - centers[:, k]||)."""
+    d = centers - z.reshape(z.shape[0], 1)
+    w = np.exp(-c * np.sqrt(np.sum(d * d, axis=0)))
+    return np.dot(coeffs, w)
+
+
 def eval_dynamics(model: RbfModel, z: np.ndarray) -> np.ndarray:
     """Interpolated latent time derivative at state z."""
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (model.dim,):
         raise ValueError(f"state must have shape ({model.dim},), got {z.shape}")
-    d = model.centers - z[:, None]
-    w = np.exp(-model.shape_factor * np.sqrt(np.sum(d * d, axis=0)))
-    return model.coefficients @ w
+    return _field(model.centers, model.coefficients, float(model.shape_factor), z)
 
 
 @maybe_njit
 def _rollout(centers, coeffs, c, z0, times):
-    m = centers.shape[0]
-    n = times.shape[0]
-    out = np.empty((m, n))
+    out = np.empty((centers.shape[0], times.shape[0]))
     out[:, 0] = z0
     z = z0.copy()
-    for k in range(n - 1):
-        d = centers - z.reshape(m, 1)
-        w = np.exp(-c * np.sqrt(np.sum(d * d, axis=0)))
-        dz = np.dot(coeffs, w)
-        z = z + (times[k + 1] - times[k]) * dz
+    for k in range(times.shape[0] - 1):
+        z = z + (times[k + 1] - times[k]) * _field(centers, coeffs, c, z)
         out[:, k + 1] = z
     return out
 

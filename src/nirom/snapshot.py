@@ -1,6 +1,6 @@
-"""Full-order snapshot matrices: container type, file I/O, centering,
-subsampling, and the synthetic generators that stand in for high-fidelity
-solver output.
+"""Full-order snapshot matrices: container type, file I/O, centering, the
+uniform-grid check, and the synthetic generators that stand in for
+high-fidelity solver output.
 
 A snapshot matrix stores one spatial degree of freedom per row and one time
 instant per column. The binary ``SNP1`` container round-trips bit-exactly;
@@ -146,22 +146,20 @@ def time_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
     return t_start + dt * np.arange(n)
 
 
+def uniform_step(times: np.ndarray, message: str) -> float:
+    """Spacing of a uniform time grid (steps equal to 1e-9 relative);
+    raises ValueError(message) for any other grid."""
+    dts = np.diff(times)
+    if np.any(np.abs(dts - dts[0]) > 1e-9 * abs(dts[0])):
+        raise ValueError(message)
+    return float(dts[0])
+
+
 def center(snapshots: SnapshotSet) -> CenteredSet:
     """Remove the temporal mean from every snapshot column."""
     mean = snapshots.data.mean(axis=1)
     deviations = snapshots.data - mean[:, None]
     return CenteredSet(deviations, mean, snapshots.times, snapshots.component)
-
-
-def subsample(snapshots: SnapshotSet, stride: int) -> SnapshotSet:
-    """Keep columns 0, stride, 2*stride, ..."""
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    return SnapshotSet(
-        snapshots.data[:, ::stride],
-        snapshots.times[::stride],
-        snapshots.component,
-    )
 
 
 def orthonormal_lift(n: int, k: int, seed: int) -> np.ndarray:

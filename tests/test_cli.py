@@ -16,6 +16,7 @@ from nirom import dmd as dmd_mod
 from nirom import rbf as rbf_mod
 from nirom.cli import main
 from nirom.containers import peek_magic
+from nirom.errors import FormatError
 from nirom.node import load_net
 from nirom.pod import load_basis
 from nirom.snapshot import load_snapshots
@@ -272,6 +273,28 @@ def test_predict_rejects_non_model_file(train_grid, capsys):
              "--config", train_grid.cfg)
     assert rc == 4
     assert "not a model file" in capsys.readouterr().err
+
+
+def test_predict_hostile_basis_header_is_format_error(tmp_path, capsys):
+    # a POD1 header declaring N = m = 2^32 - 1 over a few bytes of payload
+    cfg = write_cfg(
+        tmp_path,
+        pod={"rank": 2},
+        rbf={"shape_factor": 0.05},
+        predict={"t_start": 0.0, "t_end": 0.99, "dt": 0.01},
+    )
+    run_ok("generate", "--config", cfg)
+    run_ok("decompose", "--config", cfg)
+    run_ok("fit", "--method", "rbf", "--config", cfg)
+    huge = (2**32 - 1).to_bytes(4, "little")
+    (tmp_path / "basis.pod").write_bytes(
+        b"POD1" + (1).to_bytes(4, "little") + huge + huge
+        + (1).to_bytes(2, "little") + b"u" + bytes(8) + bytes(64)
+    )
+    with pytest.raises(FormatError, match="truncated"):
+        load_basis(tmp_path / "basis.pod")
+    assert run("predict", "model_rbf.rbf", "--config", cfg) == 4
+    assert "truncated" in capsys.readouterr().err
 
 
 # compare / report ------------------------------------------------------------

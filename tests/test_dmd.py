@@ -7,7 +7,7 @@ matrix: cos(theta) +/- i sin(theta).
 import numpy as np
 import pytest
 
-from nirom.dmd import DmdModel, dmd_fit, dmd_forecast, dmd_spectrum, load_model, save_model
+from nirom.dmd import DmdModel, dmd_fit, dmd_forecast, load_model, save_model
 from nirom.errors import FormatError, NumericalError
 from nirom.snapshot import SnapshotSet, SyntheticSpec, generate_synthetic, time_grid
 
@@ -201,43 +201,6 @@ def test_zero_eigenvalue_fractional_power_rejected():
 
 
 # ---------------------------------------------------------------------------
-# spectrum
-# ---------------------------------------------------------------------------
-
-
-def test_unit_eigenvalue_maps_to_origin():
-    model = DmdModel(
-        np.array([[1.0 + 0j]]), np.array([1.0 + 0j]), np.array([1.0 + 0j]),
-        dt=0.5, t0=0.0,
-    )
-    assert dmd_spectrum(model) == [(0.0, 0.0)]
-
-
-def test_real_decay_growth_rate():
-    factor = np.exp(-0.1)
-    model = dmd_fit(scalar_decay(factor=factor, dt=0.1), r=1)
-    (rate, freq), = dmd_spectrum(model)
-    assert rate == pytest.approx(-1.0, rel=1e-8)
-    assert freq == pytest.approx(0.0, abs=1e-10)
-
-
-def test_rotation_frequencies():
-    model = dmd_fit(rotation_set(theta=0.1, dt=1.0), r=2)
-    freqs = sorted(w for _, w in dmd_spectrum(model))
-    assert np.allclose(freqs, [-0.1, 0.1], atol=1e-8)
-    assert all(abs(g) < 1e-8 for g, _ in dmd_spectrum(model))
-
-
-def test_zero_eigenvalue_spectrum_rejected():
-    model = DmdModel(
-        np.array([[1.0 + 0j]]), np.array([0.0 + 0j]), np.array([1.0 + 0j]),
-        dt=1.0, t0=0.0,
-    )
-    with pytest.raises(NumericalError):
-        dmd_spectrum(model)
-
-
-# ---------------------------------------------------------------------------
 # DMD1 container
 # ---------------------------------------------------------------------------
 
@@ -260,4 +223,17 @@ def test_model_wrong_magic(tmp_path):
     path = tmp_path / "m.dmd"
     path.write_bytes(b"RBF1" + b"\x00" * 32)
     with pytest.raises(FormatError):
+        load_model(path)
+
+
+def test_model_hostile_header_is_format_error(tmp_path):
+    # N = r = 2^32 - 1: the complex mode payload would need 16 * (2^32 - 1)^2
+    # bytes, past the range of a 64-bit product
+    huge = (2**32 - 1).to_bytes(4, "little")
+    path = tmp_path / "m.dmd"
+    path.write_bytes(
+        b"DMD1" + (1).to_bytes(4, "little") + huge + huge + bytes(16)
+        + (1).to_bytes(2, "little") + b"u" + bytes(64)
+    )
+    with pytest.raises(FormatError, match="truncated"):
         load_model(path)

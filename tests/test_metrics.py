@@ -1,4 +1,4 @@
-"""Spatial RMSE, relative-error fields, and report emission."""
+"""Spatial RMSE and report emission."""
 
 import csv
 import json
@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from nirom.metrics import MetricsReport, relative_error_field, report_emit, spatial_rmse
+from nirom.metrics import MetricsReport, report_emit, spatial_rmse
 from nirom.snapshot import SnapshotSet
 
 
@@ -68,57 +68,6 @@ def test_normalized_rmse():
     pred = make_set(np.array([[3.0, -4.0]]))
     out = spatial_rmse(pred, truth, normalize=True)
     assert out[0] == pytest.approx(0.25)
-
-
-# ---------------------------------------------------------------------------
-# relative error field
-# ---------------------------------------------------------------------------
-
-
-def test_zero_error_field():
-    s = make_set(np.random.default_rng(2).standard_normal((3, 4)))
-    out = relative_error_field(s, s, floor=1e-8)
-    assert np.all(out.data == 0.0)
-
-
-def test_floor_applies_where_truth_vanishes():
-    truth = make_set(np.array([[0.0, 1.0]]))
-    pred = make_set(np.array([[1e-6, 1.0]]))
-    out = relative_error_field(pred, truth, floor=1e-8)
-    assert out.data[0, 0] == pytest.approx(1e-6 / 1e-8)
-    assert out.data[0, 1] == 0.0
-
-
-def test_hand_relative_error():
-    truth = make_set(np.array([[1.0, 1.0]]))
-    pred = make_set(np.array([[1.1, 1.0]]))
-    out = relative_error_field(pred, truth, floor=1e-8)
-    assert out.data[0, 0] == pytest.approx(0.1)
-
-
-def test_default_floor_scales_with_truth():
-    truth = make_set(np.array([[0.0, 2.0]]))
-    pred = make_set(np.array([[2e-8, 2.0]]))
-    out = relative_error_field(pred, truth)
-    # default floor is 1e-8 * max|truth| = 2e-8
-    assert out.data[0, 0] == pytest.approx(1.0)
-
-
-def test_scaling_invariance_above_floor():
-    rng = np.random.default_rng(3)
-    truth = rng.uniform(1.0, 2.0, size=(4, 5))
-    pred = truth + rng.uniform(-0.1, 0.1, size=(4, 5))
-    base = relative_error_field(make_set(pred), make_set(truth), floor=1e-10)
-    scaled = relative_error_field(
-        make_set(7.0 * pred), make_set(7.0 * truth), floor=1e-10
-    )
-    assert np.allclose(base.data, scaled.data, atol=1e-12)
-
-
-def test_nonpositive_floor_rejected():
-    s = make_set(np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        relative_error_field(s, s, floor=0.0)
 
 
 # ---------------------------------------------------------------------------

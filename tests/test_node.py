@@ -24,9 +24,7 @@ from nirom.node import (
     net_init,
     preset_net,
     save_net,
-    scale_apply,
     scale_fit,
-    scale_invert,
 )
 from nirom.node.network import pack_meta, param_count
 from nirom.pod import LatentTrajectory
@@ -181,35 +179,25 @@ def traj_of(rows) -> LatentTrajectory:
 def test_scale_range_zero_two_is_shift():
     traj = traj_of([[0.0, 1.0, 2.0]])
     smap = scale_fit(traj)
-    scaled = scale_apply(smap, traj)
-    assert np.allclose(scaled.coeffs, [[-1.0, 0.0, 1.0]], rtol=0, atol=0)
     assert smap.mid[0] == 1.0 and smap.half[0] == 1.0
 
 
 def test_scale_exact_unit_range_is_identity():
     traj = traj_of([[-1.0, 0.3, 1.0]])
     smap = scale_fit(traj)
-    scaled = scale_apply(smap, traj)
-    assert np.array_equal(scaled.coeffs, traj.coeffs)
+    assert smap.mid[0] == 0.0 and smap.half[0] == 1.0
 
 
 def test_scale_midpoint_of_three_seven_maps_to_zero():
     traj = traj_of([[3.0, 5.0, 7.0]])
     smap = scale_fit(traj)
-    scaled = scale_apply(smap, traj)
-    assert scaled.coeffs[0, 1] == 0.0
+    assert smap.mid[0] == 5.0 and smap.half[0] == 2.0
 
 
 def test_scale_zero_range_raises():
     traj = traj_of([[1.0, 1.0, 1.0], [0.0, 1.0, 2.0]])
     with pytest.raises(ScalingError, match="component 0"):
         scale_fit(traj)
-
-
-def test_scale_dimension_mismatch():
-    smap = ScaleMap(np.zeros(2), np.ones(2))
-    with pytest.raises(ValueError):
-        scale_apply(smap, traj_of([[1.0, 2.0]]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -219,14 +207,14 @@ def test_scale_dimension_mismatch():
     st.integers(0, 2**32 - 1),
 )
 def test_scale_roundtrip_identity(m, cols, seed):
+    # the fitted (mid, half) give back each component's range [min, max]
     rng = np.random.default_rng(seed)
     coeffs = rng.normal(scale=10.0, size=(m, cols))
     coeffs[:, -1] = coeffs[:, 0] + 1.0  # guarantee nonzero range
-    traj = traj_of(coeffs)
-    smap = scale_fit(traj)
-    back = scale_invert(smap, scale_apply(smap, traj))
-    assert np.allclose(back.coeffs, traj.coeffs, rtol=1e-12, atol=1e-12)
-    assert np.max(np.abs(scale_apply(smap, traj).coeffs)) <= 1.0 + 1e-12
+    smap = scale_fit(traj_of(coeffs))
+    assert np.all(smap.half > 0)
+    assert np.allclose(smap.mid - smap.half, coeffs.min(axis=1), rtol=1e-12, atol=1e-12)
+    assert np.allclose(smap.mid + smap.half, coeffs.max(axis=1), rtol=1e-12, atol=1e-12)
 
 
 def test_time_map_roundtrip():

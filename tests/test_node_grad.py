@@ -11,7 +11,6 @@ import pytest
 
 from nirom.errors import SolverError
 from nirom.node import (
-    AdjointState,
     DynamicsNet,
     SolverSpec,
     build_net,
@@ -211,14 +210,3 @@ def test_adjoint_drift_raises():
     with pytest.raises(SolverError, match="drift"):
         grad(net, np.array([1.0]), times, target,
              SolverSpec("euler", step=0.1), mode="adjoint")
-
-
-def test_adjoint_state_dimensions():
-    state = AdjointState(np.zeros(3), np.zeros(50), 0.0)
-    assert state.dim == 54
-    assert state.vector.shape == (54,)
-
-
-def test_adjoint_state_rejects_matrix():
-    with pytest.raises(ValueError):
-        AdjointState(np.zeros((2, 2)), np.zeros(5), 0.0)

@@ -8,8 +8,17 @@ import numpy as np
 import pytest
 
 from nirom.errors import NumericalError, SolverError
-from nirom.node import DynamicsNet, SolverSpec, build_net, ode_solve
-from nirom.node.solvers import build_schedule
+from nirom.node import (
+    DynamicsNet,
+    ScaleMap,
+    SolverSpec,
+    build_net,
+    net_eval,
+    ode_solve,
+)
+from nirom.node import kernels
+from nirom.node.network import pack_meta
+from nirom.node.solvers import build_schedule, tableau
 
 DECAY_PARAMS = np.array([-1.0, 0.0])
 
@@ -224,3 +233,63 @@ def test_dopri5_two_dimensional_rotation():
                     SolverSpec("dopri5", rtol=1e-9, atol=1e-12))
     exact = np.vstack([np.cos(times), np.sin(times)])
     assert np.max(np.abs(sol.coeffs - exact)) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the shared Runge-Kutta stage loop
+# ---------------------------------------------------------------------------
+
+
+def stage_net() -> DynamicsNet:
+    # time feature, one augmented dimension and input scaling all active
+    scale = ScaleMap(np.array([0.2, -0.1]), np.array([1.5, 0.8]))
+    return build_net(2, [8], "tanh", augment_dim=1, seed=4, scale=scale)
+
+
+def butcher_step(net, a, b, c, t0, h, z):
+    """Textbook explicit RK step: k_i = f(t0 + c_i h, z + h sum_j a_ij k_j),
+    z_new = z + h sum_i b_i k_i."""
+    k = []
+    for i in range(len(b)):
+        u = z + h * sum((a[i][j] * k[j] for j in range(i)), np.zeros_like(z))
+        k.append(net_eval(net, t0 + c[i] * h, u))
+    return z + h * sum(b[i] * k[i] for i in range(len(b))), np.array(k)
+
+
+@pytest.mark.parametrize("method", ["euler", "midpoint", "rk4", "dopri5"])
+def test_rk_step_matches_textbook_butcher_step(method):
+    net = stage_net()
+    meta = pack_meta(net)
+    a, b, c = tableau(method)
+    t0, h = 0.3, 0.1
+    z = np.array([0.4, -0.7, 0.25])
+    want_z, want_k = butcher_step(net, a, b, c, t0, h, z)
+    # dopri5 trial steps reuse the first-same-as-last stage from the caller
+    first = 1 if method == "dopri5" else 0
+    k = np.empty((b.size, z.size))
+    k[:first] = want_k[:first]
+    caches = np.empty((b.size, int(meta[4][-1])))
+    got_z = kernels.rk_step(
+        net.params, *meta, t0, h, z, a, b, c, first, k, caches,
+    )
+    assert np.linalg.norm(got_z - want_z) <= 1e-15 * np.linalg.norm(want_z)
+    assert np.linalg.norm(k - want_k) <= 1e-15 * np.linalg.norm(want_k)
+
+
+@pytest.mark.parametrize("method", ["euler", "midpoint", "rk4", "dopri5"])
+@pytest.mark.parametrize("h", [0.1, -0.1])
+def test_adjoint_step_state_is_one_rollout_substep(method, h):
+    net = stage_net()
+    meta = pack_meta(net)
+    a, b, c = tableau(method)
+    z = np.array([0.4, -0.7, 0.25])
+    costate = np.array([1.0, -2.0, 0.5])
+    z_adj, _ = kernels.adjoint_step(
+        net.params, *meta, 0.3, h, z, costate, np.zeros(net.params.size),
+        a, b, c,
+    )
+    out = kernels.rollout_rk(
+        net.params, *meta, z, a, b, c, np.array([0.3]), np.array([h]),
+        np.array([1]), 2, 0, np.empty((1, 1, int(meta[4][-1]))),
+    )
+    assert z_adj.tobytes() == out[:, 1].tobytes()

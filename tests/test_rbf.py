@@ -15,7 +15,6 @@ from nirom.rbf import (
     eval_dynamics,
     fit,
     forecast,
-    kernel_eval,
     load_model,
     save_model,
 )
@@ -38,23 +37,24 @@ def smooth_traj(m_steps: int = 30, dt: float = 0.1) -> LatentTrajectory:
 # ---------------------------------------------------------------------------
 
 
+def unit_kernel(c: float) -> RbfModel:
+    # one center at the origin with unit coefficient: the field is the kernel
+    return RbfModel(np.zeros((1, 1)), np.ones((1, 1)), shape_factor=c)
+
+
 def test_kernel_at_zero_radius():
-    assert kernel_eval(0.0, 1.0) == 1.0
-    assert kernel_eval(0.0, 0.01) == 1.0
+    assert eval_dynamics(unit_kernel(1.0), np.zeros(1))[0] == 1.0
+    assert eval_dynamics(unit_kernel(0.01), np.zeros(1))[0] == 1.0
 
 
 def test_kernel_halves_at_log_two():
-    assert kernel_eval(np.log(2.0), 1.0) == pytest.approx(0.5, rel=1e-15)
-
-
-def test_kernel_rejects_negative_radius():
-    with pytest.raises(ValueError):
-        kernel_eval(-1.0, 1.0)
+    out = eval_dynamics(unit_kernel(1.0), np.array([np.log(2.0)]))
+    assert out[0] == pytest.approx(0.5, rel=1e-15)
 
 
 def test_kernel_rejects_bad_shape_factor():
     with pytest.raises(ValueError):
-        kernel_eval(1.0, 0.0)
+        unit_kernel(0.0)
 
 
 # ---------------------------------------------------------------------------

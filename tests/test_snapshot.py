@@ -1,5 +1,5 @@
-"""Snapshot container, file round-trips, centering, subsampling, and the
-synthetic generators."""
+"""Snapshot container, file round-trips, centering, and the synthetic
+generators."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from nirom.snapshot import (
     load_snapshots,
     orthonormal_lift,
     save_snapshots,
-    subsample,
     time_grid,
 )
 
@@ -203,43 +202,6 @@ def test_center_idempotent_on_deviations():
     c = center(s)
     again = center(SnapshotSet(c.deviations, c.times))
     assert np.max(np.abs(again.mean)) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# subsampling
-# ---------------------------------------------------------------------------
-
-
-def test_subsample_stride_one_is_identity():
-    s = random_set(9)
-    out = subsample(s, 1)
-    assert np.array_equal(out.data, s.data)
-    assert np.array_equal(out.times, s.times)
-
-
-def test_subsample_stride_three():
-    s = random_set(10, n=2, m=7)
-    out = subsample(s, 3)
-    assert np.array_equal(out.data, s.data[:, [0, 3, 6]])
-    assert np.array_equal(out.times, s.times[[0, 3, 6]])
-
-
-def test_subsample_313_by_4_gives_79():
-    s = random_set(11, n=3, m=313)
-    assert subsample(s, 4).n_snapshots == 79
-
-
-def test_subsample_rejects_zero_stride():
-    with pytest.raises(ValueError):
-        subsample(random_set(12), 0)
-
-
-def test_subsample_composes():
-    s = random_set(13, n=2, m=25)
-    a = subsample(subsample(s, 2), 3)
-    b = subsample(s, 6)
-    assert np.array_equal(a.data, b.data)
-    assert np.array_equal(a.times, b.times)
 
 
 # ---------------------------------------------------------------------------
