@@ -29,7 +29,7 @@ import numpy as np
 from . import dmd as dmd_mod
 from . import rbf as rbf_mod
 from .config import PipelineConfig, load_config
-from .containers import peek_magic
+from .containers import peek_magic, replacing
 from .errors import (
     ConfigError,
     FitError,
@@ -95,19 +95,24 @@ def _require(value, name: str, command: str):
     return value
 
 
+def _find(out: Path, raw) -> Path:
+    """The path as given, else the same path under the output directory."""
+    p = Path(raw)
+    if not p.exists() and (out / p).exists():
+        return out / p
+    return p
+
+
 def _input_snapshots(cfg: PipelineConfig, out: Path) -> SnapshotSet:
     """The pipeline's source data: an explicit file, or the synthetic set
     regenerated in memory (deterministic under the config seed)."""
     if cfg.input_path is not None:
-        p = Path(cfg.input_path)
-        if not p.exists() and (out / p).exists():
-            p = out / p
-        return load_snapshots(p)
+        return load_snapshots(_find(out, cfg.input_path))
     return generate_synthetic(cfg.synthetic)
 
 
 def _write_meta(path: Path, **fields) -> None:
-    with open(path, "w") as f:
+    with replacing(path, "w") as f:
         json.dump(fields, f, indent=2)
         f.write("\n")
 
@@ -149,7 +154,7 @@ def cmd_decompose(cfg: PipelineConfig, out: Path) -> None:
         out / FILE_LATENT,
     )
     cum = energy_spectrum(svd)
-    with open(out / FILE_SPECTRUM, "w", newline="") as f:
+    with replacing(out / FILE_SPECTRUM, "w") as f:
         w = csv.writer(f)
         w.writerow(["mode", "singular_value", "cumulative_energy"])
         for i in range(svd.rank):
@@ -200,7 +205,7 @@ def _fit_node(cfg: PipelineConfig, out: Path) -> None:
     trained = attach_time_map(trained, tmap)
     target = out / MODEL_FILES["node"]
     save_net(trained, target)
-    with open(out / FILE_HISTORY, "w", newline="") as f:
+    with replacing(out / FILE_HISTORY, "w") as f:
         w = csv.writer(f)
         w.writerow(["epoch", "loss", "learning_rate"])
         for i in range(history.loss.size):
@@ -234,9 +239,7 @@ def cmd_fit(cfg: PipelineConfig, out: Path, method: str) -> None:
 def cmd_predict(cfg: PipelineConfig, out: Path, model_path: str) -> None:
     grid = _require(cfg.predict, "predict", "predict")
     times = time_grid(grid.t_start, grid.t_end, grid.dt)
-    model_file = Path(model_path)
-    if not model_file.exists() and (out / model_file).exists():
-        model_file = out / model_file
+    model_file = _find(out, model_path)
     magic = peek_magic(model_file)
     if magic not in MAGIC_METHODS:
         raise FormatError(
@@ -280,12 +283,10 @@ def cmd_predict(cfg: PipelineConfig, out: Path, model_path: str) -> None:
 
 
 def cmd_compare(out: Path, truth_path: str, pred_paths) -> None:
-    truth = load_snapshots(truth_path)
+    truth = load_snapshots(_find(out, truth_path))
     reports = []
     for raw in pred_paths:
-        p = Path(raw)
-        if not p.exists() and (out / p).exists():
-            p = out / p
+        p = _find(out, raw)
         pred = load_snapshots(p)
         meta = _read_meta(p)
         method = meta.get("method", p.stem.removeprefix("pred_"))
@@ -399,6 +400,10 @@ def main(argv=None) -> int:
     )
     try:
         _dispatch(args)
+    # ValidationError is a ValueError, so exit 4 is matched before exit 2
+    except (FormatError, ValidationError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -406,9 +411,6 @@ def main(argv=None) -> int:
             ScalingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (FormatError, ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     return 0
 
 

@@ -297,6 +297,11 @@ def _parse_predict(block) -> PredictBlock:
         raise ConfigError("'predict.dt' must be positive")
     if p.t_end <= p.t_start:
         raise ConfigError("'predict.t_end' must exceed 'predict.t_start'")
+    if p.dt > p.t_end - p.t_start:
+        raise ConfigError(
+            "'predict.dt' must not exceed 't_end - t_start': the grid needs "
+            "at least two times"
+        )
     return p
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import containers as io
 from .errors import NumericalError
 from .pod import thin_svd_matrix
-from .snapshot import SnapshotSet, uniform_step
+from .snapshot import SnapshotSet, check_times, uniform_step
 
 DMD_MAGIC = b"DMD1"
 
@@ -39,8 +39,10 @@ class DmdModel:
         object.__setattr__(
             self, "amplitudes", np.asarray(self.amplitudes, dtype=np.complex128)
         )
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
+        if not np.isfinite(self.t0):
+            raise ValueError("t0 must be finite")
         r = self.eigenvalues.size
         if self.modes.shape[1] != r or self.amplitudes.shape != (r,):
             raise ValueError("modes/eigenvalues/amplitudes sizes disagree")
@@ -116,11 +118,9 @@ def _eig_powers(lam: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def dmd_forecast(model: DmdModel, times: np.ndarray) -> SnapshotSet:
     """Evaluate the spectral expansion at the requested times (real part)."""
-    times = np.asarray(times, dtype=np.float64)
-    if times.ndim != 1 or times.size < 2:
+    times = check_times(times)
+    if times.size < 2:
         raise ValueError("need at least two forecast times")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("forecast times must be strictly increasing")
     p = (times - model.t0) / model.dt
     if p[0] < -1e-9:
         raise ValueError("forecast times must not precede the fit start time")
@@ -137,8 +137,7 @@ def dmd_forecast(model: DmdModel, times: np.ndarray) -> SnapshotSet:
 
 
 def save_model(model: DmdModel, path) -> None:
-    with open(path, "wb") as f:
-        io.write_header(f, DMD_MAGIC)
+    with io.writing(path, DMD_MAGIC) as f:
         io.write_u32(f, model.mesh_size)
         io.write_u32(f, model.rank)
         io.write_f64(f, model.dt)
@@ -150,8 +149,7 @@ def save_model(model: DmdModel, path) -> None:
 
 
 def load_model(path) -> DmdModel:
-    with open(path, "rb") as f:
-        io.read_header(f, DMD_MAGIC)
+    with io.reading(path, DMD_MAGIC) as f:
         n = io.read_u32(f)
         r = io.read_u32(f)
         dt = io.read_f64(f)
@@ -160,5 +158,4 @@ def load_model(path) -> DmdModel:
         modes = io.read_c128_array(f, (n, r))
         lam = io.read_c128_array(f, (r,))
         amps = io.read_c128_array(f, (r,))
-        io.expect_eof(f, "DMD1")
-    return DmdModel(modes, lam, amps, dt=dt, t0=t0, component=label)
+        return DmdModel(modes, lam, amps, dt=dt, t0=t0, component=label)

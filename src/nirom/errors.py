@@ -12,12 +12,13 @@ class NiromError(Exception):
 
 class FormatError(NiromError):
     """A file does not parse under its declared format (bad magic, truncated
-    payload, malformed CSV header)."""
+    payload, fields that build no valid object)."""
 
 
-class ValidationError(NiromError):
+class ValidationError(NiromError, ValueError):
     """Loaded or constructed data violates a type invariant (non-finite
-    entries, non-monotone time stamps)."""
+    entries, non-monotone time stamps). A ValueError, so callers that
+    reject bad arguments catch it too."""
 
 
 class NumericalError(NiromError):

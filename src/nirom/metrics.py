@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .containers import replacing
 from .snapshot import SnapshotSet
 
 
@@ -63,7 +64,7 @@ def report_emit(reports: list[MetricsReport], path, format: str = "csv") -> None
     """CSV: one row per (method, component, time). JSON: nested by method,
     then component, with the run metadata alongside the series."""
     if format == "csv":
-        with open(path, "w", newline="") as f:
+        with replacing(path, "w") as f:
             w = csv.writer(f)
             w.writerow(CSV_HEADER)
             for rep in reports:
@@ -78,7 +79,7 @@ def report_emit(reports: list[MetricsReport], path, format: str = "csv") -> None
                 "times": rep.times.tolist(),
                 "rmse": rep.rmse.tolist(),
             }
-        with open(path, "w") as f:
+        with replacing(path, "w") as f:
             json.dump(tree, f, indent=2)
             f.write("\n")
     else:

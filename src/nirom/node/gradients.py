@@ -12,6 +12,7 @@ import numpy as np
 
 from ..errors import SolverError
 from ..pod import LatentTrajectory
+from ..snapshot import check_times
 from . import kernels
 from .network import DynamicsNet, pack_meta
 from .solvers import FIXED_METHODS, SolverSpec, fixed_rollout, tableau
@@ -78,9 +79,11 @@ def _backprop_grad(net, z0, times, target, solver):
     loss, out_bar = _loss_cotangent(net, out, target)
     a, b, c = tableau(solver.method)
     meta = pack_meta(net)
-    gw, _ = kernels.rollout_backward(
-        net.params, *meta, a, b, c, *schedule, stage_cache, out_bar
-    )
+    # overflow surfaces as a non-finite gradient, which training rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        gw, _ = kernels.rollout_backward(
+            net.params, *meta, a, b, c, *schedule, stage_cache, out_bar
+        )
     return loss, gw
 
 
@@ -106,11 +109,13 @@ def _adjoint_grad(net, z0, times, target, solver):
     for k in range(M - 1, 0, -1):
         lo = ends[k - 2] + 1 if k >= 2 else 0
         hi = ends[k - 1]
-        for i in range(hi, lo - 1, -1):
-            z, a = kernels.adjoint_step(
-                net.params, *meta, sub_t0[i] + sub_h[i], -sub_h[i],
-                z, a, gw, a_tab, b_tab, c_tab,
-            )
+        # overflow surfaces as a non-finite gradient, which training rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(hi, lo - 1, -1):
+                z, a = kernels.adjoint_step(
+                    net.params, *meta, sub_t0[i] + sub_h[i], -sub_h[i],
+                    z, a, gw, a_tab, b_tab, c_tab,
+                )
         anchor = out[:, k - 1]
         drift = float(np.linalg.norm(z - anchor))
         limit = ADJOINT_DRIFT_RTOL * (1.0 + float(np.linalg.norm(anchor)))
@@ -142,7 +147,7 @@ def grad(
     mode: str = "backprop_through_solver",
 ) -> np.ndarray:
     """Gradient of the trajectory MSE with respect to the parameter vector."""
-    times = np.asarray(times, dtype=np.float64)
+    times = check_times(times)
     z0 = _pad_state(net, z0)
     target = _target_array(net, times, target)
     _, gw = _loss_and_grad(net, z0, times, target, solver, mode)

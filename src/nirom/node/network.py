@@ -291,8 +291,7 @@ def preset_net(
 
 
 def save_net(net: DynamicsNet, path) -> None:
-    with open(path, "wb") as f:
-        io.write_header(f, NET_MAGIC)
+    with io.writing(path, NET_MAGIC) as f:
         io.write_u32(f, len(net.sizes))
         for s in net.sizes:
             io.write_u32(f, s)
@@ -315,9 +314,10 @@ def save_net(net: DynamicsNet, path) -> None:
 
 
 def load_net(path) -> DynamicsNet:
-    with open(path, "rb") as f:
-        io.read_header(f, NET_MAGIC)
+    with io.reading(path, NET_MAGIC) as f:
         n_sizes = io.read_u32(f)
+        if n_sizes < 2:
+            raise io.FormatError(f"need at least two layer sizes, got {n_sizes}")
         sizes = tuple(io.read_u32(f) for _ in range(n_sizes))
         act_ids = [io.read_u16(f) for _ in range(n_sizes - 1)]
         for a in act_ids:
@@ -339,9 +339,8 @@ def load_net(path) -> DynamicsNet:
         name = io.read_label(f)
         n_params = io.read_u64(f)
         params = io.read_f64_vector(f, n_params)
-        io.expect_eof(f, "NET1")
-    return DynamicsNet(
-        sizes, activations, params,
-        augment_dim=augment_dim, time_input=time_input,
-        scale=scale, time_map=time_map, seed=seed, name=name,
-    )
+        return DynamicsNet(
+            sizes, activations, params,
+            augment_dim=augment_dim, time_input=time_input,
+            scale=scale, time_map=time_map, seed=seed, name=name,
+        )

@@ -18,9 +18,10 @@ import numpy as np
 
 from ..errors import TrainingError
 from ..pod import LatentTrajectory
+from ..snapshot import check_times
 from .gradients import GRAD_MODES, _loss_and_grad, _pad_state
 from .network import DynamicsNet, TimeMap
-from .solvers import SolverSpec, _check_times, ode_solve
+from .solvers import SolverSpec, ode_solve
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ class TrainingHistory:
 
 def normalize_times(times: np.ndarray):
     """Map a physical time grid onto [0, 1]; returns (unit_times, TimeMap)."""
-    times = _check_times(times)
+    times = check_times(times)
     if times.size < 2:
         raise ValueError("need at least two times to normalize")
     tmap = TimeMap(float(times[0]), float(times[-1]))
@@ -111,7 +112,7 @@ def train(
     normalize_times). The default solver is rk4 stepping at the training
     grid spacing. Returns (trained net, per-epoch history).
     """
-    times = _check_times(traj.times)
+    times = check_times(traj.times)
     if traj.dim != net.latent_dim:
         raise ValueError(
             f"trajectory has {traj.dim} components, net expects {net.latent_dim}"
@@ -161,14 +162,13 @@ def node_forecast(
     Times run through the net's stored normalization map when present;
     augmented state dimensions are integrated but stripped from the result.
     """
-    times = np.asarray(times, dtype=np.float64)
+    times = check_times(times)
     tau = net.time_map.to_unit(times) if net.time_map is not None else times
     z0 = _pad_state(net, z0)
     if solver is None:
-        dtau = np.diff(tau)
-        if dtau.size == 0 or not np.all(dtau > 0):
-            raise ValueError("forecast times must be strictly increasing")
-        solver = SolverSpec("rk4", step=float(np.min(dtau)))
+        if times.size < 2:
+            raise ValueError("need at least two forecast times")
+        solver = SolverSpec("rk4", step=float(np.min(np.diff(tau))))
     sol = ode_solve(net, z0, tau, solver)
     return LatentTrajectory(sol.coeffs[: net.latent_dim], times)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import containers as io
 from .errors import NumericalError, ValidationError
-from .snapshot import CenteredSet, SnapshotSet
+from .snapshot import CenteredSet, SnapshotSet, check_times
 
 POD_MAGIC = b"POD1"
 
@@ -82,6 +82,7 @@ class LatentTrajectory:
             raise ValidationError("latent coefficients must be a 2-D matrix")
         if times.shape != (coeffs.shape[1],):
             raise ValidationError("times length does not match coefficient columns")
+        check_times(times)
         if not np.all(np.isfinite(coeffs)):
             raise ValidationError("latent coefficients contain non-finite values")
 
@@ -222,8 +223,7 @@ def reconstruct(basis: PodBasis, traj: LatentTrajectory) -> SnapshotSet:
 
 
 def save_basis(basis: PodBasis, path) -> None:
-    with open(path, "wb") as f:
-        io.write_header(f, POD_MAGIC)
+    with io.writing(path, POD_MAGIC) as f:
         io.write_u32(f, basis.mesh_size)
         io.write_u32(f, basis.m)
         io.write_label(f, basis.component)
@@ -234,8 +234,7 @@ def save_basis(basis: PodBasis, path) -> None:
 
 
 def load_basis(path) -> PodBasis:
-    with open(path, "rb") as f:
-        io.read_header(f, POD_MAGIC)
+    with io.reading(path, POD_MAGIC) as f:
         n = io.read_u32(f)
         m = io.read_u32(f)
         label = io.read_label(f)
@@ -243,9 +242,8 @@ def load_basis(path) -> PodBasis:
         mean = io.read_f64_vector(f, n)
         singular = io.read_f64_vector(f, m)
         modes = io.read_f64_matrix(f, n, m)
-        io.expect_eof(f, "POD1")
-    return PodBasis(
-        modes, singular, mean,
-        tolerance_used=None if np.isnan(tol) else tol,
-        component=label,
-    )
+        return PodBasis(
+            modes, singular, mean,
+            tolerance_used=None if np.isnan(tol) else tol,
+            component=label,
+        )

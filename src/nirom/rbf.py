@@ -17,7 +17,7 @@ from . import containers as io
 from .accel import maybe_njit
 from .errors import FitError, NumericalError
 from .pod import LatentTrajectory
-from .snapshot import uniform_step
+from .snapshot import check_times, uniform_step
 
 RBF_MAGIC = b"RBF1"
 
@@ -43,7 +43,7 @@ class RbfModel:
         object.__setattr__(
             self, "coefficients", np.asarray(self.coefficients, dtype=np.float64)
         )
-        if self.shape_factor <= 0:
+        if not self.shape_factor > 0:
             raise ValueError("shape_factor must be positive")
         if self.kernel not in KERNEL_IDS:
             raise ValueError(f"unknown kernel {self.kernel!r}")
@@ -152,14 +152,10 @@ def _rollout(centers, coeffs, c, z0, times):
 
 def forecast(model: RbfModel, z0: np.ndarray, times: np.ndarray) -> LatentTrajectory:
     """March z^{n+1} = z^n + dt_n * F(z^n) across the given time stamps."""
+    times = check_times(times)
     z0 = np.asarray(z0, dtype=np.float64)
-    times = np.asarray(times, dtype=np.float64)
     if z0.shape != (model.dim,):
         raise ValueError(f"initial state must have shape ({model.dim},)")
-    if times.ndim != 1 or times.size < 1:
-        raise ValueError("need at least one time stamp")
-    if np.any(np.diff(times) < 0):
-        raise ValueError("forecast times must be monotone increasing")
     coeffs = _rollout(
         np.ascontiguousarray(model.centers),
         np.ascontiguousarray(model.coefficients),
@@ -177,8 +173,7 @@ def forecast(model: RbfModel, z0: np.ndarray, times: np.ndarray) -> LatentTrajec
 
 
 def save_model(model: RbfModel, path) -> None:
-    with open(path, "wb") as f:
-        io.write_header(f, RBF_MAGIC)
+    with io.writing(path, RBF_MAGIC) as f:
         io.write_u32(f, model.dim)
         io.write_u32(f, model.n_centers)
         io.write_f64(f, model.shape_factor)
@@ -188,8 +183,7 @@ def save_model(model: RbfModel, path) -> None:
 
 
 def load_model(path) -> RbfModel:
-    with open(path, "rb") as f:
-        io.read_header(f, RBF_MAGIC)
+    with io.reading(path, RBF_MAGIC) as f:
         m = io.read_u32(f)
         mc = io.read_u32(f)
         c = io.read_f64(f)
@@ -198,5 +192,4 @@ def load_model(path) -> RbfModel:
             raise io.FormatError(f"unknown kernel id {kid}")
         centers = io.read_f64_matrix(f, m, mc)
         coeffs = io.read_f64_matrix(f, m, mc)
-        io.expect_eof(f, "RBF1")
-    return RbfModel(centers, coeffs, c, KERNEL_NAMES[kid])
+        return RbfModel(centers, coeffs, c, KERNEL_NAMES[kid])

@@ -1,19 +1,17 @@
-"""Full-order snapshot matrices: container type, file I/O, centering, the
-uniform-grid check, and the synthetic generators that stand in for
+"""Full-order snapshot matrices: container type, SNP1 file I/O, centering,
+the time-grid checks, and the synthetic generators that stand in for
 high-fidelity solver output.
 
 A snapshot matrix stores one spatial degree of freedom per row and one time
-instant per column. The binary ``SNP1`` container round-trips bit-exactly;
-the CSV form is for spreadsheet inspection and round-trips to the last ulp
-via 17-significant-digit decimals.
+instant per column. The binary ``SNP1`` container round-trips bit-exactly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import containers as io
-from .errors import FormatError, ValidationError
+from .errors import ValidationError
 
 SNP_MAGIC = b"SNP1"
 
@@ -29,17 +27,22 @@ def _first_nonfinite(a: np.ndarray):
     return int(i), int(k)
 
 
-def check_times(times: np.ndarray) -> None:
-    if times.ndim != 1:
-        raise ValidationError("times must be a 1-D vector")
+def check_times(times) -> np.ndarray:
+    """The one check of a time vector: 1-D, at least one entry, finite,
+    strictly increasing. Returns it as float64; raises ValidationError."""
+    times = np.asarray(times, dtype=np.float64)
+    if times.ndim != 1 or times.size < 1:
+        raise ValidationError("times must be a nonempty 1-D vector")
     if not np.all(np.isfinite(times)):
         raise ValidationError("times contain non-finite values")
-    if np.any(np.diff(times) <= 0):
-        k = int(np.argmax(np.diff(times) <= 0))
+    steps = np.diff(times) <= 0
+    if np.any(steps):
+        k = int(np.argmax(steps))
         raise ValidationError(
             f"times must be strictly increasing; violation between "
             f"indices {k} and {k + 1} ({times[k]!r} -> {times[k + 1]!r})"
         )
+    return times
 
 
 @dataclass(frozen=True)
@@ -209,76 +212,21 @@ def generate_synthetic(spec: SyntheticSpec) -> SnapshotSet:
 # ---------------------------------------------------------------------------
 
 
-def save_snapshots(snapshots: SnapshotSet, path, format: str = "binary") -> None:
-    if format == "binary":
-        _save_binary(snapshots, path)
-    elif format == "csv":
-        _save_csv(snapshots, path)
-    else:
-        raise ValueError(f"unknown snapshot format {format!r}")
-
-
-def load_snapshots(path, format: str = "binary") -> SnapshotSet:
-    if format == "binary":
-        return _load_binary(path)
-    if format == "csv":
-        return _load_csv(path)
-    raise ValueError(f"unknown snapshot format {format!r}")
-
-
-def _save_binary(s: SnapshotSet, path) -> None:
-    n, m = s.data.shape
-    with open(path, "wb") as f:
-        io.write_header(f, SNP_MAGIC)
+def save_snapshots(snapshots: SnapshotSet, path) -> None:
+    n, m = snapshots.data.shape
+    with io.writing(path, SNP_MAGIC) as f:
         io.write_u32(f, n)
         io.write_u32(f, m)
-        io.write_label(f, s.component)
-        io.write_f64_vector(f, s.times)
-        io.write_f64_matrix(f, s.data)
+        io.write_label(f, snapshots.component)
+        io.write_f64_vector(f, snapshots.times)
+        io.write_f64_matrix(f, snapshots.data)
 
 
-def _load_binary(path) -> SnapshotSet:
-    with open(path, "rb") as f:
-        io.read_header(f, SNP_MAGIC)
+def load_snapshots(path) -> SnapshotSet:
+    with io.reading(path, SNP_MAGIC) as f:
         n = io.read_u32(f)
         m = io.read_u32(f)
         label = io.read_label(f)
         times = io.read_f64_vector(f, m)
         data = io.read_f64_matrix(f, n, m)
-        io.expect_eof(f, "SNP1")
-    return SnapshotSet(data, times, label)
-
-
-def _save_csv(s: SnapshotSet, path) -> None:
-    with open(path, "w", newline="") as f:
-        f.write("t," + ",".join(f"{t:.17g}" for t in s.times) + "\n")
-        for row in s.data:
-            f.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def _load_csv(path) -> SnapshotSet:
-    with open(path, "r", newline="") as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    if not lines:
-        raise FormatError("empty CSV file")
-    head = lines[0].split(",")
-    if head[0].strip() != "t":
-        raise FormatError(
-            f"malformed CSV header: first cell must be 't', got {head[0]!r}"
-        )
-    try:
-        times = np.array([float(v) for v in head[1:]])
-    except ValueError as exc:
-        raise FormatError(f"unparseable time stamp in header: {exc}") from exc
-    rows = []
-    for i, line in enumerate(lines[1:]):
-        cells = line.split(",")
-        if len(cells) != len(times):
-            raise FormatError(
-                f"row {i} has {len(cells)} cells, expected {len(times)}"
-            )
-        try:
-            rows.append([float(v) for v in cells])
-        except ValueError as exc:
-            raise FormatError(f"unparseable value in row {i}: {exc}") from exc
-    return SnapshotSet(np.array(rows), times)
+        return SnapshotSet(data, times, label)

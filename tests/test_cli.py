@@ -7,6 +7,8 @@ one-step map is a pure rotation.
 
 import csv
 import json
+import shutil
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -295,6 +297,43 @@ def test_predict_hostile_basis_header_is_format_error(tmp_path, capsys):
         load_basis(tmp_path / "basis.pod")
     assert run("predict", "model_rbf.rbf", "--config", cfg) == 4
     assert "truncated" in capsys.readouterr().err
+
+
+def _at_16(value):
+    """Overwrite the field that starts after magic, version and two u32s."""
+    return lambda blob: blob[:16] + value + blob[16 + len(value):]
+
+
+@pytest.mark.parametrize("name,corrupt", [
+    ("model_node.net", _at_16(struct.pack("<I", 7))),  # hidden width
+    ("model_rbf.rbf", _at_16(struct.pack("<d", -1.0))),  # shape factor
+    ("model_dmd.dmd", _at_16(struct.pack("<d", 0.0))),  # time step
+    ("basis.pod", lambda blob: blob[:-1]),
+], ids=["node", "rbf", "dmd", "basis"])
+def test_predict_corrupt_container_exits_4(pipeline, tmp_path, capsys,
+                                           name, corrupt):
+    out = tmp_path / "run"
+    shutil.copytree(pipeline.out, out)
+    (out / name).write_bytes(corrupt((out / name).read_bytes()))
+    cfg = write_cfg(out, pod={"rank": 2}, rbf={"shape_factor": 0.05},
+                    predict={"t_start": 0.0, "t_end": 0.99, "dt": 0.01})
+    model = name if name.startswith("model_") else "model_rbf.rbf"
+    assert run("predict", model, "--config", cfg) == 4
+    assert name in capsys.readouterr().err
+
+
+def test_predict_one_point_grid_is_config_error_for_every_method(
+        pipeline, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "input": WAVE_INPUT, "output_dir": str(pipeline.out),
+        "dmd": {"rank": 2},
+        "predict": {"t_start": 0.0, "t_end": 0.99, "dt": 1.0},
+    }))
+    for method in ("rbf", "node", "dmd"):
+        model = f"model_{method}.{_EXT[method]}"
+        assert run("predict", model, "--config", str(cfg)) == 2, method
+        assert "predict.dt" in capsys.readouterr().err
 
 
 # compare / report ------------------------------------------------------------

@@ -276,6 +276,8 @@ def test_predict_validation():
         parse_config(base_doc(predict={"t_start": 0, "t_end": 1, "dt": 0}))
     with pytest.raises(ConfigError, match="predict.t_end"):
         parse_config(base_doc(predict={"t_start": 1, "t_end": 1, "dt": 0.1}))
+    with pytest.raises(ConfigError, match="predict.dt"):  # one-point grid
+        parse_config(base_doc(predict={"t_start": 0, "t_end": 1, "dt": 2}))
 
 
 # files ----------------------------------------------------------------

@@ -142,6 +142,18 @@ def test_gradient_rejects_mismatched_target_times():
         grad(net, z0, TIMES, traj, SolverSpec("rk4", step=0.25))
 
 
+@pytest.mark.parametrize("bad", [
+    [0.0, 0.5, 0.25, 0.75, 1.0],  # decreasing
+    [0.0, 0.5, 0.5, 0.75, 1.0],  # repeated
+    [0.0, 0.25, np.nan, 0.75, 1.0],
+], ids=["decreasing", "repeated", "nan"])
+def test_gradient_rejects_bad_times(bad):
+    net = small_net("tanh")
+    z0, target = problem()
+    with pytest.raises(ValueError, match="times"):
+        grad(net, z0, np.array(bad), target, SolverSpec("rk4", step=0.25))
+
+
 def test_gradient_rejects_bad_target_shape():
     net = small_net("tanh")
     z0, _ = problem()

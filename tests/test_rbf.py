@@ -181,10 +181,10 @@ def test_zero_dynamics_holds_state():
     assert np.all(traj.coeffs == z0[:, None])
 
 
-def test_zero_step_leaves_state_unchanged():
+def test_repeated_times_rejected():
     model = RbfModel(np.ones((1, 2)), np.ones((1, 2)), shape_factor=1.0)
-    traj = forecast(model, np.array([2.0]), np.array([0.0, 0.0]))
-    assert traj.coeffs[0, 1] == traj.coeffs[0, 0] == 2.0
+    with pytest.raises(ValueError, match="strictly increasing"):
+        forecast(model, np.array([2.0]), np.array([0.0, 0.0]))
 
 
 def test_decreasing_times_rejected():

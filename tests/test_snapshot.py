@@ -65,15 +65,15 @@ def test_rejects_time_length_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# binary and CSV round-trips
+# SNP1 round-trips
 # ---------------------------------------------------------------------------
 
 
 def test_binary_round_trip_exact(tmp_path):
     s = random_set(1)
     path = tmp_path / "s.snp"
-    save_snapshots(s, path, "binary")
-    back = load_snapshots(path, "binary")
+    save_snapshots(s, path)
+    back = load_snapshots(path)
     assert back.data.tobytes() == s.data.tobytes()
     assert back.times.tobytes() == s.times.tobytes()
     assert back.component == s.component
@@ -92,19 +92,10 @@ def test_binary_round_trip_is_bit_exact(tmp_path_factory, n, m, seed, scale):
     times = np.cumsum(rng.uniform(1e-6, 1e3, size=m))
     s = SnapshotSet(data, times)
     path = tmp_path_factory.mktemp("rt") / "s.snp"
-    save_snapshots(s, path, "binary")
-    back = load_snapshots(path, "binary")
+    save_snapshots(s, path)
+    back = load_snapshots(path)
     assert back.data.tobytes() == s.data.tobytes()
     assert back.times.tobytes() == s.times.tobytes()
-
-
-def test_csv_round_trip(tmp_path):
-    s = random_set(2)
-    path = tmp_path / "s.csv"
-    save_snapshots(s, path, "csv")
-    back = load_snapshots(path, "csv")
-    assert np.allclose(back.data, s.data, rtol=1e-15, atol=0)
-    assert np.allclose(back.times, s.times, rtol=1e-15, atol=0)
 
 
 def test_unwritable_path_raises_io_error(tmp_path):
@@ -135,32 +126,6 @@ def test_load_rejects_trailing_garbage(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(FormatError):
         load_snapshots(path)
-
-
-def test_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("x,0.0,1.0\n1.0,2.0\n")
-    with pytest.raises(FormatError):
-        load_snapshots(path, "csv")
-
-
-def test_csv_nan_cell_reports_row_and_column(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("t,0.0,1.0,2.0\n1.0,2.0,3.0\n4.0,nan,6.0\n")
-    with pytest.raises(ValidationError, match=r"row 1, column 1"):
-        load_snapshots(path, "csv")
-
-
-def test_csv_nonmonotone_times_rejected(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("t,1.0,1.0\n1.0,2.0\n")
-    with pytest.raises(ValidationError):
-        load_snapshots(path, "csv")
-
-
-def test_unknown_format_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        save_snapshots(random_set(6), tmp_path / "s.x", "json")
 
 
 # ---------------------------------------------------------------------------
