@@ -117,12 +117,46 @@ def _write_meta(path: Path, **fields) -> None:
         f.write("\n")
 
 
-def _read_meta(pred_path: Path) -> dict:
+def _read_json(path, decode):
+    """Build a value from a JSON artifact with ``decode``; text that is not
+    JSON, or a tree missing a key or holding a wrongly typed one, is a
+    FormatError naming the file."""
+    try:
+        with open(path) as f:
+            return decode(json.load(f))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise FormatError(f"{path}: malformed JSON artifact ({exc!r})") from exc
+
+
+def _read_meta(pred_path: Path) -> tuple:
+    """(method, latent_dim, runtime_seconds) from the .meta.json beside a
+    prediction; without that file the method comes from the file name."""
+    method = pred_path.stem.removeprefix("pred_")
     meta = Path(str(pred_path) + ".meta.json")
-    if meta.exists():
-        with open(meta) as f:
-            return json.load(f)
-    return {}
+    if not meta.exists():
+        return method, 0, 0.0
+    return _read_json(meta, lambda tree: (
+        tree.get("method", method),
+        int(tree.get("latent_dim", 0)),
+        float(tree.get("runtime_seconds", 0.0)),
+    ))
+
+
+def _metrics_reports(tree) -> list:
+    """The MetricsReports of a metrics.json tree (method -> component ->
+    series and run metadata)."""
+    return [
+        MetricsReport(
+            method=method,
+            component=component,
+            times=np.asarray(body["times"], dtype=float),
+            rmse=np.asarray(body["rmse"], dtype=float),
+            latent_dim=int(body["latent_dim"]),
+            runtime_seconds=float(body["runtime_seconds"]),
+        )
+        for method, components in tree.items()
+        for component, body in components.items()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +322,15 @@ def cmd_compare(out: Path, truth_path: str, pred_paths) -> None:
     for raw in pred_paths:
         p = _find(out, raw)
         pred = load_snapshots(p)
-        meta = _read_meta(p)
-        method = meta.get("method", p.stem.removeprefix("pred_"))
+        method, latent_dim, runtime_seconds = _read_meta(p)
         series = spatial_rmse(pred, truth)
         reports.append(MetricsReport(
             method=method,
             component=pred.component,
             times=truth.times,
             rmse=series,
-            latent_dim=int(meta.get("latent_dim", 0)),
-            runtime_seconds=float(meta.get("runtime_seconds", 0.0)),
+            latent_dim=latent_dim,
+            runtime_seconds=runtime_seconds,
         ))
         log.info("%s: max rmse %.3e", method, float(np.max(series)))
     report_emit(reports, out / FILE_METRICS_CSV, "csv")
@@ -306,22 +339,7 @@ def cmd_compare(out: Path, truth_path: str, pred_paths) -> None:
 
 
 def cmd_report(out: Path, metrics_path: str, fmt: str) -> None:
-    try:
-        with open(metrics_path) as f:
-            tree = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{metrics_path}: not valid JSON ({exc})") from exc
-    reports = []
-    for method, components in tree.items():
-        for component, body in components.items():
-            reports.append(MetricsReport(
-                method=method,
-                component=component,
-                times=np.asarray(body["times"], dtype=float),
-                rmse=np.asarray(body["rmse"], dtype=float),
-                latent_dim=int(body["latent_dim"]),
-                runtime_seconds=float(body["runtime_seconds"]),
-            ))
+    reports = _read_json(metrics_path, _metrics_reports)
     target = out / (FILE_METRICS_CSV if fmt == "csv" else FILE_METRICS_JSON)
     report_emit(reports, target, fmt)
     print(target)

@@ -26,8 +26,8 @@ class MetricsReport:
         rmse = np.asarray(self.rmse, dtype=np.float64)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "rmse", rmse)
-        if times.shape != rmse.shape:
-            raise ValueError("times and rmse lengths disagree")
+        if times.ndim != 1 or times.shape != rmse.shape:
+            raise ValueError("times and rmse must be vectors of equal length")
         if not np.all(np.isfinite(rmse)) or np.any(rmse < 0):
             raise ValueError("rmse values must be finite and nonnegative")
 

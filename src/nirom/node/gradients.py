@@ -14,7 +14,7 @@ from ..errors import SolverError
 from ..pod import LatentTrajectory
 from ..snapshot import check_times
 from . import kernels
-from .network import DynamicsNet, pack_meta
+from .network import DynamicsNet, layer_views, pack_meta
 from .solvers import FIXED_METHODS, SolverSpec, fixed_rollout, tableau
 
 GRAD_MODES = ("backprop_through_solver", "adjoint")
@@ -79,10 +79,12 @@ def _backprop_grad(net, z0, times, target, solver):
     loss, out_bar = _loss_cotangent(net, out, target)
     a, b, c = tableau(solver.method)
     meta = pack_meta(net)
+    gw = np.zeros(net.params.size)
     # overflow surfaces as a non-finite gradient, which training rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        gw, _ = kernels.rollout_backward(
-            net.params, *meta, a, b, c, *schedule, stage_cache, out_bar
+        kernels.rollout_backward(
+            layer_views(net.params, meta), *meta, a, b, c, *schedule,
+            stage_cache, out_bar, layer_views(gw, meta),
         )
     return loss, gw
 
@@ -99,6 +101,7 @@ def _adjoint_grad(net, z0, times, target, solver):
     loss, out_bar = _loss_cotangent(net, out, target)
     a_tab, b_tab, c_tab = tableau(solver.method)
     meta = pack_meta(net)
+    layers = layer_views(net.params, meta)
 
     # substep index ending each observation interval
     ends = np.flatnonzero(out_idx >= 0)
@@ -106,6 +109,7 @@ def _adjoint_grad(net, z0, times, target, solver):
     z = out[:, M - 1].copy()
     a = out_bar[:, M - 1].copy()
     gw = np.zeros(net.params.size)
+    grads = layer_views(gw, meta)
     for k in range(M - 1, 0, -1):
         lo = ends[k - 2] + 1 if k >= 2 else 0
         hi = ends[k - 1]
@@ -113,8 +117,8 @@ def _adjoint_grad(net, z0, times, target, solver):
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(hi, lo - 1, -1):
                 z, a = kernels.adjoint_step(
-                    net.params, *meta, sub_t0[i] + sub_h[i], -sub_h[i],
-                    z, a, gw, a_tab, b_tab, c_tab,
+                    layers, *meta, sub_t0[i] + sub_h[i], -sub_h[i],
+                    z, a, grads, a_tab, b_tab, c_tab,
                 )
         anchor = out[:, k - 1]
         drift = float(np.linalg.norm(z - anchor))

@@ -3,14 +3,35 @@ numpy subset that numba compiles; the backend flag decides whether they run
 jitted or interpreted.
 
 Network layout: parameters live in one flat vector, packed W0, b0, W1, b1,
-... with row-major weights. Evaluation caches every post-activation layer in
-a single flat buffer so the reverse pass needs no recomputation; each
-activation's derivative is recoverable from its output value alone.
+... with row-major weights. Callers turn it once per rollout, gradient or
+adjoint pass into `layers`, a tuple of per-layer (W_l, b_l) views
+(network.layer_views), and pass that tuple where a kernel takes the net; the
+same kind of views over the flat gradient vector, `grads`, receive the
+parameter gradient in place. No kernel slices or reshapes the flat vector.
+Each kernel also takes the architecture tuple of network.pack_meta (sizes,
+acts, w_off, b_off, c_off, mid, half, tin) right after `layers`.
+
+Evaluation caches every post-activation layer in one flat row, layer l's
+input at c_off[l]:c_off[l+1] (the input layer included), so the reverse pass
+needs no recomputation; each activation's derivative is recoverable from
+its output value alone. The reverse pass writes layer l's pre-activation
+cotangent s_l into an `sbar` row of the same layout, at
+c_off[l+1]:c_off[l+2], beside the cached output it belongs to.
+
+The parameter gradient is deferred: nn_vjp only fills sbar, and once a
+sweep has stored the cache and sbar rows of all its stages, _layer_gradients
+adds gW_l += S_l^T diag(w) X_l and gb_l += w S_l, one GEMM per layer over
+the stacked rows (X_l the inputs, S_l the cotangents, w per-row weights).
 
 rk_step holds the one forward Runge-Kutta stage loop, generic over explicit
 tableaus: the fixed-step rollout, the adjoint step and the adaptive
 integrator's trial steps all advance through it, and rollout_backward
 reverses it for euler, midpoint, rk4 and the frozen dopri5 schedule.
+
+Call contract (counted by the benchmark's tracer on the numpy backend):
+rk_step calls the module-level nn_forward once per stage, and
+rollout_backward and adjoint_step call the module-level nn_vjp once per
+stage; no other kernel evaluates the net.
 """
 
 import numpy as np
@@ -37,9 +58,7 @@ def _act(x, kind):
 
 @maybe_njit
 def _act_deriv(y, kind):
-    """Derivative of the activation expressed through its output y."""
-    if kind == ACT_LINEAR:
-        return np.ones_like(y)
+    """Derivative of a nonlinear activation expressed through its output y."""
     if kind == ACT_RELU:
         return np.where(y > 0.0, 1.0, 0.0)
     if kind == ACT_ELU:
@@ -48,7 +67,7 @@ def _act_deriv(y, kind):
 
 
 @maybe_njit
-def nn_forward(params, sizes, acts, w_off, b_off, c_off, mid, half, tin, t, z, cache):
+def nn_forward(layers, sizes, acts, w_off, b_off, c_off, mid, half, tin, t, z, cache):
     """Right-hand side net(t, z) with the input/output scaling folded in.
 
     Writes every layer's post-activation values into `cache` (the input
@@ -62,71 +81,71 @@ def nn_forward(params, sizes, acts, w_off, b_off, c_off, mid, half, tin, t, z, c
         cache[0:d_in] = (z - mid) / half
     n_layers = acts.shape[0]
     for l in range(n_layers):
-        rows = sizes[l + 1]
-        cols = sizes[l]
-        w = params[w_off[l]: w_off[l] + rows * cols].reshape(rows, cols)
-        b = params[b_off[l]: b_off[l] + rows]
+        w, b = layers[l]
         x = cache[c_off[l]: c_off[l + 1]]
         cache[c_off[l + 1]: c_off[l + 2]] = _act(np.dot(w, x) + b, acts[l])
     return half * cache[c_off[n_layers]: c_off[n_layers + 1]]
 
 
 @maybe_njit
-def nn_vjp(params, sizes, acts, w_off, b_off, c_off, mid, half, tin, u, cache, gw):
+def nn_vjp(layers, sizes, acts, w_off, b_off, c_off, mid, half, tin, u, cache, sbar):
     """Pull the cotangent u back through one cached evaluation.
 
-    Accumulates the parameter gradient into gw and returns the state and
-    time cotangents.
+    Writes each layer's pre-activation cotangent into `sbar` (cache layout)
+    for _layer_gradients and returns the state cotangent.
     """
     n_layers = acts.shape[0]
     xbar = u * half
     for l in range(n_layers - 1, -1, -1):
-        rows = sizes[l + 1]
-        cols = sizes[l]
-        y = cache[c_off[l + 1]: c_off[l + 2]]
-        s = xbar * _act_deriv(y, acts[l])
-        x = cache[c_off[l]: c_off[l + 1]]
-        gw[w_off[l]: w_off[l] + rows * cols] += (
-            s.reshape(rows, 1) * x.reshape(1, cols)
-        ).ravel()
-        gw[b_off[l]: b_off[l] + rows] += s
-        w = params[w_off[l]: w_off[l] + rows * cols].reshape(rows, cols)
-        xbar = np.dot(w.T, s)
+        s = xbar
+        if acts[l] != ACT_LINEAR:
+            s = xbar * _act_deriv(cache[c_off[l + 1]: c_off[l + 2]], acts[l])
+        sbar[c_off[l + 1]: c_off[l + 2]] = s
+        xbar = np.dot(s, layers[l][0])
     if tin == 1:
-        return xbar[1:] / half, xbar[0]
-    return xbar / half, 0.0
+        return xbar[1:] / half
+    return xbar / half
+
+
+@maybe_njit
+def _layer_gradients(grads, c_off, caches, sbars, weights):
+    """Add sum_r weights[r] * (outer(s_l, x_l), s_l) over the rows r of the
+    stacked layer caches and their sbar rows into each layer's gradient.
+    The input-layer slot of an sbar row is never written, so never read."""
+    w_col = weights.reshape(weights.shape[0], 1)
+    for l in range(len(grads)):
+        g_w, g_b = grads[l]
+        s = sbars[:, c_off[l + 1]: c_off[l + 2]] * w_col
+        g_w += np.dot(s.T, caches[:, c_off[l]: c_off[l + 1]])
+        g_b += s.sum(axis=0)
 
 
 @maybe_njit
 def rk_step(
-    params, sizes, acts, w_off, b_off, c_off, mid, half, tin,
+    layers, sizes, acts, w_off, b_off, c_off, mid, half, tin,
     t0, h, z, a_tab, b_tab, c_tab, first, k, caches,
 ):
     """One explicit RK step of size h from (t0, z) over a Butcher tableau.
 
     Fills the stage derivatives k[first:] (rows below `first` are supplied
-    by the caller, e.g. a first-same-as-last stage) and stage st's layer
-    cache into caches[st]. Returns the advanced state.
+    by the caller, e.g. a first-same-as-last stage; rows past the tableau
+    are left alone) and stage st's layer cache into caches[st]. Returns the
+    advanced state.
     """
-    for st in range(first, b_tab.shape[0]):
-        u = z.copy()
-        for j in range(st):
-            if a_tab[st, j] != 0.0:
-                u += (h * a_tab[st, j]) * k[j]
+    n_b = b_tab.shape[0]
+    ha = h * a_tab
+    for st in range(first, n_b):
+        u = z + np.dot(ha[st, :st], k[:st])
         k[st] = nn_forward(
-            params, sizes, acts, w_off, b_off, c_off, mid, half, tin,
+            layers, sizes, acts, w_off, b_off, c_off, mid, half, tin,
             t0 + c_tab[st] * h, u, caches[st],
         )
-    znew = z.copy()
-    for st in range(b_tab.shape[0]):
-        if b_tab[st] != 0.0:
-            znew += (h * b_tab[st]) * k[st]
-    return znew
+    return z + np.dot(h * b_tab, k[:n_b])
 
 
 @maybe_njit
 def rollout_rk(
-    params, sizes, acts, w_off, b_off, c_off, mid, half, tin,
+    layers, sizes, acts, w_off, b_off, c_off, mid, half, tin,
     z0, a_tab, b_tab, c_tab, sub_t0, sub_h, out_idx, n_out,
     want_cache, stage_cache,
 ):
@@ -145,7 +164,7 @@ def rollout_rk(
     for i in range(sub_t0.shape[0]):
         caches = stage_cache[i] if want_cache == 1 else scratch
         z = rk_step(
-            params, sizes, acts, w_off, b_off, c_off, mid, half, tin,
+            layers, sizes, acts, w_off, b_off, c_off, mid, half, tin,
             sub_t0[i], sub_h[i], z, a_tab, b_tab, c_tab, 0, k, caches,
         )
         if out_idx[i] >= 0:
@@ -155,76 +174,69 @@ def rollout_rk(
 
 @maybe_njit
 def rollout_backward(
-    params, sizes, acts, w_off, b_off, c_off, mid, half, tin,
-    a_tab, b_tab, c_tab, sub_t0, sub_h, out_idx, stage_cache, out_bar,
+    layers, sizes, acts, w_off, b_off, c_off, mid, half, tin,
+    a_tab, b_tab, c_tab, sub_t0, sub_h, out_idx, stage_cache, out_bar, grads,
 ):
     """Reverse sweep of rollout_rk: cotangents of every recorded output
-    column flow back to the parameters and the initial state."""
-    dim = out_bar.shape[0]
+    column flow back to the parameters, added into `grads`."""
+    n_sub = sub_t0.shape[0]
     n_stages = b_tab.shape[0]
-    gw = np.zeros(params.shape[0])
-    zbar = np.zeros(dim)
-    kbar = np.empty((n_stages, dim))
-    for i in range(sub_t0.shape[0] - 1, -1, -1):
+    # tableau columns, so a scaled row times a cotangent is an outer product
+    a_col = a_tab.reshape(n_stages, n_stages, 1)
+    b_col = b_tab.reshape(n_stages, 1)
+    sbar = np.empty_like(stage_cache)
+    zbar = np.zeros(out_bar.shape[0])
+    for i in range(n_sub - 1, -1, -1):
         if out_idx[i] >= 0:
             zbar = zbar + out_bar[:, out_idx[i]]
         h = sub_h[i]
-        for st in range(n_stages):
-            kbar[st] = (h * b_tab[st]) * zbar
+        kbar = (h * b_col) * zbar
         for st in range(n_stages - 1, -1, -1):
-            ubar, _ = nn_vjp(
-                params, sizes, acts, w_off, b_off, c_off, mid, half, tin,
-                kbar[st], stage_cache[i, st], gw,
+            ubar = nn_vjp(
+                layers, sizes, acts, w_off, b_off, c_off, mid, half, tin,
+                kbar[st], stage_cache[i, st], sbar[i, st],
             )
             zbar = zbar + ubar
-            for j in range(st):
-                if a_tab[st, j] != 0.0:
-                    kbar[j] += (h * a_tab[st, j]) * ubar
-    zbar = zbar + out_bar[:, 0]
-    return gw, zbar
+            kbar[:st] += (h * a_col[st, :st]) * ubar
+    rows = n_sub * n_stages
+    width = stage_cache.shape[2]
+    _layer_gradients(
+        grads, c_off, stage_cache.reshape(rows, width),
+        sbar.reshape(rows, width), np.ones(rows),
+    )
 
 
 @maybe_njit
 def adjoint_step(
-    params, sizes, acts, w_off, b_off, c_off, mid, half, tin,
-    t0, h, z, a, gw, a_tab, b_tab, c_tab,
+    layers, sizes, acts, w_off, b_off, c_off, mid, half, tin,
+    t0, h, z, a, grads, a_tab, b_tab, c_tab,
 ):
     """One RK step (h may be negative) of the augmented costate system:
 
         dz/dt = f(t, z)
         da/dt = -(df/dz)^T a
-        dgw/dt = -(df/dw)^T a      (accumulated into gw)
+        dgw/dt = -(df/dw)^T a      (added into grads)
 
     The state stages never read the costate, so z advances first through
     rk_step and the costate stages then pull back through its cached layers.
     Returns the updated (z, a).
     """
-    dim = z.shape[0]
     n_stages = b_tab.shape[0]
-    n_params = params.shape[0]
-    kz = np.empty((n_stages, dim))
-    ka = np.empty((n_stages, dim))
-    kg = np.empty((n_stages, n_params))
-    caches = np.empty((n_stages, c_off[c_off.shape[0] - 1]))
+    width = c_off[c_off.shape[0] - 1]
+    kz = np.empty((n_stages, z.shape[0]))
+    ka = np.empty((n_stages, z.shape[0]))
+    caches = np.empty((n_stages, width))
+    sbar = np.empty((n_stages, width))
     znew = rk_step(
-        params, sizes, acts, w_off, b_off, c_off, mid, half, tin,
+        layers, sizes, acts, w_off, b_off, c_off, mid, half, tin,
         t0, h, z, a_tab, b_tab, c_tab, 0, kz, caches,
     )
+    ha = h * a_tab
     for st in range(n_stages):
-        ua = a.copy()
-        for j in range(st):
-            if a_tab[st, j] != 0.0:
-                ua += (h * a_tab[st, j]) * ka[j]
-        gtmp = np.zeros(n_params)
-        zb, _ = nn_vjp(
-            params, sizes, acts, w_off, b_off, c_off, mid, half, tin,
-            ua, caches[st], gtmp,
+        ua = a + np.dot(ha[st, :st], ka[:st])
+        ka[st] = -nn_vjp(
+            layers, sizes, acts, w_off, b_off, c_off, mid, half, tin,
+            ua, caches[st], sbar[st],
         )
-        ka[st] = -zb
-        kg[st] = -gtmp
-    anew = a.copy()
-    for st in range(n_stages):
-        if b_tab[st] != 0.0:
-            anew += (h * b_tab[st]) * ka[st]
-            gw += (h * b_tab[st]) * kg[st]
-    return znew, anew
+    _layer_gradients(grads, c_off, caches, sbar, -h * b_tab)
+    return znew, a + np.dot(h * b_tab, ka)

@@ -28,8 +28,12 @@ class ScaleMap:
         object.__setattr__(self, "half", np.asarray(self.half, dtype=np.float64))
         if self.mid.shape != self.half.shape or self.mid.ndim != 1:
             raise ValueError("mid and half must be vectors of equal length")
-        if np.any(self.half <= 0):
-            raise ScalingError("scaling map must have nonzero component ranges")
+        if not np.all(np.isfinite(self.mid) & np.isfinite(self.half)
+                      & (self.half > 0)):
+            raise ScalingError(
+                "scaling map must have finite centres and finite nonzero "
+                "component ranges"
+            )
 
     @property
     def dim(self) -> int:
@@ -149,6 +153,18 @@ def pack_meta(net: DynamicsNet):
     return sizes, acts, w_off, b_off, c_off, mid, half, tin
 
 
+def layer_views(vec: np.ndarray, meta) -> tuple:
+    """Per-layer (W_l, b_l) views into a flat vector packed like the
+    parameters, located by the offsets of pack_meta; writing through a view
+    writes the vector."""
+    sizes, _, w_off, b_off = meta[:4]
+    return tuple(
+        (vec[w_off[l]: b_off[l]].reshape(sizes[l + 1], sizes[l]),
+         vec[b_off[l]: b_off[l] + sizes[l + 1]])
+        for l in range(sizes.size - 1)
+    )
+
+
 def net_init(
     sizes,
     activations,
@@ -207,11 +223,10 @@ def net_eval(net: DynamicsNet, t: float, z: np.ndarray) -> np.ndarray:
         raise ValueError(f"state must have shape ({net.state_dim},), got {z.shape}")
     if not (np.isfinite(t) and np.all(np.isfinite(z))):
         raise NumericalError("non-finite input to the dynamics net")
-    sizes, acts, w_off, b_off, c_off, mid, half, tin = pack_meta(net)
-    cache = np.empty(int(c_off[-1]))
+    meta = pack_meta(net)
+    cache = np.empty(int(meta[4][-1]))
     return kernels.nn_forward(
-        net.params, sizes, acts, w_off, b_off, c_off, mid, half, tin,
-        float(t), z, cache,
+        layer_views(net.params, meta), *meta, float(t), z, cache,
     )
 
 

@@ -15,7 +15,7 @@ from ..errors import NumericalError, SolverError
 from ..pod import LatentTrajectory
 from ..snapshot import check_times
 from . import kernels
-from .network import DynamicsNet, pack_meta
+from .network import DynamicsNet, layer_views, pack_meta
 
 FIXED_METHODS = ("euler", "midpoint", "rk4")
 METHODS = FIXED_METHODS + ("dopri5",)
@@ -93,20 +93,16 @@ def build_schedule(times: np.ndarray, step: float):
     lands exactly on the observation times. Returns (sub_t0, sub_h, out_idx)
     where out_idx[i] is the output column recorded after substep i (or -1).
     """
-    t0s, hs, idx = [], [], []
-    for k in range(times.size - 1):
-        span = times[k + 1] - times[k]
-        nsub = max(1, int(np.ceil(span / step - 1e-9)))
-        h = span / nsub
-        for i in range(nsub):
-            t0s.append(times[k] + i * h)
-            hs.append(h)
-            idx.append(k + 1 if i == nsub - 1 else -1)
-    return (
-        np.asarray(t0s, dtype=np.float64),
-        np.asarray(hs, dtype=np.float64),
-        np.asarray(idx, dtype=np.int64),
-    )
+    spans = times[1:] - times[:-1]
+    nsub = np.maximum(1, np.ceil(spans / step - 1e-9).astype(np.int64))
+    ends = np.cumsum(nsub)
+    # substep i of interval k starts at times[k] + i * (span_k / nsub_k)
+    sub_h = np.repeat(spans / nsub, nsub)
+    i = np.arange(sub_h.size) - np.repeat(ends - nsub, nsub)
+    sub_t0 = np.repeat(times[:-1], nsub) + i * sub_h
+    out_idx = np.full(sub_h.size, -1, dtype=np.int64)
+    out_idx[ends - 1] = np.arange(1, times.size)
+    return sub_t0, sub_h, out_idx
 
 
 def _check_state(net: DynamicsNet, z0: np.ndarray) -> np.ndarray:
@@ -145,8 +141,9 @@ def fixed_rollout(net: DynamicsNet, z0, times, solver: SolverSpec,
     # a blown-up state overflows quietly; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         out = kernels.rollout_rk(
-            net.params, *meta, z0, a, b, c, sub_t0, sub_h, out_idx,
-            times.size, 1 if want_cache else 0, stage_cache,
+            layer_views(net.params, meta), *meta, z0, a, b, c,
+            sub_t0, sub_h, out_idx, times.size, 1 if want_cache else 0,
+            stage_cache,
         )
     if not np.all(np.isfinite(out)):
         raise NumericalError("integration produced non-finite state")
@@ -195,13 +192,13 @@ class _NetRhs:
     """Plain-callable wrapper around the jitted forward kernel."""
 
     def __init__(self, net: DynamicsNet):
-        self.params = net.params
         self.meta = pack_meta(net)
+        self.layers = layer_views(net.params, self.meta)
         self.scratch = np.empty(int(self.meta[4][-1]))
 
     def __call__(self, t: float, z: np.ndarray) -> np.ndarray:
         return kernels.nn_forward(
-            self.params, *self.meta, float(t), z, self.scratch
+            self.layers, *self.meta, float(t), z, self.scratch
         )
 
 
@@ -289,7 +286,7 @@ def _dopri5_core(net, z0, times, solver, clamp):
         k = np.empty((7, y.shape[0]))
         k[0] = f0
         ynew = kernels.rk_step(
-            rhs.params, *rhs.meta, t, h, y, _DP_A, _DP_B, _DP_C, 1, k, caches,
+            rhs.layers, *rhs.meta, t, h, y, _DP_A, _DP_B, _DP_C, 1, k, caches,
         )
         k[6] = rhs(t + h, ynew)
         err_vec = h * (_DP_E @ k)

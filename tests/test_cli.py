@@ -386,6 +386,44 @@ def test_report_rejects_malformed_metrics(tmp_path, capsys):
     assert run("report", str(bad), "--out", str(tmp_path)) == 4
 
 
+_SERIES = {"latent_dim": 2, "runtime_seconds": 0.5, "times": [0.0, 1.0],
+           "rmse": [0.1, 0.2]}
+
+
+@pytest.mark.parametrize("tree", [
+    {"rbf": {"u": {}}},
+    {"rbf": {"u": {k: v for k, v in _SERIES.items() if k != "rmse"}}},
+    [1, 2],
+    {"rbf": 3},
+    {"rbf": {"u": [0.1]}},
+    {"rbf": {"u": dict(_SERIES, times="soon")}},
+    {"rbf": {"u": dict(_SERIES, latent_dim=None)}},
+    {"rbf": {"u": dict(_SERIES, rmse=[0.1])}},
+    {"rbf": {"u": dict(_SERIES, times=[[0.0, 1.0]], rmse=[[0.1, 0.2]])}},
+], ids=["empty-body", "no-rmse", "list", "method-int", "body-list",
+        "times-str", "latent-null", "short-rmse", "matrix-series"])
+def test_report_missing_or_mistyped_key_exits_4(tmp_path, capsys, tree):
+    bad = tmp_path / "metrics.json"
+    bad.write_text(json.dumps(tree))
+    assert run("report", str(bad), "--out", str(tmp_path)) == 4
+    assert str(bad) in capsys.readouterr().err
+    assert not (tmp_path / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("meta", [
+    "{broken", "[1]", '{"latent_dim": "two"}',
+], ids=["not-json", "list", "latent-str"])
+def test_compare_corrupt_prediction_meta_exits_4(train_grid, tmp_path, capsys,
+                                                 meta):
+    pred = tmp_path / "pred_rbf.snp"
+    shutil.copy(train_grid.out / "pred_rbf.snp", pred)
+    bad = tmp_path / "pred_rbf.snp.meta.json"
+    bad.write_text(meta)
+    truth = train_grid.out / "snapshots.snp"
+    assert run("compare", str(truth), str(pred), "--out", str(tmp_path)) == 4
+    assert str(bad) in capsys.readouterr().err
+
+
 # config and flag handling ----------------------------------------------------
 
 

@@ -75,19 +75,28 @@ def test_corrupt_container_fails_only_as_format_error(
         pass
 
 
-@pytest.mark.parametrize("magic,offset,value", [
-    ("NET1", 16, struct.pack("<I", 7)),  # hidden width: wrong parameter count
-    ("RBF1", 16, struct.pack("<d", -1.0)),  # shape factor
-    ("RBF1", 16, struct.pack("<d", np.nan)),
-    ("DMD1", 16, struct.pack("<d", 0.0)),  # time step
-    ("DMD1", 16, struct.pack("<d", np.nan)),
-    ("DMD1", 24, struct.pack("<d", np.nan)),  # start time
-], ids=["NET1", "RBF1", "RBF1-nan", "DMD1", "DMD1-nan", "DMD1-t0-nan"])
+# the scaled NET1 sample's scale vectors: magic, version, layer count,
+# 3 sizes, 2 activation ids, augment_dim, time_input, has_scale
+_MID_AT = 4 + 4 + 4 + 3 * 4 + 2 * 2 + 4 + 2 + 2
+_HALF_AT = _MID_AT + 2 * 8
+
+
+@pytest.mark.parametrize("magic,sample,offset,value", [
+    ("NET1", 0, 16, struct.pack("<I", 7)),  # hidden width: wrong parameter count
+    ("NET1", 1, _MID_AT, struct.pack("<d", np.nan)),  # scale centre
+    ("NET1", 1, _HALF_AT + 8, struct.pack("<d", np.nan)),  # scale half-range
+    ("RBF1", 0, 16, struct.pack("<d", -1.0)),  # shape factor
+    ("RBF1", 0, 16, struct.pack("<d", np.nan)),
+    ("DMD1", 0, 16, struct.pack("<d", 0.0)),  # time step
+    ("DMD1", 0, 16, struct.pack("<d", np.nan)),
+    ("DMD1", 0, 24, struct.pack("<d", np.nan)),  # start time
+], ids=["NET1", "NET1-mid-nan", "NET1-half-nan", "RBF1", "RBF1-nan", "DMD1",
+        "DMD1-nan", "DMD1-t0-nan"])
 def test_fields_that_build_no_object_are_format_errors(
-        tmp_path, magic, offset, value):
+        tmp_path, magic, sample, offset, value):
     save, load, objects = SAMPLES[magic]
     path = tmp_path / "container"
-    save(objects[0], path)
+    save(objects[sample], path)
     blob = bytearray(path.read_bytes())
     blob[offset:offset + len(value)] = value
     path.write_bytes(bytes(blob))

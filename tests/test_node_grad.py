@@ -12,12 +12,16 @@ import pytest
 from nirom.errors import SolverError
 from nirom.node import (
     DynamicsNet,
+    ScaleMap,
     SolverSpec,
     build_net,
     grad,
     loss_mse,
 )
-from nirom.node.gradients import _loss_and_grad, _pad_state
+from nirom.node import kernels
+from nirom.node.gradients import _loss_and_grad, _loss_cotangent, _pad_state
+from nirom.node.network import layer_views, pack_meta
+from nirom.node.solvers import fixed_rollout, tableau
 from nirom.pod import LatentTrajectory
 
 FD_STEP = 1e-6
@@ -222,3 +226,123 @@ def test_adjoint_drift_raises():
     with pytest.raises(SolverError, match="drift"):
         grad(net, np.array([1.0]), times, target,
              SolverSpec("euler", step=0.1), mode="adjoint")
+
+
+# ---------------------------------------------------------------------------
+# the per-layer GEMM gradient against the per-stage sweep it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_vjp(net, u, cache, gw):
+    """Per-stage reverse pass over flat parameters: adds every layer's outer
+    product into gw and returns the state cotangent."""
+    sizes, acts, w_off, b_off, c_off, _, half, tin = pack_meta(net)
+    deriv = {
+        0: lambda y: np.ones_like(y),
+        1: lambda y: np.where(y > 0.0, 1.0, 0.0),
+        2: lambda y: np.where(y > 0.0, 1.0, y + 1.0),
+        3: lambda y: 1.0 - y * y,
+    }
+    xbar = u * half
+    for l in range(acts.size - 1, -1, -1):
+        rows, cols = sizes[l + 1], sizes[l]
+        s = xbar * deriv[int(acts[l])](cache[c_off[l + 1]: c_off[l + 2]])
+        x = cache[c_off[l]: c_off[l + 1]]
+        gw[w_off[l]: w_off[l] + rows * cols] += np.outer(s, x).ravel()
+        gw[b_off[l]: b_off[l] + rows] += s
+        w = net.params[w_off[l]: w_off[l] + rows * cols].reshape(rows, cols)
+        xbar = w.T @ s
+    return (xbar[1:] if tin else xbar) / half
+
+
+def reference_backprop(net, z0, times, target, solver):
+    """Replay every stage of the recorded rollout backwards, one
+    reference_vjp per stage."""
+    out, (_, sub_h, out_idx), stage_cache = fixed_rollout(
+        net, z0, times, solver, want_cache=True
+    )
+    _, out_bar = _loss_cotangent(net, out, target)
+    a, b, _ = tableau(solver.method)
+    gw = np.zeros(net.params.size)
+    zbar = np.zeros(net.state_dim)
+    for i in range(sub_h.size - 1, -1, -1):
+        if out_idx[i] >= 0:
+            zbar = zbar + out_bar[:, out_idx[i]]
+        h = sub_h[i]
+        kbar = [(h * b[st]) * zbar for st in range(b.size)]
+        for st in range(b.size - 1, -1, -1):
+            ubar = reference_vjp(net, kbar[st], stage_cache[i, st], gw)
+            zbar = zbar + ubar
+            for j in range(st):
+                kbar[j] = kbar[j] + (h * a[st, j]) * ubar
+    return gw
+
+
+def reference_adjoint(net, z0, times, target, solver):
+    """Integrate the costate backwards interval by interval, re-anchoring
+    the state at each observation; each step adds h * b_st times every
+    stage's own reference_vjp gradient."""
+    out, (sub_t0, sub_h, out_idx), _ = fixed_rollout(net, z0, times, solver)
+    _, out_bar = _loss_cotangent(net, out, target)
+    a_tab, b_tab, c_tab = tableau(solver.method)
+    meta = pack_meta(net)
+    layers = layer_views(net.params, meta)
+    n_stages = b_tab.size
+    ends = np.flatnonzero(out_idx >= 0)
+    z = out[:, -1].copy()
+    a = out_bar[:, -1].copy()
+    gw = np.zeros(net.params.size)
+    for k in range(times.size - 1, 0, -1):
+        lo = ends[k - 2] + 1 if k >= 2 else 0
+        for i in range(ends[k - 1], lo - 1, -1):
+            h = -sub_h[i]
+            caches = np.empty((n_stages, int(meta[4][-1])))
+            z = kernels.rk_step(
+                layers, *meta, sub_t0[i] + sub_h[i], h, z, a_tab, b_tab,
+                c_tab, 0, np.empty((n_stages, z.size)), caches,
+            )
+            ka, kg = [], []
+            for st in range(n_stages):
+                ua = a.copy()
+                for j in range(st):
+                    ua = ua + (h * a_tab[st, j]) * ka[j]
+                g_st = np.zeros(net.params.size)
+                ka.append(-reference_vjp(net, ua, caches[st], g_st))
+                kg.append(-g_st)
+            for st in range(n_stages):
+                a = a + (h * b_tab[st]) * ka[st]
+                gw += (h * b_tab[st]) * kg[st]
+        z = out[:, k - 1].copy()
+        a = a + out_bar[:, k - 1]
+    return gw
+
+
+@pytest.mark.parametrize("activation", ["linear", "relu", "elu", "tanh"])
+@pytest.mark.parametrize("method", ["euler", "midpoint", "rk4", "dopri5"])
+def test_gradient_matches_per_stage_reference(method, activation):
+    times = np.array([0.0, 0.13, 0.3, 0.31, 0.45, 0.6])
+    rng = np.random.default_rng(3)
+    z0 = rng.normal(size=2)
+    target = rng.normal(size=(2, times.size))
+    # euler's backward re-integration drifts at first order in the step
+    solver = (SolverSpec("dopri5", rtol=1e-7, atol=1e-9) if method == "dopri5"
+              else SolverSpec(method, step=0.004 if method == "euler" else 0.02))
+    modes = [("backprop_through_solver", reference_backprop)]
+    if method != "dopri5":
+        modes.append(("adjoint", reference_adjoint))
+    for time_input in (True, False):
+        for augment in (0, 2):
+            for scaled in (False, True):
+                scale = (ScaleMap(np.array([0.2, -0.1]), np.array([1.5, 0.8]))
+                         if scaled else None)
+                net = build_net(2, [7, 5], activation, augment_dim=augment,
+                                seed=3, time_input=time_input, scale=scale)
+                net = net.with_params(
+                    net.params + 0.1 * rng.normal(size=net.params.size))
+                z0p = _pad_state(net, z0)
+                for mode, reference in modes:
+                    got = grad(net, z0, times, target, solver, mode=mode)
+                    want = reference(net, z0p, times, target, solver)
+                    assert (np.linalg.norm(got - want)
+                            <= 1e-12 * np.linalg.norm(want)), (
+                        mode, time_input, augment, scaled)

@@ -17,7 +17,7 @@ from nirom.node import (
     ode_solve,
 )
 from nirom.node import kernels
-from nirom.node.network import pack_meta
+from nirom.node.network import layer_views, pack_meta
 from nirom.node.solvers import build_schedule, tableau
 
 DECAY_PARAMS = np.array([-1.0, 0.0])
@@ -84,6 +84,36 @@ def test_schedule_exact_division_has_no_extra_step():
     times = np.array([0.0, 1.0])
     _, sub_h, _ = build_schedule(times, 0.25)
     assert sub_h.size == 4
+
+
+def loop_schedule(times, step):
+    """Interval-by-interval substep plan with the same elementwise
+    arithmetic as build_schedule."""
+    t0s, hs, idx = [], [], []
+    for k in range(times.size - 1):
+        span = times[k + 1] - times[k]
+        nsub = max(1, int(np.ceil(span / step - 1e-9)))
+        h = span / nsub
+        for i in range(nsub):
+            t0s.append(times[k] + i * h)
+            hs.append(h)
+            idx.append(k + 1 if i == nsub - 1 else -1)
+    return (np.asarray(t0s, dtype=np.float64), np.asarray(hs, dtype=np.float64),
+            np.asarray(idx, dtype=np.int64))
+
+
+@pytest.mark.parametrize("step", [0.01, 0.037, 0.1, 1.0])
+def test_schedule_is_bitwise_the_interval_loop(step):
+    rng = np.random.default_rng(11)
+    # irregular spans, several shorter than the step; the first span is
+    # 0.1 + 0.2, one ulp above 0.3, which the ceil slack keeps a multiple
+    spans = np.concatenate([[0.1 + 0.2], rng.uniform(0.001, 0.3, 200), [0.002]])
+    times = np.cumsum(np.concatenate([[0.0], spans]))
+    got = build_schedule(times, step)
+    want = loop_schedule(times, step)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert all(a.size == 0 for a in build_schedule(np.array([0.5]), step))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +300,8 @@ def test_rk_step_matches_textbook_butcher_step(method):
     k[:first] = want_k[:first]
     caches = np.empty((b.size, int(meta[4][-1])))
     got_z = kernels.rk_step(
-        net.params, *meta, t0, h, z, a, b, c, first, k, caches,
+        layer_views(net.params, meta), *meta, t0, h, z, a, b, c, first, k,
+        caches,
     )
     assert np.linalg.norm(got_z - want_z) <= 1e-15 * np.linalg.norm(want_z)
     assert np.linalg.norm(k - want_k) <= 1e-15 * np.linalg.norm(want_k)
@@ -284,12 +315,13 @@ def test_adjoint_step_state_is_one_rollout_substep(method, h):
     a, b, c = tableau(method)
     z = np.array([0.4, -0.7, 0.25])
     costate = np.array([1.0, -2.0, 0.5])
+    layers = layer_views(net.params, meta)
     z_adj, _ = kernels.adjoint_step(
-        net.params, *meta, 0.3, h, z, costate, np.zeros(net.params.size),
-        a, b, c,
+        layers, *meta, 0.3, h, z, costate,
+        layer_views(np.zeros(net.params.size), meta), a, b, c,
     )
     out = kernels.rollout_rk(
-        net.params, *meta, z, a, b, c, np.array([0.3]), np.array([h]),
+        layers, *meta, z, a, b, c, np.array([0.3]), np.array([h]),
         np.array([1]), 2, 0, np.empty((1, 1, int(meta[4][-1]))),
     )
     assert z_adj.tobytes() == out[:, 1].tobytes()
