@@ -41,7 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .metrics import MetricsReport, report_emit, spatial_rmse
-from .node import build_net, load_net, node_forecast, preset_net, save_net, scale_fit
+from .node import build_net, load_net, node_forecast, save_net, scale_fit
 from .node.training import attach_time_map, normalize_times, train
 from .pod import (
     LatentTrajectory,
@@ -223,16 +223,12 @@ def _fit_node(cfg: PipelineConfig, out: Path) -> None:
     tau, tmap = normalize_times(traj.times)
     unit_traj = LatentTrajectory(traj.coeffs, tau)
     scale = scale_fit(unit_traj) if block.scaling else None
-    if block.preset is not None:
-        net = preset_net(block.preset, unit_traj.dim, seed=cfg.seed,
-                         scale=scale, time_input=block.time_input)
-    else:
-        net = build_net(
-            unit_traj.dim, list(block.hidden), block.activation,
-            augment_dim=block.augment_dim, seed=cfg.seed,
-            time_input=block.time_input, scale=scale,
-            name="custom",
-        )
+    net = build_net(
+        unit_traj.dim, list(block.hidden), block.activation,
+        augment_dim=block.augment_dim, seed=cfg.seed,
+        time_input=block.time_input, scale=scale,
+        name=block.preset or "custom",
+    )
     started = time.perf_counter()
     trained, history = train(net, unit_traj, block.train, solver=block.solver)
     elapsed = time.perf_counter() - started
@@ -247,7 +243,7 @@ def _fit_node(cfg: PipelineConfig, out: Path) -> None:
     _write_meta(Path(str(target) + ".meta.json"), method="node",
                 latent_dim=trained.latent_dim, fit_seconds=elapsed,
                 final_loss=history.final_loss, epochs=block.train.epochs)
-    log.info("node fit: %s, final loss %.3e, %.3fs", trained.name or "custom",
+    log.info("node fit: %s, final loss %.3e, %.3fs", trained.name,
              history.final_loss, elapsed)
     print(target)
 

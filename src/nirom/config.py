@@ -1,74 +1,67 @@
 """Pipeline configuration: one JSON document, one block per stage.
 
 Every block is checked against a closed key set so a typo fails loudly with
-its dotted path instead of being silently ignored. Numeric invariants of the
-domain objects (positive steps, ranks in range) are enforced by the objects
-themselves; this module wraps those failures with the block path.
+its dotted path instead of being silently ignored, and every value is read
+through one typed getter (numbers must be finite). A node preset is shorthand
+for the node keys it fixes. Numeric invariants of the domain objects
+(positive steps, ranks in range) are enforced by the objects themselves; this
+module wraps those failures with the block path.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .node import PRESETS, LrSchedule, SolverSpec, TrainConfig
+from .node import PRESETS, LrSchedule, NodePreset, SolverSpec, TrainConfig
 from .node.network import ACTIVATIONS
 from .snapshot import SyntheticSpec
+
+SEED_MAX = 2**64 - 1  # NET1 stores the seed as a u64
+
+
+def _where(path: str, key: str) -> str:
+    """Dotted path of a key: 'seed' at the top level, 'pod.rank' below."""
+    return f"{path}.{key}" if path else key
 
 
 def _check_keys(block, path: str, allowed) -> None:
     if not isinstance(block, dict):
-        raise ConfigError(f"'{path}' must be a JSON object")
+        raise ConfigError(f"'{path}' must be a JSON object" if path
+                          else "the config must be a JSON object")
     for key in block:
-        where = f"{path}.{key}" if path else key
         if key not in allowed:
-            raise ConfigError(f"unknown key '{where}'")
+            raise ConfigError(f"unknown key '{_where(path, key)}'")
 
 
-def _need(block: dict, path: str, key: str):
-    if key not in block:
-        where = f"{path}.{key}" if path else key
-        raise ConfigError(f"missing key '{where}'")
-    return block[key]
+_KINDS = {float: "a finite number", int: "an integer", bool: "true or false",
+          str: "a string", list: "a list", dict: "a JSON object"}
 
 
-def _number(block, path, key, default=None):
-    if key not in block:
-        if default is None:
-            _need(block, path, key)
-        return float(default)
-    val = block[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"'{path}.{key}' must be a number")
-    return float(val)
+def _finite(val) -> bool:
+    try:
+        return math.isfinite(val)
+    except OverflowError:  # an integer literal beyond the float range
+        return False
 
 
-def _integer(block, path, key, default=None):
+def _get(block: dict, path: str, key: str, kind, default=None):
+    """The value of ``key`` in the block at ``path``, checked to be of
+    ``kind`` (a type in _KINDS; float means a finite number, returned as a
+    float). A missing key gives ``default``, or fails when that is None.
+    JSON booleans are never numbers: ``true`` is not an integer here."""
     if key not in block:
         if default is None:
-            _need(block, path, key)
+            raise ConfigError(f"missing key '{_where(path, key)}'")
         return default
     val = block[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"'{path}.{key}' must be an integer")
-    return val
-
-
-def _boolean(block, path, key, default):
-    val = block.get(key, default)
-    if not isinstance(val, bool):
-        raise ConfigError(f"'{path}.{key}' must be true or false")
-    return val
-
-
-def _string(block, path, key, default=None):
-    if key not in block:
-        if default is None:
-            _need(block, path, key)
-        return default
-    val = block[key]
-    if not isinstance(val, str):
-        raise ConfigError(f"'{path}.{key}' must be a string")
-    return val
+    if kind is float:
+        ok = isinstance(val, (int, float)) and _finite(val)
+    else:
+        ok = isinstance(val, kind)
+    if not ok or isinstance(val, bool) != (kind is bool):
+        raise ConfigError(f"'{_where(path, key)}' must be {_KINDS[kind]}")
+    return float(val) if kind is float else val
 
 
 @dataclass(frozen=True)
@@ -133,16 +126,16 @@ def _parse_input(block, seed: int):
             raise ConfigError(
                 f"'input.{extra[0]}' cannot be combined with 'input.path'"
             )
-        return _string(block, "input", "path"), None
+        return _get(block, "input", "path", str), None
     spec_kwargs = dict(
-        kind=_string(block, "input", "kind"),
-        grid_points=_integer(block, "input", "grid_points"),
-        t_start=_number(block, "input", "t_start", 0.0),
-        t_end=_number(block, "input", "t_end"),
-        dt=_number(block, "input", "dt"),
-        wave_speed=_number(block, "input", "wave_speed", 1.0),
-        omega=_number(block, "input", "omega", 1.0),
-        component=_string(block, "input", "component", "u"),
+        kind=_get(block, "input", "kind", str),
+        grid_points=_get(block, "input", "grid_points", int),
+        t_start=_get(block, "input", "t_start", float, 0.0),
+        t_end=_get(block, "input", "t_end", float),
+        dt=_get(block, "input", "dt", float),
+        wave_speed=_get(block, "input", "wave_speed", float, 1.0),
+        omega=_get(block, "input", "omega", float, 1.0),
+        component=_get(block, "input", "component", str, "u"),
         seed=seed,
     )
     try:
@@ -153,8 +146,8 @@ def _parse_input(block, seed: int):
 
 def _parse_pod(block) -> PodCriterion:
     _check_keys(block, "pod", {"rank", "tolerance"})
-    rank = _integer(block, "pod", "rank", 0) if "rank" in block else None
-    tol = _number(block, "pod", "tolerance", 0.0) if "tolerance" in block else None
+    rank = _get(block, "pod", "rank", int) if "rank" in block else None
+    tol = _get(block, "pod", "tolerance", float) if "tolerance" in block else None
     if (rank is None) == (tol is None):
         raise ConfigError("'pod' needs exactly one of 'rank' or 'tolerance'")
     if rank is not None and rank < 1:
@@ -166,26 +159,22 @@ def _parse_pod(block) -> PodCriterion:
 
 def _parse_rbf(block) -> RbfBlock:
     _check_keys(block, "rbf", {"shape_factor"})
-    c = _number(block, "rbf", "shape_factor")
+    c = _get(block, "rbf", "shape_factor", float)
     if c <= 0:
         raise ConfigError("'rbf.shape_factor' must be positive")
     return RbfBlock(c)
 
 
+_SOLVER_OPTIONS = {"step": float, "rtol": float, "atol": float,
+                   "max_steps": int}
+
+
 def _parse_solver(block) -> SolverSpec:
-    _check_keys(block, "node.solver", {"method", "step", "rtol", "atol",
-                                       "max_steps"})
-    kwargs = {"method": _string(block, "node.solver", "method")}
-    if "step" in block:
-        kwargs["step"] = _number(block, "node.solver", "step")
-    if "rtol" in block:
-        kwargs["rtol"] = _number(block, "node.solver", "rtol")
-    if "atol" in block:
-        kwargs["atol"] = _number(block, "node.solver", "atol")
-    if "max_steps" in block:
-        kwargs["max_steps"] = _integer(block, "node.solver", "max_steps")
+    _check_keys(block, "node.solver", {"method", *_SOLVER_OPTIONS})
+    options = {key: _get(block, "node.solver", key, kind)
+               for key, kind in _SOLVER_OPTIONS.items() if key in block}
     try:
-        return SolverSpec(**kwargs)
+        return SolverSpec(_get(block, "node.solver", "method", str), **options)
     except ValueError as exc:
         raise ConfigError(f"node.solver: {exc}") from exc
 
@@ -194,10 +183,10 @@ def _parse_schedule(block, base_lr: float) -> LrSchedule:
     _check_keys(block, "node.schedule", {"kind", "decay_steps", "decay_rate"})
     try:
         return LrSchedule(
-            _string(block, "node.schedule", "kind", "staircase"),
+            _get(block, "node.schedule", "kind", str, "staircase"),
             base_lr,
-            _integer(block, "node.schedule", "decay_steps"),
-            _number(block, "node.schedule", "decay_rate"),
+            _get(block, "node.schedule", "decay_steps", int),
+            _get(block, "node.schedule", "decay_rate", float),
         )
     except ValueError as exc:
         raise ConfigError(f"node.schedule: {exc}") from exc
@@ -207,80 +196,78 @@ _NODE_KEYS = {
     "preset", "hidden", "activation", "scaling", "augmented", "time_input",
     "epochs", "learning_rate", "momentum", "schedule", "grad_mode", "solver",
 }
-_PRESET_ONLY_CONFLICTS = {"hidden", "activation", "scaling", "augmented",
-                          "learning_rate", "momentum", "schedule"}
+
+
+def _preset_keys(p: NodePreset) -> dict:
+    """The node keys a preset stands for. All but epochs are fixed: a block
+    naming a preset may not set them itself."""
+    return {
+        "hidden": [p.width] * p.n_hidden,
+        "activation": p.activation,
+        "scaling": p.scaling,
+        "augmented": p.augmented,
+        "learning_rate": p.learning_rate,
+        "momentum": p.momentum,
+        "schedule": {"kind": "staircase", "decay_steps": p.decay_steps,
+                     "decay_rate": p.decay_rate},
+        "epochs": p.epochs,
+    }
 
 
 def _parse_node(block) -> NodeBlock:
     _check_keys(block, "node", _NODE_KEYS)
-    solver = _parse_solver(block["solver"]) if "solver" in block else None
-    time_input = _boolean(block, "node", "time_input", True)
-    grad_mode = _string(block, "node", "grad_mode", "backprop_through_solver")
-
+    preset = None
     if "preset" in block:
-        name = _string(block, "node", "preset")
-        if name not in PRESETS:
+        preset = _get(block, "node", "preset", str)
+        if preset not in PRESETS:
             raise ConfigError(
-                f"'node.preset' must be one of NODE1..NODE8, got {name!r}"
+                f"'node.preset' must be one of NODE1..NODE8, got {preset!r}"
             )
-        clash = sorted(_PRESET_ONLY_CONFLICTS & set(block))
+        implied = _preset_keys(PRESETS[preset])
+        clash = sorted((implied.keys() - {"epochs"}) & block.keys())
         if clash:
             raise ConfigError(
                 f"'node.{clash[0]}' conflicts with 'node.preset'"
             )
-        p = PRESETS[name]
-        epochs = _integer(block, "node", "epochs", p.epochs)
-        schedule = LrSchedule("staircase", p.learning_rate, p.decay_steps,
-                              p.decay_rate)
-        try:
-            train = TrainConfig(
-                epochs=epochs, learning_rate=p.learning_rate,
-                momentum=p.momentum, schedule=schedule, grad_mode=grad_mode,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"node: {exc}") from exc
-        return NodeBlock(
-            preset=name, hidden=(p.width,) * p.n_hidden,
-            activation=p.activation, scaling=p.scaling,
-            augment_dim=1 if p.augmented else 0, time_input=time_input,
-            train=train, solver=solver,
-        )
+        block = {**implied, **block}
 
-    hidden = _need(block, "node", "hidden")
-    if (not isinstance(hidden, list) or not hidden
-            or any(isinstance(w, bool) or not isinstance(w, int) or w < 1
-                   for w in hidden)):
+    hidden = _get(block, "node", "hidden", list)
+    if not hidden or any(isinstance(w, bool) or not isinstance(w, int) or w < 1
+                         for w in hidden):
         raise ConfigError("'node.hidden' must be a list of positive integers")
-    activation = _string(block, "node", "activation")
+    activation = _get(block, "node", "activation", str)
     if activation not in ACTIVATIONS:
         raise ConfigError(
             f"'node.activation' must be one of {sorted(ACTIVATIONS)}"
         )
-    lr = _number(block, "node", "learning_rate", 1e-3)
+    lr = _get(block, "node", "learning_rate", float, 1e-3)
     schedule = None
     if "schedule" in block:
         schedule = _parse_schedule(block["schedule"], lr)
     try:
         train = TrainConfig(
-            epochs=_integer(block, "node", "epochs"),
+            epochs=_get(block, "node", "epochs", int),
             learning_rate=lr,
-            momentum=_number(block, "node", "momentum", 0.9),
+            momentum=_get(block, "node", "momentum", float, 0.9),
             schedule=schedule,
-            grad_mode=grad_mode,
+            grad_mode=_get(block, "node", "grad_mode", str,
+                           "backprop_through_solver"),
         )
     except ValueError as exc:
         raise ConfigError(f"node: {exc}") from exc
     return NodeBlock(
-        preset=None, hidden=tuple(hidden), activation=activation,
-        scaling=_boolean(block, "node", "scaling", False),
-        augment_dim=1 if _boolean(block, "node", "augmented", False) else 0,
-        time_input=time_input, train=train, solver=solver,
+        preset=preset, hidden=tuple(hidden), activation=activation,
+        scaling=_get(block, "node", "scaling", bool, False),
+        augment_dim=1 if _get(block, "node", "augmented", bool, False) else 0,
+        time_input=_get(block, "node", "time_input", bool, True),
+        train=train,
+        solver=_parse_solver(block["solver"]) if "solver" in block else None,
     )
 
 
 def _parse_dmd(block) -> DmdBlock:
     _check_keys(block, "dmd", {"rank"})
-    rank = _integer(block, "dmd", "rank")
+    rank = _get(block, "dmd", "rank", int)
     if rank < 1:
         raise ConfigError("'dmd.rank' must be at least 1")
     return DmdBlock(rank)
@@ -289,9 +276,9 @@ def _parse_dmd(block) -> DmdBlock:
 def _parse_predict(block) -> PredictBlock:
     _check_keys(block, "predict", {"t_start", "t_end", "dt"})
     p = PredictBlock(
-        _number(block, "predict", "t_start"),
-        _number(block, "predict", "t_end"),
-        _number(block, "predict", "dt"),
+        _get(block, "predict", "t_start", float),
+        _get(block, "predict", "t_end", float),
+        _get(block, "predict", "dt", float),
     )
     if p.dt <= 0:
         raise ConfigError("'predict.dt' must be positive")
@@ -311,13 +298,18 @@ _TOP_KEYS = {"seed", "output_dir", "input", "pod", "rbf", "node", "dmd",
 
 def parse_config(doc, seed_override: int | None = None) -> PipelineConfig:
     _check_keys(doc, "", _TOP_KEYS)
-    seed = _integer(doc, "", "seed", 0)
+    seed = _get(doc, "", "seed", int, 0)
     if seed_override is not None:
         seed = seed_override
-    input_path, synthetic = _parse_input(_need(doc, "", "input"), seed)
+    if not 0 <= seed <= SEED_MAX:
+        raise ConfigError(
+            f"seed {seed} out of range: 'seed' and --seed must lie in "
+            "[0, 2**64 - 1]"
+        )
+    input_path, synthetic = _parse_input(_get(doc, "", "input", dict), seed)
     cfg = PipelineConfig(
         seed=seed,
-        output_dir=_string(doc, "", "output_dir", "") or None,
+        output_dir=_get(doc, "", "output_dir", str, "") or None,
         input_path=input_path,
         synthetic=synthetic,
         pod=_parse_pod(doc["pod"]) if "pod" in doc else None,

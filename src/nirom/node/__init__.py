@@ -12,7 +12,6 @@ from .network import (
     load_net,
     net_eval,
     net_init,
-    preset_net,
     save_net,
     scale_fit,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "node_forecast",
     "normalize_times",
     "ode_solve",
-    "preset_net",
     "save_net",
     "scale_fit",
     "train",

@@ -15,7 +15,7 @@ from ..pod import LatentTrajectory
 from ..snapshot import check_times
 from . import kernels
 from .network import DynamicsNet, layer_views, pack_meta
-from .solvers import FIXED_METHODS, SolverSpec, fixed_rollout, tableau
+from .solvers import FIXED_METHODS, SolverSpec, _pad_state, fixed_rollout, tableau
 
 GRAD_MODES = ("backprop_through_solver", "adjoint")
 ADJOINT_DRIFT_RTOL = 1e-3
@@ -30,20 +30,6 @@ def loss_mse(pred, target) -> float:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
     d = p - q
     return float(np.mean(d * d))
-
-
-def _pad_state(net: DynamicsNet, z0) -> np.ndarray:
-    """Accept a latent or full-state initial vector; appended augmentation
-    dimensions start at zero."""
-    z0 = np.asarray(z0, dtype=np.float64)
-    if z0.shape == (net.state_dim,):
-        return z0
-    if z0.shape == (net.latent_dim,):
-        return np.concatenate([z0, np.zeros(net.augment_dim)])
-    raise ValueError(
-        f"initial state must have {net.latent_dim} or {net.state_dim} "
-        f"components, got shape {z0.shape}"
-    )
 
 
 def _target_array(net: DynamicsNet, times: np.ndarray, target) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Network container, initialization, presets, scaling maps, and the NET1
-container format."""
+"""Network container, initialization, the preset table, scaling maps, and
+the NET1 container format."""
 
 from dataclasses import dataclass, field, replace
 
@@ -234,7 +234,7 @@ def net_eval(net: DynamicsNet, t: float, z: np.ndarray) -> np.ndarray:
 # Table of tuned configurations: (hidden layers, width, activation,
 # staircase decay steps, decay rate, input scaling, state augmentation).
 # Training for every entry: 50000 epochs, rk4, RMSProp at 1e-3 with
-# momentum 0.9.
+# momentum 0.9. The config reads a preset name as the node keys it fixes.
 # ---------------------------------------------------------------------------
 
 
@@ -263,38 +263,6 @@ PRESETS = {
     "NODE7": NodePreset(2, 128, "elu", 5000, 0.5, False, False),
     "NODE8": NodePreset(1, 512, "tanh", 5000, 0.5, True, True),
 }
-
-
-def preset_net(
-    name: str,
-    latent_dim: int,
-    seed: int = 0,
-    scale: ScaleMap | None = None,
-    time_input: bool = True,
-) -> DynamicsNet:
-    """Instantiate a preset architecture for a given latent dimension.
-
-    Presets flagged for scaling expect a fitted ScaleMap; augmentation adds
-    one extra state dimension. The caller fits the map on the training
-    trajectory.
-    """
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}; expected NODE1..NODE8")
-    p = PRESETS[name]
-    if p.scaling and scale is None:
-        raise ValueError(f"preset {name} requires a fitted scaling map")
-    if not p.scaling:
-        scale = None
-    return build_net(
-        latent_dim,
-        [p.width] * p.n_hidden,
-        p.activation,
-        augment_dim=1 if p.augmented else 0,
-        seed=seed,
-        time_input=time_input,
-        scale=scale,
-        name=name,
-    )
 
 
 # ---------------------------------------------------------------------------

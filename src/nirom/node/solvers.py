@@ -105,11 +105,16 @@ def build_schedule(times: np.ndarray, step: float):
     return sub_t0, sub_h, out_idx
 
 
-def _check_state(net: DynamicsNet, z0: np.ndarray) -> np.ndarray:
+def _pad_state(net: DynamicsNet, z0) -> np.ndarray:
+    """The checked full initial state from a latent or full-state vector;
+    appended augmentation dimensions start at zero."""
     z0 = np.asarray(z0, dtype=np.float64)
+    if z0.shape == (net.latent_dim,):
+        z0 = np.concatenate([z0, np.zeros(net.augment_dim)])
     if z0.shape != (net.state_dim,):
         raise ValueError(
-            f"initial state must have shape ({net.state_dim},), got {z0.shape}"
+            f"initial state must have shape ({net.latent_dim},) or "
+            f"({net.state_dim},), got {z0.shape}"
         )
     if not np.all(np.isfinite(z0)):
         raise NumericalError("non-finite initial state")
@@ -153,7 +158,7 @@ def fixed_rollout(net: DynamicsNet, z0, times, solver: SolverSpec,
 def ode_solve(net: DynamicsNet, z0, times, solver: SolverSpec) -> LatentTrajectory:
     """Integrate dz/dt = net(t, z) from times[0], reporting every time."""
     times = check_times(times)
-    z0 = _check_state(net, z0)
+    z0 = _pad_state(net, z0)
     if solver.method in FIXED_METHODS:
         out, _, _ = fixed_rollout(net, z0, times, solver, want_cache=False)
         return LatentTrajectory(out, times)

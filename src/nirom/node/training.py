@@ -19,9 +19,9 @@ import numpy as np
 from ..errors import TrainingError
 from ..pod import LatentTrajectory
 from ..snapshot import check_times
-from .gradients import GRAD_MODES, _loss_and_grad, _pad_state
+from .gradients import GRAD_MODES, _loss_and_grad
 from .network import DynamicsNet, TimeMap
-from .solvers import SolverSpec, ode_solve
+from .solvers import SolverSpec, _pad_state, ode_solve
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from nirom import rbf as rbf_mod
 from nirom.cli import main
 from nirom.containers import peek_magic
 from nirom.errors import FormatError
-from nirom.node import load_net
+from nirom.node import PRESETS, load_net
 from nirom.pod import load_basis
 from nirom.snapshot import load_snapshots
 
@@ -193,6 +193,30 @@ def test_fit_node_preset_name_survives_serialization(tmp_path):
     assert net.activations == ("elu", "linear")
 
 
+@pytest.fixture(scope="module")
+def latent_dir(tmp_path_factory):
+    """A decomposed rank-2 wave, ready for fit."""
+    out = tmp_path_factory.mktemp("wave_latent")
+    cfg = write_cfg(out, pod={"rank": 2}, dmd={"rank": 2})
+    run_ok("generate", "--config", cfg)
+    run_ok("decompose", "--config", cfg)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_fit_node_preset_builds_its_net(latent_dir, tmp_path, name):
+    p = PRESETS[name]
+    cfg = write_cfg(tmp_path, node={"preset": name, "epochs": 0})
+    run_ok("fit", "--method", "node", "--config", cfg, "--out", str(latent_dir))
+    net = load_net(latent_dir / "model_node.net")
+    state = 2 + (1 if p.augmented else 0)
+    assert net.sizes == (state + 1, *[p.width] * p.n_hidden, state)
+    assert net.activations == (p.activation,) * p.n_hidden + ("linear",)
+    assert net.augment_dim == (1 if p.augmented else 0)
+    assert (net.scale is not None) == p.scaling
+    assert net.name == name
+
+
 def test_fit_dmd_rank_beyond_columns_is_argument_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, dmd={"rank": 20})
     doc = json.loads((tmp_path / "cfg.json").read_text())
@@ -320,6 +344,18 @@ def test_predict_corrupt_container_exits_4(pipeline, tmp_path, capsys,
     model = name if name.startswith("model_") else "model_rbf.rbf"
     assert run("predict", model, "--config", cfg) == 4
     assert name in capsys.readouterr().err
+
+
+def test_predict_infinite_grid_end_is_config_error(train_grid, tmp_path,
+                                                   capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "input": WAVE_INPUT, "output_dir": str(train_grid.out),
+        "dmd": {"rank": 2},
+        "predict": {"t_start": 0.0, "t_end": "@", "dt": 0.01},
+    }).replace('"@"', "Infinity"))
+    assert run("predict", "model_dmd.dmd", "--config", str(cfg)) == 2
+    assert "'predict.t_end' must be a finite number" in capsys.readouterr().err
 
 
 def test_predict_one_point_grid_is_config_error_for_every_method(
@@ -472,6 +508,19 @@ def test_seed_flag_overrides_config_seed(tmp_path):
     a = (tmp_path / "a" / "snapshots.snp").read_bytes()
     b = (tmp_path / "b" / "snapshots.snp").read_bytes()
     assert a != b  # harmonic_latent lift depends on the seed
+
+
+@pytest.mark.parametrize("config_seed,flag", [
+    (2**64, []), (0, ["--seed", "-1"]), (0, ["--seed", str(2**64)]),
+])
+def test_seed_outside_u64_range_is_config_error(latent_dir, tmp_path, capsys,
+                                                config_seed, flag):
+    cfg = write_cfg(tmp_path, seed=config_seed,
+                    node={"hidden": [4], "activation": "tanh", "epochs": 1})
+    rc = run("fit", "--method", "node", "--config", cfg,
+             "--out", str(latent_dir), *flag)
+    assert rc == 2
+    assert "'seed'" in capsys.readouterr().err
 
 
 def test_training_blowup_is_numerical_error(tmp_path, capsys):

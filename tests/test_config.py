@@ -1,11 +1,13 @@
 """Config parsing: closed key sets, dotted error paths, block validation."""
 
+import dataclasses
 import json
 
 import pytest
 
 from nirom.config import load_config, parse_config
 from nirom.errors import ConfigError
+from nirom.node import PRESETS
 
 
 def base_doc(**extra):
@@ -37,6 +39,26 @@ def test_seed_override_wins():
     cfg = parse_config(base_doc(seed=5), seed_override=9)
     assert cfg.seed == 9
     assert cfg.synthetic.seed == 9
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_u64_range_rejected(seed):
+    with pytest.raises(ConfigError, match="'seed'"):
+        parse_config(base_doc(seed=seed))
+    with pytest.raises(ConfigError, match="'seed'"):
+        parse_config(base_doc(), seed_override=seed)
+
+
+def test_seed_range_ends_accepted():
+    assert parse_config(base_doc(seed=2**64 - 1)).seed == 2**64 - 1
+    assert parse_config(base_doc(seed=5), seed_override=0).seed == 0
+
+
+def test_top_level_type_errors_name_the_key_plainly():
+    with pytest.raises(ConfigError, match="^'seed' must be an integer"):
+        parse_config(base_doc(seed=1.5))
+    with pytest.raises(ConfigError, match="^the config must be a JSON object"):
+        parse_config([base_doc()])
 
 
 def test_unknown_top_level_key():
@@ -162,6 +184,30 @@ def test_node_preset_conflicts_with_architecture_keys():
     doc = base_doc(node={"preset": "NODE1", "learning_rate": 0.5})
     with pytest.raises(ConfigError, match="conflicts with 'node.preset'"):
         parse_config(doc)
+
+
+def _spelled_out(name: str) -> dict:
+    p = PRESETS[name]
+    return {
+        "hidden": [p.width] * p.n_hidden, "activation": p.activation,
+        "scaling": p.scaling, "augmented": p.augmented,
+        "learning_rate": p.learning_rate, "momentum": p.momentum,
+        "schedule": {"kind": "staircase", "decay_steps": p.decay_steps,
+                     "decay_rate": p.decay_rate},
+        "epochs": 50000,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_node_preset_is_its_explicit_block(name):
+    extra = {"time_input": False, "grad_mode": "adjoint",
+             "solver": {"method": "midpoint", "step": 0.01}}
+    for accompany in ({}, extra):
+        preset = parse_config(base_doc(node={"preset": name, **accompany}))
+        explicit = parse_config(base_doc(
+            node={**_spelled_out(name), **accompany}))
+        assert preset.node.preset == name
+        assert dataclasses.replace(preset.node, preset=None) == explicit.node
 
 
 def test_node_explicit_block_defaults():
@@ -295,4 +341,29 @@ def test_load_config_rejects_invalid_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("block,key,literal", [
+    ("input", "t_end", "Infinity"),
+    ("input", "wave_speed", "NaN"),
+    pytest.param("input", "dt", "1" + "0" * 400,  # beyond the float range
+                 id="input-dt-huge-integer"),
+    ("rbf", "shape_factor", "NaN"),
+    ("pod", "tolerance", "1e999"),  # json reads an overflowing literal as inf
+    ("predict", "t_start", "-Infinity"),
+    ("predict", "t_end", "Infinity"),
+    ("node", "learning_rate", "NaN"),
+])
+def test_non_finite_numbers_rejected(tmp_path, block, key, literal):
+    doc = base_doc(
+        pod={"tolerance": 1e-6}, rbf={"shape_factor": 0.05},
+        node={"hidden": [4], "activation": "tanh", "epochs": 1},
+        predict={"t_start": 0.0, "t_end": 1.0, "dt": 0.1},
+    )
+    doc[block][key] = "@"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc).replace('"@"', literal))
+    with pytest.raises(ConfigError,
+                       match=f"'{block}.{key}' must be a finite number"):
         load_config(path)

@@ -22,7 +22,6 @@ from nirom.node import (
     load_net,
     net_eval,
     net_init,
-    preset_net,
     save_net,
     scale_fit,
 )
@@ -256,46 +255,6 @@ def test_preset_table(name):
     assert p.solver == "rk4"
     assert p.learning_rate == 1e-3
     assert p.momentum == 0.9
-
-
-def test_preset_node1_instantiation():
-    net = preset_net("NODE1", latent_dim=3)
-    assert net.sizes == (4, 256, 3)
-    assert net.activations == ("elu", "linear")
-    assert net.scale is None
-    assert net.augment_dim == 0
-    assert net.name == "NODE1"
-
-
-def test_preset_node5_instantiation():
-    smap = ScaleMap(np.zeros(2), np.ones(2))
-    net = preset_net("NODE5", latent_dim=2, scale=smap)
-    assert net.sizes == (3, 64, 64, 64, 64, 2)
-    assert net.activations == ("tanh",) * 4 + ("linear",)
-    assert net.scale is smap
-
-
-def test_preset_node4_is_augmented():
-    smap = ScaleMap(np.zeros(2), np.ones(2))
-    net = preset_net("NODE4", latent_dim=2, scale=smap)
-    assert net.augment_dim == 1
-    assert net.state_dim == 3
-
-
-def test_preset_scaling_requires_map():
-    with pytest.raises(ValueError, match="scaling"):
-        preset_net("NODE2", latent_dim=2)
-
-
-def test_preset_unknown_name():
-    with pytest.raises(ValueError, match="NODE1"):
-        preset_net("NODE9", latent_dim=2)
-
-
-def test_preset_ignores_map_when_unscaled():
-    smap = ScaleMap(np.zeros(2), np.ones(2))
-    net = preset_net("NODE1", latent_dim=2, scale=smap)
-    assert net.scale is None
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,21 @@ def test_rejects_wrong_state_dimension():
                   SolverSpec("rk4", step=0.1))
 
 
+@pytest.mark.parametrize("method,kw", [
+    ("rk4", {"step": 0.05}), ("dopri5", {}),
+])
+def test_latent_size_state_is_the_zero_padded_full_state(method, kw):
+    net = build_net(2, [6], "tanh", augment_dim=2, seed=4)
+    times = np.linspace(0.0, 1.0, 9)
+    z0 = np.array([0.3, -0.7])
+    solver = SolverSpec(method, **kw)
+    latent = ode_solve(net, z0, times, solver).coeffs
+    full = ode_solve(net, np.concatenate([z0, np.zeros(2)]), times,
+                     solver).coeffs
+    assert latent.shape == (4, 9)
+    assert np.array_equal(latent, full)
+
+
 def test_fixed_step_blowup_raises_numerical_error():
     # f(z) = 1e300 z overflows within two euler steps
     net = decay_net(weight=1e300)

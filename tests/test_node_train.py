@@ -11,12 +11,13 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nirom.errors import TrainingError
+from nirom.errors import NumericalError, TrainingError
 from nirom.node import (
     LrSchedule,
     SolverSpec,
     TrainConfig,
     build_net,
+    grad,
     lr_at,
     node_forecast,
     normalize_times,
@@ -246,3 +247,19 @@ def test_forecast_accepts_explicit_solver():
     fc = node_forecast(net, traj.coeffs[:, 0], traj.times,
                        solver=SolverSpec("dopri5", rtol=1e-7, atol=1e-9))
     assert fc.coeffs.shape == (2, 11)
+
+
+@pytest.mark.parametrize("entry", ["grad", "train", "node_forecast"])
+def test_non_finite_initial_state_is_rejected_up_front(entry):
+    traj = spiral_trajectory(11)
+    traj.coeffs[1, 0] = np.nan  # past the trajectory's own check
+    net = build_net(2, [8], "tanh", seed=5, time_input=False, augment_dim=1)
+    calls = {
+        "grad": lambda: grad(net, traj.coeffs[:, 0], traj.times, traj.coeffs,
+                             SolverSpec("rk4", step=0.1)),
+        "train": lambda: train(net, traj, TrainConfig(epochs=1)),
+        "node_forecast": lambda: node_forecast(net, traj.coeffs[:, 0],
+                                               traj.times),
+    }
+    with pytest.raises(NumericalError, match="non-finite initial state"):
+        calls[entry]()
