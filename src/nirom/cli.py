@@ -119,12 +119,13 @@ def _write_meta(path: Path, **fields) -> None:
 
 def _read_json(path, decode):
     """Build a value from a JSON artifact with ``decode``; text that is not
-    JSON, or a tree missing a key or holding a wrongly typed one, is a
-    FormatError naming the file."""
+    JSON (nested too deeply included), or a tree missing a key or holding a
+    wrongly typed one, is a FormatError naming the file."""
     try:
         with open(path) as f:
             return decode(json.load(f))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError,
+            RecursionError) as exc:
         raise FormatError(f"{path}: malformed JSON artifact ({exc!r})") from exc
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .node import PRESETS, LrSchedule, NodePreset, SolverSpec, TrainConfig
 from .node.network import ACTIVATIONS
-from .snapshot import SyntheticSpec
+from .snapshot import SyntheticSpec, grid_size
 
 SEED_MAX = 2**64 - 1  # NET1 stores the seed as a u64
 
@@ -62,6 +62,15 @@ def _get(block: dict, path: str, key: str, kind, default=None):
     if not ok or isinstance(val, bool) != (kind is bool):
         raise ConfigError(f"'{_where(path, key)}' must be {_KINDS[kind]}")
     return float(val) if kind is float else val
+
+
+def _check_grid(path: str, t_start: float, t_end: float, dt: float) -> None:
+    """The size check of the uniform time grid that block ``path`` defines:
+    a dt too fine for its span is a ConfigError naming '<path>.dt'."""
+    try:
+        grid_size(t_start, t_end, dt)
+    except ValueError as exc:
+        raise ConfigError(f"'{path}.dt' is too fine: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -139,9 +148,11 @@ def _parse_input(block, seed: int):
         seed=seed,
     )
     try:
-        return None, SyntheticSpec(**spec_kwargs)
+        spec = SyntheticSpec(**spec_kwargs)
     except ValueError as exc:
         raise ConfigError(f"input: {exc}") from exc
+    _check_grid("input", spec.t_start, spec.t_end, spec.dt)
+    return None, spec
 
 
 def _parse_pod(block) -> PodCriterion:
@@ -289,6 +300,7 @@ def _parse_predict(block) -> PredictBlock:
             "'predict.dt' must not exceed 't_end - t_start': the grid needs "
             "at least two times"
         )
+    _check_grid("predict", p.t_start, p.t_end, p.dt)
     return p
 
 
@@ -329,6 +341,6 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
     try:
         with open(path) as f:
             doc = json.load(f)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     return parse_config(doc, seed_override)

@@ -1,6 +1,4 @@
-"""Hot numerical kernels for the neural-ODE engine, written once in the
-numpy subset that numba compiles; the backend flag decides whether they run
-jitted or interpreted.
+"""Hot numerical kernels for the neural-ODE engine, in plain numpy.
 
 Network layout: parameters live in one flat vector, packed W0, b0, W1, b1,
 ... with row-major weights. Callers turn it once per rollout, gradient or
@@ -28,7 +26,7 @@ tableaus: the fixed-step rollout, the adjoint step and the adaptive
 integrator's trial steps all advance through it, and rollout_backward
 reverses it for euler, midpoint, rk4 and the frozen dopri5 schedule.
 
-Call contract (counted by the benchmark's tracer on the numpy backend):
+Call contract (counted by the benchmark's tracer):
 rk_step calls the module-level nn_forward once per stage, and
 rollout_backward and adjoint_step call the module-level nn_vjp once per
 stage; no other kernel evaluates the net.
@@ -36,15 +34,12 @@ stage; no other kernel evaluates the net.
 
 import numpy as np
 
-from ..accel import maybe_njit
-
 ACT_LINEAR = 0
 ACT_RELU = 1
 ACT_ELU = 2
 ACT_TANH = 3
 
 
-@maybe_njit
 def _act(x, kind):
     if kind == ACT_LINEAR:
         return x
@@ -56,7 +51,6 @@ def _act(x, kind):
     return np.tanh(x)
 
 
-@maybe_njit
 def _act_deriv(y, kind):
     """Derivative of a nonlinear activation expressed through its output y."""
     if kind == ACT_RELU:
@@ -66,7 +60,6 @@ def _act_deriv(y, kind):
     return 1.0 - y * y
 
 
-@maybe_njit
 def nn_forward(layers, sizes, acts, w_off, b_off, c_off, mid, half, tin, t, z, cache):
     """Right-hand side net(t, z) with the input/output scaling folded in.
 
@@ -87,7 +80,6 @@ def nn_forward(layers, sizes, acts, w_off, b_off, c_off, mid, half, tin, t, z, c
     return half * cache[c_off[n_layers]: c_off[n_layers + 1]]
 
 
-@maybe_njit
 def nn_vjp(layers, sizes, acts, w_off, b_off, c_off, mid, half, tin, u, cache, sbar):
     """Pull the cotangent u back through one cached evaluation.
 
@@ -107,7 +99,6 @@ def nn_vjp(layers, sizes, acts, w_off, b_off, c_off, mid, half, tin, u, cache, s
     return xbar / half
 
 
-@maybe_njit
 def _layer_gradients(grads, c_off, caches, sbars, weights):
     """Add sum_r weights[r] * (outer(s_l, x_l), s_l) over the rows r of the
     stacked layer caches and their sbar rows into each layer's gradient.
@@ -120,7 +111,6 @@ def _layer_gradients(grads, c_off, caches, sbars, weights):
         g_b += s.sum(axis=0)
 
 
-@maybe_njit
 def rk_step(
     layers, sizes, acts, w_off, b_off, c_off, mid, half, tin,
     t0, h, z, a_tab, b_tab, c_tab, first, k, caches,
@@ -143,17 +133,16 @@ def rk_step(
     return z + np.dot(h * b_tab, k[:n_b])
 
 
-@maybe_njit
 def rollout_rk(
     layers, sizes, acts, w_off, b_off, c_off, mid, half, tin,
-    z0, a_tab, b_tab, c_tab, sub_t0, sub_h, out_idx, n_out,
-    want_cache, stage_cache,
+    z0, a_tab, b_tab, c_tab, sub_t0, sub_h, out_idx, n_out, stage_cache,
 ):
     """March an explicit RK tableau over a precomputed substep schedule.
 
     out_idx[i] >= 0 marks the output column to record after substep i; the
-    first column is always the initial state. With want_cache the stage
-    layer caches are stored for the reverse sweep.
+    first column is always the initial state. Unless stage_cache is None,
+    substep i's stage layer caches are stored in stage_cache[i] for the
+    reverse sweep.
     """
     n_stages = b_tab.shape[0]
     out = np.empty((z0.shape[0], n_out))
@@ -162,7 +151,7 @@ def rollout_rk(
     k = np.empty((n_stages, z0.shape[0]))
     scratch = np.empty((n_stages, c_off[c_off.shape[0] - 1]))
     for i in range(sub_t0.shape[0]):
-        caches = stage_cache[i] if want_cache == 1 else scratch
+        caches = scratch if stage_cache is None else stage_cache[i]
         z = rk_step(
             layers, sizes, acts, w_off, b_off, c_off, mid, half, tin,
             sub_t0[i], sub_h[i], z, a_tab, b_tab, c_tab, 0, k, caches,
@@ -172,7 +161,6 @@ def rollout_rk(
     return out
 
 
-@maybe_njit
 def rollout_backward(
     layers, sizes, acts, w_off, b_off, c_off, mid, half, tin,
     a_tab, b_tab, c_tab, sub_t0, sub_h, out_idx, stage_cache, out_bar, grads,
@@ -206,7 +194,6 @@ def rollout_backward(
     )
 
 
-@maybe_njit
 def adjoint_step(
     layers, sizes, acts, w_off, b_off, c_off, mid, half, tin,
     t0, h, z, a, grads, a_tab, b_tab, c_tab,

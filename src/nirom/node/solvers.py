@@ -125,8 +125,8 @@ def fixed_rollout(net: DynamicsNet, z0, times, solver: SolverSpec,
                   want_cache: bool = False):
     """March a fixed tableau over the schedule; optionally keep stage caches.
 
-    Returns (out, schedule, stage_cache); the cache is a 1-element dummy
-    when want_cache is false.
+    Returns (out, schedule, stage_cache); the cache is None when want_cache
+    is false.
     """
     a, b, c = tableau(solver.method)
     if solver.method in FIXED_METHODS:
@@ -138,17 +138,14 @@ def fixed_rollout(net: DynamicsNet, z0, times, solver: SolverSpec,
             f"schedule needs {sub_t0.size} steps, max_steps is {solver.max_steps}"
         )
     meta = pack_meta(net)
-    cache_len = int(meta[4][-1])
+    stage_cache = None
     if want_cache:
-        stage_cache = np.empty((sub_t0.size, b.shape[0], cache_len))
-    else:
-        stage_cache = np.empty((1, 1, cache_len))
+        stage_cache = np.empty((sub_t0.size, b.shape[0], int(meta[4][-1])))
     # a blown-up state overflows quietly; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         out = kernels.rollout_rk(
             layer_views(net.params, meta), *meta, z0, a, b, c,
-            sub_t0, sub_h, out_idx, times.size, 1 if want_cache else 0,
-            stage_cache,
+            sub_t0, sub_h, out_idx, times.size, stage_cache,
         )
     if not np.all(np.isfinite(out)):
         raise NumericalError("integration produced non-finite state")
@@ -194,7 +191,7 @@ _FAC_MAX = 10.0  # hnew/h upper bound
 
 
 class _NetRhs:
-    """Plain-callable wrapper around the jitted forward kernel."""
+    """Plain-callable wrapper around the forward kernel."""
 
     def __init__(self, net: DynamicsNet):
         self.meta = pack_meta(net)

@@ -14,7 +14,6 @@ import numpy as np
 import scipy.linalg
 
 from . import containers as io
-from .accel import maybe_njit
 from .errors import FitError, NumericalError
 from .pod import LatentTrajectory
 from .snapshot import check_times, uniform_step
@@ -123,7 +122,6 @@ def fit(traj: LatentTrajectory, c: float) -> RbfModel:
     )
 
 
-@maybe_njit
 def _field(centers, coeffs, c, z):
     """sum_k coeffs[:, k] * exp(-c * ||z - centers[:, k]||)."""
     d = centers - z.reshape(z.shape[0], 1)
@@ -139,7 +137,6 @@ def eval_dynamics(model: RbfModel, z: np.ndarray) -> np.ndarray:
     return _field(model.centers, model.coefficients, float(model.shape_factor), z)
 
 
-@maybe_njit
 def _rollout(centers, coeffs, c, z0, times):
     out = np.empty((centers.shape[0], times.shape[0]))
     out[:, 0] = z0

@@ -6,6 +6,7 @@ A snapshot matrix stores one spatial degree of freedom per row and one time
 instant per column. The binary ``SNP1`` container round-trips bit-exactly.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,11 +143,27 @@ class SyntheticSpec:
             raise ValueError("t_end must exceed t_start")
 
 
+#: the most times a uniform grid may hold
+MAX_GRID_TIMES = 1_000_000
+
+
+def grid_size(t_start: float, t_end: float, dt: float) -> int:
+    """Number of times on the uniform grid t_start + k*dt covering
+    [t_start, t_end] (inclusive up to a 1e-9*dt slack on the endpoint).
+    Raises ValueError beyond MAX_GRID_TIMES, or when the count is not
+    finite (a span over dt that overflows)."""
+    steps = (t_end - t_start) / dt + 1e-9
+    if not steps < MAX_GRID_TIMES:
+        raise ValueError(
+            f"the grid would hold {steps + 1:.6g} times; at most "
+            f"{MAX_GRID_TIMES} are allowed"
+        )
+    return math.floor(steps) + 1
+
+
 def time_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
-    """Uniform grid t_start + k*dt covering [t_start, t_end] (inclusive up
-    to a 1e-9*dt slack on the endpoint)."""
-    n = int(np.floor((t_end - t_start) / dt + 1e-9)) + 1
-    return t_start + dt * np.arange(n)
+    """Uniform grid t_start + k*dt of grid_size times."""
+    return t_start + dt * np.arange(grid_size(t_start, t_end, dt))
 
 
 def uniform_step(times: np.ndarray, message: str) -> float:

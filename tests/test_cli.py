@@ -7,13 +7,18 @@ one-step map is a pure rotation.
 
 import csv
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import nirom
 from nirom import dmd as dmd_mod
 from nirom import rbf as rbf_mod
 from nirom.cli import main
@@ -358,6 +363,18 @@ def test_predict_infinite_grid_end_is_config_error(train_grid, tmp_path,
     assert "'predict.t_end' must be a finite number" in capsys.readouterr().err
 
 
+def test_predict_overflowing_grid_is_config_error(train_grid, tmp_path,
+                                                  capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "input": WAVE_INPUT, "output_dir": str(train_grid.out),
+        "dmd": {"rank": 2},
+        "predict": {"t_start": 0.0, "t_end": 1e300, "dt": 1e-300},
+    }))
+    assert run("predict", "model_dmd.dmd", "--config", str(cfg)) == 2
+    assert "'predict.dt' is too fine" in capsys.readouterr().err
+
+
 def test_predict_one_point_grid_is_config_error_for_every_method(
         pipeline, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -460,7 +477,39 @@ def test_compare_corrupt_prediction_meta_exits_4(train_grid, tmp_path, capsys,
     assert str(bad) in capsys.readouterr().err
 
 
+def test_compare_deeply_nested_prediction_meta_exits_4(train_grid, tmp_path,
+                                                       capsys):
+    pred = tmp_path / "pred_rbf.snp"
+    shutil.copy(train_grid.out / "pred_rbf.snp", pred)
+    bad = tmp_path / "pred_rbf.snp.meta.json"
+    bad.write_text("[" * 200_000 + "]" * 200_000)
+    truth = train_grid.out / "snapshots.snp"
+    assert run("compare", str(truth), str(pred), "--out", str(tmp_path)) == 4
+    assert str(bad) in capsys.readouterr().err
+
+
 # config and flag handling ----------------------------------------------------
+
+
+def test_deeply_nested_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[" * 200_000 + "]" * 200_000)
+    assert run("generate", "--config", str(cfg)) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1", "maybe"])
+def test_numba_variable_is_ignored(tmp_path, value):
+    """The kernels are plain numpy; NIROM_NUMBA selects nothing."""
+    cfg = write_cfg(tmp_path, dmd={"rank": 2})
+    env = dict(os.environ, NIROM_NUMBA=value,
+               PYTHONPATH=str(Path(nirom.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "nirom.cli", "generate", "--config", cfg],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "snapshots.snp").exists()
 
 
 def test_unknown_config_key_reports_dotted_path(tmp_path, capsys):

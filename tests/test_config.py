@@ -8,6 +8,7 @@ import pytest
 from nirom.config import load_config, parse_config
 from nirom.errors import ConfigError
 from nirom.node import PRESETS
+from nirom.snapshot import MAX_GRID_TIMES
 
 
 def base_doc(**extra):
@@ -324,6 +325,21 @@ def test_predict_validation():
         parse_config(base_doc(predict={"t_start": 1, "t_end": 1, "dt": 0.1}))
     with pytest.raises(ConfigError, match="predict.dt"):  # one-point grid
         parse_config(base_doc(predict={"t_start": 0, "t_end": 1, "dt": 2}))
+
+
+@pytest.mark.parametrize("block", ["input", "predict"])
+def test_grid_size_limit_names_dt(block):
+    def doc(t_end, dt):
+        d = base_doc(predict={"t_start": 0.0, "t_end": 1.0, "dt": 0.1})
+        d[block].update(t_end=t_end, dt=dt)
+        return d
+
+    # a grid of exactly MAX_GRID_TIMES times is the largest accepted
+    parse_config(doc(float(MAX_GRID_TIMES - 1), 1.0))
+    for t_end, dt in [(float(MAX_GRID_TIMES), 1.0),  # one time too many
+                      (1e300, 1e-300)]:  # the count overflows to inf
+        with pytest.raises(ConfigError, match=f"'{block}.dt' is too fine"):
+            parse_config(doc(t_end, dt))
 
 
 # files ----------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from nirom.errors import FormatError, ValidationError
 from nirom.snapshot import (
+    MAX_GRID_TIMES,
     CenteredSet,
     SnapshotSet,
     SyntheticSpec,
@@ -177,6 +178,13 @@ def test_center_idempotent_on_deviations():
 def test_time_grid_counts():
     assert len(time_grid(0.0, 9.9, 0.1)) == 100
     assert np.allclose(time_grid(0.0, 1.0, 0.25), [0, 0.25, 0.5, 0.75, 1.0])
+
+
+def test_time_grid_is_bounded():
+    assert len(time_grid(0.0, MAX_GRID_TIMES - 1.0, 1.0)) == MAX_GRID_TIMES
+    for t_end, dt in [(float(MAX_GRID_TIMES), 1.0), (1e300, 1e-300)]:
+        with pytest.raises(ValueError, match="at most"):
+            time_grid(0.0, t_end, dt)
 
 
 def test_traveling_wave_value_at_quarter_period():
