@@ -17,6 +17,7 @@ directory.
 
 import argparse
 import csv
+import hashlib
 import json
 import logging
 import os
@@ -75,6 +76,9 @@ FILE_METRICS_JSON = "metrics.json"
 MODEL_FILES = {"rbf": "model_rbf.rbf", "node": "model_node.net",
                "dmd": "model_dmd.dmd"}
 MAGIC_METHODS = {b"RBF1": "rbf", b"NET1": "node", b"DMD1": "dmd"}
+#: .meta.json keys of an rbf or node model that tie it to the files it was
+#: fit on; predict starts from these files and refuses any others
+FIT_INPUTS = {"basis_sha256": FILE_BASIS, "latent_sha256": FILE_LATENT}
 
 
 def _out_dir(args, cfg: PipelineConfig | None) -> Path:
@@ -115,6 +119,38 @@ def _write_meta(path: Path, **fields) -> None:
     with replacing(path, "w") as f:
         json.dump(fields, f, indent=2)
         f.write("\n")
+
+
+def _input_digests(out: Path) -> dict:
+    """sha256 of the basis and latent files in the output directory, under
+    their FIT_INPUTS keys."""
+    digests = {}
+    for key, name in FIT_INPUTS.items():
+        h = hashlib.sha256()
+        with open(out / name, "rb") as f:
+            for chunk in iter(lambda: f.read(1 << 20), b""):
+                h.update(chunk)
+        digests[key] = h.hexdigest()
+    return digests
+
+
+def _check_fit_inputs(model_file: Path, out: Path, digests: dict) -> None:
+    """Refuse a basis or latent file other than the one the model was fit
+    on, as its .meta.json records."""
+    meta = Path(str(model_file) + ".meta.json")
+    if not meta.exists():
+        raise FormatError(
+            f"{meta}: missing; it records the {FILE_BASIS} and {FILE_LATENT} "
+            f"that {model_file.name} was fit on"
+        )
+    recorded = _read_json(meta, lambda tree: {key: str(tree[key]) for key in digests})
+    for key, digest in digests.items():
+        if recorded[key] != digest:
+            raise ValueError(
+                f"{out / FIT_INPUTS[key]} is not the file {model_file.name} was "
+                f"fit on (sha256 {digest[:16]}..., {meta.name} records "
+                f"{recorded[key][:16]}...)"
+            )
 
 
 def _read_json(path, decode):
@@ -205,6 +241,7 @@ def _load_latent(out: Path) -> LatentTrajectory:
 
 def _fit_rbf(cfg: PipelineConfig, out: Path) -> None:
     block = _require(cfg.rbf, "rbf", "fit --method rbf")
+    inputs = _input_digests(out)
     traj = _load_latent(out)
     started = time.perf_counter()
     model = rbf_mod.fit(traj, block.shape_factor)
@@ -212,7 +249,7 @@ def _fit_rbf(cfg: PipelineConfig, out: Path) -> None:
     target = out / MODEL_FILES["rbf"]
     rbf_mod.save_model(model, target)
     _write_meta(Path(str(target) + ".meta.json"), method="rbf",
-                latent_dim=model.dim, fit_seconds=elapsed)
+                latent_dim=model.dim, fit_seconds=elapsed, **inputs)
     log.info("rbf fit: %d centers, c=%g, %.3fs", model.n_centers,
              block.shape_factor, elapsed)
     print(target)
@@ -220,6 +257,7 @@ def _fit_rbf(cfg: PipelineConfig, out: Path) -> None:
 
 def _fit_node(cfg: PipelineConfig, out: Path) -> None:
     block = _require(cfg.node, "node", "fit --method node")
+    inputs = _input_digests(out)
     traj = _load_latent(out)
     tau, tmap = normalize_times(traj.times)
     unit_traj = LatentTrajectory(traj.coeffs, tau)
@@ -243,7 +281,8 @@ def _fit_node(cfg: PipelineConfig, out: Path) -> None:
             w.writerow([i, f"{history.loss[i]:.17g}", f"{history.lr[i]:.17g}"])
     _write_meta(Path(str(target) + ".meta.json"), method="node",
                 latent_dim=trained.latent_dim, fit_seconds=elapsed,
-                final_loss=history.final_loss, epochs=block.train.epochs)
+                final_loss=history.final_loss, epochs=block.train.epochs,
+                **inputs)
     log.info("node fit: %s, final loss %.3e, %.3fs", trained.name,
              history.final_loss, elapsed)
     print(target)
@@ -283,26 +322,25 @@ def cmd_predict(cfg: PipelineConfig, out: Path, model_path: str) -> None:
         pred = dmd_mod.dmd_forecast(model, times)
         latent_dim = model.rank
     else:
+        inputs = _input_digests(out)
         basis = load_basis(out / FILE_BASIS)
         z0 = _load_latent(out).coeffs[:, 0]
         if method == "rbf":
             model = rbf_mod.load_model(model_file)
-            if model.dim != basis.m:
-                raise ValueError(
-                    f"model has {model.dim} latent components, "
-                    f"basis has {basis.m} modes"
-                )
-            latent = rbf_mod.forecast(model, z0, times)
             latent_dim = model.dim
         else:
-            net = load_net(model_file)
-            if net.latent_dim != basis.m:
-                raise ValueError(
-                    f"model has {net.latent_dim} latent components, "
-                    f"basis has {basis.m} modes"
-                )
-            latent = node_forecast(net, z0, times)
-            latent_dim = net.latent_dim
+            model = load_net(model_file)
+            latent_dim = model.latent_dim
+        if latent_dim != basis.m:
+            raise ValueError(
+                f"model has {latent_dim} latent components, "
+                f"basis has {basis.m} modes"
+            )
+        _check_fit_inputs(model_file, out, inputs)
+        if method == "rbf":
+            latent = rbf_mod.forecast(model, z0, times)
+        else:
+            latent = node_forecast(model, z0, times)
         pred = reconstruct(basis, latent)
     elapsed = time.perf_counter() - started
     target = out / f"pred_{method}.snp"

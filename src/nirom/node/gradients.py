@@ -14,8 +14,8 @@ from ..errors import SolverError
 from ..pod import LatentTrajectory
 from ..snapshot import check_times
 from . import kernels
-from .network import DynamicsNet, layer_views, pack_meta
-from .solvers import FIXED_METHODS, SolverSpec, _pad_state, fixed_rollout, tableau
+from .network import DynamicsNet, layer_views
+from .solvers import FIXED_METHODS, RolloutPlan, SolverSpec, _pad_state, fixed_rollout
 
 GRAD_MODES = ("backprop_through_solver", "adjoint")
 ADJOINT_DRIFT_RTOL = 1e-3
@@ -58,53 +58,66 @@ def _loss_cotangent(net: DynamicsNet, out: np.ndarray, target: np.ndarray):
     return loss, out_bar
 
 
-def _backprop_grad(net, z0, times, target, solver):
-    out, schedule, stage_cache = fixed_rollout(
-        net, z0, times, solver, want_cache=True
-    )
-    loss, out_bar = _loss_cotangent(net, out, target)
-    a, b, c = tableau(solver.method)
-    meta = pack_meta(net)
-    gw = np.zeros(net.params.size)
+class GradPlan:
+    """One gradient route for one net, initial state, time grid, target and
+    solver, built once per gradient call or training run: the rollout plan
+    (cached for backprop) and the gradient vector with its layer views."""
+
+    def __init__(self, net: DynamicsNet, z0, times, target, solver: SolverSpec,
+                 mode: str):
+        if mode not in GRAD_MODES:
+            raise ValueError(f"unknown gradient mode {mode!r}; expected {GRAD_MODES}")
+        if mode == "adjoint" and solver.method not in FIXED_METHODS:
+            raise SolverError(
+                "adjoint gradients need a fixed-step solver: the adaptive "
+                "integrator's dense output cannot be replayed exactly backwards"
+            )
+        self.net = net
+        self.z0 = z0
+        self.target = target
+        self.mode = mode
+        self.rollout = RolloutPlan(
+            net, times, solver, cached=mode == "backprop_through_solver"
+        )
+        self.gw = np.zeros(net.params.size)
+        self.grads = layer_views(self.gw, net.sizes)
+
+
+def _backprop_grad(plan: GradPlan):
+    roll = plan.rollout
+    out, (_, sub_h, out_idx) = fixed_rollout(roll, plan.z0)
+    loss, out_bar = _loss_cotangent(plan.net, out, plan.target)
+    a, b, _ = roll.tableau
+    layers, acts, _, half, _ = roll.args
     # overflow surfaces as a non-finite gradient, which training rejects
     with np.errstate(over="ignore", invalid="ignore"):
         kernels.rollout_backward(
-            layer_views(net.params, meta), *meta, a, b, c, *schedule,
-            stage_cache, out_bar, layer_views(gw, meta),
+            layers, acts, half, a, b, sub_h, out_idx, roll.stages, out_bar,
+            plan.grads,
         )
-    return loss, gw
+    return loss
 
 
-def _adjoint_grad(net, z0, times, target, solver):
-    if solver.method not in FIXED_METHODS:
-        raise SolverError(
-            "adjoint gradients need a fixed-step solver: the adaptive "
-            "integrator's dense output cannot be replayed exactly backwards"
-        )
-    out, (sub_t0, sub_h, out_idx), _ = fixed_rollout(
-        net, z0, times, solver, want_cache=False
-    )
-    loss, out_bar = _loss_cotangent(net, out, target)
-    a_tab, b_tab, c_tab = tableau(solver.method)
-    meta = pack_meta(net)
-    layers = layer_views(net.params, meta)
+def _adjoint_grad(plan: GradPlan):
+    roll = plan.rollout
+    out, (sub_t0, sub_h, out_idx) = fixed_rollout(roll, plan.z0)
+    loss, out_bar = _loss_cotangent(plan.net, out, plan.target)
+    times = roll.times
 
     # substep index ending each observation interval
     ends = np.flatnonzero(out_idx >= 0)
     M = times.size
     z = out[:, M - 1].copy()
     a = out_bar[:, M - 1].copy()
-    gw = np.zeros(net.params.size)
-    grads = layer_views(gw, meta)
     for k in range(M - 1, 0, -1):
         lo = ends[k - 2] + 1 if k >= 2 else 0
         hi = ends[k - 1]
         # overflow surfaces as a non-finite gradient, which training rejects
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(hi, lo - 1, -1):
-                z, a = kernels.adjoint_step(
-                    layers, *meta, sub_t0[i] + sub_h[i], -sub_h[i],
-                    z, a, grads, a_tab, b_tab, c_tab,
+                kernels.adjoint_step(
+                    *roll.args, sub_t0[i] + sub_h[i], -sub_h[i], z, a,
+                    plan.grads, *roll.tableau, roll.stages,
                 )
         anchor = out[:, k - 1]
         drift = float(np.linalg.norm(z - anchor))
@@ -115,17 +128,21 @@ def _adjoint_grad(net, z0, times, target, solver):
                 f"state at t={times[k - 1]:.6g} (limit {limit:.3e}); use a "
                 "finer step or the backprop_through_solver mode"
             )
-        z = anchor.copy()
-        a = a + out_bar[:, k - 1]
-    return loss, gw
+        np.copyto(z, anchor)
+        a += out_bar[:, k - 1]
+    return loss
 
 
-def _loss_and_grad(net, z0, times, target, solver, mode):
-    if mode == "backprop_through_solver":
-        return _backprop_grad(net, z0, times, target, solver)
-    if mode == "adjoint":
-        return _adjoint_grad(net, z0, times, target, solver)
-    raise ValueError(f"unknown gradient mode {mode!r}; expected {GRAD_MODES}")
+def _loss_and_grad(plan: GradPlan, params: np.ndarray):
+    """(loss, gradient) of the trajectory MSE at the parameter vector
+    `params`, through the plan's route."""
+    np.copyto(plan.rollout.params, params)
+    plan.gw.fill(0.0)
+    if plan.mode == "adjoint":
+        loss = _adjoint_grad(plan)
+    else:
+        loss = _backprop_grad(plan)
+    return loss, plan.gw.copy()
 
 
 def grad(
@@ -140,5 +157,5 @@ def grad(
     times = check_times(times)
     z0 = _pad_state(net, z0)
     target = _target_array(net, times, target)
-    _, gw = _loss_and_grad(net, z0, times, target, solver, mode)
+    _, gw = _loss_and_grad(GradPlan(net, z0, times, target, solver, mode), net.params)
     return gw

@@ -131,38 +131,34 @@ def param_count(sizes) -> int:
     return sum(sizes[l + 1] * (sizes[l] + 1) for l in range(len(sizes) - 1))
 
 
-def pack_meta(net: DynamicsNet):
-    """Flat-array views of the architecture for the kernels."""
-    sizes = np.asarray(net.sizes, dtype=np.int64)
-    acts = np.asarray([ACTIVATIONS[a] for a in net.activations], dtype=np.int64)
-    w_off = np.empty(len(net.sizes) - 1, dtype=np.int64)
-    b_off = np.empty(len(net.sizes) - 1, dtype=np.int64)
+def layer_views(vec: np.ndarray, sizes) -> tuple:
+    """Per-layer (W_l, b_l) views into a flat vector packed like the
+    parameters of a net with these layer sizes; writing through a view
+    writes the vector."""
+    views = []
     pos = 0
-    for l in range(len(net.sizes) - 1):
-        w_off[l] = pos
-        pos += net.sizes[l + 1] * net.sizes[l]
-        b_off[l] = pos
-        pos += net.sizes[l + 1]
-    c_off = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-    mid = np.zeros(net.state_dim)
-    half = np.ones(net.state_dim)
+    for l in range(len(sizes) - 1):
+        rows, cols = sizes[l + 1], sizes[l]
+        w = vec[pos: pos + rows * cols].reshape(rows, cols)
+        pos += rows * cols
+        views.append((w, vec[pos: pos + rows]))
+        pos += rows
+    return tuple(views)
+
+
+def kernel_args(net: DynamicsNet, params: np.ndarray) -> tuple:
+    """The leading net arguments of the kernels (see kernels): per-layer
+    views of `params`, activation ids, the scale vectors padded over the
+    augmented components (None, None without a map), and the time-input
+    flag."""
+    acts = tuple(ACTIVATIONS[a] for a in net.activations)
+    mid = half = None
     if net.scale is not None:
+        mid = np.zeros(net.state_dim)
+        half = np.ones(net.state_dim)
         mid[: net.latent_dim] = net.scale.mid
         half[: net.latent_dim] = net.scale.half
-    tin = np.int64(1 if net.time_input else 0)
-    return sizes, acts, w_off, b_off, c_off, mid, half, tin
-
-
-def layer_views(vec: np.ndarray, meta) -> tuple:
-    """Per-layer (W_l, b_l) views into a flat vector packed like the
-    parameters, located by the offsets of pack_meta; writing through a view
-    writes the vector."""
-    sizes, _, w_off, b_off = meta[:4]
-    return tuple(
-        (vec[w_off[l]: b_off[l]].reshape(sizes[l + 1], sizes[l]),
-         vec[b_off[l]: b_off[l] + sizes[l + 1]])
-        for l in range(sizes.size - 1)
-    )
+    return layer_views(params, net.sizes), acts, mid, half, net.time_input
 
 
 def net_init(
@@ -223,11 +219,9 @@ def net_eval(net: DynamicsNet, t: float, z: np.ndarray) -> np.ndarray:
         raise ValueError(f"state must have shape ({net.state_dim},), got {z.shape}")
     if not (np.isfinite(t) and np.all(np.isfinite(z))):
         raise NumericalError("non-finite input to the dynamics net")
-    meta = pack_meta(net)
-    cache = np.empty(int(meta[4][-1]))
-    return kernels.nn_forward(
-        layer_views(net.params, meta), *meta, float(t), z, cache,
-    )
+    args = kernel_args(net, net.params)
+    buf = kernels.StageBuffers(net.sizes, args[1], net.time_input, 1, 1)
+    return kernels.nn_forward(*args, float(t), z, buf.rows[0], buf.k[0])
 
 
 # ---------------------------------------------------------------------------

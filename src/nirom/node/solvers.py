@@ -15,7 +15,7 @@ from ..errors import NumericalError, SolverError
 from ..pod import LatentTrajectory
 from ..snapshot import check_times
 from . import kernels
-from .network import DynamicsNet, layer_views, pack_meta
+from .network import DynamicsNet, kernel_args
 
 FIXED_METHODS = ("euler", "midpoint", "rk4")
 METHODS = FIXED_METHODS + ("dopri5",)
@@ -121,45 +121,89 @@ def _pad_state(net: DynamicsNet, z0) -> np.ndarray:
     return z0
 
 
-def fixed_rollout(net: DynamicsNet, z0, times, solver: SolverSpec,
-                  want_cache: bool = False):
-    """March a fixed tableau over the schedule; optionally keep stage caches.
-
-    Returns (out, schedule, stage_cache); the cache is None when want_cache
-    is false.
+class RolloutPlan:
+    """One net's rollouts over one time grid with one solver, built once and
+    reused: the kernels' net arguments over a parameter vector the plan
+    owns (copy new values into `params`), the tableau, the fixed-step
+    schedule, and the stage buffers. A cached plan keeps the layer rows of
+    every stage for a reverse sweep.
     """
-    a, b, c = tableau(solver.method)
-    if solver.method in FIXED_METHODS:
-        sub_t0, sub_h, out_idx = build_schedule(times, solver.step)
-    else:
-        sub_t0, sub_h, out_idx = dopri5_schedule(net, z0, times, solver)
-    if sub_t0.size > solver.max_steps:
-        raise SolverError(
-            f"schedule needs {sub_t0.size} steps, max_steps is {solver.max_steps}"
+
+    def __init__(self, net: DynamicsNet, times, solver: SolverSpec,
+                 cached: bool = False):
+        self.net = net
+        self.times = times
+        self.solver = solver
+        self.cached = cached
+        self.params = net.params.copy()
+        self.args = kernel_args(net, self.params)
+        self.tableau = tableau(solver.method)
+        self.n_stages = self.tableau[1].size
+        self.schedule = None
+        self.adaptive = None
+        if solver.method in FIXED_METHODS:
+            self.schedule = build_schedule(times, solver.step)
+            _check_steps(self.schedule, solver)
+        else:
+            self.adaptive = self._buffers(_DP_K, _DP_K)
+        self.stages = None
+
+    def _buffers(self, n_rows, n_stages):
+        return kernels.StageBuffers(
+            self.net.sizes, self.args[1], self.net.time_input, n_rows, n_stages,
         )
-    meta = pack_meta(net)
-    stage_cache = None
-    if want_cache:
-        stage_cache = np.empty((sub_t0.size, b.shape[0], int(meta[4][-1])))
+
+    def stage_buffers(self, n_sub):
+        """The stage buffers for a rollout of n_sub substeps: rows for all
+        of them when cached, for one otherwise. They grow by at least half
+        when a dopri5 schedule outgrows them, and are reused otherwise."""
+        need = n_sub if self.cached else 1
+        have = 0 if self.stages is None else len(self.stages.steps)
+        if have < need:
+            grown = max(need, have + have // 2)
+            self.stages = self._buffers(grown * self.n_stages, self.n_stages)
+        return self.stages
+
+
+def _check_steps(schedule, solver: SolverSpec) -> None:
+    if schedule[0].size > solver.max_steps:
+        raise SolverError(
+            f"schedule needs {schedule[0].size} steps, max_steps is "
+            f"{solver.max_steps}"
+        )
+
+
+def fixed_rollout(plan: RolloutPlan, z0: np.ndarray):
+    """March the plan's tableau over its schedule (for dopri5, the frozen
+    schedule of a fresh adaptive pass); a cached plan keeps every stage's
+    rows in plan.stages. Returns (out, schedule)."""
+    schedule = plan.schedule
+    if schedule is None:
+        schedule = dopri5_schedule(plan, z0)
+        _check_steps(schedule, plan.solver)
+    n_sub = schedule[0].size
+    buf = plan.stage_buffers(n_sub)
+    steps = buf.steps if plan.cached else buf.steps * n_sub
+    out = np.empty((z0.shape[0], plan.times.size))
     # a blown-up state overflows quietly; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        out = kernels.rollout_rk(
-            layer_views(net.params, meta), *meta, z0, a, b, c,
-            sub_t0, sub_h, out_idx, times.size, stage_cache,
+        kernels.rollout_rk(
+            *plan.args, z0, *plan.tableau, steps, buf.k, buf.znew, out, *schedule,
         )
     if not np.all(np.isfinite(out)):
         raise NumericalError("integration produced non-finite state")
-    return out, (sub_t0, sub_h, out_idx), stage_cache
+    return out, schedule
 
 
 def ode_solve(net: DynamicsNet, z0, times, solver: SolverSpec) -> LatentTrajectory:
     """Integrate dz/dt = net(t, z) from times[0], reporting every time."""
     times = check_times(times)
     z0 = _pad_state(net, z0)
+    plan = RolloutPlan(net, times, solver)
     if solver.method in FIXED_METHODS:
-        out, _, _ = fixed_rollout(net, z0, times, solver, want_cache=False)
+        out, _ = fixed_rollout(plan, z0)
         return LatentTrajectory(out, times)
-    out = _dopri5_dense(net, z0, times, solver)
+    out, _ = _dopri5_core(plan, z0, clamp=False)
     return LatentTrajectory(out, times)
 
 
@@ -183,25 +227,14 @@ _DP_D = np.array([
     69997945 / 29380423,
 ])
 
+# dopri5 stage derivatives: six stages and the first-same-as-last one
+_DP_K = 7
+
 _SAFE = 0.9
 _BETA = 0.04
 _EXPO1 = 0.2 - 0.75 * _BETA
 _FAC_MIN = 0.2  # hnew/h lower bound
 _FAC_MAX = 10.0  # hnew/h upper bound
-
-
-class _NetRhs:
-    """Plain-callable wrapper around the forward kernel."""
-
-    def __init__(self, net: DynamicsNet):
-        self.meta = pack_meta(net)
-        self.layers = layer_views(net.params, self.meta)
-        self.scratch = np.empty(int(self.meta[4][-1]))
-
-    def __call__(self, t: float, z: np.ndarray) -> np.ndarray:
-        return kernels.nn_forward(
-            self.layers, *self.meta, float(t), z, self.scratch
-        )
 
 
 def _error_norm(err: np.ndarray, y: np.ndarray, ynew: np.ndarray,
@@ -211,14 +244,14 @@ def _error_norm(err: np.ndarray, y: np.ndarray, ynew: np.ndarray,
 
 
 def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray,
-                  span: float, rtol: float, atol: float) -> float:
+                  span: float, rtol: float, atol: float, f1: np.ndarray) -> float:
     sk = atol + rtol * np.abs(y0)
     d0 = float(np.sqrt(np.mean((y0 / sk) ** 2)))
     d1 = float(np.sqrt(np.mean((f0 / sk) ** 2)))
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
     y1 = y0 + h0 * f0
-    f1 = rhs(t0 + h0, y1)
+    rhs(t0 + h0, y1, f1)
     d2 = float(np.sqrt(np.mean(((f1 - f0) / sk) ** 2))) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -242,19 +275,25 @@ def _dense_eval(y, ynew, k1, k7, k, h, theta):
 
 # a blown-up state overflows quietly; the driver reports it as NumericalError
 @np.errstate(over="ignore", invalid="ignore")
-def _dopri5_core(net, z0, times, solver, clamp):
-    """Shared adaptive driver.
+def _dopri5_core(plan: RolloutPlan, z0: np.ndarray, clamp: bool):
+    """Shared adaptive integration loop over the plan's times and tolerances.
 
     clamp=False: free steps, dense output at requested interior times.
     clamp=True: steps shortened to land exactly on every requested time;
     returns the accepted (t0, h) schedule for gradient replay.
     """
-    rhs = _NetRhs(net)
+    times, solver, buf = plan.times, plan.solver, plan.adaptive
+    # k[0] is the first-same-as-last stage: the last stage of the step before
+    k, row, ynew = buf.k, buf.rows[0], buf.znew
+
+    def rhs(t, z, out):
+        return kernels.nn_forward(*plan.args, float(t), z, row, out)
+
     t_end = float(times[-1])
     t = float(times[0])
     y = z0.copy()
-    f0 = rhs(t, y)
-    if not np.all(np.isfinite(f0)):
+    rhs(t, y, k[0])
+    if not np.all(np.isfinite(k[0])):
         raise NumericalError("non-finite dynamics at the initial state")
     out = np.empty((z0.shape[0], times.size))
     out[:, 0] = z0
@@ -265,8 +304,7 @@ def _dopri5_core(net, z0, times, solver, clamp):
     if times.size == 1:
         return out, (np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
 
-    h = _initial_step(rhs, t, y, f0, t_end - t, solver.rtol, solver.atol)
-    caches = np.empty((_DP_B.size, rhs.scratch.size))
+    h = _initial_step(rhs, t, y, k[0], t_end - t, solver.rtol, solver.atol, buf.v)
     facold = 1e-4
     n_steps = 0
     while t < t_end:
@@ -284,13 +322,11 @@ def _dopri5_core(net, z0, times, solver, clamp):
                 landing = next_out
         if t + h <= t:
             raise SolverError(f"step size underflow at t={t:.6g}")
-        # trial step: stage 0 is the previous step's last (FSAL) stage
-        k = np.empty((7, y.shape[0]))
-        k[0] = f0
-        ynew = kernels.rk_step(
-            rhs.layers, *rhs.meta, t, h, y, _DP_A, _DP_B, _DP_C, 1, k, caches,
+        kernels.rk_step(
+            *plan.args, t + _DP_C * h, h * _DP_A, h * _DP_B, y, 1, k, buf.rows,
+            ynew,
         )
-        k[6] = rhs(t + h, ynew)
+        rhs(t + h, ynew, k[6])
         err_vec = h * (_DP_E @ k)
         if not (np.all(np.isfinite(ynew)) and np.all(np.isfinite(err_vec))):
             raise NumericalError(
@@ -322,8 +358,8 @@ def _dopri5_core(net, z0, times, solver, clamp):
                         t = t + h
                         break
             t = t + h
-            y = ynew
-            f0 = k[6]
+            np.copyto(y, ynew)
+            np.copyto(k[0], k[6])
             fac = fac11 / facold ** _BETA
             fac = max(1.0 / _FAC_MAX, min(1.0 / _FAC_MIN, fac / _SAFE))
             h = h / fac
@@ -342,13 +378,8 @@ def _dopri5_core(net, z0, times, solver, clamp):
     )
 
 
-def _dopri5_dense(net, z0, times, solver) -> np.ndarray:
-    out, _ = _dopri5_core(net, z0, times, solver, clamp=False)
-    return out
-
-
-def dopri5_schedule(net, z0, times, solver):
-    """Adaptive pass whose accepted steps land exactly on the requested
-    times; returns the frozen (sub_t0, sub_h, out_idx) schedule."""
-    _, schedule = _dopri5_core(net, z0, times, solver, clamp=True)
+def dopri5_schedule(plan: RolloutPlan, z0: np.ndarray):
+    """Adaptive pass whose accepted steps land exactly on the plan's times;
+    returns the frozen (sub_t0, sub_h, out_idx) schedule."""
+    _, schedule = _dopri5_core(plan, z0, clamp=True)
     return schedule

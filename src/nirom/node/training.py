@@ -19,7 +19,7 @@ import numpy as np
 from ..errors import TrainingError
 from ..pod import LatentTrajectory
 from ..snapshot import check_times
-from .gradients import GRAD_MODES, _loss_and_grad
+from .gradients import GRAD_MODES, GradPlan, _loss_and_grad
 from .network import DynamicsNet, TimeMap
 from .solvers import SolverSpec, _pad_state, ode_solve
 
@@ -127,16 +127,15 @@ def train(
         solver = SolverSpec("rk4", step=float(np.min(np.diff(times))))
 
     z0 = _pad_state(net, traj.coeffs[:, 0])
-    target = traj.coeffs
     params = net.params.copy()
     acc = np.zeros_like(params)
     vel = np.zeros_like(params)
     loss_hist = np.empty(config.epochs)
     lr_hist = np.empty(config.epochs)
-    work = net
+    if config.epochs:
+        plan = GradPlan(net, z0, times, traj.coeffs, solver, config.grad_mode)
     for epoch in range(config.epochs):
-        work = work.with_params(params)
-        loss, g = _loss_and_grad(work, z0, times, target, solver, config.grad_mode)
+        loss, g = _loss_and_grad(plan, params)
         if not np.isfinite(loss):
             raise TrainingError(f"loss became non-finite at epoch {epoch}")
         lr = lr_at(config.schedule, epoch) if config.schedule else config.learning_rate

@@ -6,6 +6,7 @@ one-step map is a pure rotation.
 """
 
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -349,6 +350,73 @@ def test_predict_corrupt_container_exits_4(pipeline, tmp_path, capsys,
     model = name if name.startswith("model_") else "model_rbf.rbf"
     assert run("predict", model, "--config", cfg) == 4
     assert name in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def other_run(tmp_path_factory):
+    """A rank-2 decomposition of a shorter window of the same wave: basis
+    and latent files that load like the pipeline's but hold other values."""
+    out = tmp_path_factory.mktemp("wave_other")
+    cfg = write_cfg(out, pod={"rank": 2}, dmd={"rank": 2})
+    doc = json.loads((out / "cfg.json").read_text())
+    doc["input"]["t_end"] = 0.49
+    (out / "cfg.json").write_text(json.dumps(doc))
+    run_ok("generate", "--config", cfg)
+    run_ok("decompose", "--config", cfg)
+    return out
+
+
+def _predict_copy(pipeline, tmp_path):
+    out = tmp_path / "run"
+    shutil.copytree(pipeline.out, out)
+    cfg = write_cfg(out, pod={"rank": 2}, rbf={"shape_factor": 0.05},
+                    predict={"t_start": 0.0, "t_end": 0.99, "dt": 0.01})
+    return out, cfg
+
+
+@pytest.mark.parametrize("method", ["rbf", "node"])
+def test_fit_records_sha256_of_basis_and_latent(pipeline, method):
+    meta = json.loads(
+        (pipeline.out / f"model_{method}.{_EXT[method]}.meta.json").read_text())
+    for key, name in (("basis_sha256", "basis.pod"),
+                      ("latent_sha256", "latent.snp")):
+        digest = hashlib.sha256((pipeline.out / name).read_bytes()).hexdigest()
+        assert meta[key] == digest
+
+
+@pytest.mark.parametrize("swapped", [
+    ("basis.pod",), ("latent.snp",), ("basis.pod", "latent.snp"),
+], ids=["basis", "latent", "both"])
+@pytest.mark.parametrize("method", ["rbf", "node"])
+def test_predict_refuses_another_runs_basis_or_latent(
+        pipeline, other_run, tmp_path, capsys, method, swapped):
+    out, cfg = _predict_copy(pipeline, tmp_path)
+    (out / f"pred_{method}.snp").unlink()
+    for name in swapped:
+        shutil.copyfile(other_run / name, out / name)
+    assert run("predict", f"model_{method}.{_EXT[method]}", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert f"{swapped[0]} is not the file model_{method}" in err
+    assert not (out / f"pred_{method}.snp").exists()
+
+
+@pytest.mark.parametrize("damage", ["meta file", "basis_sha256", "latent_sha256"])
+@pytest.mark.parametrize("method", ["rbf", "node"])
+def test_predict_without_the_fit_record_exits_4(pipeline, tmp_path, capsys,
+                                                method, damage):
+    out, cfg = _predict_copy(pipeline, tmp_path)
+    meta = out / f"model_{method}.{_EXT[method]}.meta.json"
+    if damage == "meta file":
+        meta.unlink()
+    else:
+        tree = json.loads(meta.read_text())
+        del tree[damage]
+        meta.write_text(json.dumps(tree))
+    assert run("predict", f"model_{method}.{_EXT[method]}", "--config", cfg) == 4
+    err = capsys.readouterr().err
+    assert meta.name in err
+    if damage != "meta file":
+        assert damage in err
 
 
 def test_predict_infinite_grid_end_is_config_error(train_grid, tmp_path,

@@ -25,7 +25,7 @@ from nirom.node import (
     save_net,
     scale_fit,
 )
-from nirom.node.network import pack_meta, param_count
+from nirom.node.network import layer_views, param_count
 from nirom.pod import LatentTrajectory
 
 HAND_TANH_PLAIN = 0.07985200036280397
@@ -94,11 +94,11 @@ def test_augmented_net_dimensions():
 
 def test_init_biases_zero_weights_bounded():
     net = net_init((3, 8, 2), ("tanh", "linear"), seed=5)
-    sizes, _, w_off, b_off, _, _, _, _ = pack_meta(net)
+    layers = layer_views(net.params, net.sizes)
     for l, (fan_out, fan_in) in enumerate([(8, 3), (2, 8)]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        w = net.params[w_off[l]: w_off[l] + fan_out * fan_in]
-        b = net.params[b_off[l]: b_off[l] + fan_out]
+        w, b = layers[l]
+        assert w.shape == (fan_out, fan_in) and b.shape == (fan_out,)
         assert np.all(np.abs(w) <= limit)
         assert np.any(w != 0.0)
         assert np.all(b == 0.0)

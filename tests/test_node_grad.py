@@ -19,9 +19,9 @@ from nirom.node import (
     loss_mse,
 )
 from nirom.node import kernels
-from nirom.node.gradients import _loss_and_grad, _loss_cotangent, _pad_state
-from nirom.node.network import layer_views, pack_meta
-from nirom.node.solvers import fixed_rollout, tableau
+from nirom.node.gradients import GradPlan, _loss_and_grad, _loss_cotangent, _pad_state
+from nirom.node.network import kernel_args, layer_views
+from nirom.node.solvers import RolloutPlan, fixed_rollout, tableau
 from nirom.pod import LatentTrajectory
 
 FD_STEP = 1e-6
@@ -41,13 +41,11 @@ def problem(seed: int = 7):
 
 
 def fd_gradient(net, z0, times, target, solver):
-    z0p = _pad_state(net, z0)
+    plan = GradPlan(net, _pad_state(net, z0), times, target, solver,
+                    "backprop_through_solver")
 
     def loss_of(p):
-        loss, _ = _loss_and_grad(
-            net.with_params(p), z0p, times, target, solver,
-            "backprop_through_solver",
-        )
+        loss, _ = _loss_and_grad(plan, p)
         return loss
 
     g = np.empty(net.params.size)
@@ -233,10 +231,13 @@ def test_adjoint_drift_raises():
 # ---------------------------------------------------------------------------
 
 
-def reference_vjp(net, u, cache, gw):
+def reference_vjp(net, u, xs, gw):
     """Per-stage reverse pass over flat parameters: adds every layer's outer
-    product into gw and returns the state cotangent."""
-    sizes, acts, w_off, b_off, c_off, _, half, tin = pack_meta(net)
+    product into gw and returns the state cotangent. xs holds the stage's
+    layer inputs, the net output last."""
+    layers, acts, _, half, tin = kernel_args(net, net.params)
+    grads = layer_views(gw, net.sizes)
+    half = np.ones(net.state_dim) if half is None else half
     deriv = {
         0: lambda y: np.ones_like(y),
         1: lambda y: np.where(y > 0.0, 1.0, 0.0),
@@ -244,23 +245,20 @@ def reference_vjp(net, u, cache, gw):
         3: lambda y: 1.0 - y * y,
     }
     xbar = u * half
-    for l in range(acts.size - 1, -1, -1):
-        rows, cols = sizes[l + 1], sizes[l]
-        s = xbar * deriv[int(acts[l])](cache[c_off[l + 1]: c_off[l + 2]])
-        x = cache[c_off[l]: c_off[l + 1]]
-        gw[w_off[l]: w_off[l] + rows * cols] += np.outer(s, x).ravel()
-        gw[b_off[l]: b_off[l] + rows] += s
-        w = net.params[w_off[l]: w_off[l] + rows * cols].reshape(rows, cols)
-        xbar = w.T @ s
+    for l in range(len(acts) - 1, -1, -1):
+        s = xbar * deriv[acts[l]](xs[l + 1])
+        g_w, g_b = grads[l]
+        g_w += np.outer(s, xs[l])
+        g_b += s
+        xbar = layers[l][0].T @ s
     return (xbar[1:] if tin else xbar) / half
 
 
 def reference_backprop(net, z0, times, target, solver):
     """Replay every stage of the recorded rollout backwards, one
     reference_vjp per stage."""
-    out, (_, sub_h, out_idx), stage_cache = fixed_rollout(
-        net, z0, times, solver, want_cache=True
-    )
+    plan = RolloutPlan(net, times, solver, cached=True)
+    out, (_, sub_h, out_idx) = fixed_rollout(plan, z0)
     _, out_bar = _loss_cotangent(net, out, target)
     a, b, _ = tableau(solver.method)
     gw = np.zeros(net.params.size)
@@ -271,7 +269,7 @@ def reference_backprop(net, z0, times, target, solver):
         h = sub_h[i]
         kbar = [(h * b[st]) * zbar for st in range(b.size)]
         for st in range(b.size - 1, -1, -1):
-            ubar = reference_vjp(net, kbar[st], stage_cache[i, st], gw)
+            ubar = reference_vjp(net, kbar[st], plan.stages.steps[i][st].x, gw)
             zbar = zbar + ubar
             for j in range(st):
                 kbar[j] = kbar[j] + (h * a[st, j]) * ubar
@@ -282,11 +280,11 @@ def reference_adjoint(net, z0, times, target, solver):
     """Integrate the costate backwards interval by interval, re-anchoring
     the state at each observation; each step adds h * b_st times every
     stage's own reference_vjp gradient."""
-    out, (sub_t0, sub_h, out_idx), _ = fixed_rollout(net, z0, times, solver)
+    plan = RolloutPlan(net, times, solver)
+    out, (sub_t0, sub_h, out_idx) = fixed_rollout(plan, z0)
     _, out_bar = _loss_cotangent(net, out, target)
     a_tab, b_tab, c_tab = tableau(solver.method)
-    meta = pack_meta(net)
-    layers = layer_views(net.params, meta)
+    buf = plan.stages
     n_stages = b_tab.size
     ends = np.flatnonzero(out_idx >= 0)
     z = out[:, -1].copy()
@@ -296,10 +294,9 @@ def reference_adjoint(net, z0, times, target, solver):
         lo = ends[k - 2] + 1 if k >= 2 else 0
         for i in range(ends[k - 1], lo - 1, -1):
             h = -sub_h[i]
-            caches = np.empty((n_stages, int(meta[4][-1])))
             z = kernels.rk_step(
-                layers, *meta, sub_t0[i] + sub_h[i], h, z, a_tab, b_tab,
-                c_tab, 0, np.empty((n_stages, z.size)), caches,
+                *plan.args, sub_t0[i] + sub_h[i] + c_tab * h, h * a_tab,
+                h * b_tab, z, 0, buf.k, buf.rows, np.empty_like(z),
             )
             ka, kg = [], []
             for st in range(n_stages):
@@ -307,7 +304,7 @@ def reference_adjoint(net, z0, times, target, solver):
                 for j in range(st):
                     ua = ua + (h * a_tab[st, j]) * ka[j]
                 g_st = np.zeros(net.params.size)
-                ka.append(-reference_vjp(net, ua, caches[st], g_st))
+                ka.append(-reference_vjp(net, ua, buf.rows[st].x, g_st))
                 kg.append(-g_st)
             for st in range(n_stages):
                 a = a + (h * b_tab[st]) * ka[st]

@@ -1,0 +1,207 @@
+"""The NODE kernels' call contract and their reused buffers.
+
+The benchmark's tracer counts kernel calls and checks them against the
+solver schedule: one nn_forward per stage, one nn_vjp per reverse stage,
+one rollout_backward per backprop gradient, one adjoint_step per substep,
+and rollout_rk's substep start times as its positional argument 13. These
+tests count the same calls by wrapping the module-level kernels.
+
+Plans reuse their stage buffers across calls, so the other tests check that
+nothing a call leaves in them, or in an array it returns, reaches the next
+call.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from nirom.node import (
+    ScaleMap,
+    SolverSpec,
+    TrainConfig,
+    build_net,
+    grad,
+    ode_solve,
+    train,
+)
+from nirom.node import kernels
+from nirom.node.gradients import GradPlan, _loss_and_grad
+from nirom.node.network import kernel_args
+from nirom.node.solvers import build_schedule, tableau
+from nirom.pod import LatentTrajectory
+
+TIMES = np.array([0.0, 0.1, 0.35, 0.4, 0.7, 1.0])
+STEP = 0.07
+KERNELS = ("nn_forward", "nn_vjp", "rollout_rk", "rollout_backward",
+           "adjoint_step")
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of every kernel call, and rollout_rk's argument 13 lengths."""
+    counts = Counter()
+    for name in KERNELS:
+        def counted(*args, _fn=getattr(kernels, name), _name=name):
+            counts[_name] += 1
+            if _name == "rollout_rk":
+                counts["sub_t0 entries"] += args[13].shape[0]
+            return _fn(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    return counts
+
+
+def problem(seed=2, scaled=False):
+    scale = ScaleMap(np.array([0.1, -0.2]), np.array([1.3, 0.7])) if scaled else None
+    net = build_net(2, [6], "tanh", seed=seed, scale=scale)
+    rng = np.random.default_rng(seed)
+    return net, rng.normal(size=2), rng.normal(size=(2, TIMES.size))
+
+
+def n_substeps():
+    return build_schedule(TIMES, STEP)[0].size
+
+
+@pytest.mark.parametrize("method", ["euler", "midpoint", "rk4"])
+def test_backprop_gradient_calls(calls, method):
+    net, z0, target = problem()
+    grad(net, z0, TIMES, target, SolverSpec(method, step=STEP))
+    per_pass = tableau(method)[1].size * n_substeps()
+    assert calls == Counter({
+        "nn_forward": per_pass, "nn_vjp": per_pass, "rollout_rk": 1,
+        "rollout_backward": 1, "sub_t0 entries": n_substeps(),
+    })
+
+
+@pytest.mark.parametrize("method", ["midpoint", "rk4"])
+def test_adjoint_gradient_calls(calls, method):
+    net, z0, target = problem()
+    grad(net, z0, TIMES, target, SolverSpec(method, step=STEP), mode="adjoint")
+    per_pass = tableau(method)[1].size * n_substeps()
+    assert calls == Counter({
+        "nn_forward": 2 * per_pass, "nn_vjp": per_pass, "rollout_rk": 1,
+        "adjoint_step": n_substeps(), "sub_t0 entries": n_substeps(),
+    })
+
+
+def test_ode_solve_calls(calls):
+    net, z0, _ = problem()
+    ode_solve(net, z0, TIMES, SolverSpec("rk4", step=STEP))
+    assert calls == Counter({
+        "nn_forward": 4 * n_substeps(), "rollout_rk": 1,
+        "sub_t0 entries": n_substeps(),
+    })
+
+
+@pytest.mark.parametrize("mode", ["backprop_through_solver", "adjoint"])
+def test_training_calls_per_epoch(calls, mode):
+    # the count the benchmark checks on its fit stage: one rk4 substep per
+    # interval at the default step, every epoch
+    net, _, target = problem()
+    epochs = 3
+    uniform = np.linspace(0.0, 1.0, TIMES.size)
+    train(net, LatentTrajectory(target, uniform),
+          TrainConfig(epochs=epochs, grad_mode=mode))
+    intervals = uniform.size - 1
+    adjoint = mode == "adjoint"
+    per_epoch = 4 * intervals
+    assert calls["nn_forward"] == epochs * per_epoch * (2 if adjoint else 1)
+    assert calls["nn_vjp"] == epochs * per_epoch
+    assert calls["adjoint_step"] == (epochs * intervals if adjoint else 0)
+    assert calls["rollout_backward"] == (0 if adjoint else epochs)
+
+
+# ---------------------------------------------------------------------------
+# reused buffers
+# ---------------------------------------------------------------------------
+
+SOLVERS = [
+    (SolverSpec("rk4", step=STEP), "backprop_through_solver"),
+    (SolverSpec("rk4", step=STEP), "adjoint"),
+    (SolverSpec("midpoint", step=STEP), "adjoint"),
+    (SolverSpec("dopri5", rtol=1e-6, atol=1e-8), "backprop_through_solver"),
+]
+
+
+@pytest.mark.parametrize("solver,mode", SOLVERS)
+def test_interleaved_plans_match_their_solo_results(solver, mode):
+    net_a, z0_a, target_a = problem(seed=2)
+    net_b, z0_b, target_b = problem(seed=5, scaled=True)
+    solo_a = _loss_and_grad(GradPlan(net_a, z0_a, TIMES, target_a, solver, mode),
+                            net_a.params)
+    solo_b = _loss_and_grad(GradPlan(net_b, z0_b, TIMES, target_b, solver, mode),
+                            net_b.params)
+    plan_a = GradPlan(net_a, z0_a, TIMES, target_a, solver, mode)
+    plan_b = GradPlan(net_b, z0_b, TIMES, target_b, solver, mode)
+    moved = net_a.params + 0.3
+    for _ in range(2):
+        for plan, net, (loss, g) in ((plan_a, net_a, solo_a),
+                                     (plan_b, net_b, solo_b)):
+            got_loss, got_g = _loss_and_grad(plan, net.params)
+            assert got_loss == loss
+            assert got_g.tobytes() == g.tobytes()
+        # a call at other parameters, whose larger dopri5 schedule may grow
+        # the plan's buffers, leaves nothing behind either
+        _loss_and_grad(plan_a, moved)
+
+
+@pytest.mark.parametrize("solver,mode", SOLVERS)
+def test_interleaved_grad_calls_match_their_solo_results(solver, mode):
+    net_a, z0_a, target_a = problem(seed=2)
+    net_b, z0_b, target_b = problem(seed=5, scaled=True)
+    solo_a = grad(net_a, z0_a, TIMES, target_a, solver, mode=mode)
+    solo_b = grad(net_b, z0_b, TIMES, target_b, solver, mode=mode)
+    for _ in range(2):
+        assert grad(net_a, z0_a, TIMES, target_a, solver, mode=mode).tobytes() \
+            == solo_a.tobytes()
+        assert grad(net_b, z0_b, TIMES, target_b, solver, mode=mode).tobytes() \
+            == solo_b.tobytes()
+
+
+@pytest.mark.parametrize("solver", [SolverSpec("rk4", step=STEP),
+                                    SolverSpec("dopri5", rtol=1e-6, atol=1e-8)])
+def test_mutating_returned_arrays_changes_no_later_result(solver):
+    net, z0, target = problem()
+    first = ode_solve(net, z0, TIMES, solver)
+    want = first.coeffs.copy()
+    first.coeffs[:] = np.nan
+    assert ode_solve(net, z0, TIMES, solver).coeffs.tobytes() == want.tobytes()
+
+    g = grad(net, z0, TIMES, target, solver)
+    want = g.copy()
+    g[:] = np.nan
+    assert grad(net, z0, TIMES, target, solver).tobytes() == want.tobytes()
+
+    plan = GradPlan(net, z0, TIMES, target, solver, "backprop_through_solver")
+    _, g = _loss_and_grad(plan, net.params)
+    want = g.copy()
+    g[:] = np.nan
+    assert _loss_and_grad(plan, net.params)[1].tobytes() == want.tobytes()
+
+
+def test_mutating_rk_step_result_changes_no_later_step():
+    net, z0, _ = problem(scaled=True)
+    args = kernel_args(net, net.params)
+    a, b, c = tableau("rk4")
+    buf = kernels.StageBuffers(net.sizes, args[1], net.time_input, 4, 4)
+    step = (0.2 + 0.1 * c, 0.1 * a, 0.1 * b, z0, 0, buf.k, buf.rows)
+    out = kernels.rk_step(*args, *step, np.empty(2))
+    want = out.copy()
+    out[:] = np.nan
+    buf.k[:] = np.nan
+    again = kernels.rk_step(*args, *step, out)
+    assert again.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["backprop_through_solver", "adjoint"])
+def test_training_runs_in_one_process_stay_bitwise_equal(mode):
+    net, _, target = problem()
+    traj = LatentTrajectory(target, TIMES)
+    config = TrainConfig(epochs=4, grad_mode=mode)
+    first, history = train(net, traj, config)
+    # another net trained in between shares nothing with the next run
+    train(problem(seed=5, scaled=True)[0], traj, config)
+    again, history_again = train(net, traj, config)
+    assert again.params.tobytes() == first.params.tobytes()
+    assert history_again.loss.tobytes() == history.loss.tobytes()
+    assert net.params.tobytes() == problem()[0].params.tobytes()

@@ -17,7 +17,7 @@ from nirom.node import (
     ode_solve,
 )
 from nirom.node import kernels
-from nirom.node.network import layer_views, pack_meta
+from nirom.node.network import kernel_args, layer_views
 from nirom.node.solvers import build_schedule, tableau
 
 DECAY_PARAMS = np.array([-1.0, 0.0])
@@ -304,19 +304,18 @@ def butcher_step(net, a, b, c, t0, h, z):
 @pytest.mark.parametrize("method", ["euler", "midpoint", "rk4", "dopri5"])
 def test_rk_step_matches_textbook_butcher_step(method):
     net = stage_net()
-    meta = pack_meta(net)
+    args = kernel_args(net, net.params)
     a, b, c = tableau(method)
     t0, h = 0.3, 0.1
     z = np.array([0.4, -0.7, 0.25])
     want_z, want_k = butcher_step(net, a, b, c, t0, h, z)
     # dopri5 trial steps reuse the first-same-as-last stage from the caller
     first = 1 if method == "dopri5" else 0
-    k = np.empty((b.size, z.size))
+    buf = kernels.StageBuffers(net.sizes, args[1], net.time_input, b.size, b.size)
+    k = buf.k
     k[:first] = want_k[:first]
-    caches = np.empty((b.size, int(meta[4][-1])))
     got_z = kernels.rk_step(
-        layer_views(net.params, meta), *meta, t0, h, z, a, b, c, first, k,
-        caches,
+        *args, t0 + c * h, h * a, h * b, z, first, k, buf.rows, np.empty(z.size),
     )
     assert np.linalg.norm(got_z - want_z) <= 1e-15 * np.linalg.norm(want_z)
     assert np.linalg.norm(k - want_k) <= 1e-15 * np.linalg.norm(want_k)
@@ -326,17 +325,18 @@ def test_rk_step_matches_textbook_butcher_step(method):
 @pytest.mark.parametrize("h", [0.1, -0.1])
 def test_adjoint_step_state_is_one_rollout_substep(method, h):
     net = stage_net()
-    meta = pack_meta(net)
+    args = kernel_args(net, net.params)
     a, b, c = tableau(method)
     z = np.array([0.4, -0.7, 0.25])
     costate = np.array([1.0, -2.0, 0.5])
-    layers = layer_views(net.params, meta)
-    z_adj, _ = kernels.adjoint_step(
-        layers, *meta, 0.3, h, z, costate,
-        layer_views(np.zeros(net.params.size), meta), a, b, c,
+    buf = kernels.StageBuffers(net.sizes, args[1], net.time_input, b.size, b.size)
+    z_adj = z.copy()
+    kernels.adjoint_step(
+        *args, 0.3, h, z_adj, costate,
+        layer_views(np.zeros(net.params.size), net.sizes), a, b, c, buf,
     )
     out = kernels.rollout_rk(
-        layers, *meta, z, a, b, c, np.array([0.3]), np.array([h]),
-        np.array([1]), 2, None,
+        *args, z, a, b, c, buf.steps, buf.k, np.empty(z.size), np.empty((z.size, 2)),
+        np.array([0.3]), np.array([h]), np.array([1]),
     )
     assert z_adj.tobytes() == out[:, 1].tobytes()
