@@ -15,7 +15,7 @@ import numpy as np
 from . import containers as io
 from .errors import NumericalError
 from .pod import thin_svd_matrix
-from .snapshot import SnapshotSet, check_times, uniform_step
+from .snapshot import SnapshotSet, check_times, first_nonfinite, uniform_step
 
 DMD_MAGIC = b"DMD1"
 
@@ -46,6 +46,9 @@ class DmdModel:
         r = self.eigenvalues.size
         if self.modes.shape[1] != r or self.amplitudes.shape != (r,):
             raise ValueError("modes/eigenvalues/amplitudes sizes disagree")
+        if not all(np.all(np.isfinite(a)) for a in
+                   (self.modes, self.eigenvalues, self.amplitudes)):
+            raise ValueError("modes, eigenvalues and amplitudes must be finite")
 
     @property
     def rank(self) -> int:
@@ -124,8 +127,16 @@ def dmd_forecast(model: DmdModel, times: np.ndarray) -> SnapshotSet:
     p = (times - model.t0) / model.dt
     if p[0] < -1e-9:
         raise ValueError("forecast times must not precede the fit start time")
-    powers = _eig_powers(model.eigenvalues, p)
-    data = (model.modes @ (powers * model.amplitudes[:, None])).real
+    # a growing mode overflows quietly; the r x T spectral coefficients are
+    # checked in place of the full field
+    with np.errstate(over="ignore", invalid="ignore"):
+        coefs = _eig_powers(model.eigenvalues, p) * model.amplitudes[:, None]
+        bad = first_nonfinite(coefs.T)
+        if bad is not None:
+            k = bad[0]
+            raise NumericalError(
+                f"DMD forecast overflows at step {k} (t={times[k]:.6g})")
+        data = (model.modes @ coefs).real
     return SnapshotSet(data, times, model.component)
 
 

@@ -16,7 +16,7 @@ from .network import (
     scale_fit,
 )
 from .solvers import SolverSpec, ode_solve
-from .gradients import grad, loss_mse
+from .gradients import grad
 from .training import (
     LrSchedule,
     TrainConfig,
@@ -41,7 +41,6 @@ __all__ = [
     "build_net",
     "grad",
     "load_net",
-    "loss_mse",
     "lr_at",
     "net_eval",
     "net_init",

@@ -21,17 +21,6 @@ GRAD_MODES = ("backprop_through_solver", "adjoint")
 ADJOINT_DRIFT_RTOL = 1e-3
 
 
-def loss_mse(pred, target) -> float:
-    """Mean squared difference over every entry of two equally shaped
-    trajectories (or plain arrays)."""
-    p = pred.coeffs if isinstance(pred, LatentTrajectory) else np.asarray(pred)
-    q = target.coeffs if isinstance(target, LatentTrajectory) else np.asarray(target)
-    if p.shape != q.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    d = p - q
-    return float(np.mean(d * d))
-
-
 def _target_array(net: DynamicsNet, times: np.ndarray, target) -> np.ndarray:
     if isinstance(target, LatentTrajectory):
         if target.times.shape != times.shape or not np.allclose(

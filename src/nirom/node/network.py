@@ -12,7 +12,8 @@ from . import kernels
 
 NET_MAGIC = b"NET1"
 
-ACTIVATIONS = {"linear": 0, "relu": 1, "elu": 2, "tanh": 3}
+ACTIVATIONS = {"linear": kernels.ACT_LINEAR, "relu": kernels.ACT_RELU,
+               "elu": kernels.ACT_ELU, "tanh": kernels.ACT_TANH}
 ACTIVATION_NAMES = {v: k for k, v in ACTIVATIONS.items()}
 
 
@@ -53,9 +54,6 @@ class TimeMap:
 
     def to_unit(self, t: np.ndarray) -> np.ndarray:
         return (np.asarray(t, dtype=np.float64) - self.t_lo) / (self.t_hi - self.t_lo)
-
-    def from_unit(self, tau: np.ndarray) -> np.ndarray:
-        return self.t_lo + np.asarray(tau, dtype=np.float64) * (self.t_hi - self.t_lo)
 
 
 def scale_fit(traj: LatentTrajectory) -> ScaleMap:
@@ -242,7 +240,6 @@ class NodePreset:
     scaling: bool
     augmented: bool
     epochs: int = 50000
-    solver: str = "rk4"
     learning_rate: float = 1e-3
     momentum: float = 0.9
 

@@ -179,7 +179,7 @@ def fixed_rollout(plan: RolloutPlan, z0: np.ndarray):
     rows in plan.stages. Returns (out, schedule)."""
     schedule = plan.schedule
     if schedule is None:
-        schedule = dopri5_schedule(plan, z0)
+        _, schedule = _dopri5_core(plan, z0, clamp=True)
         _check_steps(schedule, plan.solver)
     n_sub = schedule[0].size
     buf = plan.stage_buffers(n_sub)
@@ -376,10 +376,3 @@ def _dopri5_core(plan: RolloutPlan, z0: np.ndarray, clamp: bool):
         np.asarray(sched_h, dtype=np.float64),
         np.asarray(sched_idx, dtype=np.int64),
     )
-
-
-def dopri5_schedule(plan: RolloutPlan, z0: np.ndarray):
-    """Adaptive pass whose accepted steps land exactly on the plan's times;
-    returns the frozen (sub_t0, sub_h, out_idx) schedule."""
-    _, schedule = _dopri5_core(plan, z0, clamp=True)
-    return schedule

@@ -23,6 +23,10 @@ from .gradients import GRAD_MODES, GradPlan, _loss_and_grad
 from .network import DynamicsNet, TimeMap
 from .solvers import SolverSpec, _pad_state, ode_solve
 
+#: rho and eps of the RMSProp update in the module docstring
+RMSPROP_RHO = 0.9
+RMSPROP_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class LrSchedule:
@@ -59,8 +63,6 @@ class TrainConfig:
     epochs: int
     learning_rate: float = 1e-3
     momentum: float = 0.9
-    rho: float = 0.9
-    eps: float = 1e-8
     schedule: LrSchedule | None = None
     grad_mode: str = "backprop_through_solver"
 
@@ -71,10 +73,6 @@ class TrainConfig:
             raise ValueError("learning rate must be positive")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must be in [0, 1)")
-        if not 0 < self.rho < 1:
-            raise ValueError("rho must be in (0, 1)")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
         if self.grad_mode not in GRAD_MODES:
             raise ValueError(
                 f"unknown gradient mode {self.grad_mode!r}; expected {GRAD_MODES}"
@@ -139,8 +137,8 @@ def train(
         if not np.isfinite(loss):
             raise TrainingError(f"loss became non-finite at epoch {epoch}")
         lr = lr_at(config.schedule, epoch) if config.schedule else config.learning_rate
-        acc = config.rho * acc + (1.0 - config.rho) * g * g
-        vel = config.momentum * vel + lr * g / np.sqrt(acc + config.eps)
+        acc = RMSPROP_RHO * acc + (1.0 - RMSPROP_RHO) * g * g
+        vel = config.momentum * vel + lr * g / np.sqrt(acc + RMSPROP_EPS)
         params = params - vel
         if not np.all(np.isfinite(params)):
             raise TrainingError(f"parameters became non-finite at epoch {epoch}")

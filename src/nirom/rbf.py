@@ -16,12 +16,12 @@ import scipy.linalg
 from . import containers as io
 from .errors import FitError, NumericalError
 from .pod import LatentTrajectory
-from .snapshot import check_times, uniform_step
+from .snapshot import check_times, first_nonfinite, uniform_step
 
 RBF_MAGIC = b"RBF1"
 
-KERNEL_IDS = {"matern_c0": 0}
-KERNEL_NAMES = {v: k for k, v in KERNEL_IDS.items()}
+#: RBF1 kernel id of exp(-c r), the only kernel
+_KERNEL_ID = 0
 
 #: relative residual allowed on the interpolation system after solving
 FIT_RESIDUAL_RTOL = 1e-8
@@ -35,7 +35,6 @@ class RbfModel:
     centers: np.ndarray  # (m, Mc)
     coefficients: np.ndarray  # (m, Mc)
     shape_factor: float
-    kernel: str = "matern_c0"
 
     def __post_init__(self):
         object.__setattr__(self, "centers", np.asarray(self.centers, dtype=np.float64))
@@ -44,10 +43,11 @@ class RbfModel:
         )
         if not self.shape_factor > 0:
             raise ValueError("shape_factor must be positive")
-        if self.kernel not in KERNEL_IDS:
-            raise ValueError(f"unknown kernel {self.kernel!r}")
         if self.centers.shape != self.coefficients.shape:
             raise ValueError("centers and coefficients must have matching shapes")
+        if not (np.all(np.isfinite(self.centers))
+                and np.all(np.isfinite(self.coefficients))):
+            raise ValueError("centers and coefficients must be finite")
 
     @property
     def dim(self) -> int:
@@ -58,24 +58,15 @@ class RbfModel:
         return self.centers.shape[1]
 
 
-@dataclass(frozen=True)
-class DerivativeTable:
-    """Forward-difference targets g^k = (z^{k+1} - z^k) / dt, one column per
-    retained center."""
-
-    values: np.ndarray  # (m, Mc)
-    times: np.ndarray  # (Mc,)
-
-
-def build_derivatives(traj: LatentTrajectory) -> DerivativeTable:
-    """Forward differences on a uniform time grid."""
+def build_derivatives(traj: LatentTrajectory) -> np.ndarray:
+    """Forward-difference targets g^k = (z^{k+1} - z^k) / dt on a uniform
+    time grid, one column per retained center: an (m, Mc) array."""
     if traj.n_steps < 2:
         raise ValueError("need at least two snapshots to difference")
     dt = uniform_step(
         traj.times, "derivative targets require uniformly spaced times"
     )
-    values = (traj.coeffs[:, 1:] - traj.coeffs[:, :-1]) / dt
-    return DerivativeTable(values, traj.times[:-1].copy())
+    return (traj.coeffs[:, 1:] - traj.coeffs[:, :-1]) / dt
 
 
 def _distance_matrix(centers: np.ndarray) -> np.ndarray:
@@ -89,7 +80,7 @@ def fit(traj: LatentTrajectory, c: float) -> RbfModel:
     with a small diagonal shift before giving up."""
     if c <= 0:
         raise ValueError(f"shape factor must be positive, got {c}")
-    table = build_derivatives(traj)
+    targets = build_derivatives(traj)
     centers = traj.coeffs[:, :-1].copy()
     mc = centers.shape[1]
 
@@ -100,7 +91,7 @@ def fit(traj: LatentTrajectory, c: float) -> RbfModel:
         raise FitError(f"duplicate centers at indices {min(n, k)} and {max(n, k)}")
 
     a = np.exp(-c * r)
-    g = table.values.T  # (Mc, m), one rhs per latent component
+    g = targets.T  # (Mc, m), one rhs per latent component
     gnorm = np.linalg.norm(g, axis=0)
 
     shift = 0.0
@@ -137,30 +128,32 @@ def eval_dynamics(model: RbfModel, z: np.ndarray) -> np.ndarray:
     return _field(model.centers, model.coefficients, float(model.shape_factor), z)
 
 
-def _rollout(centers, coeffs, c, z0, times):
-    out = np.empty((centers.shape[0], times.shape[0]))
-    out[:, 0] = z0
-    z = z0.copy()
-    for k in range(times.shape[0] - 1):
-        z = z + (times[k + 1] - times[k]) * _field(centers, coeffs, c, z)
-        out[:, k + 1] = z
-    return out
-
-
 def forecast(model: RbfModel, z0: np.ndarray, times: np.ndarray) -> LatentTrajectory:
     """March z^{n+1} = z^n + dt_n * F(z^n) across the given time stamps."""
     times = check_times(times)
     z0 = np.asarray(z0, dtype=np.float64)
     if z0.shape != (model.dim,):
         raise ValueError(f"initial state must have shape ({model.dim},)")
-    coeffs = _rollout(
-        np.ascontiguousarray(model.centers),
-        np.ascontiguousarray(model.coefficients),
-        float(model.shape_factor),
-        z0,
-        times,
-    )
-    return LatentTrajectory(coeffs, times)
+    # a loaded model holds column-major arrays; the field's sums run over
+    # row-major copies
+    centers = np.ascontiguousarray(model.centers)
+    coeffs = np.ascontiguousarray(model.coefficients)
+    c = float(model.shape_factor)
+    out = np.empty((model.dim, times.size))
+    out[:, 0] = z0
+    z = z0
+    # a far state's squared distance overflows to an exact zero weight, and
+    # a blown-up state overflows quietly; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(times.size - 1):
+            z = z + (times[k + 1] - times[k]) * _field(centers, coeffs, c, z)
+            out[:, k + 1] = z
+    bad = first_nonfinite(out.T)
+    if bad is not None:
+        k = bad[0]
+        raise NumericalError(
+            f"RBF forecast became non-finite at step {k} (t={times[k]:.6g})")
+    return LatentTrajectory(out, times)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +167,7 @@ def save_model(model: RbfModel, path) -> None:
         io.write_u32(f, model.dim)
         io.write_u32(f, model.n_centers)
         io.write_f64(f, model.shape_factor)
-        io.write_u16(f, KERNEL_IDS[model.kernel])
+        io.write_u16(f, _KERNEL_ID)
         io.write_f64_matrix(f, model.centers)
         io.write_f64_matrix(f, model.coefficients)
 
@@ -185,8 +178,8 @@ def load_model(path) -> RbfModel:
         mc = io.read_u32(f)
         c = io.read_f64(f)
         kid = io.read_u16(f)
-        if kid not in KERNEL_NAMES:
+        if kid != _KERNEL_ID:
             raise io.FormatError(f"unknown kernel id {kid}")
         centers = io.read_f64_matrix(f, m, mc)
         coeffs = io.read_f64_matrix(f, m, mc)
-        return RbfModel(centers, coeffs, c, KERNEL_NAMES[kid])
+        return RbfModel(centers, coeffs, c)

@@ -19,7 +19,7 @@ SNP_MAGIC = b"SNP1"
 SYNTHETIC_KINDS = ("traveling_wave", "linear_system", "harmonic_latent")
 
 
-def _first_nonfinite(a: np.ndarray):
+def first_nonfinite(a: np.ndarray):
     """(row, col) of the first non-finite entry, or None."""
     bad = ~np.isfinite(a)
     if not bad.any():
@@ -71,7 +71,7 @@ class SnapshotSet:
                 f"times length {times.shape} does not match {m} columns"
             )
         check_times(times)
-        pos = _first_nonfinite(data)
+        pos = first_nonfinite(data)
         if pos is not None:
             raise ValidationError(
                 f"non-finite value at row {pos[0]}, column {pos[1]}"

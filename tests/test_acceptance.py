@@ -106,10 +106,10 @@ def test_rbf_interpolation_exactness(capsys):
             model = rbf_mod.fit(traj, 0.05)
 
             targets = rbf_mod.build_derivatives(traj)
-            g_scale = np.max(np.abs(targets.values))
+            g_scale = np.max(np.abs(targets))
             for k in range(model.n_centers):
                 f = rbf_mod.eval_dynamics(model, model.centers[:, k])
-                assert np.max(np.abs(f - targets.values[:, k])) <= 1e-8 * g_scale
+                assert np.max(np.abs(f - targets[:, k])) <= 1e-8 * g_scale
 
             replay = rbf_mod.forecast(model, traj.coeffs[:, 0], traj.times)
             err = np.max(np.abs(replay.coeffs - traj.coeffs))

@@ -27,7 +27,7 @@ from nirom.containers import peek_magic
 from nirom.errors import FormatError
 from nirom.node import PRESETS, load_net
 from nirom.pod import load_basis
-from nirom.snapshot import load_snapshots
+from nirom.snapshot import SnapshotSet, load_snapshots, save_snapshots
 
 WAVE_INPUT = {
     "kind": "traveling_wave",
@@ -52,6 +52,16 @@ def run(*argv):
 
 def run_ok(*argv):
     assert run(*argv) == 0, argv
+
+
+def run_fresh(*argv, **env):
+    """One command in a fresh interpreter, with what it prints."""
+    return subprocess.run(
+        [sys.executable, "-m", "nirom.cli", *argv],
+        env=dict(os.environ, **env,
+                 PYTHONPATH=str(Path(nirom.__file__).parents[1])),
+        capture_output=True, text=True, timeout=120,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -570,12 +580,7 @@ def test_deeply_nested_config_is_config_error(tmp_path, capsys):
 def test_numba_variable_is_ignored(tmp_path, value):
     """The kernels are plain numpy; NIROM_NUMBA selects nothing."""
     cfg = write_cfg(tmp_path, dmd={"rank": 2})
-    env = dict(os.environ, NIROM_NUMBA=value,
-               PYTHONPATH=str(Path(nirom.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-m", "nirom.cli", "generate", "--config", cfg],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    done = run_fresh("generate", "--config", cfg, NIROM_NUMBA=value)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "snapshots.snp").exists()
 
@@ -652,6 +657,53 @@ def test_training_blowup_is_numerical_error(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         rc = run("fit", "--method", "node", "--config", cfg)
     assert rc == 3
+
+
+def assert_numerical_failure(done, message):
+    """Exit 3 with one error line and no raw numpy warning."""
+    assert done.returncode == 3, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
+    assert message in lines[0]
+
+
+def test_overflowing_dmd_forecast_exits_3(tmp_path):
+    cfg = write_cfg(tmp_path, dmd={"rank": 1},
+                    predict={"t_start": 0.0, "t_end": 2999.0, "dt": 1.0})
+    dmd_mod.save_model(
+        dmd_mod.DmdModel(np.ones((3, 1)), [1.5], [1.0], dt=1.0, t0=0.0),
+        tmp_path / "model_dmd.dmd")
+    done = run_fresh("predict", "model_dmd.dmd", "--config", cfg)
+    assert_numerical_failure(done, "overflows at step 1751")
+    assert not (tmp_path / "pred_dmd.snp").exists()
+
+
+def test_overflowing_rbf_forecast_exits_3(latent_dir, tmp_path):
+    out = tmp_path / "run"
+    shutil.copytree(latent_dir, out)
+    cfg = write_cfg(out, pod={"rank": 2}, rbf={"shape_factor": 1.0},
+                    predict={"t_start": 0.0, "t_end": 2e10, "dt": 1e10})
+    run_ok("fit", "--method", "rbf", "--config", cfg)
+    model_file = out / "model_rbf.rbf"
+    fitted = rbf_mod.load_model(model_file)
+    rbf_mod.save_model(rbf_mod.RbfModel(
+        fitted.centers, np.full_like(fitted.coefficients, 1e300), 1.0),
+        model_file)
+    done = run_fresh("predict", "model_rbf.rbf", "--config", cfg)
+    assert_numerical_failure(done, "RBF forecast became non-finite")
+    assert not (out / "pred_rbf.snp").exists()
+
+
+def test_fit_rbf_unsolvable_system_exits_3(latent_dir, tmp_path, capsys):
+    # centers 1e-10 apart: the shifted retry misses the tolerance too
+    out = tmp_path / "run"
+    shutil.copytree(latent_dir, out)
+    save_snapshots(SnapshotSet(np.array([[0.0, 1e-10, 3e-10]]),
+                               np.arange(3.0)), out / "latent.snp")
+    cfg = write_cfg(out, rbf={"shape_factor": 1.0})
+    assert run("fit", "--method", "rbf", "--config", cfg) == 3
+    assert "diagonal shift" in capsys.readouterr().err
+    assert not (out / "model_rbf.rbf").exists()
 
 
 def test_full_pipeline_is_byte_deterministic(tmp_path):

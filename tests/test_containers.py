@@ -87,11 +87,15 @@ _HALF_AT = _MID_AT + 2 * 8
     ("NET1", 1, _HALF_AT + 8, struct.pack("<d", np.nan)),  # scale half-range
     ("RBF1", 0, 16, struct.pack("<d", -1.0)),  # shape factor
     ("RBF1", 0, 16, struct.pack("<d", np.nan)),
+    ("RBF1", 0, 24, struct.pack("<H", 1)),  # kernel id: only 0 exists
+    ("RBF1", 0, 26, struct.pack("<d", np.nan)),  # first center entry
     ("DMD1", 0, 16, struct.pack("<d", 0.0)),  # time step
     ("DMD1", 0, 16, struct.pack("<d", np.nan)),
     ("DMD1", 0, 24, struct.pack("<d", np.nan)),  # start time
-], ids=["NET1", "NET1-mid-nan", "NET1-half-nan", "RBF1", "RBF1-nan", "DMD1",
-        "DMD1-nan", "DMD1-t0-nan"])
+    ("DMD1", 0, -16, struct.pack("<d", np.nan)),  # last amplitude
+], ids=["NET1", "NET1-mid-nan", "NET1-half-nan", "RBF1", "RBF1-nan",
+        "RBF1-kernel-id", "RBF1-center-nan", "DMD1", "DMD1-nan", "DMD1-t0-nan",
+        "DMD1-amplitude-nan"])
 def test_fields_that_build_no_object_are_format_errors(
         tmp_path, magic, sample, offset, value):
     save, load, objects = SAMPLES[magic]

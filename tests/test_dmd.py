@@ -175,6 +175,22 @@ def test_forecast_nonmonotone_rejected():
         dmd_forecast(model, np.array([0.0, 2.0, 1.0]))
 
 
+def test_growing_mode_overflow_is_numerical_error():
+    # 1.5**k passes the float range after step 1750
+    model = DmdModel(np.ones((3, 1)), [1.5], [1.0], dt=1.0, t0=0.0)
+    with pytest.raises(NumericalError, match="overflows at step 1751"):
+        dmd_forecast(model, np.arange(3000.0))
+
+
+@pytest.mark.parametrize("field", ["modes", "eigenvalues", "amplitudes"])
+def test_non_finite_model_rejected(field):
+    parts = {"modes": np.ones((3, 1)), "eigenvalues": [0.5],
+             "amplitudes": [1.0]}
+    parts[field] = np.full_like(np.asarray(parts[field], dtype=float), np.nan)
+    with pytest.raises(ValueError, match="finite"):
+        DmdModel(**parts, dt=1.0, t0=0.0)
+
+
 def test_zero_eigenvalue_integer_powers_ok():
     model = DmdModel(
         np.array([[1.0 + 0j], [0.0 + 0j]]),

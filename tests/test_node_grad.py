@@ -16,7 +16,6 @@ from nirom.node import (
     SolverSpec,
     build_net,
     grad,
-    loss_mse,
 )
 from nirom.node import kernels
 from nirom.node.gradients import GradPlan, _loss_and_grad, _loss_cotangent, _pad_state
@@ -72,29 +71,43 @@ def assert_gradient_close(g, fd, rtol=1e-5):
 # ---------------------------------------------------------------------------
 
 
+# the loss training reports: the mean squared error over the latent rows
+
+
+def loss_of(out, target, augment_dim=0):
+    net = build_net(np.shape(target)[0], [4], "tanh", augment_dim=augment_dim)
+    loss, _ = _loss_cotangent(net, np.array(out, dtype=float),
+                              np.array(target, dtype=float))
+    return loss
+
+
 def test_loss_zero_when_equal():
-    t = np.array([0.0, 1.0])
-    traj = LatentTrajectory(np.array([[1.0, 2.0]]), t)
-    assert loss_mse(traj, traj) == 0.0
+    out = np.array([[1.0, 2.0]])
+    assert loss_of(out, out) == 0.0
 
 
 def test_loss_unit_scalar():
-    assert loss_mse(np.array([[1.0]]), np.array([[0.0]])) == 1.0
+    assert loss_of([[1.0]], [[0.0]]) == 1.0
 
 
 def test_loss_mean_of_squares():
-    assert loss_mse(np.array([[1.0, 2.0]]), np.array([[0.0, 0.0]])) == 2.5
+    assert loss_of([[1.0, 2.0]], [[0.0, 0.0]]) == 2.5
+    # an augmented row is integrated but not scored
+    assert loss_of([[1.0, 2.0], [9.0, 9.0]], [[0.0, 0.0]], augment_dim=1) == 2.5
 
 
 def test_loss_shape_mismatch():
+    net = small_net("tanh")
+    z0, _ = problem()
     with pytest.raises(ValueError, match="shape"):
-        loss_mse(np.zeros((2, 3)), np.zeros((2, 4)))
+        grad(net, z0, TIMES, np.zeros((2, TIMES.size + 1)),
+             SolverSpec("rk4", step=0.25))
 
 
 def test_loss_nonnegative_random():
     rng = np.random.default_rng(0)
     a, b = rng.normal(size=(2, 3, 4))
-    assert loss_mse(a, b) >= 0.0
+    assert loss_of(a, b) >= 0.0
 
 
 # ---------------------------------------------------------------------------

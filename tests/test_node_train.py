@@ -96,8 +96,6 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=1, momentum=1.0)
     with pytest.raises(ValueError):
-        TrainConfig(epochs=1, rho=0.0)
-    with pytest.raises(ValueError):
         TrainConfig(epochs=1, grad_mode="newton")
 
 

@@ -7,7 +7,7 @@ form of the 2x2 interpolation system solved by hand.
 import numpy as np
 import pytest
 
-from nirom.errors import FitError, FormatError
+from nirom.errors import FitError, FormatError, NumericalError
 from nirom.pod import LatentTrajectory, project, reconstruct, thin_svd, truncate
 from nirom.rbf import (
     RbfModel,
@@ -64,22 +64,22 @@ def test_kernel_rejects_bad_shape_factor():
 
 def test_constant_trajectory_has_zero_derivatives():
     traj = LatentTrajectory(np.ones((2, 5)), 0.5 * np.arange(5))
-    table = build_derivatives(traj)
-    assert np.all(table.values == 0.0)
-    assert table.values.shape == (2, 4)
+    targets = build_derivatives(traj)
+    assert np.all(targets == 0.0)
+    assert targets.shape == (2, 4)
 
 
 def test_linear_trajectory_has_unit_derivative():
     t = 0.5 * np.arange(6)
-    table = build_derivatives(LatentTrajectory(t[None, :], t))
-    assert np.allclose(table.values, 1.0)
+    targets = build_derivatives(LatentTrajectory(t[None, :], t))
+    assert np.allclose(targets, 1.0)
 
 
 def test_quadratic_trajectory_forward_differences():
     t = 0.1 * np.arange(8)
-    table = build_derivatives(LatentTrajectory((t**2)[None, :], t))
+    targets = build_derivatives(LatentTrajectory((t**2)[None, :], t))
     expected = 0.1 * (2 * np.arange(7) + 1)
-    assert np.allclose(table.values[0], expected, atol=1e-12)
+    assert np.allclose(targets[0], expected, atol=1e-12)
 
 
 def test_nonuniform_times_rejected():
@@ -128,12 +128,30 @@ def test_interpolation_exact_at_centers():
             rng.standard_normal((m, steps)), 0.1 * np.arange(steps)
         )
         model = fit(traj, c=1.0)
-        table = build_derivatives(traj)
+        targets = build_derivatives(traj)
         for k in range(model.n_centers):
             got = eval_dynamics(model, model.centers[:, k])
-            assert np.linalg.norm(got - table.values[:, k]) <= 1e-8 * max(
-                np.linalg.norm(table.values[:, k]), 1e-12
+            assert np.linalg.norm(got - targets[:, k]) <= 1e-8 * max(
+                np.linalg.norm(targets[:, k]), 1e-12
             )
+
+
+def test_fit_gives_up_after_the_shifted_solve():
+    # centers 1e-10 apart: both the plain and the shifted system miss the
+    # residual tolerance
+    traj = LatentTrajectory(np.array([[0.0, 1e-10, 3e-10]]), np.arange(3.0))
+    with pytest.raises(NumericalError, match="diagonal shift of 1e-10"):
+        fit(traj, c=1.0)
+
+
+def test_fit_shifted_solve_rescues_a_singular_system():
+    # centers 1e-17 apart at c = 1: the system matrix rounds to all ones,
+    # which is singular, but the targets lie along its well-conditioned
+    # direction and the shifted solve meets the tolerance
+    assert np.exp(-1e-17) == 1.0
+    traj = LatentTrajectory(np.array([[0.0, 1e-17, 2e-17]]), np.arange(3.0))
+    model = fit(traj, c=1.0)
+    assert np.allclose(model.coefficients, 5e-18, rtol=1e-5, atol=0)
 
 
 def test_interpolation_matrix_positive_definite():
@@ -161,6 +179,24 @@ def test_far_state_underflows_to_zero():
     model = RbfModel(np.zeros((1, 1)), np.ones((1, 1)), shape_factor=1.0)
     out = eval_dynamics(model, np.array([800.0]))
     assert abs(out[0]) < 1e-300
+
+
+def test_far_forecast_state_has_zero_weight():
+    # ||z - center||^2 overflows, and exp(-inf) = 0 is the right weight
+    model = RbfModel(np.zeros((1, 1)), np.ones((1, 1)), shape_factor=1.0)
+    out = forecast(model, np.array([1e200]), np.array([0.0, 1.0]))
+    assert np.all(out.coeffs == 1e200)
+
+
+def test_overflowing_forecast_is_numerical_error():
+    model = RbfModel(np.zeros((1, 1)), np.full((1, 1), 1e300), shape_factor=1.0)
+    with pytest.raises(NumericalError, match="step 1"):
+        forecast(model, np.array([0.0]), np.array([0.0, 1e10, 2e10]))
+
+
+def test_non_finite_model_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        RbfModel(np.zeros((1, 1)), np.full((1, 1), np.nan), shape_factor=1.0)
 
 
 def test_eval_dimension_mismatch():
@@ -262,7 +298,6 @@ def test_model_round_trip(tmp_path):
     assert back.centers.tobytes() == model.centers.tobytes()
     assert back.coefficients.tobytes() == model.coefficients.tobytes()
     assert back.shape_factor == model.shape_factor
-    assert back.kernel == model.kernel
 
 
 def test_model_wrong_magic(tmp_path):
