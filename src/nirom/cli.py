@@ -61,6 +61,7 @@ from .snapshot import (
     load_snapshots,
     save_snapshots,
     time_grid,
+    time_tolerance,
 )
 
 log = logging.getLogger("nirom")
@@ -116,8 +117,10 @@ def _input_snapshots(cfg: PipelineConfig, out: Path) -> SnapshotSet:
 
 
 def _write_meta(path: Path, **fields) -> None:
+    """Write the fields as strict JSON; a NaN or infinite value is a
+    ValueError, and no file is written."""
     with replacing(path, "w") as f:
-        json.dump(fields, f, indent=2)
+        json.dump(fields, f, indent=2, allow_nan=False)
         f.write("\n")
 
 
@@ -281,7 +284,8 @@ def _fit_node(cfg: PipelineConfig, out: Path) -> None:
             w.writerow([i, f"{history.loss[i]:.17g}", f"{history.lr[i]:.17g}"])
     _write_meta(Path(str(target) + ".meta.json"), method="node",
                 latent_dim=trained.latent_dim, fit_seconds=elapsed,
-                final_loss=history.final_loss, epochs=block.train.epochs,
+                final_loss=history.final_loss if block.train.epochs else None,
+                epochs=block.train.epochs,
                 **inputs)
     log.info("node fit: %s, final loss %.3e, %.3fs", trained.name,
              history.final_loss, elapsed)
@@ -324,7 +328,14 @@ def cmd_predict(cfg: PipelineConfig, out: Path, model_path: str) -> None:
     else:
         inputs = _input_digests(out)
         basis = load_basis(out / FILE_BASIS)
-        z0 = _load_latent(out).coeffs[:, 0]
+        latent = _load_latent(out)
+        if abs(times[0] - latent.times[0]) > time_tolerance(latent.times):
+            raise ConfigError(
+                f"'predict.t_start' is {grid.t_start!r}, but {method} forecasts "
+                f"start from the first latent snapshot at t="
+                f"{latent.times[0]!r}; set it to that time"
+            )
+        z0 = latent.coeffs[:, 0]
         if method == "rbf":
             model = rbf_mod.load_model(model_file)
             latent_dim = model.dim

@@ -15,7 +15,7 @@ import numpy as np
 from . import containers as io
 from .errors import NumericalError
 from .pod import thin_svd_matrix
-from .snapshot import SnapshotSet, check_times, first_nonfinite, uniform_step
+from .snapshot import SnapshotSet, check_times, lifted_field, uniform_step
 
 DMD_MAGIC = b"DMD1"
 
@@ -127,17 +127,11 @@ def dmd_forecast(model: DmdModel, times: np.ndarray) -> SnapshotSet:
     p = (times - model.t0) / model.dt
     if p[0] < -1e-9:
         raise ValueError("forecast times must not precede the fit start time")
-    # a growing mode overflows quietly; the r x T spectral coefficients are
-    # checked in place of the full field
+    # a growing mode overflows quietly; lifted_field reports it
     with np.errstate(over="ignore", invalid="ignore"):
         coefs = _eig_powers(model.eigenvalues, p) * model.amplitudes[:, None]
-        bad = first_nonfinite(coefs.T)
-        if bad is not None:
-            k = bad[0]
-            raise NumericalError(
-                f"DMD forecast overflows at step {k} (t={times[k]:.6g})")
         data = (model.modes @ coefs).real
-    return SnapshotSet(data, times, model.component)
+    return lifted_field(data, times, model.component)
 
 
 # ---------------------------------------------------------------------------

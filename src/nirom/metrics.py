@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .containers import replacing
-from .snapshot import SnapshotSet
+from .snapshot import SnapshotSet, time_tolerance
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,7 @@ def _check_aligned(pred: SnapshotSet, truth: SnapshotSet) -> None:
         raise ValueError(
             f"shape mismatch: prediction {pred.data.shape}, truth {truth.data.shape}"
         )
-    scale = max(abs(truth.times[0]), abs(truth.times[-1]), 1.0)
-    if np.any(np.abs(pred.times - truth.times) > 1e-9 * scale):
+    if np.any(np.abs(pred.times - truth.times) > time_tolerance(truth.times)):
         raise ValueError("prediction and truth time stamps disagree")
 
 

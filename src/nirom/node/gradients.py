@@ -58,8 +58,8 @@ class GradPlan:
             raise ValueError(f"unknown gradient mode {mode!r}; expected {GRAD_MODES}")
         if mode == "adjoint" and solver.method not in FIXED_METHODS:
             raise SolverError(
-                "adjoint gradients need a fixed-step solver: the adaptive "
-                "integrator's dense output cannot be replayed exactly backwards"
+                "adjoint gradients need a fixed-step solver; dopri5 trains "
+                "with backprop_through_solver"
             )
         self.net = net
         self.z0 = z0

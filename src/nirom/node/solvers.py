@@ -1,10 +1,10 @@
 """Explicit Runge-Kutta integration of the latent dynamics net.
 
-Fixed-step methods (euler, midpoint, rk4) sub-step each observation interval
-so the solution lands exactly on the requested times. dopri5 is the embedded
-4(5) pair with PI step-size control and a quartic dense-output interpolant;
-a clamped variant records its accepted-step schedule so training can replay
-the exact discrete computation for the reverse sweep.
+Every method lands exactly on the requested times. Fixed-step methods
+(euler, midpoint, rk4) sub-step each observation interval evenly. dopri5 is
+the embedded 4(5) pair with PI step-size control; it shortens any step that
+would pass the next requested time so that it ends there, and records its
+accepted steps as a schedule that training replays for the reverse sweep.
 """
 
 from dataclasses import dataclass
@@ -51,8 +51,7 @@ def tableau(method: str):
     """Butcher arrays (a, b, c) for the named explicit method.
 
     For dopri5 this is the 6-stage fifth-order advance used when replaying a
-    frozen schedule; error estimation and dense output live in the adaptive
-    driver.
+    frozen schedule; error estimation lives in the adaptive integrator.
     """
     if method == "euler":
         a = np.zeros((1, 1))
@@ -143,7 +142,11 @@ class RolloutPlan:
         self.adaptive = None
         if solver.method in FIXED_METHODS:
             self.schedule = build_schedule(times, solver.step)
-            _check_steps(self.schedule, solver)
+            if self.schedule[0].size > solver.max_steps:
+                raise SolverError(
+                    f"schedule needs {self.schedule[0].size} steps, max_steps "
+                    f"is {solver.max_steps}"
+                )
         else:
             self.adaptive = self._buffers(_DP_K, _DP_K)
         self.stages = None
@@ -165,22 +168,17 @@ class RolloutPlan:
         return self.stages
 
 
-def _check_steps(schedule, solver: SolverSpec) -> None:
-    if schedule[0].size > solver.max_steps:
-        raise SolverError(
-            f"schedule needs {schedule[0].size} steps, max_steps is "
-            f"{solver.max_steps}"
-        )
-
-
 def fixed_rollout(plan: RolloutPlan, z0: np.ndarray):
-    """March the plan's tableau over its schedule (for dopri5, the frozen
-    schedule of a fresh adaptive pass); a cached plan keeps every stage's
-    rows in plan.stages. Returns (out, schedule)."""
+    """March the plan's tableau over its schedule; a cached plan keeps every
+    stage's rows in plan.stages. For dopri5 the schedule is the one a fresh
+    adaptive pass accepts: that pass's own states are the result unless the
+    plan is cached, and then the schedule is replayed to record the stages.
+    Returns (out, schedule)."""
     schedule = plan.schedule
     if schedule is None:
-        _, schedule = _dopri5_core(plan, z0, clamp=True)
-        _check_steps(schedule, plan.solver)
+        out, schedule = _dopri5_core(plan, z0)
+        if not plan.cached:
+            return out, schedule
     n_sub = schedule[0].size
     buf = plan.stage_buffers(n_sub)
     steps = buf.steps if plan.cached else buf.steps * n_sub
@@ -199,11 +197,7 @@ def ode_solve(net: DynamicsNet, z0, times, solver: SolverSpec) -> LatentTrajecto
     """Integrate dz/dt = net(t, z) from times[0], reporting every time."""
     times = check_times(times)
     z0 = _pad_state(net, z0)
-    plan = RolloutPlan(net, times, solver)
-    if solver.method in FIXED_METHODS:
-        out, _ = fixed_rollout(plan, z0)
-        return LatentTrajectory(out, times)
-    out, _ = _dopri5_core(plan, z0, clamp=False)
+    out, _ = fixed_rollout(RolloutPlan(net, times, solver), z0)
     return LatentTrajectory(out, times)
 
 
@@ -216,17 +210,6 @@ _DP_A, _DP_B, _DP_C = tableau("dopri5")
 _DP_E = np.array([
     71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
 ])
-# dense-output weights for the quartic interpolant
-_DP_D = np.array([
-    -12715105075 / 11282082432,
-    0.0,
-    87487479700 / 32700410799,
-    -10690763975 / 1880347072,
-    701980252875 / 199316789632,
-    -1453857185 / 822651844,
-    69997945 / 29380423,
-])
-
 # dopri5 stage derivatives: six stages and the first-same-as-last one
 _DP_K = 7
 
@@ -260,27 +243,14 @@ def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray,
     return min(100.0 * h0, h1, span)
 
 
-def _dense_eval(y, ynew, k1, k7, k, h, theta):
-    """Hairer quartic interpolant inside one accepted step."""
-    ydiff = ynew - y
-    bspl = h * k1 - ydiff
-    r1 = y
-    r2 = ydiff
-    r3 = bspl
-    r4 = ydiff - h * k7 - bspl
-    r5 = h * (_DP_D @ k)
-    t1 = 1.0 - theta
-    return r1 + theta * (r2 + t1 * (r3 + theta * (r4 + t1 * r5)))
-
-
 # a blown-up state overflows quietly; the driver reports it as NumericalError
 @np.errstate(over="ignore", invalid="ignore")
-def _dopri5_core(plan: RolloutPlan, z0: np.ndarray, clamp: bool):
-    """Shared adaptive integration loop over the plan's times and tolerances.
+def _dopri5_core(plan: RolloutPlan, z0: np.ndarray):
+    """Adaptive integration over the plan's times and tolerances.
 
-    clamp=False: free steps, dense output at requested interior times.
-    clamp=True: steps shortened to land exactly on every requested time;
-    returns the accepted (t0, h) schedule for gradient replay.
+    A step that would pass the next requested time is shortened to end on
+    it. Returns the states at every requested time and the accepted-step
+    schedule (t0, h, output column or -1) that fixed_rollout replays.
     """
     times, solver, buf = plan.times, plan.solver, plan.adaptive
     # k[0] is the first-same-as-last stage: the last stage of the step before
@@ -313,13 +283,11 @@ def _dopri5_core(plan: RolloutPlan, z0: np.ndarray, clamp: bool):
                 f"dopri5 exceeded max_steps={solver.max_steps} at t={t:.6g}"
             )
         n_steps += 1
-        h = min(h, t_end - t)
         landing = -1
-        if clamp:
-            target = float(times[next_out])
-            if h >= target - t:
-                h = target - t
-                landing = next_out
+        target = float(times[next_out])
+        if h >= target - t:
+            h = target - t
+            landing = next_out
         if t + h <= t:
             raise SolverError(f"step size underflow at t={t:.6g}")
         kernels.rk_step(
@@ -337,26 +305,14 @@ def _dopri5_core(plan: RolloutPlan, z0: np.ndarray, clamp: bool):
         if err <= 1.0:
             # accepted
             facold = max(err, 1e-4)
-            if not clamp:
-                while next_out < times.size and times[next_out] <= t + h:
-                    theta = (times[next_out] - t) / h
-                    if theta >= 1.0 - 1e-12:
-                        out[:, next_out] = ynew
-                    else:
-                        out[:, next_out] = _dense_eval(
-                            y, ynew, k[0], k[6], k, h, theta
-                        )
-                    next_out += 1
-            else:
-                sched_t0.append(t)
-                sched_h.append(h)
-                sched_idx.append(landing)
-                if landing >= 0:
-                    out[:, landing] = ynew
-                    next_out += 1
-                    if next_out >= times.size:
-                        t = t + h
-                        break
+            sched_t0.append(t)
+            sched_h.append(h)
+            sched_idx.append(landing)
+            if landing >= 0:
+                out[:, landing] = ynew
+                next_out += 1
+                if next_out >= times.size:
+                    break
             t = t + h
             np.copyto(y, ynew)
             np.copyto(k[0], k[6])

@@ -161,7 +161,6 @@ def node_forecast(
     """
     times = check_times(times)
     tau = net.time_map.to_unit(times) if net.time_map is not None else times
-    z0 = _pad_state(net, z0)
     if solver is None:
         if times.size < 2:
             raise ValueError("need at least two forecast times")

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import containers as io
 from .errors import NumericalError, ValidationError
-from .snapshot import CenteredSet, SnapshotSet, check_times
+from .snapshot import CenteredSet, SnapshotSet, check_times, lifted_field
 
 POD_MAGIC = b"POD1"
 
@@ -211,8 +211,10 @@ def reconstruct(basis: PodBasis, traj: LatentTrajectory) -> SnapshotSet:
         raise ValueError(
             f"trajectory has {traj.dim} coefficients, basis rank is {basis.m}"
         )
-    data = basis.mean[:, None] + basis.modes @ traj.coeffs
-    return SnapshotSet(data, traj.times, basis.component)
+    # an overflow is reported by lifted_field, without numpy's warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = basis.mean[:, None] + basis.modes @ traj.coeffs
+    return lifted_field(data, traj.times, basis.component)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import containers as io
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 SNP_MAGIC = b"SNP1"
 
@@ -44,6 +44,12 @@ def check_times(times) -> np.ndarray:
             f"indices {k} and {k + 1} ({times[k]!r} -> {times[k + 1]!r})"
         )
     return times
+
+
+def time_tolerance(times: np.ndarray) -> float:
+    """How far a time may be from one of `times` and still be the same
+    time: 1e-9 relative to the grid's largest magnitude, at least 1e-9."""
+    return 1e-9 * max(abs(times[0]), abs(times[-1]), 1.0)
 
 
 @dataclass(frozen=True)
@@ -84,6 +90,23 @@ class SnapshotSet:
     @property
     def n_snapshots(self) -> int:
         return self.data.shape[1]
+
+
+def lifted_field(data, times: np.ndarray, component: str) -> SnapshotSet:
+    """A full field lifted from finite model values, as a SnapshotSet. A
+    non-finite entry there can only be an overflow: a NumericalError naming
+    the first step and time it reaches. SnapshotSet's own check is the one
+    scan of a finite field."""
+    try:
+        return SnapshotSet(data, times, component)
+    except ValidationError:
+        bad = first_nonfinite(np.asarray(data).T)
+        if bad is None:
+            raise
+        k = bad[0]
+        raise NumericalError(
+            f"full field overflows at step {k} (t={times[k]:.6g})"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,14 @@ import numpy as np
 import pytest
 
 import nirom
+from nirom import cli as cli_mod
 from nirom import dmd as dmd_mod
 from nirom import rbf as rbf_mod
 from nirom.cli import main
 from nirom.containers import peek_magic
 from nirom.errors import FormatError
 from nirom.node import PRESETS, load_net
-from nirom.pod import load_basis
+from nirom.pod import PodBasis, load_basis, save_basis
 from nirom.snapshot import SnapshotSet, load_snapshots, save_snapshots
 
 WAVE_INPUT = {
@@ -255,6 +256,23 @@ def test_fit_dmd_rank_beyond_numerical_rank_is_numerical_error(
     assert "numerical rank" in capsys.readouterr().err
 
 
+def test_fit_node_without_epochs_writes_strict_json_meta(latent_dir, tmp_path):
+    cfg = write_cfg(tmp_path, node={"hidden": [4], "activation": "tanh",
+                                    "epochs": 0})
+    run_ok("fit", "--method", "node", "--config", cfg, "--out", str(latent_dir))
+    meta = latent_dir / "model_node.net.meta.json"
+    # NaN and Infinity are not JSON
+    tree = json.loads(meta.read_text(), parse_constant=pytest.fail)
+    assert tree["final_loss"] is None and tree["epochs"] == 0
+
+
+def test_meta_writer_refuses_nan(tmp_path):
+    target = tmp_path / "model.meta.json"
+    with pytest.raises(ValueError):
+        cli_mod._write_meta(target, method="node", final_loss=float("nan"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fit_writes_training_history(pipeline):
     with open(pipeline.out / "train_history.csv", newline="") as f:
         rows = list(csv.DictReader(f))
@@ -427,6 +445,22 @@ def test_predict_without_the_fit_record_exits_4(pipeline, tmp_path, capsys,
     assert meta.name in err
     if damage != "meta file":
         assert damage in err
+
+
+def test_predict_from_another_start_time_is_config_error(pipeline, tmp_path,
+                                                        capsys):
+    out, cfg = _predict_copy(pipeline, tmp_path)
+    doc = json.loads(Path(cfg).read_text())
+    doc["predict"]["t_start"] = 0.5
+    Path(cfg).write_text(json.dumps(doc))
+    for method in ("rbf", "node"):
+        (out / f"pred_{method}.snp").unlink()
+        assert run("predict", f"model_{method}.{_EXT[method]}",
+                   "--config", cfg) == 2, method
+        assert "'predict.t_start' is 0.5" in capsys.readouterr().err
+        assert not (out / f"pred_{method}.snp").exists()
+    # DMD keeps its own start time, so any grid after it is fine
+    run_ok("predict", "model_dmd.dmd", "--config", cfg)
 
 
 def test_predict_infinite_grid_end_is_config_error(train_grid, tmp_path,
@@ -691,6 +725,47 @@ def test_overflowing_rbf_forecast_exits_3(latent_dir, tmp_path):
         model_file)
     done = run_fresh("predict", "model_rbf.rbf", "--config", cfg)
     assert_numerical_failure(done, "RBF forecast became non-finite")
+    assert not (out / "pred_rbf.snp").exists()
+
+
+def test_dmd_field_overflow_exits_3(tmp_path):
+    # the spectral coefficients stay at 1e10; the 1e300 modes overflow them
+    cfg = write_cfg(tmp_path, dmd={"rank": 1},
+                    predict={"t_start": 0.0, "t_end": 3.0, "dt": 1.0})
+    dmd_mod.save_model(
+        dmd_mod.DmdModel(np.full((3, 1), 1e300), [1.0], [1e10], dt=1.0, t0=0.0),
+        tmp_path / "model_dmd.dmd")
+    done = run_fresh("predict", "model_dmd.dmd", "--config", cfg)
+    assert_numerical_failure(done, "overflows at step 0 (t=0)")
+    assert not (tmp_path / "pred_dmd.snp").exists()
+
+
+def test_rbf_field_overflow_exits_3(latent_dir, tmp_path):
+    # a still latent state of 1.5e308 on two 0.7 modes: the latent forecast
+    # is finite, its lift to the full field is not
+    out = tmp_path / "run"
+    shutil.copytree(latent_dir, out)
+    cfg = write_cfg(out, pod={"rank": 2}, rbf={"shape_factor": 1.0},
+                    predict={"t_start": 0.0, "t_end": 0.99, "dt": 0.01})
+    run_ok("fit", "--method", "rbf", "--config", cfg)
+    model_file = out / "model_rbf.rbf"
+    fitted = rbf_mod.load_model(model_file)
+    rbf_mod.save_model(rbf_mod.RbfModel(
+        fitted.centers, np.zeros_like(fitted.coefficients), 1.0), model_file)
+    latent = load_snapshots(out / "latent.snp")
+    save_snapshots(SnapshotSet(np.full_like(latent.data, 1.5e308), latent.times),
+                   out / "latent.snp")
+    basis = load_basis(out / "basis.pod")
+    save_basis(PodBasis(np.full_like(basis.modes, 0.7), basis.singular,
+                        basis.mean), out / "basis.pod")
+    meta = Path(str(model_file) + ".meta.json")
+    tree = json.loads(meta.read_text())
+    for key, name in (("basis_sha256", "basis.pod"),
+                      ("latent_sha256", "latent.snp")):
+        tree[key] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    meta.write_text(json.dumps(tree))
+    done = run_fresh("predict", "model_rbf.rbf", "--config", cfg)
+    assert_numerical_failure(done, "full field overflows at step 0 (t=0)")
     assert not (out / "pred_rbf.snp").exists()
 
 

@@ -182,6 +182,14 @@ def test_growing_mode_overflow_is_numerical_error():
         dmd_forecast(model, np.arange(3000.0))
 
 
+def test_field_overflow_of_finite_coefficients_is_numerical_error():
+    # the coefficients 10**k stay finite; the 1e300 modes lift them past the
+    # float range from step 9 on
+    model = DmdModel(np.full((3, 1), 1e300), [10.0], [1.0], dt=1.0, t0=0.0)
+    with pytest.raises(NumericalError, match=r"overflows at step 9 \(t=9\)"):
+        dmd_forecast(model, np.arange(12.0))
+
+
 @pytest.mark.parametrize("field", ["modes", "eigenvalues", "amplitudes"])
 def test_non_finite_model_rejected(field):
     parts = {"modes": np.ones((3, 1)), "eigenvalues": [0.5],

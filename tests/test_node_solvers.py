@@ -18,7 +18,7 @@ from nirom.node import (
 )
 from nirom.node import kernels
 from nirom.node.network import kernel_args, layer_views
-from nirom.node.solvers import build_schedule, tableau
+from nirom.node.solvers import RolloutPlan, build_schedule, fixed_rollout, tableau
 
 DECAY_PARAMS = np.array([-1.0, 0.0])
 
@@ -244,8 +244,8 @@ def test_dopri5_respects_tolerance(rtol, atol):
     assert np.all(np.abs(sol.coeffs[0] - exact) < bound)
 
 
-def test_dopri5_dense_output_between_steps():
-    # many closely spaced interior times force interpolation
+def test_dopri5_accurate_at_close_interior_times():
+    # every one of the closely spaced times ends a step
     times = np.linspace(0.0, 1.0, 101)
     sol = ode_solve(decay_net(), np.array([1.0]), times,
                     SolverSpec("dopri5", rtol=1e-8, atol=1e-10))
@@ -257,6 +257,28 @@ def test_dopri5_exceeding_max_steps():
     with pytest.raises(SolverError, match="max_steps"):
         ode_solve(decay_net(), np.array([1.0]), np.array([0.0, 100.0]),
                   SolverSpec("dopri5", rtol=1e-12, atol=1e-14, max_steps=5))
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_dopri5_max_steps_counts_every_interval(cached):
+    # four output intervals need at least four steps
+    plan = RolloutPlan(decay_net(), np.linspace(0.0, 1e-3, 5), SolverSpec(
+        "dopri5", max_steps=3), cached=cached)
+    with pytest.raises(SolverError, match="max_steps"):
+        fixed_rollout(plan, np.array([1.0]))
+
+
+def test_dopri5_result_is_its_schedule_replayed():
+    # the uncached solve returns the adaptive pass's own states; training
+    # replays the schedule that pass accepted, and must get the same bytes
+    net = stage_net()
+    times = np.array([0.0, 0.013, 0.3, 0.31, 0.8, 1.7])
+    z0 = np.array([0.4, -0.7, 0.25])
+    solver = SolverSpec("dopri5", rtol=1e-7, atol=1e-9)
+    got = ode_solve(net, z0, times, solver).coeffs
+    want, schedule = fixed_rollout(RolloutPlan(net, times, solver, cached=True), z0)
+    assert got.tobytes() == want.tobytes()
+    assert schedule[0].size > times.size
 
 
 def test_dopri5_non_finite_dynamics():

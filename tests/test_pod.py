@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nirom.errors import FormatError
+from nirom.errors import FormatError, NumericalError
 from nirom.pod import (
     LatentTrajectory,
     PodBasis,
@@ -263,6 +263,15 @@ def test_reconstruct_dimension_mismatch():
     basis = PodBasis(np.eye(3)[:, :2], np.array([2.0, 1.0]), np.zeros(3))
     with pytest.raises(ValueError):
         reconstruct(basis, LatentTrajectory(np.zeros((3, 2)), np.arange(2.0)))
+
+
+def test_reconstruct_overflow_is_numerical_error():
+    # each product 0.7 * 1.5e308 is finite; their sum over two modes is not
+    basis = PodBasis(np.full((4, 2), 0.7), np.ones(2), np.zeros(4))
+    coeffs = np.ones((2, 4))
+    coeffs[:, 2:] = 1.5e308
+    with pytest.raises(NumericalError, match=r"overflows at step 2 \(t=2\)"):
+        reconstruct(basis, LatentTrajectory(coeffs, np.arange(4.0)))
 
 
 def test_full_rank_round_trip():
