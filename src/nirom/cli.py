@@ -175,11 +175,15 @@ def _read_meta(pred_path: Path) -> tuple:
     meta = Path(str(pred_path) + ".meta.json")
     if not meta.exists():
         return method, 0, 0.0
-    return _read_json(meta, lambda tree: (
-        tree.get("method", method),
-        int(tree.get("latent_dim", 0)),
-        float(tree.get("runtime_seconds", 0.0)),
-    ))
+
+    def decode(tree):
+        recorded = tree.get("method", method)
+        if not isinstance(recorded, str):
+            raise TypeError(f"'method' is {recorded!r}, not a string")
+        return (recorded, int(tree.get("latent_dim", 0)),
+                float(tree.get("runtime_seconds", 0.0)))
+
+    return _read_json(meta, decode)
 
 
 def _metrics_reports(tree) -> list:

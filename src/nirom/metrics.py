@@ -1,6 +1,7 @@
 """Error measures over snapshot sets and plot-ready report emission."""
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 
@@ -26,6 +27,8 @@ class MetricsReport:
         rmse = np.asarray(self.rmse, dtype=np.float64)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "rmse", rmse)
+        if not (isinstance(self.method, str) and isinstance(self.component, str)):
+            raise ValueError("method and component must be strings")
         if times.ndim != 1 or times.shape != rmse.shape:
             raise ValueError("times and rmse must be vectors of equal length")
         if not np.all(np.isfinite(rmse)) or np.any(rmse < 0):
@@ -59,27 +62,81 @@ def spatial_rmse(
 CSV_HEADER = ["method", "component", "time", "rmse"]
 
 
+def _per_time_vector(reports: list[MetricsReport], fmt) -> dict:
+    """fmt(times) once per distinct time vector, keyed by its id: the
+    reports of one compare share the truth's times."""
+    out = {}
+    for rep in reports:
+        if id(rep.times) not in out:
+            out[id(rep.times)] = fmt(rep.times)
+    return out
+
+
+def _csv_text(reports: list[MetricsReport]) -> str:
+    """The rows csv.writer would write: the label fields go through it, for
+    its quoting and its CRLF line ends; the numbers never need quoting and
+    are formatted in bulk."""
+    head = io.StringIO()
+    csv.writer(head).writerow(CSV_HEADER)
+    parts = [head.getvalue()]
+    times_text = _per_time_vector(
+        reports, lambda times: [f"{t:.17g}" for t in times.tolist()])
+    for rep in reports:
+        label = io.StringIO()
+        csv.writer(label).writerow([rep.method, rep.component, ""])
+        prefix = label.getvalue().removesuffix("\r\n")
+        parts.append("".join([
+            f"{prefix}{t},{e:.17g}\r\n"
+            for t, e in zip(times_text[id(rep.times)], rep.rmse.tolist())
+        ]))
+    return "".join(parts)
+
+
+def _json_series(values: np.ndarray) -> str:
+    """A float list in json.dump's indent=2 layout at the depth of a series.
+    json's C encoder writes the numbers (float.__repr__, and NaN/Infinity
+    as json.dump would); none of them holds the ", " it separates them by."""
+    if values.size == 0:
+        return "[]"
+    flat = json.dumps(values.tolist())[1:-1]
+    return "[\n        " + flat.replace(", ", ",\n        ") + "\n      ]"
+
+
+def _json_text(reports: list[MetricsReport]) -> str:
+    """json.dumps(tree, indent=2) of the method -> component -> series tree,
+    in one pass: the pure-Python encoder that indent selects would format
+    every float of every series one call at a time."""
+    tree: dict = {}
+    for rep in reports:
+        tree.setdefault(rep.method, {})[rep.component] = rep
+    if not tree:
+        return "{}"
+    times_text = _per_time_vector(reports, _json_series)
+    methods = []
+    for method, components in tree.items():
+        bodies = [
+            f"    {json.dumps(component)}: {{\n"
+            f'      "latent_dim": {json.dumps(rep.latent_dim)},\n'
+            f'      "runtime_seconds": {json.dumps(rep.runtime_seconds)},\n'
+            f'      "times": {times_text[id(rep.times)]},\n'
+            f'      "rmse": {_json_series(rep.rmse)}\n'
+            "    }"
+            for component, rep in components.items()
+        ]
+        methods.append(
+            f"  {json.dumps(method)}: {{\n" + ",\n".join(bodies) + "\n  }")
+    return "{\n" + ",\n".join(methods) + "\n}"
+
+
 def report_emit(reports: list[MetricsReport], path, format: str = "csv") -> None:
     """CSV: one row per (method, component, time). JSON: nested by method,
-    then component, with the run metadata alongside the series."""
+    then component, with the run metadata alongside the series. Either file
+    is formatted whole and written at once."""
     if format == "csv":
-        with replacing(path, "w") as f:
-            w = csv.writer(f)
-            w.writerow(CSV_HEADER)
-            for rep in reports:
-                for t, e in zip(rep.times, rep.rmse):
-                    w.writerow([rep.method, rep.component, f"{t:.17g}", f"{e:.17g}"])
+        text = _csv_text(reports)
     elif format == "json":
-        tree: dict = {}
-        for rep in reports:
-            tree.setdefault(rep.method, {})[rep.component] = {
-                "latent_dim": rep.latent_dim,
-                "runtime_seconds": rep.runtime_seconds,
-                "times": rep.times.tolist(),
-                "rmse": rep.rmse.tolist(),
-            }
-        with replacing(path, "w") as f:
-            json.dump(tree, f, indent=2)
-            f.write("\n")
+        text = _json_text(reports) + "\n"
     else:
         raise ValueError(f"unknown report format {format!r}")
+    with replacing(path, "w") as f:
+        f.write(text)

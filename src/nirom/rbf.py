@@ -11,7 +11,6 @@ predecessor.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import containers as io
 from .errors import FitError, NumericalError
@@ -25,6 +24,10 @@ _KERNEL_ID = 0
 
 #: relative residual allowed on the interpolation system after solving
 FIT_RESIDUAL_RTOL = 1e-8
+
+#: most centers a fit accepts: the interpolation system is a dense Mc x Mc
+#: matrix, 512 MiB of float64 at this count, and the fit holds a few of them
+MAX_CENTERS = 8192
 
 
 @dataclass(frozen=True)
@@ -70,8 +73,16 @@ def build_derivatives(traj: LatentTrajectory) -> np.ndarray:
 
 
 def _distance_matrix(centers: np.ndarray) -> np.ndarray:
-    d = centers[:, :, None] - centers[:, None, :]
-    return np.sqrt(np.sum(d * d, axis=0))
+    """Pairwise Euclidean distances of the columns, summing the squared
+    component differences in component order into one Mc x Mc buffer."""
+    mc = centers.shape[1]
+    r = np.zeros((mc, mc))
+    d = np.empty((mc, mc))
+    for row in centers:
+        np.subtract(row[:, None], row[None, :], out=d)
+        np.multiply(d, d, out=d)
+        r += d
+    return np.sqrt(r, out=r)
 
 
 def fit(traj: LatentTrajectory, c: float) -> RbfModel:
@@ -80,6 +91,12 @@ def fit(traj: LatentTrajectory, c: float) -> RbfModel:
     with a small diagonal shift before giving up."""
     if c <= 0:
         raise ValueError(f"shape factor must be positive, got {c}")
+    if traj.n_steps - 1 > MAX_CENTERS:
+        raise ValueError(
+            f"{traj.n_steps - 1} RBF centers (one per snapshot but the last) "
+            f"exceed the limit of {MAX_CENTERS}; fit on fewer snapshots, "
+            "e.g. with a coarser 'input.dt'"
+        )
     targets = build_derivatives(traj)
     centers = traj.coeffs[:, :-1].copy()
     mc = centers.shape[1]
@@ -93,6 +110,10 @@ def fit(traj: LatentTrajectory, c: float) -> RbfModel:
     a = np.exp(-c * r)
     g = targets.T  # (Mc, m), one rhs per latent component
     gnorm = np.linalg.norm(g, axis=0)
+
+    # imported here, its only use, to keep scipy off every other command's
+    # start-up
+    import scipy.linalg
 
     shift = 0.0
     for attempt in range(2):
@@ -138,16 +159,29 @@ def forecast(model: RbfModel, z0: np.ndarray, times: np.ndarray) -> LatentTrajec
     # row-major copies
     centers = np.ascontiguousarray(model.centers)
     coeffs = np.ascontiguousarray(model.coefficients)
-    c = float(model.shape_factor)
+    neg_c = -float(model.shape_factor)
     out = np.empty((model.dim, times.size))
     out[:, 0] = z0
-    z = z0
+    # each step is _field's operations in its order, written into buffers,
+    # and the state update written straight into the next column of out
+    d = np.empty_like(centers)
+    w = np.empty(model.n_centers)
+    f = np.empty(model.dim)
+    cols = out.T
     # a far state's squared distance overflows to an exact zero weight, and
     # a blown-up state overflows quietly; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(times.size - 1):
-            z = z + (times[k + 1] - times[k]) * _field(centers, coeffs, c, z)
-            out[:, k + 1] = z
+        for dt, z, z_next in zip(np.diff(times).tolist(), cols[:-1, :, None],
+                                 cols[1:]):
+            np.subtract(centers, z, out=d)
+            np.multiply(d, d, out=d)
+            np.add.reduce(d, axis=0, out=w)
+            np.sqrt(w, out=w)
+            np.multiply(neg_c, w, out=w)
+            np.exp(w, out=w)
+            np.dot(coeffs, w, out=f)
+            np.multiply(dt, f, out=f)
+            np.add(z[:, 0], f, out=z_next)
     bad = first_nonfinite(out.T)
     if bad is not None:
         k = bad[0]

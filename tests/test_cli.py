@@ -576,8 +576,9 @@ def test_report_missing_or_mistyped_key_exits_4(tmp_path, capsys, tree):
 
 
 @pytest.mark.parametrize("meta", [
-    "{broken", "[1]", '{"latent_dim": "two"}',
-], ids=["not-json", "list", "latent-str"])
+    "{broken", "[1]", '{"latent_dim": "two"}', '{"method": 5}',
+    '{"method": ["rbf"]}',
+], ids=["not-json", "list", "latent-str", "method-int", "method-list"])
 def test_compare_corrupt_prediction_meta_exits_4(train_grid, tmp_path, capsys,
                                                  meta):
     pred = tmp_path / "pred_rbf.snp"
@@ -779,6 +780,42 @@ def test_fit_rbf_unsolvable_system_exits_3(latent_dir, tmp_path, capsys):
     assert run("fit", "--method", "rbf", "--config", cfg) == 3
     assert "diagonal shift" in capsys.readouterr().err
     assert not (out / "model_rbf.rbf").exists()
+
+
+def test_fit_rbf_beyond_the_center_limit_exits_2(tmp_path, capsys):
+    # one input time more than MAX_CENTERS + 1: one center too many
+    dt = 2.0 ** -10
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "input": dict(WAVE_INPUT, grid_points=8, dt=dt,
+                      t_end=(rbf_mod.MAX_CENTERS + 1) * dt),
+        "output_dir": str(tmp_path), "pod": {"rank": 2},
+        "rbf": {"shape_factor": 1.0},
+    }))
+    run_ok("generate", "--config", str(cfg))
+    run_ok("decompose", "--config", str(cfg))
+    latent = load_snapshots(tmp_path / "latent.snp")
+    assert latent.n_snapshots == rbf_mod.MAX_CENTERS + 2
+    capsys.readouterr()
+    assert run("fit", "--method", "rbf", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert f"{rbf_mod.MAX_CENTERS + 1} RBF centers" in err
+    assert f"limit of {rbf_mod.MAX_CENTERS}" in err
+    assert "'input.dt'" in err
+    assert not (tmp_path / "model_rbf.rbf").exists()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # only fit --method rbf needs scipy, and imports it itself
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nirom.cli; print(sorted(m for m in sys.modules"
+         " if m.partition('.')[0] == 'scipy'))"],
+        env=dict(os.environ, PYTHONPATH=str(Path(nirom.__file__).parents[1])),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_full_pipeline_is_byte_deterministic(tmp_path):

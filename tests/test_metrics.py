@@ -5,8 +5,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nirom.metrics import MetricsReport, report_emit, spatial_rmse
+from nirom.cli import main
+from nirom.metrics import CSV_HEADER, MetricsReport, report_emit, spatial_rmse
 from nirom.snapshot import SnapshotSet
 
 
@@ -112,6 +115,125 @@ def test_json_round_trip_exact(tmp_path):
     assert node["runtime_seconds"] == 1.25
     assert node["times"] == rep.times.tolist()
     assert node["rmse"] == rep.rmse.tolist()
+
+
+def reference_emit(reports, path, format):
+    """The row-at-a-time csv.writer / json.dump writer that report_emit
+    must match byte for byte."""
+    if format == "csv":
+        with open(path, "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(CSV_HEADER)
+            for rep in reports:
+                for t, e in zip(rep.times, rep.rmse):
+                    w.writerow([rep.method, rep.component, f"{t:.17g}", f"{e:.17g}"])
+    else:
+        tree: dict = {}
+        for rep in reports:
+            tree.setdefault(rep.method, {})[rep.component] = {
+                "latent_dim": rep.latent_dim,
+                "runtime_seconds": rep.runtime_seconds,
+                "times": rep.times.tolist(),
+                "rmse": rep.rmse.tolist(),
+            }
+        with open(path, "w", newline="") as f:
+            json.dump(tree, f, indent=2)
+            f.write("\n")
+
+
+def assert_emits_like_reference(reports, tmp_path):
+    for fmt in ("csv", "json"):
+        got, want = tmp_path / f"got.{fmt}", tmp_path / f"want.{fmt}"
+        report_emit(reports, got, fmt)
+        reference_emit(reports, want, fmt)
+        assert got.read_bytes() == want.read_bytes(), fmt
+
+
+AWKWARD_LABELS = ["a,b", 'say "hi"', "two\nlines", "cr\r", "Üñï-ß ∂t",
+                  "50%", "", " lead", "tab\t", "\\u0000"]
+
+
+def awkward_reports() -> list:
+    rng = np.random.default_rng(3)
+    shared = np.linspace(0.0, 1.0, 7)  # as in compare, one time vector
+    reports = [
+        MetricsReport(method, component, shared,
+                      rng.random(7) * 10.0 ** rng.integers(-300, 300, 7),
+                      latent_dim=i, runtime_seconds=rng.random())
+        for i, (method, component) in enumerate(
+            zip(AWKWARD_LABELS, reversed(AWKWARD_LABELS)))
+    ]
+    reports.append(MetricsReport("rbf", "u", np.array([-0.0, 5e-324, 1e308]),
+                                 np.array([-0.0, 5e-324, 1e308]), 2, 0.0))
+    reports.append(MetricsReport("rbf", "one", np.array([2.5]), np.array([0.1]),
+                                 1, 1e308))
+    reports.append(MetricsReport("dmd", "none", np.array([]), np.array([]),
+                                 0, 5e-324))
+    # a repeated (method, component) replaces the earlier JSON series in place
+    reports.append(MetricsReport(AWKWARD_LABELS[0], AWKWARD_LABELS[-1],
+                                 np.array([0.0, 0.5]), np.array([1.0, 2.0]),
+                                 3, 4.0))
+    reports.append(MetricsReport(AWKWARD_LABELS[1], "later", np.array([0.0]),
+                                 np.array([0.0]), 1, 0.0))
+    return reports
+
+
+def test_emit_matches_reference_on_awkward_reports(tmp_path):
+    assert_emits_like_reference(awkward_reports(), tmp_path)
+
+
+def test_emit_matches_reference_on_non_finite_times(tmp_path):
+    # only a re-emitted metrics.json can carry these: json reads NaN and
+    # Infinity, and MetricsReport checks the rmse alone
+    rep = MetricsReport("rbf", "u", np.array([np.nan, np.inf, -np.inf]),
+                        np.zeros(3), 2, float("nan"))
+    assert_emits_like_reference([rep], tmp_path)
+
+
+def test_emit_matches_reference_on_empty_list(tmp_path):
+    assert_emits_like_reference([], tmp_path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(
+    st.text(max_size=6), st.text(max_size=6),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=5),
+    st.integers(0, 1 << 70),
+    st.floats(allow_nan=False),
+), max_size=4))
+def test_emit_matches_reference_on_random_reports(tmp_path_factory, specs):
+    tmp_path = tmp_path_factory.mktemp("emit")
+    reports = [
+        MetricsReport(method, component, np.sort(values), np.abs(values),
+                      latent_dim, runtime)
+        for method, component, values, latent_dim, runtime in specs
+    ]
+    assert_emits_like_reference(reports, tmp_path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_command_reemits_like_reference(tmp_path, fmt):
+    reports = awkward_reports()
+    source = tmp_path / "metrics.json"
+    reference_emit(reports, source, "json")
+    out = tmp_path / "out"
+    assert main(["report", str(source), "--format", fmt, "--out", str(out)]) == 0
+    # the re-read tree holds one body per (method, component), grouped by
+    # method in order of first appearance
+    tree: dict = {}
+    for rep in reports:
+        tree.setdefault(rep.method, {})[rep.component] = rep
+    regrouped = [rep for bodies in tree.values() for rep in bodies.values()]
+    want = tmp_path / f"want.{fmt}"
+    reference_emit(regrouped, want, fmt)
+    assert (out / f"metrics.{fmt}").read_bytes() == want.read_bytes()
+
+
+def test_labels_must_be_strings():
+    with pytest.raises(ValueError, match="strings"):
+        MetricsReport(5, "u", np.array([0.0]), np.array([0.0]), 1, 0.0)
+    with pytest.raises(ValueError, match="strings"):
+        MetricsReport("rbf", None, np.array([0.0]), np.array([0.0]), 1, 0.0)
 
 
 def test_invalid_rmse_rejected():

@@ -4,13 +4,18 @@ The 2-center coefficients and the midpoint value are frozen from the closed
 form of the 2x2 interpolation system solved by hand.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from nirom.errors import FitError, FormatError, NumericalError
 from nirom.pod import LatentTrajectory, project, reconstruct, thin_svd, truncate
 from nirom.rbf import (
+    MAX_CENTERS,
     RbfModel,
+    _distance_matrix,
+    _field,
     build_derivatives,
     eval_dynamics,
     fit,
@@ -154,6 +159,36 @@ def test_fit_shifted_solve_rescues_a_singular_system():
     assert np.allclose(model.coefficients, 5e-18, rtol=1e-5, atol=0)
 
 
+def test_distance_matrix_matches_the_stacked_difference_sum():
+    # the (m, Mc, Mc) difference stack summed over its first axis, which the
+    # one-buffer accumulation replaced
+    rng = np.random.default_rng(4)
+    for m, mc in [(1, 1), (1, 9), (3, 40), (8, 120)]:
+        z = rng.standard_normal((m, mc)) * 10.0 ** rng.uniform(-100, 100, (m, 1))
+        d = z[:, :, None] - z[:, None, :]
+        assert np.array_equal(_distance_matrix(z),
+                              np.sqrt(np.sum(d * d, axis=0)))
+
+
+def test_fit_refuses_centers_beyond_the_limit_before_allocating():
+    # one center per snapshot but the last: MAX_CENTERS + 1 centers, whose
+    # system matrix alone would take over 512 MiB
+    t = np.arange(MAX_CENTERS + 2.0)
+    traj = LatentTrajectory(np.vstack([np.sin(t), np.cos(t)]), t)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            fit(traj, c=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    message = str(err.value)
+    assert f"{MAX_CENTERS + 1} RBF centers" in message
+    assert f"limit of {MAX_CENTERS}" in message
+    assert "'input.dt'" in message
+    assert peak < 1 << 20
+
+
 def test_interpolation_matrix_positive_definite():
     rng = np.random.default_rng(1)
     z = rng.standard_normal((3, 25))
@@ -227,6 +262,42 @@ def test_decreasing_times_rejected():
     model = RbfModel(np.ones((1, 2)), np.ones((1, 2)), shape_factor=1.0)
     with pytest.raises(ValueError):
         forecast(model, np.array([0.0]), np.array([0.0, 1.0, 0.5]))
+
+
+def field_loop(model, z0, times):
+    """Forward Euler through _field, one fresh array per operation: the
+    reference the buffered forecast loop must match byte for byte."""
+    centers = np.ascontiguousarray(model.centers)
+    coeffs = np.ascontiguousarray(model.coefficients)
+    out = np.empty((model.dim, times.size))
+    out[:, 0] = z = z0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(times.size - 1):
+            z = z + (times[k + 1] - times[k]) * _field(
+                centers, coeffs, float(model.shape_factor), z)
+            out[:, k + 1] = z
+    return out
+
+
+def test_forecast_matches_the_field_loop_bytewise(tmp_path):
+    rng = np.random.default_rng(5)
+    save_model(fit(smooth_traj(), c=0.8), tmp_path / "m.rbf")
+    models = [
+        load_model(tmp_path / "m.rbf"),  # column-major arrays
+        fit(LatentTrajectory(rng.standard_normal((1, 12)).cumsum(axis=1),
+                             np.arange(12.0)), c=0.3),
+        RbfModel(rng.standard_normal((4, 30)), rng.standard_normal((4, 30)),
+                 shape_factor=2.5),
+    ]
+    for model in models:
+        for times in (np.linspace(0.0, 3.0, 301),
+                      np.cumsum(rng.uniform(0.001, 0.05, 200))):
+            z0 = model.centers[:, 0] + 0.01
+            got = forecast(model, z0, times).coeffs
+            assert got.tobytes() == field_loop(model, z0, times).tobytes()
+    far = forecast(models[2], np.full(4, 1e200), np.arange(3.0)).coeffs
+    assert far.tobytes() == field_loop(models[2], np.full(4, 1e200),
+                                       np.arange(3.0)).tobytes()
 
 
 def test_training_grid_forecast_is_identity():
