@@ -366,23 +366,26 @@ def cmd_predict(cfg: PipelineConfig, out: Path, model_path: str) -> None:
     print(target)
 
 
+def _metrics_report(path: Path, truth: SnapshotSet) -> MetricsReport:
+    """One prediction's report; the prediction is freed on return, so
+    ``compare`` holds the truth and at most one prediction."""
+    pred = load_snapshots(path)
+    method, latent_dim, runtime_seconds = _read_meta(path)
+    series = spatial_rmse(pred, truth)
+    log.info("%s: max rmse %.3e", method, float(np.max(series)))
+    return MetricsReport(
+        method=method,
+        component=pred.component,
+        times=truth.times,
+        rmse=series,
+        latent_dim=latent_dim,
+        runtime_seconds=runtime_seconds,
+    )
+
+
 def cmd_compare(out: Path, truth_path: str, pred_paths) -> None:
     truth = load_snapshots(_find(out, truth_path))
-    reports = []
-    for raw in pred_paths:
-        p = _find(out, raw)
-        pred = load_snapshots(p)
-        method, latent_dim, runtime_seconds = _read_meta(p)
-        series = spatial_rmse(pred, truth)
-        reports.append(MetricsReport(
-            method=method,
-            component=pred.component,
-            times=truth.times,
-            rmse=series,
-            latent_dim=latent_dim,
-            runtime_seconds=runtime_seconds,
-        ))
-        log.info("%s: max rmse %.3e", method, float(np.max(series)))
+    reports = [_metrics_report(_find(out, raw), truth) for raw in pred_paths]
     report_emit(reports, out / FILE_METRICS_CSV, "csv")
     report_emit(reports, out / FILE_METRICS_JSON, "json")
     print(out / FILE_METRICS_JSON)

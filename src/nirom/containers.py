@@ -75,9 +75,9 @@ def reading(path, magic: bytes):
             raise FormatError(f"{os.fspath(path)}: {exc}") from exc
 
 
-def _read_exact(f, n: int) -> bytes:
-    """Read n bytes, refusing a negative size or one beyond the end of the
-    file before anything is allocated for it."""
+def _check_left(f, n: int) -> None:
+    """Refuse a negative size, or one beyond the end of the file, before
+    anything is allocated for it."""
     pos = f.tell()
     left = f.seek(0, os.SEEK_END) - pos
     f.seek(pos)
@@ -85,7 +85,25 @@ def _read_exact(f, n: int) -> bytes:
         raise FormatError(f"negative length {n}")
     if n > left:
         raise FormatError(f"truncated file: expected {n} bytes, got {left}")
+
+
+def _read_exact(f, n: int) -> bytes:
+    """Read n bytes that ``_check_left`` found in the file."""
+    _check_left(f, n)
     return f.read(n)
+
+
+def _read_array(f, shape, dtype: str) -> np.ndarray:
+    """A column-major array of ``shape`` read straight into its buffer; the
+    size is checked against the file before the array is allocated."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    _check_left(f, nbytes)
+    # the reversed shape in row-major order is ``shape`` in column-major
+    flipped = np.empty(shape[::-1], dtype=dtype)
+    got = f.readinto(flipped)
+    if got != nbytes:
+        raise FormatError(f"truncated file: expected {nbytes} bytes, got {got}")
+    return flipped.T.astype(flipped.dtype.newbyteorder("="), copy=False)
 
 
 def peek_magic(path) -> bytes:
@@ -137,35 +155,35 @@ def read_label(f) -> str:
     return _read_exact(f, read_u16(f)).decode("utf-8")
 
 
+def _write_array(f, a: np.ndarray, dtype: str) -> None:
+    """Column-major payload, written through the array's own buffer when it
+    already is column-major in ``dtype``."""
+    f.write(np.asarray(a, dtype=dtype).ravel(order="F"))
+
+
 def write_f64_vector(f, v: np.ndarray) -> None:
-    f.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
+    _write_array(f, v, "<f8")
 
 
 def read_f64_vector(f, n: int) -> np.ndarray:
-    buf = _read_exact(f, 8 * n)
-    return np.frombuffer(buf, dtype="<f8", count=n).astype(np.float64)
+    return _read_array(f, (n,), "<f8")
 
 
 def write_f64_matrix(f, a: np.ndarray) -> None:
     """Column-major f64 payload."""
-    f.write(np.asarray(a, dtype="<f8").tobytes(order="F"))
+    _write_array(f, a, "<f8")
 
 
 def read_f64_matrix(f, rows: int, cols: int) -> np.ndarray:
-    buf = _read_exact(f, 8 * rows * cols)
-    flat = np.frombuffer(buf, dtype="<f8", count=rows * cols)
-    return flat.reshape((rows, cols), order="F").astype(np.float64)
+    return _read_array(f, (rows, cols), "<f8")
 
 
 def write_c128_array(f, a: np.ndarray) -> None:
     """Interleaved (real, imag) f64 pairs, column-major for matrices. These
     are exactly the bytes of "<c16", so neither direction needs arithmetic
     and every bit round-trips."""
-    f.write(np.asarray(a, dtype="<c16").tobytes(order="F"))
+    _write_array(f, a, "<c16")
 
 
 def read_c128_array(f, shape) -> np.ndarray:
-    size = math.prod(shape)
-    buf = _read_exact(f, 16 * size)
-    flat = np.frombuffer(buf, dtype="<c16", count=size)
-    return flat.reshape(shape, order="F").astype(np.complex128)
+    return _read_array(f, shape, "<c16")

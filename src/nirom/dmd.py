@@ -72,15 +72,13 @@ def dmd_fit(snapshots: SnapshotSet, r: int) -> DmdModel:
         raise ValueError(f"rank must be in [1, {min(n, m - 1)}], got {r}")
 
     x, xp = data[:, :-1], data[:, 1:]
-    svd = thin_svd_matrix(x)
+    svd = thin_svd_matrix(x, r)
     if r > svd.rank:
         raise NumericalError(
             f"requested rank {r} exceeds the numerical rank {svd.rank} of the "
             f"snapshot matrix; choose r <= {svd.rank}"
         )
-    u = svd.left[:, :r]
-    sigma = svd.singular[:r]
-    v = svd.right[:, :r]
+    u, sigma, v = svd.left, svd.singular, svd.right
 
     lift = (xp @ v) / sigma  # X' V Sigma^-1, reused for modes
     atilde = u.T @ lift

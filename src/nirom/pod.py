@@ -95,8 +95,23 @@ class LatentTrajectory:
         return self.coeffs.shape[1]
 
 
-def _gram_svd(s: np.ndarray):
-    """Thin SVD of s (n x m, m <= n) via eigendecomposition of s.T @ s."""
+def _lift(s: np.ndarray, sigma: np.ndarray, v: np.ndarray):
+    """SVD triplets of s lifted from its Gram eigenpairs (sigma, v), less
+    those the polish puts at or below ``RANK_RTOL``."""
+    # Recovered left vectors lose orthogonality roughly as sigma[0]/sigma[i];
+    # polish with QR and an exact small SVD of the triangular residue.
+    u0 = (s @ v) / sigma
+    q, r = np.linalg.qr(u0)
+    p, d, wt = np.linalg.svd(r * sigma)
+    left = q @ p
+    right = v @ wt.T
+    keep = d > RANK_RTOL * d[0]
+    return left[:, keep], d[keep], right[:, keep]
+
+
+def _gram_svd(s: np.ndarray, count: int | None = None):
+    """Leading ``count`` triplets (all for None) of the thin SVD of s
+    (n x m, m <= n) via eigendecomposition of s.T @ s."""
     try:
         w, v = np.linalg.eigh(s.T @ s)
     except np.linalg.LinAlgError as exc:
@@ -110,15 +125,19 @@ def _gram_svd(s: np.ndarray):
     keep = sigma > RANK_RTOL * sigma[0]
     sigma, v = sigma[keep], v[:, keep]
 
-    # Recovered left vectors lose orthogonality roughly as sigma[0]/sigma[i];
-    # polish with QR and an exact small SVD of the triangular residue.
-    u0 = (s @ v) / sigma
-    q, r = np.linalg.qr(u0)
-    p, d, wt = np.linalg.svd(r * sigma)
-    left = q @ p
-    right = v @ wt.T
-    keep = d > RANK_RTOL * d[0]
-    return left[:, keep], d[keep], right[:, keep]
+    if count is not None and count < sigma.size:
+        # The Gram eigenvectors carry about eps * sigma[0]**2 of roundoff,
+        # so the leading count of them span the right subspace only while
+        # sigma[count - 1] stands well above it. The short lift is taken
+        # when it keeps every column and each triplet satisfies
+        # s.T @ u = d * v to RANK_RTOL * d; otherwise every kept column is
+        # lifted, as for the whole spectrum.
+        left, d, right = _lift(s, sigma[:count], v[:, :count])
+        residual = np.linalg.norm(s.T @ left - right * d, axis=0)
+        if d.size == count and np.all(residual <= RANK_RTOL * d):
+            return left, d, right
+    left, d, right = _lift(s, sigma, v)
+    return left[:, :count], d[:count], right[:, :count]
 
 
 def _signed(left: np.ndarray, sigma: np.ndarray, right: np.ndarray) -> ThinSvd:
@@ -132,16 +151,17 @@ def _signed(left: np.ndarray, sigma: np.ndarray, right: np.ndarray) -> ThinSvd:
     return ThinSvd(left, sigma, right)
 
 
-def thin_svd_matrix(s: np.ndarray) -> ThinSvd:
-    """Deterministic thin SVD of an arbitrary real matrix."""
+def thin_svd_matrix(s: np.ndarray, count: int | None = None) -> ThinSvd:
+    """Deterministic thin SVD of an arbitrary real matrix: its leading
+    ``count`` triplets, or all of its numerical rank for None."""
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2:
         raise ValueError("expected a 2-D matrix")
     n, m = s.shape
     if m <= n:
-        left, sigma, right = _gram_svd(s)
+        left, sigma, right = _gram_svd(s, count)
     else:
-        right, sigma, left = _gram_svd(s.T)
+        right, sigma, left = _gram_svd(s.T, count)
     return _signed(left, sigma, right)
 
 

@@ -21,10 +21,10 @@ SYNTHETIC_KINDS = ("traveling_wave", "linear_system", "harmonic_latent")
 
 def first_nonfinite(a: np.ndarray):
     """(row, col) of the first non-finite entry, or None."""
-    bad = ~np.isfinite(a)
-    if not bad.any():
+    finite = np.isfinite(a)
+    if finite.all():
         return None
-    i, k = np.unravel_index(np.argmax(bad), a.shape)
+    i, k = np.unravel_index(np.argmin(finite), a.shape)
     return int(i), int(k)
 
 

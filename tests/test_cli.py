@@ -181,6 +181,24 @@ def test_spectrum_csv_final_cumulative_energy_is_one(pipeline):
     assert np.all(np.diff(cum) >= 0)
 
 
+def test_spectrum_csv_holds_the_polished_spectrum(pipeline):
+    # the wave is rank 2: only two values survive the polish, and the basis
+    # lifts exactly those
+    with open(pipeline.out / "spectrum.csv", newline="") as f:
+        sv = np.array([float(r["singular_value"]) for r in csv.DictReader(f)])
+    assert sv.size == 2
+    basis = load_basis(pipeline.out / "basis.pod")
+    assert np.all(np.abs(basis.singular - sv[:basis.m]) <= 1e-12 * sv[:basis.m])
+
+
+def test_decompose_rank_beyond_numerical_rank_is_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, pod={"rank": 3}, dmd={"rank": 2})
+    run_ok("generate", "--config", cfg)
+    assert run("decompose", "--config", cfg) == 2
+    assert "rank must be in [1, 2], got 3" in capsys.readouterr().err
+    assert not (tmp_path / "basis.pod").exists()
+
+
 def test_decompose_writes_latent_trajectory(pipeline):
     latent = load_snapshots(pipeline.out / "latent.snp")
     assert latent.data.shape == (2, 100)

@@ -1,10 +1,12 @@
 """The container frame shared by SNP1, POD1, RBF1, DMD1 and NET1: corrupt
-files fail only as FormatError or ValidationError, and a failed save leaves
-the previous file untouched."""
+files fail only as FormatError or ValidationError, a failed save leaves
+the previous file untouched, and a load reads each payload straight into
+its array."""
 
 import os
 import re
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -131,3 +133,20 @@ def test_failed_save_keeps_old_file_and_leaves_no_temp(tmp_path):
         save_basis(replace(_BASIS, component="x" * 0x10000), path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["basis.pod"]
+
+
+def test_large_snapshot_load_allocates_little_beyond_its_array(tmp_path):
+    snap = SnapshotSet(np.random.default_rng(1).standard_normal((4000, 250)),
+                       np.arange(250.0))
+    path = tmp_path / "big.snp"
+    save_snapshots(snap, path)
+    tracemalloc.start()
+    try:
+        back = load_snapshots(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * snap.data.nbytes
+    assert back.data.flags.f_contiguous
+    assert np.array_equal(back.data, snap.data)
+    assert path.read_bytes()[-snap.data.nbytes:] == snap.data.tobytes(order="F")

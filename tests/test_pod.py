@@ -2,7 +2,9 @@
 
 The traveling-wave singular values are frozen from an oracle that assembled
 the matrix directly from the sine identity and factored it with a dense SVD,
-cross-checked against square roots of Gram-matrix eigenvalues.
+cross-checked against square roots of Gram-matrix eigenvalues. The lift of
+leading triplets is checked against ``_gram_svd``, which lifts and polishes
+every column the Gram cut keeps.
 """
 
 import numpy as np
@@ -12,9 +14,11 @@ from hypothesis import strategies as st
 
 from nirom.errors import FormatError, NumericalError
 from nirom.pod import (
+    RANK_RTOL,
     LatentTrajectory,
     PodBasis,
     ThinSvd,
+    _signed,
     energy_spectrum,
     load_basis,
     project,
@@ -40,6 +44,59 @@ def eye_svd(n: int, singular) -> ThinSvd:
     singular = np.asarray(singular, dtype=np.float64)
     r = singular.size
     return ThinSvd(np.eye(n)[:, :r], singular, np.eye(n)[:, :r])
+
+
+def _gram_svd(s: np.ndarray):
+    """Reference: thin SVD of s (n x m, m <= n) via eigendecomposition of
+    s.T @ s, lifting and polishing every column the Gram cut keeps."""
+    w, v = np.linalg.eigh(s.T @ s)
+    w = np.maximum(w[::-1], 0.0)
+    v = v[:, ::-1]
+    sigma = np.sqrt(w)
+    if sigma.size == 0 or sigma[0] == 0.0:
+        n, m = s.shape
+        return np.zeros((n, 0)), np.zeros(0), np.zeros((m, 0))
+    keep = sigma > RANK_RTOL * sigma[0]
+    sigma, v = sigma[keep], v[:, keep]
+    u0 = (s @ v) / sigma
+    q, r = np.linalg.qr(u0)
+    p, d, wt = np.linalg.svd(r * sigma)
+    left = q @ p
+    right = v @ wt.T
+    keep = d > RANK_RTOL * d[0]
+    return left[:, keep], d[keep], right[:, keep]
+
+
+def reference_svd(s: np.ndarray) -> ThinSvd:
+    n, m = s.shape
+    if m <= n:
+        left, sigma, right = _gram_svd(s)
+    else:
+        right, sigma, left = _gram_svd(s.T)
+    return _signed(left, sigma, right)
+
+
+def _graded() -> np.ndarray:
+    # columns scaled over 12 orders of magnitude stress the Gram route
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((30, 8)))
+    return q @ np.diag(10.0 ** -np.arange(0, 12, 1.5)) @ rng.standard_normal((8, 15))
+
+
+def _low_rank(n: int, m: int, rank: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, rank)) @ rng.standard_normal((rank, m))
+
+
+COUNT_CASES = {
+    "full-rank-tall": np.random.default_rng(10).standard_normal((40, 12)),
+    "full-rank-wide": np.random.default_rng(11).standard_normal((12, 40)),
+    "rank-deficient-tall": _low_rank(40, 12, 5, 12),
+    "rank-deficient-wide": _low_rank(12, 40, 5, 13),
+    # values down to 1e-11 of the largest, below the Gram's roundoff
+    "graded-tall": _graded(),
+    "graded-wide": _graded().T,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -99,10 +156,7 @@ def test_reassembly_matches_input():
 
 
 def test_graded_spectrum_stays_orthonormal():
-    # columns scaled over 12 orders of magnitude stress the Gram route
-    rng = np.random.default_rng(3)
-    q, _ = np.linalg.qr(rng.standard_normal((30, 8)))
-    s = q @ np.diag(10.0 ** -np.arange(0, 12, 1.5)) @ rng.standard_normal((8, 15))
+    s = _graded()
     out = thin_svd_matrix(s)
     r = out.rank
     assert np.max(np.abs(out.left.T @ out.left - np.eye(r))) < 1e-10
@@ -130,6 +184,46 @@ def test_sign_convention():
 def test_zero_matrix_has_rank_zero():
     out = thin_svd_matrix(np.zeros((4, 3)))
     assert out.rank == 0
+
+
+@pytest.mark.parametrize("case", sorted(COUNT_CASES))
+def test_leading_triplets_match_full_lift(case):
+    s = COUNT_CASES[case]
+    ref = reference_svd(s)
+    d = ref.singular
+    # a value is well separated when its nearest neighbour is 1% away
+    gaps = np.abs(np.diff(d)) / d[:-1]
+    separated = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf)) > 1e-2
+    for count in range(1, ref.rank + 3):
+        out = thin_svd_matrix(s, count)
+        k = min(count, ref.rank)
+        assert out.rank == k, count
+        assert np.all(np.abs(out.singular - d[:k]) <= 1e-12 * d[:k]), count
+        for j in np.flatnonzero(separated[:k]):
+            assert np.max(np.abs(out.left[:, j] - ref.left[:, j])) <= 1e-12
+            assert np.max(np.abs(out.right[:, j] - ref.right[:, j])) <= 1e-12
+
+
+@pytest.mark.parametrize("case", sorted(COUNT_CASES))
+def test_every_kept_column_is_the_full_lift(case):
+    s = COUNT_CASES[case]
+    ref, out = reference_svd(s), thin_svd_matrix(s)
+    assert out.left.tobytes() == ref.left.tobytes()
+    assert out.singular.tobytes() == ref.singular.tobytes()
+    assert out.right.tobytes() == ref.right.tobytes()
+
+
+def test_numerical_rank_is_unchanged():
+    # without a count every kept column is lifted, so spectrum.csv keeps
+    # its rows
+    assert thin_svd_matrix(_graded()).rank == 8
+    assert thin_svd(wave_centered()).rank == 2
+
+
+def test_rank_beyond_the_spectrum_rejected():
+    c = wave_centered()
+    with pytest.raises(ValueError, match=r"rank must be in \[1, 2\], got 3"):
+        truncate(thin_svd_matrix(c.deviations, 3), c.mean, rank=3)
 
 
 @settings(max_examples=20, deadline=None)
