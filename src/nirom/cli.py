@@ -33,12 +33,8 @@ from .config import PipelineConfig, load_config
 from .containers import peek_magic, replacing
 from .errors import (
     ConfigError,
-    FitError,
     FormatError,
     NumericalError,
-    ScalingError,
-    SolverError,
-    TrainingError,
     ValidationError,
 )
 from .metrics import MetricsReport, report_emit, spatial_rmse
@@ -478,8 +474,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, SolverError, TrainingError, FitError,
-            ScalingError) as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

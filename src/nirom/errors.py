@@ -1,8 +1,12 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, one class per CLI exit code:
+
+    2  ConfigError, or a plain ValueError: a bad configuration or argument
+    3  NumericalError: a numerical procedure failed
+    4  FormatError or ValidationError (or an OSError): a bad file or I/O
 
 Plain argument errors (bad stride, dimension mismatch, out-of-range rank)
-raise the builtin ``ValueError``; the classes below cover everything that
-is not a simple bad argument.
+raise the builtin ``ValueError``. ``NiromError`` is only the common base;
+nothing raises it itself.
 """
 
 
@@ -22,26 +26,10 @@ class ValidationError(NiromError, ValueError):
 
 
 class NumericalError(NiromError):
-    """A numerical procedure failed: eigensolver did not converge,
-    factorization failed after regularization, non-finite state."""
-
-
-class FitError(NiromError):
-    """Model fitting is impossible for the given data, e.g. duplicate
-    interpolation centers."""
-
-
-class SolverError(NiromError):
-    """ODE integration failed: step budget exhausted, or adjoint/forward
-    state mismatch."""
-
-
-class TrainingError(NiromError):
-    """Training diverged (non-finite loss)."""
-
-
-class ScalingError(NiromError):
-    """A component has zero range and cannot be mapped to [-1, 1]."""
+    """A numerical procedure failed or cannot proceed: a factorization that
+    failed after regularization, duplicate interpolation centers, a
+    zero-range component that cannot be scaled, an exhausted step budget,
+    adjoint drift, non-finite state, training loss or parameters."""
 
 
 class ConfigError(NiromError):

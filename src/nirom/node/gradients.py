@@ -10,9 +10,9 @@ the backward re-integration drifts from the stored forward pass.
 
 import numpy as np
 
-from ..errors import SolverError
+from ..errors import NumericalError
 from ..pod import LatentTrajectory
-from ..snapshot import check_times
+from ..snapshot import check_times, time_tolerance
 from . import kernels
 from .network import DynamicsNet, layer_views
 from .solvers import FIXED_METHODS, RolloutPlan, SolverSpec, _pad_state, fixed_rollout
@@ -24,7 +24,7 @@ ADJOINT_DRIFT_RTOL = 1e-3
 def _target_array(net: DynamicsNet, times: np.ndarray, target) -> np.ndarray:
     if isinstance(target, LatentTrajectory):
         if target.times.shape != times.shape or not np.allclose(
-            target.times, times, rtol=0.0, atol=1e-9 * max(1.0, float(np.max(np.abs(times))))
+            target.times, times, rtol=0.0, atol=time_tolerance(times)
         ):
             raise ValueError("target times do not match the requested times")
         target = target.coeffs
@@ -57,7 +57,7 @@ class GradPlan:
         if mode not in GRAD_MODES:
             raise ValueError(f"unknown gradient mode {mode!r}; expected {GRAD_MODES}")
         if mode == "adjoint" and solver.method not in FIXED_METHODS:
-            raise SolverError(
+            raise ValueError(
                 "adjoint gradients need a fixed-step solver; dopri5 trains "
                 "with backprop_through_solver"
             )
@@ -112,7 +112,7 @@ def _adjoint_grad(plan: GradPlan):
         drift = float(np.linalg.norm(z - anchor))
         limit = ADJOINT_DRIFT_RTOL * (1.0 + float(np.linalg.norm(anchor)))
         if drift > limit:
-            raise SolverError(
+            raise NumericalError(
                 f"adjoint re-integration drifted {drift:.3e} from the forward "
                 f"state at t={times[k - 1]:.6g} (limit {limit:.3e}); use a "
                 "finer step or the backprop_through_solver mode"

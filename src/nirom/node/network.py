@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .. import containers as io
-from ..errors import NumericalError, ScalingError
+from ..errors import NumericalError
 from ..pod import LatentTrajectory
 from . import kernels
 
@@ -31,7 +31,7 @@ class ScaleMap:
             raise ValueError("mid and half must be vectors of equal length")
         if not np.all(np.isfinite(self.mid) & np.isfinite(self.half)
                       & (self.half > 0)):
-            raise ScalingError(
+            raise NumericalError(
                 "scaling map must have finite centres and finite nonzero "
                 "component ranges"
             )
@@ -55,13 +55,16 @@ class TimeMap:
     def to_unit(self, t: np.ndarray) -> np.ndarray:
         return (np.asarray(t, dtype=np.float64) - self.t_lo) / (self.t_hi - self.t_lo)
 
+    def from_unit(self, tau):
+        return self.t_lo + tau * (self.t_hi - self.t_lo)
+
 
 def scale_fit(traj: LatentTrajectory) -> ScaleMap:
     lo = traj.coeffs.min(axis=1)
     hi = traj.coeffs.max(axis=1)
     if np.any(hi - lo == 0):
         i = int(np.argmax(hi - lo == 0))
-        raise ScalingError(f"component {i} has zero range and cannot be scaled")
+        raise NumericalError(f"component {i} has zero range and cannot be scaled")
     return ScaleMap((hi + lo) / 2.0, (hi - lo) / 2.0)
 
 

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NumericalError, SolverError
+from ..errors import NumericalError
 from ..pod import LatentTrajectory
-from ..snapshot import check_times
+from ..snapshot import check_times, first_nonfinite, time_tolerance
 from . import kernels
 from .network import DynamicsNet, kernel_args
 
@@ -85,15 +85,23 @@ def tableau(method: str):
     return a, b, c
 
 
-def build_schedule(times: np.ndarray, step: float):
+def build_schedule(times: np.ndarray, step: float, max_steps: int):
     """Substep plan covering every observation interval.
 
     Each interval is divided into ceil(span/step) equal substeps so the march
-    lands exactly on the observation times. Returns (sub_t0, sub_h, out_idx)
-    where out_idx[i] is the output column recorded after substep i (or -1).
+    lands exactly on the observation times. The substeps are counted in
+    float first, so a plan of more than max_steps is refused before any cast
+    or allocation. Returns (sub_t0, sub_h, out_idx) where out_idx[i] is the
+    output column recorded after substep i (or -1).
     """
     spans = times[1:] - times[:-1]
-    nsub = np.maximum(1, np.ceil(spans / step - 1e-9).astype(np.int64))
+    counts = np.maximum(1.0, np.ceil(spans / step - 1e-9))
+    total = float(np.sum(counts))
+    if total > max_steps:
+        raise NumericalError(
+            f"schedule needs {total:.15g} steps, max_steps is {max_steps}"
+        )
+    nsub = counts.astype(np.int64)
     ends = np.cumsum(nsub)
     # substep i of interval k starts at times[k] + i * (span_k / nsub_k)
     sub_h = np.repeat(spans / nsub, nsub)
@@ -141,12 +149,7 @@ class RolloutPlan:
         self.schedule = None
         self.adaptive = None
         if solver.method in FIXED_METHODS:
-            self.schedule = build_schedule(times, solver.step)
-            if self.schedule[0].size > solver.max_steps:
-                raise SolverError(
-                    f"schedule needs {self.schedule[0].size} steps, max_steps "
-                    f"is {solver.max_steps}"
-                )
+            self.schedule = build_schedule(times, solver.step, solver.max_steps)
         else:
             self.adaptive = self._buffers(_DP_K, _DP_K)
         self.stages = None
@@ -188,8 +191,13 @@ def fixed_rollout(plan: RolloutPlan, z0: np.ndarray):
         kernels.rollout_rk(
             *plan.args, z0, *plan.tableau, steps, buf.k, buf.znew, out, *schedule,
         )
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("integration produced non-finite state")
+    bad = first_nonfinite(out.T)
+    if bad is not None:
+        k = bad[0]
+        tmap = plan.net.time_map
+        t = plan.times[k] if tmap is None else tmap.from_unit(plan.times[k])
+        raise NumericalError(
+            f"integration became non-finite at step {k} (t={t:.6g})")
     return out, schedule
 
 
@@ -279,7 +287,7 @@ def _dopri5_core(plan: RolloutPlan, z0: np.ndarray):
     n_steps = 0
     while t < t_end:
         if n_steps >= solver.max_steps:
-            raise SolverError(
+            raise NumericalError(
                 f"dopri5 exceeded max_steps={solver.max_steps} at t={t:.6g}"
             )
         n_steps += 1
@@ -289,7 +297,7 @@ def _dopri5_core(plan: RolloutPlan, z0: np.ndarray):
             h = target - t
             landing = next_out
         if t + h <= t:
-            raise SolverError(f"step size underflow at t={t:.6g}")
+            raise NumericalError(f"step size underflow at t={t:.6g}")
         kernels.rk_step(
             *plan.args, t + _DP_C * h, h * _DP_A, h * _DP_B, y, 1, k, buf.rows,
             ynew,
@@ -322,11 +330,11 @@ def _dopri5_core(plan: RolloutPlan, z0: np.ndarray):
         else:
             h = h / min(1.0 / _FAC_MIN, fac11 / _SAFE)
     # rounding can leave the endpoint one ulp short of the last output
-    if next_out == times.size - 1 and abs(t - t_end) <= 1e-9 * max(1.0, abs(t_end)):
+    if next_out == times.size - 1 and abs(t - t_end) <= time_tolerance(times):
         out[:, next_out] = y
         next_out += 1
     if next_out < times.size:
-        raise SolverError("integration stopped before the final requested time")
+        raise NumericalError("integration stopped before the final requested time")
     return out, (
         np.asarray(sched_t0, dtype=np.float64),
         np.asarray(sched_h, dtype=np.float64),

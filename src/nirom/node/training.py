@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..errors import TrainingError
+from ..errors import NumericalError
 from ..pod import LatentTrajectory
-from ..snapshot import check_times
+from ..snapshot import check_times, time_tolerance
 from .gradients import GRAD_MODES, GradPlan, _loss_and_grad
 from .network import DynamicsNet, TimeMap
 from .solvers import SolverSpec, _pad_state, ode_solve
@@ -89,6 +89,14 @@ class TrainingHistory:
         return float(self.loss[-1]) if self.loss.size else float("nan")
 
 
+def default_solver(times: np.ndarray) -> SolverSpec:
+    """rk4 stepping at the grid's smallest spacing. Its step cap is at least
+    the grid's interval count, so an evenly spaced grid of any length fits,
+    while one whose smallest gap forces a longer schedule is refused."""
+    return SolverSpec("rk4", step=float(np.min(np.diff(times))),
+                      max_steps=max(SolverSpec.max_steps, times.size - 1))
+
+
 def normalize_times(times: np.ndarray):
     """Map a physical time grid onto [0, 1]; returns (unit_times, TimeMap)."""
     times = check_times(times)
@@ -107,8 +115,8 @@ def train(
     """Optimize the net against one latent trajectory.
 
     The trajectory's times must already be normalized to [0, 1] (see
-    normalize_times). The default solver is rk4 stepping at the training
-    grid spacing. Returns (trained net, per-epoch history).
+    normalize_times). Without a solver, default_solver(times) integrates.
+    Returns (trained net, per-epoch history).
     """
     times = check_times(traj.times)
     if traj.dim != net.latent_dim:
@@ -117,12 +125,13 @@ def train(
         )
     if times.size < 2:
         raise ValueError("need at least two training snapshots")
-    if abs(times[0]) > 1e-9 or abs(times[-1] - 1.0) > 1e-9:
+    tol = time_tolerance(times)
+    if abs(times[0]) > tol or abs(times[-1] - 1.0) > tol:
         raise ValueError(
             "training times must be normalized to [0, 1]; see normalize_times"
         )
     if solver is None:
-        solver = SolverSpec("rk4", step=float(np.min(np.diff(times))))
+        solver = default_solver(times)
 
     z0 = _pad_state(net, traj.coeffs[:, 0])
     params = net.params.copy()
@@ -135,13 +144,13 @@ def train(
     for epoch in range(config.epochs):
         loss, g = _loss_and_grad(plan, params)
         if not np.isfinite(loss):
-            raise TrainingError(f"loss became non-finite at epoch {epoch}")
+            raise NumericalError(f"loss became non-finite at epoch {epoch}")
         lr = lr_at(config.schedule, epoch) if config.schedule else config.learning_rate
         acc = RMSPROP_RHO * acc + (1.0 - RMSPROP_RHO) * g * g
         vel = config.momentum * vel + lr * g / np.sqrt(acc + RMSPROP_EPS)
         params = params - vel
         if not np.all(np.isfinite(params)):
-            raise TrainingError(f"parameters became non-finite at epoch {epoch}")
+            raise NumericalError(f"parameters became non-finite at epoch {epoch}")
         loss_hist[epoch] = loss
         lr_hist[epoch] = lr
     trained = net.with_params(params) if config.epochs else net
@@ -164,7 +173,7 @@ def node_forecast(
     if solver is None:
         if times.size < 2:
             raise ValueError("need at least two forecast times")
-        solver = SolverSpec("rk4", step=float(np.min(np.diff(tau))))
+        solver = default_solver(tau)
     sol = ode_solve(net, z0, tau, solver)
     return LatentTrajectory(sol.coeffs[: net.latent_dim], times)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import containers as io
-from .errors import FitError, NumericalError
+from .errors import NumericalError
 from .pod import LatentTrajectory
 from .snapshot import check_times, first_nonfinite, uniform_step
 
@@ -26,7 +26,8 @@ _KERNEL_ID = 0
 FIT_RESIDUAL_RTOL = 1e-8
 
 #: most centers a fit accepts: the interpolation system is a dense Mc x Mc
-#: matrix, 512 MiB of float64 at this count, and the fit holds a few of them
+#: matrix, 512 MiB of float64 at this count, and the fit holds two of them
+#: at its peak
 MAX_CENTERS = 8192
 
 
@@ -101,13 +102,17 @@ def fit(traj: LatentTrajectory, c: float) -> RbfModel:
     centers = traj.coeffs[:, :-1].copy()
     mc = centers.shape[1]
 
+    # at its peak the fit holds two Mc x Mc matrices: the system matrix,
+    # built in the distance matrix's buffer, and the copy factored in place
     r = _distance_matrix(centers)
-    off = ~np.eye(mc, dtype=bool)
-    if np.any(r[off] == 0.0):
-        n, k = np.argwhere((r == 0.0) & off)[0]
-        raise FitError(f"duplicate centers at indices {min(n, k)} and {max(n, k)}")
+    # the diagonal holds Mc zeros; any other zero is a repeated center
+    if np.count_nonzero(r == 0.0) > mc:
+        n, k = np.argwhere((r == 0.0) & ~np.eye(mc, dtype=bool))[0]
+        raise NumericalError(
+            f"duplicate centers at indices {min(n, k)} and {max(n, k)}")
 
-    a = np.exp(-c * r)
+    a = np.multiply(-c, r, out=r)
+    np.exp(a, out=a)
     g = targets.T  # (Mc, m), one rhs per latent component
     gnorm = np.linalg.norm(g, axis=0)
 
@@ -115,10 +120,16 @@ def fit(traj: LatentTrajectory, c: float) -> RbfModel:
     # start-up
     import scipy.linalg
 
+    shifted = np.empty((mc, mc))
     shift = 0.0
     for attempt in range(2):
+        np.copyto(shifted, a)
+        shifted[np.diag_indices(mc)] += shift
         try:
-            factor = scipy.linalg.cho_factor(a + shift * np.eye(mc), lower=True)
+            # the matrix is symmetric, so its transpose is the same matrix
+            # in column-major order, which LAPACK factors where it lies
+            factor = scipy.linalg.cho_factor(shifted.T, lower=True,
+                                             overwrite_a=True)
             alpha = scipy.linalg.cho_solve(factor, g)
         except scipy.linalg.LinAlgError:
             alpha = None

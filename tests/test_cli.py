@@ -9,6 +9,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -22,13 +23,14 @@ import pytest
 import nirom
 from nirom import cli as cli_mod
 from nirom import dmd as dmd_mod
+from nirom import errors
 from nirom import rbf as rbf_mod
 from nirom.cli import main
 from nirom.containers import peek_magic
 from nirom.errors import FormatError
-from nirom.node import PRESETS, load_net
+from nirom.node import PRESETS, load_net, save_net
 from nirom.pod import PodBasis, load_basis, save_basis
-from nirom.snapshot import SnapshotSet, load_snapshots, save_snapshots
+from nirom.snapshot import SnapshotSet, load_snapshots, save_snapshots, time_grid
 
 WAVE_INPUT = {
     "kind": "traveling_wave",
@@ -519,6 +521,19 @@ def test_predict_one_point_grid_is_config_error_for_every_method(
         assert "predict.dt" in capsys.readouterr().err
 
 
+def test_predict_node_takes_every_grid_rbf_and_dmd_take(latent_dir, tmp_path):
+    # 100001 intervals of 1e-6: more steps than SolverSpec's default cap,
+    # but a grid well under MAX_GRID_TIMES, which rbf and dmd forecast
+    out = tmp_path / "run"
+    shutil.copytree(latent_dir, out)
+    cfg = write_cfg(out, pod={"rank": 2},
+                    node={"hidden": [4], "activation": "tanh", "epochs": 0},
+                    predict={"t_start": 0.0, "t_end": 0.100001, "dt": 1e-6})
+    run_ok("fit", "--method", "node", "--config", cfg)
+    run_ok("predict", "model_node.net", "--config", cfg)
+    assert load_snapshots(out / "pred_node.snp").n_snapshots == 100002
+
+
 # compare / report ------------------------------------------------------------
 
 
@@ -712,6 +727,61 @@ def test_training_blowup_is_numerical_error(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("step", [1e-300, 1e-20])
+def test_fit_node_too_fine_a_solver_step_exits_3(latent_dir, tmp_path, capsys,
+                                                step):
+    out = tmp_path / "run"
+    shutil.copytree(latent_dir, out)
+    (out / "model_node.net").unlink(missing_ok=True)
+    cfg = write_cfg(out, pod={"rank": 2}, node={
+        "hidden": [4], "activation": "tanh", "epochs": 1,
+        "solver": {"method": "rk4", "step": step}})
+    assert run("fit", "--method", "node", "--config", cfg) == 3
+    assert "max_steps is 100000" in capsys.readouterr().err
+    assert not (out / "model_node.net").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("generate",), ("decompose",), ("fit", "--method", "node"),
+])
+def test_adjoint_with_dopri5_exits_2_at_config_load(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, pod={"rank": 2}, node={
+        "hidden": [4], "activation": "tanh", "epochs": 1,
+        "grad_mode": "adjoint", "solver": {"method": "dopri5"}})
+    assert run(*command, "--config", cfg) == 2
+    assert "'node.grad_mode'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+#: the exit code README.md documents for each exception cli.main maps
+README_EXIT_CODES = {
+    errors.ConfigError: 2, ValueError: 2,
+    errors.NumericalError: 3,
+    errors.FormatError: 4, errors.ValidationError: 4, OSError: 4,
+}
+#: every class nirom.errors defines but the base, which nothing raises
+ERROR_CLASSES = [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.NiromError)
+    and cls is not errors.NiromError
+]
+
+
+@pytest.mark.parametrize("exc", [*ERROR_CLASSES, ValueError, OSError],
+                         ids=lambda cls: cls.__name__)
+def test_each_error_class_exits_with_its_readme_code(tmp_path, capsys,
+                                                     monkeypatch, exc):
+    assert exc in README_EXIT_CODES, f"{exc.__name__} has no exit code"
+
+    def fail(*args):
+        raise exc("planted failure")
+
+    monkeypatch.setattr(cli_mod, "cmd_report", fail)
+    assert run("report", "metrics.json", "--out", str(tmp_path)) == \
+        README_EXIT_CODES[exc]
+    assert capsys.readouterr().err == "error: planted failure\n"
+
+
 def assert_numerical_failure(done, message):
     """Exit 3 with one error line and no raw numpy warning."""
     assert done.returncode == 3, done.stderr
@@ -745,6 +815,24 @@ def test_overflowing_rbf_forecast_exits_3(latent_dir, tmp_path):
     done = run_fresh("predict", "model_rbf.rbf", "--config", cfg)
     assert_numerical_failure(done, "RBF forecast became non-finite")
     assert not (out / "pred_rbf.snp").exists()
+
+
+def test_overflowing_node_forecast_exits_3(latent_dir, tmp_path):
+    out = tmp_path / "run"
+    shutil.copytree(latent_dir, out)
+    cfg = write_cfg(out, pod={"rank": 2},
+                    node={"hidden": [4], "activation": "relu", "epochs": 0},
+                    predict={"t_start": 0.0, "t_end": 0.99, "dt": 0.01})
+    run_ok("fit", "--method", "node", "--config", cfg)
+    model_file = out / "model_node.net"
+    fitted = load_net(model_file)
+    save_net(fitted.with_params(np.full_like(fitted.params, 1e300)), model_file)
+    done = run_fresh("predict", "model_node.net", "--config", cfg)
+    assert_numerical_failure(done, "non-finite at step ")
+    # the step's physical time, not its time on the net's unit interval
+    k = int(re.search(r"at step (\d+) ", done.stderr).group(1))
+    assert f"(t={time_grid(0.0, 0.99, 0.01)[k]:.6g})" in done.stderr
+    assert not (out / "pred_node.snp").exists()
 
 
 def test_dmd_field_overflow_exits_3(tmp_path):

@@ -303,6 +303,21 @@ def test_node_grad_mode_passthrough():
     assert cfg.node.train.grad_mode == "adjoint"
 
 
+def test_node_adjoint_with_dopri5_is_refused():
+    # the adjoint route needs a fixed-step schedule; dopri5 trains with
+    # backprop_through_solver
+    with pytest.raises(ConfigError, match="'node.grad_mode'"):
+        parse_config(base_doc(node={
+            "hidden": [8], "activation": "tanh", "epochs": 1,
+            "grad_mode": "adjoint", "solver": {"method": "dopri5"},
+        }))
+    cfg = parse_config(base_doc(node={
+        "hidden": [8], "activation": "tanh", "epochs": 1,
+        "solver": {"method": "dopri5"},
+    }))
+    assert cfg.node.solver.method == "dopri5"
+
+
 # dmd / predict ---------------------------------------------------------
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nirom.errors import FormatError, NumericalError, ScalingError
+from nirom.errors import FormatError, NumericalError
 from nirom.node import (
     ACTIVATIONS,
     PRESETS,
@@ -195,7 +195,7 @@ def test_scale_midpoint_of_three_seven_maps_to_zero():
 
 def test_scale_zero_range_raises():
     traj = traj_of([[1.0, 1.0, 1.0], [0.0, 1.0, 2.0]])
-    with pytest.raises(ScalingError, match="component 0"):
+    with pytest.raises(NumericalError, match="component 0"):
         scale_fit(traj)
 
 

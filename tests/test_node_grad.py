@@ -9,7 +9,7 @@ be exact.
 import numpy as np
 import pytest
 
-from nirom.errors import SolverError
+from nirom.errors import NumericalError
 from nirom.node import (
     DynamicsNet,
     ScaleMap,
@@ -223,7 +223,7 @@ def test_adjoint_agrees_with_backprop(method, step):
 def test_adjoint_with_dopri5_raises():
     net = small_net("tanh")
     z0, target = problem()
-    with pytest.raises(SolverError, match="adjoint"):
+    with pytest.raises(ValueError, match="adjoint"):
         grad(net, z0, TIMES, target, SolverSpec("dopri5"), mode="adjoint")
 
 
@@ -234,7 +234,7 @@ def test_adjoint_drift_raises():
                       time_input=False)
     times = np.array([0.0, 1.0])
     target = np.zeros((1, 2))
-    with pytest.raises(SolverError, match="drift"):
+    with pytest.raises(NumericalError, match="drift"):
         grad(net, np.array([1.0]), times, target,
              SolverSpec("euler", step=0.1), mode="adjoint")
 

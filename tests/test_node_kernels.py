@@ -59,7 +59,7 @@ def problem(seed=2, scaled=False):
 
 
 def n_substeps():
-    return build_schedule(TIMES, STEP)[0].size
+    return build_schedule(TIMES, STEP, 100)[0].size
 
 
 @pytest.mark.parametrize("method", ["euler", "midpoint", "rk4"])

@@ -4,10 +4,12 @@ Order checks run on dz/dt = -z from z(0)=1, whose exact solution is e^{-t};
 slopes are measured on a log-log fit over a dyadic ladder of step sizes.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from nirom.errors import NumericalError, SolverError
+from nirom.errors import NumericalError
 from nirom.node import (
     DynamicsNet,
     ScaleMap,
@@ -64,7 +66,7 @@ def test_spec_max_steps_positive():
 
 def test_schedule_lands_exactly_on_times():
     times = np.array([0.0, 0.3, 1.0])
-    sub_t0, sub_h, out_idx = build_schedule(times, 0.25)
+    sub_t0, sub_h, out_idx = build_schedule(times, 0.25, 100)
     # 0.3/0.25 -> 2 substeps, 0.7/0.25 -> 3 substeps
     assert sub_t0.size == 5
     assert np.allclose(sub_h[:2], 0.15) and np.allclose(sub_h[2:], 0.7 / 3)
@@ -76,13 +78,13 @@ def test_schedule_lands_exactly_on_times():
 
 def test_schedule_single_substep_when_step_large():
     times = np.array([0.0, 1.0])
-    sub_t0, sub_h, out_idx = build_schedule(times, 10.0)
+    sub_t0, sub_h, out_idx = build_schedule(times, 10.0, 100)
     assert sub_t0.size == 1 and sub_h[0] == 1.0 and out_idx[0] == 1
 
 
 def test_schedule_exact_division_has_no_extra_step():
     times = np.array([0.0, 1.0])
-    _, sub_h, _ = build_schedule(times, 0.25)
+    _, sub_h, _ = build_schedule(times, 0.25, 100)
     assert sub_h.size == 4
 
 
@@ -109,11 +111,11 @@ def test_schedule_is_bitwise_the_interval_loop(step):
     # 0.1 + 0.2, one ulp above 0.3, which the ceil slack keeps a multiple
     spans = np.concatenate([[0.1 + 0.2], rng.uniform(0.001, 0.3, 200), [0.002]])
     times = np.cumsum(np.concatenate([[0.0], spans]))
-    got = build_schedule(times, step)
+    got = build_schedule(times, step, 100000)
     want = loop_schedule(times, step)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
-    assert all(a.size == 0 for a in build_schedule(np.array([0.5]), step))
+    assert all(a.size == 0 for a in build_schedule(np.array([0.5]), step, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +226,33 @@ def test_fixed_step_blowup_raises_numerical_error():
 
 
 def test_fixed_schedule_longer_than_max_steps():
-    with pytest.raises(SolverError, match="max_steps"):
+    with pytest.raises(NumericalError, match="max_steps"):
         ode_solve(decay_net(), np.array([1.0]), np.array([0.0, 1.0]),
                   SolverSpec("rk4", step=1e-4, max_steps=100))
+
+
+@pytest.mark.parametrize("step", [1e-300, 1e-12, 1e-7])
+def test_fixed_schedule_is_counted_before_it_is_built(step):
+    # 20 intervals of 0.05: 1e-300 overflows an int64 substep count, 1e-12
+    # asks numpy for an array too big to make, and 1e-7 for a 10^7-step
+    # schedule of 240 MB; each is refused before any of it is allocated
+    times = np.linspace(0.0, 1.0, 21)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError, match="max_steps is 100000"):
+            ode_solve(decay_net(), np.array([1.0]), times,
+                      SolverSpec("rk4", step=step))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_schedule_within_max_steps_is_built():
+    times = np.linspace(0.0, 1.0, 5)
+    assert build_schedule(times, 0.25, 4)[0].size == 4
+    with pytest.raises(NumericalError, match="schedule needs 4 steps, max_steps is 3"):
+        build_schedule(times, 0.25, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +280,7 @@ def test_dopri5_accurate_at_close_interior_times():
 
 
 def test_dopri5_exceeding_max_steps():
-    with pytest.raises(SolverError, match="max_steps"):
+    with pytest.raises(NumericalError, match="max_steps"):
         ode_solve(decay_net(), np.array([1.0]), np.array([0.0, 100.0]),
                   SolverSpec("dopri5", rtol=1e-12, atol=1e-14, max_steps=5))
 
@@ -264,7 +290,7 @@ def test_dopri5_max_steps_counts_every_interval(cached):
     # four output intervals need at least four steps
     plan = RolloutPlan(decay_net(), np.linspace(0.0, 1e-3, 5), SolverSpec(
         "dopri5", max_steps=3), cached=cached)
-    with pytest.raises(SolverError, match="max_steps"):
+    with pytest.raises(NumericalError, match="max_steps"):
         fixed_rollout(plan, np.array([1.0]))
 
 

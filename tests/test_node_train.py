@@ -5,13 +5,16 @@ linear system dz/dt = L z sampled from its matrix exponential, so the target
 trajectory is analytic to machine precision.
 """
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nirom.errors import NumericalError, TrainingError
+from nirom.errors import NumericalError
 from nirom.node import (
     LrSchedule,
     SolverSpec,
@@ -24,7 +27,8 @@ from nirom.node import (
     train,
 )
 from nirom.node.network import TimeMap
-from nirom.node.training import attach_time_map
+from nirom.node.solvers import build_schedule
+from nirom.node.training import attach_time_map, default_solver
 from nirom.pod import LatentTrajectory
 
 
@@ -186,7 +190,7 @@ def test_training_blowup_reports_epoch():
     traj = spiral_trajectory(6)
     net = build_net(2, [], "linear", seed=0, time_input=False)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TrainingError, match="epoch"):
+        with pytest.raises(NumericalError, match="epoch"):
             train(net, traj, TrainConfig(epochs=50, learning_rate=1e12))
 
 
@@ -245,6 +249,47 @@ def test_forecast_accepts_explicit_solver():
     fc = node_forecast(net, traj.coeffs[:, 0], traj.times,
                        solver=SolverSpec("dopri5", rtol=1e-7, atol=1e-9))
     assert fc.coeffs.shape == (2, 11)
+
+
+def test_default_solver_takes_one_step_per_interval_of_any_even_grid():
+    # more intervals than SolverSpec's default cap of max_steps
+    times = np.linspace(0.0, 1.0, SolverSpec.max_steps + 2)
+    solver = default_solver(times)
+    assert solver.max_steps == times.size - 1
+    sub_t0, _, out_idx = build_schedule(times, solver.step, solver.max_steps)
+    assert sub_t0.size == times.size - 1
+    assert np.array_equal(out_idx, np.arange(1, times.size))
+
+
+def test_default_solver_refuses_a_grid_whose_smallest_gap_forces_a_long_schedule():
+    net = build_net(2, [4], "tanh", seed=5, time_input=False)
+    with pytest.raises(NumericalError, match="max_steps is 100000"):
+        node_forecast(net, np.array([0.3, -0.2]), np.array([0.0, 1e-9, 1.0]))
+
+
+def overflow_message(net, times):
+    """(step, message) of the forecast's overflow, after checking that the
+    forecast up to the step before is finite."""
+    z0 = np.array([1.0, 1.0])
+    with pytest.raises(NumericalError) as err:
+        node_forecast(net, z0, times)
+    message = str(err.value)
+    k = int(re.search(r"at step (\d+) ", message).group(1))
+    assert k >= 1
+    assert np.all(np.isfinite(node_forecast(net, z0, times[:k]).coeffs))
+    return k, message
+
+
+@pytest.mark.parametrize("time_map", [None, TimeMap(0.0, 50.0)])
+def test_overflowing_forecast_names_its_step_and_time(time_map):
+    # a 2-4-2 linear net whose weights are all 30 grows without bound; with
+    # the time map it integrates over [0, 1], and names the physical time
+    net = build_net(2, [4], "linear", seed=0, time_input=False)
+    net = replace(net.with_params(np.full(net.params.size, 30.0)),
+                  time_map=time_map)
+    times = np.linspace(0.0, 50.0, 101)
+    k, message = overflow_message(net, times)
+    assert f"non-finite at step {k} (t={times[k]:.6g})" in message
 
 
 @pytest.mark.parametrize("entry", ["grad", "train", "node_forecast"])

@@ -9,9 +9,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nirom.errors import FitError, FormatError, NumericalError
+from nirom.errors import FormatError, NumericalError
 from nirom.pod import LatentTrajectory, project, reconstruct, thin_svd, truncate
 from nirom.rbf import (
+    FIT_RESIDUAL_RTOL,
     MAX_CENTERS,
     RbfModel,
     _distance_matrix,
@@ -121,7 +122,7 @@ def test_midpoint_of_two_center_example():
 
 def test_duplicate_centers_named():
     traj = LatentTrajectory(np.array([[0.0, 1.0, 0.0, 2.0]]), np.arange(4.0))
-    with pytest.raises(FitError, match="0 and 2"):
+    with pytest.raises(NumericalError, match="0 and 2"):
         fit(traj, c=1.0)
 
 
@@ -157,6 +158,83 @@ def test_fit_shifted_solve_rescues_a_singular_system():
     traj = LatentTrajectory(np.array([[0.0, 1e-17, 2e-17]]), np.arange(3.0))
     model = fit(traj, c=1.0)
     assert np.allclose(model.coefficients, 5e-18, rtol=1e-5, atol=0)
+
+
+def reference_fit(traj: LatentTrajectory, c: float) -> RbfModel:
+    """The fit before it built the system matrix in the distance matrix's
+    buffer and factored one copy in place: about four Mc x Mc matrices at
+    its peak. Its coefficients are the bytes fit must reproduce."""
+    import scipy.linalg
+
+    targets = build_derivatives(traj)
+    centers = traj.coeffs[:, :-1].copy()
+    mc = centers.shape[1]
+    r = _distance_matrix(centers)
+    off = ~np.eye(mc, dtype=bool)
+    if np.any(r[off] == 0.0):
+        n, k = np.argwhere((r == 0.0) & off)[0]
+        raise NumericalError(f"duplicate centers at indices {min(n, k)} and {max(n, k)}")
+    a = np.exp(-c * r)
+    g = targets.T
+    gnorm = np.linalg.norm(g, axis=0)
+    shift = 0.0
+    for attempt in range(2):
+        try:
+            factor = scipy.linalg.cho_factor(a + shift * np.eye(mc), lower=True)
+            alpha = scipy.linalg.cho_solve(factor, g)
+        except scipy.linalg.LinAlgError:
+            alpha = None
+        if alpha is not None:
+            resid = np.linalg.norm(a @ alpha - g, axis=0)
+            if np.all(resid <= FIT_RESIDUAL_RTOL * np.maximum(gnorm, 1e-300)):
+                return RbfModel(centers, alpha.T.copy(), c)
+        shift = 1e-10 * np.trace(a) / mc
+    raise NumericalError("no solution")
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """The number of cho_factor calls so far, as a one-item list."""
+    import scipy.linalg
+
+    count = [0]
+
+    def counted(*args, _fn=scipy.linalg.cho_factor, **kwargs):
+        count[0] += 1
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+    return count
+
+
+@pytest.mark.parametrize("traj,attempts", [
+    (smooth_traj(), 1),
+    (smooth_traj(400, 0.01), 1),
+    # all-ones system matrix: the plain factorization fails, the shifted
+    # retry solves it
+    (LatentTrajectory(np.array([[0.0, 1e-17, 2e-17]]), np.arange(3.0)), 2),
+], ids=["30 centers", "400 centers", "shifted retry"])
+def test_fit_is_bytewise_the_reference(factorizations, traj, attempts):
+    model = fit(traj, c=1.0)
+    assert factorizations[0] == attempts
+    want = reference_fit(traj, c=1.0)
+    assert model.coefficients.tobytes() == want.coefficients.tobytes()
+    assert model.centers.tobytes() == want.centers.tobytes()
+
+
+def test_fit_peak_holds_about_two_system_matrices():
+    # the reference peaks at about 4.13 Mc x Mc matrices
+    mc = 2000
+    t = 0.01 * np.arange(mc + 1.0)
+    traj = LatentTrajectory(np.vstack([np.sin(t), np.cos(t), np.sin(3 * t)]), t)
+    fit(traj, c=1.0)  # scipy's first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        fit(traj, c=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * 8 * mc * mc
 
 
 def test_distance_matrix_matches_the_stacked_difference_sum():
