@@ -157,7 +157,10 @@ def read_label(f) -> str:
 
 def _write_array(f, a: np.ndarray, dtype: str) -> None:
     """Column-major payload, written through the array's own buffer when it
-    already is column-major in ``dtype``."""
+    already is column-major in ``dtype``: every vector, and the fields that
+    load_snapshots, pod.reconstruct and dmd.dmd_forecast return, so predict
+    writes its field without a copy. Other matrices (generated snapshots,
+    latent coefficients, POD and DMD modes) are copied column-major first."""
     f.write(np.asarray(a, dtype=dtype).ravel(order="F"))
 
 

@@ -125,10 +125,15 @@ def dmd_forecast(model: DmdModel, times: np.ndarray) -> SnapshotSet:
     p = (times - model.t0) / model.dt
     if p[0] < -1e-9:
         raise ValueError("forecast times must not precede the fit start time")
-    # a growing mode overflows quietly; lifted_field reports it
+    # Re(modes @ coefs) = [Re modes, -Im modes] @ [Re coefs; Im coefs]: one
+    # real GEMM with no complex N x T product, taken transposed so the field
+    # comes out in SNP1's column-major layout. A growing mode overflows
+    # quietly; lifted_field reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         coefs = _eig_powers(model.eigenvalues, p) * model.amplitudes[:, None]
-        data = (model.modes @ coefs).real
+        stacked = np.concatenate([coefs.real, coefs.imag])
+        lift = np.concatenate([model.modes.real, -model.modes.imag], axis=1)
+        data = (stacked.T @ lift.T).T
     return lifted_field(data, times, model.component)
 
 

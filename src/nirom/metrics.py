@@ -44,15 +44,37 @@ def _check_aligned(pred: SnapshotSet, truth: SnapshotSet) -> None:
         raise ValueError("prediction and truth time stamps disagree")
 
 
+#: values in one column block of spatial_rmse's difference: 1 MiB of f64
+#: stays in a core's L2 cache between the subtract, the square and the sum
+RMSE_BLOCK_VALUES = 1 << 17
+
+
 def spatial_rmse(
     pred: SnapshotSet, truth: SnapshotSet, normalize: bool = False
 ) -> np.ndarray:
     """Per-column root mean square error over the spatial DOFs. With
-    normalize=True the series is divided by max|truth|."""
+    normalize=True the series is divided by max|truth|.
+
+    The difference is formed in one column-major block of columns at a
+    time, so no temporary grows with the number of snapshots. On
+    column-major fields, as load_snapshots returns them, each column is
+    summed exactly as the whole-field reduction sums it."""
     _check_aligned(pred, truth)
-    out = np.sqrt(np.mean((pred.data - truth.data) ** 2, axis=0))
+    n, m = truth.data.shape
+    width = min(m, max(1, RMSE_BLOCK_VALUES // n))
+    buf = np.empty((n, width), order="F")
+    out = np.empty(m)
+    peak = 0.0
+    for start in range(0, m, width):
+        cols = slice(start, start + width)
+        block = buf[:, :min(width, m - start)]
+        np.subtract(pred.data[:, cols], truth.data[:, cols], out=block)
+        np.square(block, out=block)
+        np.mean(block, axis=0, out=out[cols])
+        if normalize:
+            peak = max(peak, np.max(np.abs(truth.data[:, cols], out=block)))
+    np.sqrt(out, out=out)
     if normalize:
-        peak = np.max(np.abs(truth.data))
         if peak == 0:
             raise ValueError("cannot normalize by an all-zero truth set")
         out = out / peak

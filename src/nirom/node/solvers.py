@@ -20,6 +20,12 @@ from .network import DynamicsNet, kernel_args
 FIXED_METHODS = ("euler", "midpoint", "rk4")
 METHODS = FIXED_METHODS + ("dopri5",)
 
+#: the most steps max_steps may allow: a fixed-step schedule holds 24 bytes
+#: per substep (built through about twice that) and dopri5 records about
+#: 100 (three Python numbers), so a full schedule stays near 100 MB; it
+#: admits one step per interval of the longest grid (snapshot.MAX_GRID_TIMES)
+MAX_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class SolverSpec:
@@ -43,8 +49,10 @@ class SolverSpec:
         else:
             if not (self.rtol > 0 and self.atol > 0):
                 raise ValueError("dopri5 needs rtol > 0 and atol > 0")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+        if not 1 <= self.max_steps <= MAX_STEPS:
+            raise ValueError(
+                f"max_steps must be in [1, {MAX_STEPS}], got {self.max_steps}"
+            )
 
 
 def tableau(method: str):
@@ -159,6 +167,12 @@ class RolloutPlan:
             self.net.sizes, self.args[1], self.net.time_input, n_rows, n_stages,
         )
 
+    def physical_time(self, t: float) -> float:
+        """A time of the plan's grid as the caller knows it: mapped back
+        through the net's time map when the net integrates on [0, 1]."""
+        tmap = self.net.time_map
+        return t if tmap is None else tmap.from_unit(t)
+
     def stage_buffers(self, n_sub):
         """The stage buffers for a rollout of n_sub substeps: rows for all
         of them when cached, for one otherwise. They grow by at least half
@@ -194,10 +208,9 @@ def fixed_rollout(plan: RolloutPlan, z0: np.ndarray):
     bad = first_nonfinite(out.T)
     if bad is not None:
         k = bad[0]
-        tmap = plan.net.time_map
-        t = plan.times[k] if tmap is None else tmap.from_unit(plan.times[k])
         raise NumericalError(
-            f"integration became non-finite at step {k} (t={t:.6g})")
+            f"integration became non-finite at step {k} "
+            f"(t={plan.physical_time(plan.times[k]):.6g})")
     return out, schedule
 
 
@@ -288,7 +301,8 @@ def _dopri5_core(plan: RolloutPlan, z0: np.ndarray):
     while t < t_end:
         if n_steps >= solver.max_steps:
             raise NumericalError(
-                f"dopri5 exceeded max_steps={solver.max_steps} at t={t:.6g}"
+                f"dopri5 exceeded max_steps={solver.max_steps} at "
+                f"t={plan.physical_time(t):.6g}"
             )
         n_steps += 1
         landing = -1
@@ -297,7 +311,8 @@ def _dopri5_core(plan: RolloutPlan, z0: np.ndarray):
             h = target - t
             landing = next_out
         if t + h <= t:
-            raise NumericalError(f"step size underflow at t={t:.6g}")
+            raise NumericalError(
+                f"step size underflow at t={plan.physical_time(t):.6g}")
         kernels.rk_step(
             *plan.args, t + _DP_C * h, h * _DP_A, h * _DP_B, y, 1, k, buf.rows,
             ynew,
@@ -306,7 +321,8 @@ def _dopri5_core(plan: RolloutPlan, z0: np.ndarray):
         err_vec = h * (_DP_E @ k)
         if not (np.all(np.isfinite(ynew)) and np.all(np.isfinite(err_vec))):
             raise NumericalError(
-                f"integration produced non-finite state at t={t:.6g}"
+                f"integration produced non-finite state at "
+                f"t={plan.physical_time(t):.6g}"
             )
         err = _error_norm(err_vec, y, ynew, solver.rtol, solver.atol)
         fac11 = err ** _EXPO1 if err > 0 else 0.0

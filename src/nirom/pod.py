@@ -231,9 +231,12 @@ def reconstruct(basis: PodBasis, traj: LatentTrajectory) -> SnapshotSet:
         raise ValueError(
             f"trajectory has {traj.dim} coefficients, basis rank is {basis.m}"
         )
+    # the transposed product is the field in SNP1's column-major layout, so
+    # the mean is added in place and the file is written from this buffer;
     # an overflow is reported by lifted_field, without numpy's warning
     with np.errstate(over="ignore", invalid="ignore"):
-        data = basis.mean[:, None] + basis.modes @ traj.coeffs
+        data = (traj.coeffs.T @ basis.modes.T).T
+        data += basis.mean[:, None]
     return lifted_field(data, traj.times, basis.component)
 
 

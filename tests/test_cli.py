@@ -753,6 +753,17 @@ def test_adjoint_with_dopri5_exits_2_at_config_load(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
 
+def test_max_steps_beyond_its_bound_exits_2_at_config_load(tmp_path, capsys):
+    # a command that never integrates: the budget is refused as the config
+    # loads, before any schedule could be counted or built
+    cfg = write_cfg(tmp_path, node={
+        "hidden": [4], "activation": "tanh", "epochs": 1,
+        "solver": {"method": "rk4", "step": 1e-13, "max_steps": 10**17}})
+    assert run("generate", "--config", cfg) == 2
+    assert "node.solver: max_steps must be in" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
 #: the exit code README.md documents for each exception cli.main maps
 README_EXIT_CODES = {
     errors.ConfigError: 2, ValueError: 2,

@@ -8,6 +8,7 @@ import pytest
 from nirom.config import load_config, parse_config
 from nirom.errors import ConfigError
 from nirom.node import PRESETS
+from nirom.node.solvers import MAX_STEPS
 from nirom.snapshot import MAX_GRID_TIMES
 
 
@@ -292,6 +293,17 @@ def test_node_bad_solver_wrapped():
         parse_config(base_doc(node={
             "hidden": [8], "activation": "tanh", "epochs": 1,
             "solver": {"method": "leapfrog"},
+        }))
+
+
+def test_node_max_steps_bounded_at_load():
+    # a step budget past MAX_STEPS is refused before any schedule is
+    # counted or built: the step below would need 10^13 substeps
+    with pytest.raises(ConfigError, match=r"node\.solver: max_steps must be "
+                                          rf"in \[1, {MAX_STEPS}\], got {10**17}"):
+        parse_config(base_doc(node={
+            "hidden": [8], "activation": "tanh", "epochs": 1,
+            "solver": {"method": "rk4", "step": 1e-13, "max_steps": 10**17},
         }))
 
 

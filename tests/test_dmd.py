@@ -7,7 +7,14 @@ matrix: cos(theta) +/- i sin(theta).
 import numpy as np
 import pytest
 
-from nirom.dmd import DmdModel, dmd_fit, dmd_forecast, load_model, save_model
+from nirom.dmd import (
+    DmdModel,
+    _eig_powers,
+    dmd_fit,
+    dmd_forecast,
+    load_model,
+    save_model,
+)
 from nirom.errors import FormatError, NumericalError
 from nirom.snapshot import SnapshotSet, SyntheticSpec, generate_synthetic, time_grid
 
@@ -173,6 +180,43 @@ def test_forecast_nonmonotone_rejected():
     model = dmd_fit(scalar_decay(), r=1)
     with pytest.raises(ValueError):
         dmd_forecast(model, np.array([0.0, 2.0, 1.0]))
+
+
+def reference_forecast(model: DmdModel, times: np.ndarray) -> np.ndarray:
+    """The complex N x T product dmd_forecast replaced."""
+    coefs = (_eig_powers(model.eigenvalues, (times - model.t0) / model.dt)
+             * model.amplitudes[:, None])
+    return (model.modes @ coefs).real
+
+
+def random_model(n: int, lam, seed: int) -> DmdModel:
+    rng = np.random.default_rng(seed)
+    r = len(lam)
+    modes = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+    amps = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+    return DmdModel(modes, lam, amps, dt=0.5, t0=1.0)
+
+
+@pytest.mark.parametrize("lam", [
+    [0.99 * np.exp(0.3j), 0.99 * np.exp(-0.3j), 0.7, 1.01 * np.exp(2.0j)],
+    [0.9, 0.0, -0.5 + 0.2j],  # the zero eigenvalue takes integer powers
+], ids=["spectral", "zero-eigenvalue"])
+@pytest.mark.parametrize("n", [3000, 2])
+def test_forecast_matches_complex_product(lam, n):
+    model = random_model(n, lam, seed=n)
+    times = 1.0 + 0.5 * np.arange(120)
+    out = dmd_forecast(model, times).data
+    ref = reference_forecast(model, times)
+    assert out.flags.f_contiguous
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_forecast_of_fitted_model_matches_complex_product():
+    model = dmd_fit(wave_set(), r=2)
+    times = time_grid(0.0, 19.9, 0.1)
+    ref = reference_forecast(model, times)
+    out = dmd_forecast(model, times).data
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_growing_mode_overflow_is_numerical_error():

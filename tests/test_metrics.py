@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nirom.cli import main
-from nirom.metrics import CSV_HEADER, MetricsReport, report_emit, spatial_rmse
+from nirom.metrics import (
+    CSV_HEADER,
+    RMSE_BLOCK_VALUES,
+    MetricsReport,
+    report_emit,
+    spatial_rmse,
+)
 from nirom.snapshot import SnapshotSet
 
 
@@ -64,6 +70,29 @@ def test_time_mismatch_rejected():
     b = make_set(np.zeros((2, 3)), np.array([0.0, 1.0, 2.5]))
     with pytest.raises(ValueError):
         spatial_rmse(a, b)
+
+
+def reference_rmse(pred: SnapshotSet, truth: SnapshotSet, normalize=False):
+    """The whole-field reduction spatial_rmse replaced."""
+    out = np.sqrt(np.mean((pred.data - truth.data) ** 2, axis=0))
+    return out / np.max(np.abs(truth.data)) if normalize else out
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("rows,cols", [
+    (4000, 250),  # blocks of 32 columns, the last one of 26
+    (RMSE_BLOCK_VALUES // 3 + 1, 7),  # blocks of 2 columns, the last one of 1
+    (3, 1000),  # one block
+])
+def test_blocked_rmse_matches_whole_field_reduction(rows, cols, normalize):
+    # column-major, as load_snapshots returns every field compare scores
+    rng = np.random.default_rng(rows + cols)
+    truth, pred = (
+        make_set(np.asfortranarray(scale * rng.standard_normal((rows, cols))))
+        for scale in (1.0, 3.0)
+    )
+    got = spatial_rmse(pred, truth, normalize=normalize)
+    assert got.tobytes() == reference_rmse(pred, truth, normalize).tobytes()
 
 
 def test_normalized_rmse():

@@ -20,7 +20,14 @@ from nirom.node import (
 )
 from nirom.node import kernels
 from nirom.node.network import kernel_args, layer_views
-from nirom.node.solvers import RolloutPlan, build_schedule, fixed_rollout, tableau
+from nirom.node.solvers import (
+    MAX_STEPS,
+    RolloutPlan,
+    build_schedule,
+    fixed_rollout,
+    tableau,
+)
+from nirom.snapshot import MAX_GRID_TIMES
 
 DECAY_PARAMS = np.array([-1.0, 0.0])
 
@@ -57,6 +64,16 @@ def test_spec_dopri5_needs_tolerances():
 def test_spec_max_steps_positive():
     with pytest.raises(ValueError, match="max_steps"):
         SolverSpec("rk4", step=0.1, max_steps=0)
+
+
+def test_spec_max_steps_bounded():
+    # one step per interval of the longest grid must stay allowed: that is
+    # the cap default_solver gives node predict
+    assert MAX_STEPS >= MAX_GRID_TIMES
+    assert SolverSpec("rk4", step=0.1, max_steps=MAX_STEPS).max_steps == MAX_STEPS
+    for method in ("rk4", "dopri5"):
+        with pytest.raises(ValueError, match=rf"max_steps must be in \[1, {MAX_STEPS}\]"):
+            SolverSpec(method, step=0.1, max_steps=MAX_STEPS + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,28 @@ def test_overflowing_forecast_names_its_step_and_time(time_map):
     assert f"non-finite at step {k} (t={times[k]:.6g})" in message
 
 
+@pytest.mark.parametrize("solver", [
+    SolverSpec("dopri5"),  # the state overflows
+    SolverSpec("dopri5", max_steps=3),  # the step budget runs out first
+], ids=["non-finite", "max_steps"])
+def test_dopri5_failure_names_the_physical_time(solver):
+    # the all-30 net of the test above, integrated by dopri5 on [0, 1] with
+    # and without the map to [0, 50]: the mapped message is 50x the time
+    net = build_net(2, [4], "linear", seed=0, time_input=False)
+    net = net.with_params(np.full(net.params.size, 30.0))
+    tmap = TimeMap(0.0, 50.0)
+    times = np.linspace(0.0, 50.0, 101)
+    failed_at = []
+    for forecast_net, grid in ((net, tmap.to_unit(times)),
+                               (replace(net, time_map=tmap), times)):
+        with pytest.raises(NumericalError) as err:
+            node_forecast(forecast_net, np.array([1.0, 1.0]), grid, solver)
+        failed_at.append(float(re.search(r"at t=(\S+)$", str(err.value))[1]))
+    unit_t, physical_t = failed_at
+    assert 0.0 < unit_t < 1.0
+    assert physical_t == pytest.approx(tmap.from_unit(unit_t), rel=1e-5)
+
+
 @pytest.mark.parametrize("entry", ["grad", "train", "node_forecast"])
 def test_non_finite_initial_state_is_rejected_up_front(entry):
     traj = spiral_trajectory(11)

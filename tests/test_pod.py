@@ -353,6 +353,27 @@ def test_reconstruct_single_mode():
     assert np.allclose(out.data[:, 1], 1.0)
 
 
+def reference_reconstruct(basis: PodBasis, traj: LatentTrajectory) -> np.ndarray:
+    """The whole-field expression reconstruct replaced."""
+    return basis.mean[:, None] + basis.modes @ traj.coeffs
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(400, 30), (5, 300)], ids=["tall", "wide"])
+def test_reconstruct_matches_reference_in_column_major(m, shape):
+    n, t = shape
+    rng = np.random.default_rng(10 * m + n)
+    # modes read from a POD1 file are column-major, built ones row-major
+    for modes in (np.asfortranarray(rng.standard_normal((n, m))),
+                  rng.standard_normal((n, m))):
+        basis = PodBasis(modes, np.ones(m), rng.standard_normal(n))
+        traj = LatentTrajectory(1e3 * rng.standard_normal((m, t)),
+                                np.arange(float(t)))
+        out = reconstruct(basis, traj).data
+        assert out.flags.f_contiguous
+        assert out.tobytes() == reference_reconstruct(basis, traj).tobytes()
+
+
 def test_reconstruct_dimension_mismatch():
     basis = PodBasis(np.eye(3)[:, :2], np.array([2.0, 1.0]), np.zeros(3))
     with pytest.raises(ValueError):

@@ -1,0 +1,83 @@
+"""Peak memory of the field-sized stages: predict's lift and write, and
+compare's reduction.
+
+Each peak is traced with tracemalloc on a 4000 x 250 field and stated in
+fields above the stage's inputs. A produced field counts as one: the lift
+to it and its write to SNP1 make no other field-sized temporary, and the
+RMSE holds one column block of its difference at a time.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from nirom.dmd import DmdModel, dmd_forecast
+from nirom.metrics import spatial_rmse
+from nirom.pod import LatentTrajectory, PodBasis, reconstruct
+from nirom.snapshot import SnapshotSet, load_snapshots, save_snapshots
+
+N, T = 4000, 250
+FIELD_BYTES = 8 * N * T
+TIMES = np.arange(float(T))
+
+
+def peak_fields(call) -> float:
+    """Peak bytes allocated while call() runs, in fields."""
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / FIELD_BYTES
+
+
+def pod_inputs():
+    """A three-mode basis with column-major modes, as load_basis gives."""
+    rng = np.random.default_rng(0)
+    basis = PodBasis(np.asfortranarray(rng.standard_normal((N, 3))),
+                     np.ones(3), rng.standard_normal(N))
+    return basis, LatentTrajectory(rng.standard_normal((3, T)), TIMES)
+
+
+def dmd_model() -> DmdModel:
+    rng = np.random.default_rng(1)
+    lam = [0.999 * np.exp(0.05j), 0.999 * np.exp(-0.05j)]
+    modes = rng.standard_normal((N, 2)) + 1j * rng.standard_normal((N, 2))
+    return DmdModel(modes, lam, [1.0 + 1.0j, 1.0 - 1.0j], dt=1.0, t0=0.0)
+
+
+def test_reconstruct_peaks_at_its_field():
+    basis, traj = pod_inputs()
+    # the field, and the boolean mask of its finiteness check (1/8 field)
+    assert peak_fields(lambda: reconstruct(basis, traj)) <= 1.2
+
+
+def test_dmd_forecast_peaks_at_its_field():
+    model = dmd_model()
+    # the field, its finiteness mask, and the N x 2r real lift
+    assert peak_fields(lambda: dmd_forecast(model, TIMES)) <= 1.2
+
+
+@pytest.mark.parametrize("predict", [
+    lambda: reconstruct(*pod_inputs()),
+    lambda: dmd_forecast(dmd_model(), TIMES),
+], ids=["reconstruct", "dmd_forecast"])
+def test_prediction_is_written_without_a_copy(predict, tmp_path):
+    pred = predict()
+    path = tmp_path / "pred.snp"
+    assert peak_fields(lambda: save_snapshots(pred, path)) <= 0.01
+    assert np.array_equal(load_snapshots(path).data, pred.data)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_spatial_rmse_holds_one_column_block(normalize, tmp_path):
+    rng = np.random.default_rng(2)
+    for name in ("truth", "pred"):
+        save_snapshots(SnapshotSet(rng.standard_normal((N, T)), TIMES),
+                       tmp_path / f"{name}.snp")
+    truth = load_snapshots(tmp_path / "truth.snp")
+    pred = load_snapshots(tmp_path / "pred.snp")
+    # blocks of 32 columns: 0.128 fields
+    assert peak_fields(lambda: spatial_rmse(pred, truth, normalize)) <= 0.25
