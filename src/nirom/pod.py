@@ -6,6 +6,12 @@ is far below the number of spatial DOFs. The recovered left vectors are
 polished with a QR factorization plus a small dense SVD so that both factor
 matrices are orthonormal to machine precision even when the spectrum spans
 many orders of magnitude.
+
+The Gram eigenvalues carry eps * sigma[0]**2 of roundoff, so a rank-deficient
+field leaves columns at about sqrt(eps) * sigma[0] above the Gram cut. Lifted
+as s @ v they shrink to the rounding of that product, and the lift drops such
+a trailing block (``TAIL_RTOL``) before the polish instead of factoring it:
+on a rank-2 wave of 20000 x 250 the QR takes 2 columns instead of 119.
 """
 
 from dataclasses import dataclass
@@ -20,6 +26,18 @@ POD_MAGIC = b"POD1"
 
 #: singular values below this fraction of the largest are treated as zero
 RANK_RTOL = 1e-12
+
+#: Forming one column of s @ v commits about eps * sigma[0] of rounding, so a
+#: column of that size is what s @ v gives for a v that s annihilates: the
+#: Gram cut keeps such columns, but they carry no signal.
+#: The lift drops the trailing K - j of its K columns when their Frobenius
+#: norm is at most sqrt(K - j) * TAIL_RTOL * sigma[0], with a small factor
+#: (4) over eps for the GEMM's accumulation. By Weyl's inequality, dropping a
+#: block of norm tau moves each singular value by at most tau, and each
+#: vector by about tau over its gap, so the full lift cannot tell the block
+#: from zero. For K below 1e6 columns tau stays under RANK_RTOL * sigma[0],
+#: so the polish's keep rule would have dropped the same columns.
+TAIL_RTOL = 4 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -98,13 +116,23 @@ class LatentTrajectory:
 def _lift(s: np.ndarray, sigma: np.ndarray, v: np.ndarray):
     """SVD triplets of s lifted from its Gram eigenpairs (sigma, v), less
     those the polish puts at or below ``RANK_RTOL``."""
+    sv = s @ v
+    # tail[j] = ||sv[:, j:]||_F^2 over its K - j columns, down to the empty
+    # block at j = K; the polish takes the columns before the first
+    # trailing block of rounding
+    sq = np.einsum("ij,ij->j", sv, sv)
+    tail = np.append(np.cumsum(sq[::-1])[::-1], 0.0)
+    width = np.arange(sq.size, -1, -1)
+    j = int(np.argmax(tail <= width * (TAIL_RTOL * sigma[0]) ** 2))
     # Recovered left vectors lose orthogonality roughly as sigma[0]/sigma[i];
-    # polish with QR and an exact small SVD of the triangular residue.
-    u0 = (s @ v) / sigma
+    # polish with QR and an exact small SVD of the triangular residue. The
+    # division is in place on a view: no second N x K buffer beside sv.
+    u0 = sv[:, :j]
+    u0 /= sigma[:j]
     q, r = np.linalg.qr(u0)
-    p, d, wt = np.linalg.svd(r * sigma)
+    p, d, wt = np.linalg.svd(r * sigma[:j])
     left = q @ p
-    right = v @ wt.T
+    right = v[:, :j] @ wt.T
     keep = d > RANK_RTOL * d[0]
     return left[:, keep], d[keep], right[:, keep]
 
@@ -142,7 +170,11 @@ def _gram_svd(s: np.ndarray, count: int | None = None):
 
 def _signed(left: np.ndarray, sigma: np.ndarray, right: np.ndarray) -> ThinSvd:
     """Fix the sign ambiguity: the largest-magnitude entry of each left
-    vector (lowest index on ties) is made nonnegative."""
+    vector (lowest index on ties) is made nonnegative.
+
+    Sinusoidal modes, such as a traveling wave's on a periodic grid, tie in
+    magnitude at rows i and i + N/2 up to roundoff, so roundoff decides
+    their sign: a change that moves a mode by one ulp can negate it."""
     for j in range(sigma.size):
         i = int(np.argmax(np.abs(left[:, j])))
         if left[i, j] < 0:

@@ -1,10 +1,11 @@
-"""Peak memory of the field-sized stages: predict's lift and write, and
-compare's reduction.
+"""Peak memory of the field-sized stages: decompose, predict's lift and
+write, and compare's reduction.
 
 Each peak is traced with tracemalloc on a 4000 x 250 field and stated in
 fields above the stage's inputs. A produced field counts as one: the lift
 to it and its write to SNP1 make no other field-sized temporary, and the
-RMSE holds one column block of its difference at a time.
+RMSE holds one column block of its difference at a time. Decompose holds
+its deviations and the lift of the columns the Gram cut keeps.
 """
 
 import tracemalloc
@@ -14,8 +15,15 @@ import pytest
 
 from nirom.dmd import DmdModel, dmd_forecast
 from nirom.metrics import spatial_rmse
-from nirom.pod import LatentTrajectory, PodBasis, reconstruct
-from nirom.snapshot import SnapshotSet, load_snapshots, save_snapshots
+from nirom.pod import LatentTrajectory, PodBasis, project, reconstruct, thin_svd, truncate
+from nirom.snapshot import (
+    SnapshotSet,
+    SyntheticSpec,
+    center,
+    generate_synthetic,
+    load_snapshots,
+    save_snapshots,
+)
 
 N, T = 4000, 250
 FIELD_BYTES = 8 * N * T
@@ -46,6 +54,25 @@ def dmd_model() -> DmdModel:
     lam = [0.999 * np.exp(0.05j), 0.999 * np.exp(-0.05j)]
     modes = rng.standard_normal((N, 2)) + 1j * rng.standard_normal((N, 2))
     return DmdModel(modes, lam, [1.0 + 1.0j, 1.0 - 1.0j], dt=1.0, t0=0.0)
+
+
+def decompose(snap: SnapshotSet):
+    """The body of the decompose stage, without its file writes."""
+    cen = center(snap)
+    basis = truncate(thin_svd(cen), cen.mean, rank=2)
+    return basis, project(basis, cen)
+
+
+@pytest.mark.parametrize("noise, bound", [(0.0, 2.1), (1e-6, 5.4)],
+                         ids=["rank-2", "full-rank"])
+def test_decompose_peak(noise, bound):
+    wave = generate_synthetic(SyntheticSpec("traveling_wave", N, 0.0, 2.4925, 0.01))
+    data = wave.data + noise * np.random.default_rng(3).standard_normal((N, T))
+    snap = SnapshotSet(data, wave.times)
+    # rank 2 (1.54 measured): the deviations, and s @ v over the 119 columns
+    # the Gram cut keeps, of which the polish takes 2. Full rank (5.36): the
+    # deviations, s @ v, Q, Q @ P and its kept columns, each 250 columns wide
+    assert peak_fields(lambda: decompose(snap)) <= bound
 
 
 def test_reconstruct_peaks_at_its_field():
