@@ -14,11 +14,17 @@ from ..errors import NumericalError
 from ..pod import LatentTrajectory
 from ..snapshot import check_times, time_tolerance
 from . import kernels
-from .network import DynamicsNet, layer_views
+from .network import DynamicsNet, unfold_biases
 from .solvers import FIXED_METHODS, RolloutPlan, SolverSpec, _pad_state, fixed_rollout
 
 GRAD_MODES = ("backprop_through_solver", "adjoint")
 ADJOINT_DRIFT_RTOL = 1e-3
+#: adjoint steps whose stage rows are kept for one deferred parameter GEMM
+#: per layer. A step stores every layer's input and cotangent for each of
+#: its stages: about 4.3 KiB for an rk4 step of a 2-64-2 net, so a chunk is
+#: about 140 KiB there and about 1 MiB for a 512-wide preset, while the
+#: GEMMs' dispatch is spread over 32 steps
+ADJOINT_CHUNK = 32
 
 
 def _target_array(net: DynamicsNet, times: np.ndarray, target) -> np.ndarray:
@@ -50,7 +56,11 @@ def _loss_cotangent(net: DynamicsNet, out: np.ndarray, target: np.ndarray):
 class GradPlan:
     """One gradient route for one net, initial state, time grid, target and
     solver, built once per gradient call or training run: the rollout plan
-    (cached for backprop) and the gradient vector with its layer views."""
+    (cached for backprop) and the augmented gradient arrays. An adjoint
+    plan also holds its chunk buffers and the tableaus of every substep:
+    `back` (ts, ea, eb) marches the state back over it with the step
+    h < 0, and `costate` (ca, cb) = [1, -h a], [1, -h b] is the costate's,
+    its negation folded in."""
 
     def __init__(self, net: DynamicsNet, z0, times, target, solver: SolverSpec,
                  mode: str):
@@ -65,11 +75,17 @@ class GradPlan:
         self.z0 = z0
         self.target = target
         self.mode = mode
-        self.rollout = RolloutPlan(
+        self.rollout = roll = RolloutPlan(
             net, times, solver, cached=mode == "backprop_through_solver"
         )
-        self.gw = np.zeros(net.params.size)
-        self.grads = layer_views(self.gw, net.sizes)
+        self.grads = tuple(np.zeros_like(w) for w in roll.args[0])
+        if mode == "adjoint":
+            sub_t0, sub_h, _ = roll.schedule
+            t1 = sub_t0 + sub_h
+            self.back = kernels.scaled_tableau(*roll.tableau, t1, -sub_h)
+            self.costate = kernels.scaled_tableau(*roll.tableau, t1, sub_h)[1:]
+            self.chunk = roll.buffers(ADJOINT_CHUNK * roll.n_stages,
+                                      roll.n_stages)
 
 
 def _backprop_grad(plan: GradPlan):
@@ -88,50 +104,73 @@ def _backprop_grad(plan: GradPlan):
 
 
 def _adjoint_grad(plan: GradPlan):
+    """March the state and costate back over every substep, one
+    adjoint_step each, taking the parameter gradient of every chunk of
+    ADJOINT_CHUNK steps at once. At each observation time the state is
+    re-anchored to the forward pass and the loss cotangent joins the
+    costate; the states the re-integration reached there are checked once
+    the sweep is done."""
     roll = plan.rollout
-    out, (sub_t0, sub_h, out_idx) = fixed_rollout(roll, plan.z0)
+    out, (_, _, out_idx) = fixed_rollout(roll, plan.z0)
     loss, out_bar = _loss_cotangent(plan.net, out, plan.target)
-    times = roll.times
-
-    # substep index ending each observation interval
-    ends = np.flatnonzero(out_idx >= 0)
-    M = times.size
-    z = out[:, M - 1].copy()
-    a = out_bar[:, M - 1].copy()
-    for k in range(M - 1, 0, -1):
-        lo = ends[k - 2] + 1 if k >= 2 else 0
-        hi = ends[k - 1]
-        # overflow surfaces as a non-finite gradient, which training rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(hi, lo - 1, -1):
-                kernels.adjoint_step(
-                    *roll.args, sub_t0[i] + sub_h[i], -sub_h[i], z, a,
-                    plan.grads, *roll.tableau, roll.stages,
-                )
-        anchor = out[:, k - 1]
-        drift = float(np.linalg.norm(z - anchor))
-        limit = ADJOINT_DRIFT_RTOL * (1.0 + float(np.linalg.norm(anchor)))
-        if drift > limit:
-            raise NumericalError(
-                f"adjoint re-integration drifted {drift:.3e} from the forward "
-                f"state at t={times[k - 1]:.6g} (limit {limit:.3e}); use a "
-                "finer step or the backprop_through_solver mode"
+    ts, ea, eb = plan.back
+    ca, cb = plan.costate
+    buf = plan.chunk
+    n_stages = roll.n_stages
+    last = out.shape[1] - 1
+    reached = np.empty_like(out)
+    buf.cot[0] = 0.0
+    j = 0
+    # overflow surfaces as a non-finite gradient, which training rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(out_idx.shape[0] - 1, -1, -1):
+            col = out_idx[i]
+            if col >= 0:
+                if col < last:
+                    reached[:, col] = buf.zk[0]
+                buf.zk[0] = out[:, col]
+                buf.cot[0] += out_bar[:, col]
+            kernels.adjoint_step(
+                *roll.args, ts[i], ea[i], eb[i], ca[i], cb[i], buf, j,
             )
-        np.copyto(z, anchor)
-        a += out_bar[:, k - 1]
+            j += 1
+            if j == ADJOINT_CHUNK or i == 0:
+                kernels.layer_gradients(plan.grads, buf, j * n_stages, buf.w)
+                j = 0
+        reached[:, 0] = buf.zk[0]
+        _check_drift(reached[:, :last], out[:, :last], roll.times)
     return loss
+
+
+def _check_drift(reached, anchors, times):
+    """Refuse a sweep whose re-integrated state at an observation time
+    (column c of `reached`) drifted from the forward state there by more
+    than ADJOINT_DRIFT_RTOL * (1 + |anchor|); the latest such time is the
+    first the backward sweep met, and the one reported. A NaN drift
+    compares false and is not refused."""
+    drift = np.linalg.norm(reached - anchors, axis=0)
+    limit = ADJOINT_DRIFT_RTOL * (1.0 + np.linalg.norm(anchors, axis=0))
+    bad = np.flatnonzero(drift > limit)
+    if bad.size:
+        c = bad[-1]
+        raise NumericalError(
+            f"adjoint re-integration drifted {drift[c]:.3e} from the forward "
+            f"state at t={times[c]:.6g} (limit {limit[c]:.3e}); use a "
+            "finer step or the backprop_through_solver mode"
+        )
 
 
 def _loss_and_grad(plan: GradPlan, params: np.ndarray):
     """(loss, gradient) of the trajectory MSE at the parameter vector
     `params`, through the plan's route."""
-    np.copyto(plan.rollout.params, params)
-    plan.gw.fill(0.0)
+    plan.rollout.set_params(params)
+    for g in plan.grads:
+        g.fill(0.0)
     if plan.mode == "adjoint":
         loss = _adjoint_grad(plan)
     else:
         loss = _backprop_grad(plan)
-    return loss, plan.gw.copy()
+    return loss, unfold_biases(plan.grads, np.empty(params.size), plan.net.sizes)
 
 
 def grad(

@@ -147,11 +147,33 @@ def layer_views(vec: np.ndarray, sizes) -> tuple:
     return tuple(views)
 
 
+def fold_biases(vec: np.ndarray, sizes, out=None) -> tuple:
+    """Per-layer augmented weights [W_l | b_l] of a flat vector packed like
+    the parameters of a net with these layer sizes, written into `out`
+    (arrays of those shapes) or into new arrays."""
+    views = layer_views(vec, sizes)
+    if out is None:
+        out = tuple(np.empty((w.shape[0], w.shape[1] + 1)) for w, _ in views)
+    for (w, b), wa in zip(views, out):
+        wa[:, :-1] = w
+        wa[:, -1] = b
+    return out
+
+
+def unfold_biases(aug, vec: np.ndarray, sizes) -> np.ndarray:
+    """Write per-layer augmented arrays [W_l | b_l] into the flat vector
+    `vec`, packed like the parameters; returns vec."""
+    for (w, b), wa in zip(layer_views(vec, sizes), aug):
+        w[...] = wa[:, :-1]
+        b[...] = wa[:, -1]
+    return vec
+
+
 def kernel_args(net: DynamicsNet, params: np.ndarray) -> tuple:
     """The leading net arguments of the kernels (see kernels): per-layer
-    views of `params`, activation ids, the scale vectors padded over the
-    augmented components (None, None without a map), and the time-input
-    flag."""
+    augmented weights filled from `params` (refill them with fold_biases),
+    activation ids, the scale vectors padded over the augmented components
+    (None, None without a map), and the time-input flag."""
     acts = tuple(ACTIVATIONS[a] for a in net.activations)
     mid = half = None
     if net.scale is not None:
@@ -159,7 +181,7 @@ def kernel_args(net: DynamicsNet, params: np.ndarray) -> tuple:
         half = np.ones(net.state_dim)
         mid[: net.latent_dim] = net.scale.mid
         half[: net.latent_dim] = net.scale.half
-    return layer_views(params, net.sizes), acts, mid, half, net.time_input
+    return fold_biases(params, net.sizes), acts, mid, half, net.time_input
 
 
 def net_init(
@@ -214,15 +236,22 @@ def build_net(
 
 
 def net_eval(net: DynamicsNet, t: float, z: np.ndarray) -> np.ndarray:
-    """Single right-hand side evaluation net(t, z)."""
+    """Single right-hand side evaluation net(t, z), layer by layer from the
+    flat parameters (W_l x + b_l) without the kernels' buffers, so tests
+    can hold the kernels against it."""
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (net.state_dim,):
         raise ValueError(f"state must have shape ({net.state_dim},), got {z.shape}")
     if not (np.isfinite(t) and np.all(np.isfinite(z))):
         raise NumericalError("non-finite input to the dynamics net")
-    args = kernel_args(net, net.params)
-    buf = kernels.StageBuffers(net.sizes, args[1], net.time_input, 1, 1)
-    return kernels.nn_forward(*args, float(t), z, buf.rows[0], buf.k[0])
+    _, acts, mid, half, tin = kernel_args(net, net.params)
+    x = z if mid is None else (z - mid) / half
+    if tin:
+        x = np.concatenate([[float(t)], x])
+    for (w, b), kind in zip(layer_views(net.params, net.sizes), acts):
+        x = w @ x + b
+        kernels._act(x, kind)
+    return x if half is None else half * x
 
 
 # ---------------------------------------------------------------------------

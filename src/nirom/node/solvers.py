@@ -15,7 +15,7 @@ from ..errors import NumericalError
 from ..pod import LatentTrajectory
 from ..snapshot import check_times, first_nonfinite, time_tolerance
 from . import kernels
-from .network import DynamicsNet, kernel_args
+from .network import DynamicsNet, fold_biases, kernel_args
 
 FIXED_METHODS = ("euler", "midpoint", "rk4")
 METHODS = FIXED_METHODS + ("dopri5",)
@@ -138,10 +138,10 @@ def _pad_state(net: DynamicsNet, z0) -> np.ndarray:
 
 class RolloutPlan:
     """One net's rollouts over one time grid with one solver, built once and
-    reused: the kernels' net arguments over a parameter vector the plan
-    owns (copy new values into `params`), the tableau, the fixed-step
-    schedule, and the stage buffers. A cached plan keeps the layer rows of
-    every stage for a reverse sweep.
+    reused: the kernels' net arguments, whose augmented weights the plan
+    owns (set_params refills them), the tableau, the fixed-step schedule,
+    and the stage buffers. A cached plan keeps the layer rows of every
+    stage for a reverse sweep.
     """
 
     def __init__(self, net: DynamicsNet, times, solver: SolverSpec,
@@ -150,8 +150,7 @@ class RolloutPlan:
         self.times = times
         self.solver = solver
         self.cached = cached
-        self.params = net.params.copy()
-        self.args = kernel_args(net, self.params)
+        self.args = kernel_args(net, net.params)
         self.tableau = tableau(solver.method)
         self.n_stages = self.tableau[1].size
         self.schedule = None
@@ -159,10 +158,15 @@ class RolloutPlan:
         if solver.method in FIXED_METHODS:
             self.schedule = build_schedule(times, solver.step, solver.max_steps)
         else:
-            self.adaptive = self._buffers(_DP_K, _DP_K)
+            self.adaptive = self.buffers(_DP_K, _DP_K)
         self.stages = None
 
-    def _buffers(self, n_rows, n_stages):
+    def set_params(self, params: np.ndarray) -> None:
+        """Fold a new flat parameter vector into the plan's weights."""
+        fold_biases(params, self.net.sizes, self.args[0])
+
+    def buffers(self, n_rows, n_stages):
+        """New stage buffers of n_rows rows for this plan's net."""
         return kernels.StageBuffers(
             self.net.sizes, self.args[1], self.net.time_input, n_rows, n_stages,
         )
@@ -181,7 +185,7 @@ class RolloutPlan:
         have = 0 if self.stages is None else len(self.stages.steps)
         if have < need:
             grown = max(need, have + have // 2)
-            self.stages = self._buffers(grown * self.n_stages, self.n_stages)
+            self.stages = self.buffers(grown * self.n_stages, self.n_stages)
         return self.stages
 
 
@@ -203,7 +207,7 @@ def fixed_rollout(plan: RolloutPlan, z0: np.ndarray):
     # a blown-up state overflows quietly; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         kernels.rollout_rk(
-            *plan.args, z0, *plan.tableau, steps, buf.k, buf.znew, out, *schedule,
+            *plan.args, z0, *plan.tableau, steps, buf.zk, buf.zk2, out, *schedule,
         )
     bad = first_nonfinite(out.T)
     if bad is not None:
@@ -274,15 +278,22 @@ def _dopri5_core(plan: RolloutPlan, z0: np.ndarray):
     schedule (t0, h, output column or -1) that fixed_rollout replays.
     """
     times, solver, buf = plan.times, plan.solver, plan.adaptive
-    # k[0] is the first-same-as-last stage: the last stage of the step before
-    k, row, ynew = buf.k, buf.rows[0], buf.znew
+    # y = zk[0] and k = zk[1:]; k[0] is the first-same-as-last stage: the
+    # last stage of the step before
+    zk, row = buf.zk, buf.rows[0]
+    y, k = zk[0], zk[1:]
+    ynew = np.empty_like(z0)
+    # the tableau extended and scaled to each trial step (kernels.rk_step)
+    ea = np.empty((_DP_B.size, _DP_B.size + 1))
+    eb = np.empty(_DP_B.size + 1)
+    ea[:, 0] = eb[0] = 1.0
 
     def rhs(t, z, out):
         return kernels.nn_forward(*plan.args, float(t), z, row, out)
 
     t_end = float(times[-1])
     t = float(times[0])
-    y = z0.copy()
+    np.copyto(y, z0)
     rhs(t, y, k[0])
     if not np.all(np.isfinite(k[0])):
         raise NumericalError("non-finite dynamics at the initial state")
@@ -295,7 +306,8 @@ def _dopri5_core(plan: RolloutPlan, z0: np.ndarray):
     if times.size == 1:
         return out, (np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
 
-    h = _initial_step(rhs, t, y, k[0], t_end - t, solver.rtol, solver.atol, buf.v)
+    h = _initial_step(rhs, t, y, k[0], t_end - t, solver.rtol, solver.atol,
+                      np.empty_like(z0))
     facold = 1e-4
     n_steps = 0
     while t < t_end:
@@ -313,10 +325,9 @@ def _dopri5_core(plan: RolloutPlan, z0: np.ndarray):
         if t + h <= t:
             raise NumericalError(
                 f"step size underflow at t={plan.physical_time(t):.6g}")
-        kernels.rk_step(
-            *plan.args, t + _DP_C * h, h * _DP_A, h * _DP_B, y, 1, k, buf.rows,
-            ynew,
-        )
+        np.multiply(h, _DP_A, out=ea[:, 1:])
+        np.multiply(h, _DP_B, out=eb[1:])
+        kernels.rk_step(*plan.args, t + _DP_C * h, ea, eb, zk, 1, buf.rows, ynew)
         rhs(t + h, ynew, k[6])
         err_vec = h * (_DP_E @ k)
         if not (np.all(np.isfinite(ynew)) and np.all(np.isfinite(err_vec))):

@@ -130,11 +130,14 @@ def _lift(s: np.ndarray, sigma: np.ndarray, v: np.ndarray):
     u0 = sv[:, :j]
     u0 /= sigma[:j]
     q, r = np.linalg.qr(u0)
+    # sv goes before q @ p is formed; the polished values come out sorted,
+    # so the kept columns are a prefix, sliced without a copy
+    del sv, u0
     p, d, wt = np.linalg.svd(r * sigma[:j])
     left = q @ p
     right = v[:, :j] @ wt.T
-    keep = d > RANK_RTOL * d[0]
-    return left[:, keep], d[keep], right[:, keep]
+    n_keep = int(np.count_nonzero(d > RANK_RTOL * d[0]))
+    return left[:, :n_keep], d[:n_keep], right[:, :n_keep]
 
 
 def _gram_svd(s: np.ndarray, count: int | None = None):

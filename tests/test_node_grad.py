@@ -6,8 +6,12 @@ stage-replay route on fixed-step solvers and refuse to run where it cannot
 be exact.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nirom.errors import NumericalError
 from nirom.node import (
@@ -16,9 +20,17 @@ from nirom.node import (
     SolverSpec,
     build_net,
     grad,
+    net_eval,
 )
 from nirom.node import kernels
-from nirom.node.gradients import GradPlan, _loss_and_grad, _loss_cotangent, _pad_state
+from nirom.node.gradients import (
+    ADJOINT_CHUNK,
+    ADJOINT_DRIFT_RTOL,
+    GradPlan,
+    _loss_and_grad,
+    _loss_cotangent,
+    _pad_state,
+)
 from nirom.node.network import kernel_args, layer_views
 from nirom.node.solvers import RolloutPlan, fixed_rollout, tableau
 from nirom.pod import LatentTrajectory
@@ -239,16 +251,93 @@ def test_adjoint_drift_raises():
              SolverSpec("euler", step=0.1), mode="adjoint")
 
 
+@pytest.mark.parametrize("times, step, named", [
+    # five substeps per interval, and every interval drifts
+    (np.linspace(0.0, 1.5, 4), 0.1, "t=1 "),
+    # one substep per interval, and every interval drifts
+    (np.linspace(0.0, 1.0, 6), 0.2, "t=0.8 "),
+    # the short late intervals stay within the limit; the first drifts
+    (np.array([0.0, 1.0, 1.01, 1.02]), 0.1, "t=0 "),
+], ids=["substeps", "one-substep", "first-only"])
+def test_adjoint_drift_names_the_latest_drifting_time(times, step, named):
+    # stiff decay under coarse euler, as in test_adjoint_drift_raises: the
+    # message must be the one a check after every interval raises first
+    net = DynamicsNet((1, 1), ("linear",), np.array([-3.0, 0.0]),
+                      time_input=False)
+    target = np.zeros((1, times.size))
+    solver = SolverSpec("euler", step=step)
+    z0 = np.array([1.0])
+    messages = []
+    for route in (lambda: grad(net, z0, times, target, solver, mode="adjoint"),
+                  lambda: per_step_adjoint(net, z0, times, target, solver)):
+        with pytest.raises(NumericalError, match="drift") as info:
+            route()
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert named in messages[0]
+
+
+def adjoint_peak_bytes(net, n_snapshots):
+    """tracemalloc peak of one adjoint gradient over n_snapshots."""
+    times = np.linspace(0.0, 1.0, n_snapshots)
+    target = np.vstack([np.sin(6.0 * times), np.cos(6.0 * times)])
+    solver = SolverSpec("rk4", step=float(times[1] - times[0]))
+    tracemalloc.start()
+    try:
+        grad(net, target[:, 0], times, target, solver, mode="adjoint")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_adjoint_memory_is_bounded_by_its_chunk():
+    net = build_net(2, [64], "tanh", seed=1)
+    n_stages = tableau("rk4")[1].size
+    # what backprop caches per rk4 step: every layer's input and cotangent
+    # rows of its four stages (about 4.3 KiB for this net)
+    cache = kernels.StageBuffers(net.sizes, kernel_args(net, net.params)[1],
+                                 net.time_input, n_stages, n_stages)
+    per_step = sum(a.nbytes for a in cache.x + cache.s)
+    assert 4000 < per_step < 4600
+    short, long = 500, 2000
+    growth = (adjoint_peak_bytes(net, long) - adjoint_peak_bytes(net, short)) \
+        / (long - short)
+    assert growth < 0.5 * per_step
+    for n_snapshots in (short, long):
+        times = np.linspace(0.0, 1.0, n_snapshots)
+        plan = GradPlan(net, np.zeros(2), times, np.zeros((2, n_snapshots)),
+                        SolverSpec("rk4", step=float(times[1] - times[0])),
+                        "adjoint")
+        assert len(plan.chunk.rows) == ADJOINT_CHUNK * n_stages
+
+
 # ---------------------------------------------------------------------------
 # the per-layer GEMM gradient against the per-stage sweep it replaced
 # ---------------------------------------------------------------------------
+
+
+def reference_forward(net, t, z):
+    """One right-hand side evaluation layer by layer from the flat
+    parameters, as net_eval does; returns the stage derivative and every
+    layer's input, the net output last, for reference_vjp."""
+    _, acts, mid, half, tin = kernel_args(net, net.params)
+    x = z if mid is None else (z - mid) / half
+    xs = [np.concatenate([[t], x]) if tin else x]
+    for (w, b), kind in zip(layer_views(net.params, net.sizes), acts):
+        y = w @ xs[-1] + b
+        xs.append({0: y, 1: np.maximum(y, 0.0), 2: np.where(y > 0.0, y, np.expm1(y)),
+                   3: np.tanh(y)}[kind])
+    k = xs[-1] if half is None else half * xs[-1]
+    return k, xs
 
 
 def reference_vjp(net, u, xs, gw):
     """Per-stage reverse pass over flat parameters: adds every layer's outer
     product into gw and returns the state cotangent. xs holds the stage's
     layer inputs, the net output last."""
-    layers, acts, _, half, tin = kernel_args(net, net.params)
+    _, acts, _, half, tin = kernel_args(net, net.params)
+    layers = layer_views(net.params, net.sizes)
     grads = layer_views(gw, net.sizes)
     half = np.ones(net.state_dim) if half is None else half
     deriv = {
@@ -267,13 +356,38 @@ def reference_vjp(net, u, xs, gw):
     return (xbar[1:] if tin else xbar) / half
 
 
+def reference_schedule(net, z0, times, solver):
+    """The substep schedule a rollout of this net follows (for dopri5, the
+    steps its adaptive pass accepts)."""
+    return fixed_rollout(RolloutPlan(net, times, solver), z0)[1]
+
+
+def reference_step(net, t0, h, z, a_tab, b_tab, c_tab):
+    """Textbook explicit RK step through reference_forward: the new state
+    and every stage's layer inputs."""
+    ks, xss = [], []
+    for st in range(b_tab.size):
+        u = z + h * sum((a_tab[st, j] * ks[j] for j in range(st)), np.zeros_like(z))
+        k, xs = reference_forward(net, t0 + c_tab[st] * h, u)
+        ks.append(k)
+        xss.append(xs)
+    return z + h * sum(b_tab[st] * ks[st] for st in range(b_tab.size)), xss
+
+
 def reference_backprop(net, z0, times, target, solver):
-    """Replay every stage of the recorded rollout backwards, one
+    """Replay every stage of a textbook rollout backwards, one
     reference_vjp per stage."""
-    plan = RolloutPlan(net, times, solver, cached=True)
-    out, (_, sub_h, out_idx) = fixed_rollout(plan, z0)
+    sub_t0, sub_h, out_idx = reference_schedule(net, z0, times, solver)
+    a, b, c = tableau(solver.method)
+    out = np.empty((net.state_dim, times.size))
+    out[:, 0] = z = z0
+    stages = []
+    for i in range(sub_h.size):
+        z, xss = reference_step(net, sub_t0[i], sub_h[i], z, a, b, c)
+        stages.append(xss)
+        if out_idx[i] >= 0:
+            out[:, out_idx[i]] = z
     _, out_bar = _loss_cotangent(net, out, target)
-    a, b, _ = tableau(solver.method)
     gw = np.zeros(net.params.size)
     zbar = np.zeros(net.state_dim)
     for i in range(sub_h.size - 1, -1, -1):
@@ -282,7 +396,7 @@ def reference_backprop(net, z0, times, target, solver):
         h = sub_h[i]
         kbar = [(h * b[st]) * zbar for st in range(b.size)]
         for st in range(b.size - 1, -1, -1):
-            ubar = reference_vjp(net, kbar[st], plan.stages.steps[i][st].x, gw)
+            ubar = reference_vjp(net, kbar[st], stages[i][st], gw)
             zbar = zbar + ubar
             for j in range(st):
                 kbar[j] = kbar[j] + (h * a[st, j]) * ubar
@@ -290,14 +404,13 @@ def reference_backprop(net, z0, times, target, solver):
 
 
 def reference_adjoint(net, z0, times, target, solver):
-    """Integrate the costate backwards interval by interval, re-anchoring
-    the state at each observation; each step adds h * b_st times every
-    stage's own reference_vjp gradient."""
+    """Integrate the costate backwards interval by interval with textbook
+    steps, re-anchoring the state at each observation; each step adds
+    h * b_st times every stage's own reference_vjp gradient."""
     plan = RolloutPlan(net, times, solver)
     out, (sub_t0, sub_h, out_idx) = fixed_rollout(plan, z0)
     _, out_bar = _loss_cotangent(net, out, target)
     a_tab, b_tab, c_tab = tableau(solver.method)
-    buf = plan.stages
     n_stages = b_tab.size
     ends = np.flatnonzero(out_idx >= 0)
     z = out[:, -1].copy()
@@ -307,23 +420,93 @@ def reference_adjoint(net, z0, times, target, solver):
         lo = ends[k - 2] + 1 if k >= 2 else 0
         for i in range(ends[k - 1], lo - 1, -1):
             h = -sub_h[i]
-            z = kernels.rk_step(
-                *plan.args, sub_t0[i] + sub_h[i] + c_tab * h, h * a_tab,
-                h * b_tab, z, 0, buf.k, buf.rows, np.empty_like(z),
-            )
+            z, xss = reference_step(net, sub_t0[i] + sub_h[i], h, z,
+                                    a_tab, b_tab, c_tab)
             ka, kg = [], []
             for st in range(n_stages):
                 ua = a.copy()
                 for j in range(st):
                     ua = ua + (h * a_tab[st, j]) * ka[j]
                 g_st = np.zeros(net.params.size)
-                ka.append(-reference_vjp(net, ua, buf.rows[st].x, g_st))
+                ka.append(-reference_vjp(net, ua, xss[st], g_st))
                 kg.append(-g_st)
             for st in range(n_stages):
                 a = a + (h * b_tab[st]) * ka[st]
                 gw += (h * b_tab[st]) * kg[st]
         z = out[:, k - 1].copy()
         a = a + out_bar[:, k - 1]
+    return gw
+
+
+# The adjoint as it ran before its parameter GEMM was deferred over chunks:
+# per step, the tableau scaled, the costate stages negated, and one weighted
+# GEMM per layer (_layer_gradients), then a drift check per interval. Only
+# the kernel calls follow today's signatures.
+
+
+def _layer_gradients(grads, buf, n_rows, weights):
+    """Add sum_r w_r * (outer(s_l, x_l), s_l) over the first n_rows stored
+    stages into each layer's gradient; weights None means w_r = 1."""
+    for l, (g_w, g_b) in enumerate(grads):
+        s = buf.s[l][:n_rows]
+        if weights is not None:
+            s = s * weights.reshape(n_rows, 1)
+        g_w += np.dot(s.T, buf.x[l][:n_rows, :-1])
+        g_b += s.sum(axis=0)
+
+
+def adjoint_step(layers, acts, mid, half, tin,
+                 t0, h, z, a, grads, a_tab, b_tab, c_tab, buf):
+    """One RK step (h may be negative) of the augmented costate system,
+    z and a updated in place and the parameter sensitivity added into
+    grads."""
+    n_stages = b_tab.shape[0]
+    ka = np.empty((n_stages, z.size))
+    ha, hb = h * a_tab, h * b_tab
+    ts, ea, eb = kernels.scaled_tableau(a_tab, b_tab, c_tab, np.array([t0]),
+                                        np.array([h]))
+    buf.zk[0] = z
+    kernels.rk_step(layers, acts, mid, half, tin, ts[0], ea[0], eb[0], buf.zk,
+                    0, buf.rows, z)
+    buf.derivs(0, n_stages)
+    for st in range(n_stages):
+        v = a + np.dot(ha[st, :st], ka[:st])
+        ka[st] = -kernels.nn_vjp(layers, acts, half, v, buf.rows[st],
+                                 np.empty(z.size))
+    _layer_gradients(grads, buf, n_stages, -h * b_tab)
+    a += np.dot(hb, ka)
+
+
+def per_step_adjoint(net, z0, times, target, solver):
+    """The adjoint gradient through adjoint_step above, with a drift check
+    after every interval."""
+    plan = RolloutPlan(net, times, solver)
+    out, (sub_t0, sub_h, out_idx) = fixed_rollout(plan, z0)
+    _, out_bar = _loss_cotangent(net, out, target)
+    buf = plan.buffers(plan.n_stages, plan.n_stages)
+    gw = np.zeros(net.params.size)
+    grads = layer_views(gw, net.sizes)
+    ends = np.flatnonzero(out_idx >= 0)
+    M = times.size
+    z = out[:, M - 1].copy()
+    a = out_bar[:, M - 1].copy()
+    for k in range(M - 1, 0, -1):
+        lo = ends[k - 2] + 1 if k >= 2 else 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(ends[k - 1], lo - 1, -1):
+                adjoint_step(*plan.args, sub_t0[i] + sub_h[i], -sub_h[i], z, a,
+                             grads, *plan.tableau, buf)
+        anchor = out[:, k - 1]
+        drift = float(np.linalg.norm(z - anchor))
+        limit = ADJOINT_DRIFT_RTOL * (1.0 + float(np.linalg.norm(anchor)))
+        if drift > limit:
+            raise NumericalError(
+                f"adjoint re-integration drifted {drift:.3e} from the forward "
+                f"state at t={times[k - 1]:.6g} (limit {limit:.3e}); use a "
+                "finer step or the backprop_through_solver mode"
+            )
+        np.copyto(z, anchor)
+        a += out_bar[:, k - 1]
     return gw
 
 
@@ -340,6 +523,7 @@ def test_gradient_matches_per_stage_reference(method, activation):
     modes = [("backprop_through_solver", reference_backprop)]
     if method != "dopri5":
         modes.append(("adjoint", reference_adjoint))
+        modes.append(("adjoint", per_step_adjoint))
     for time_input in (True, False):
         for augment in (0, 2):
             for scaled in (False, True):
@@ -355,4 +539,39 @@ def test_gradient_matches_per_stage_reference(method, activation):
                     want = reference(net, z0p, times, target, solver)
                     assert (np.linalg.norm(got - want)
                             <= 1e-12 * np.linalg.norm(want)), (
-                        mode, time_input, augment, scaled)
+                        mode, reference.__name__, time_input, augment, scaled)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.integers(1, 16),
+    st.sampled_from(["linear", "relu", "elu", "tanh"]),
+    st.booleans(),
+    st.integers(0, 2),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_folded_forward_matches_net_eval(n_hidden, width, activation,
+                                         time_input, augment, scaled, seed):
+    rng = np.random.default_rng(seed)
+    latent = 3
+    scale = (ScaleMap(rng.normal(size=latent), rng.uniform(0.5, 2.0, latent))
+             if scaled else None)
+    net = build_net(latent, [width] * n_hidden, activation, augment_dim=augment,
+                    seed=seed % 1000, time_input=time_input, scale=scale)
+    net = net.with_params(rng.normal(size=net.params.size))
+    t, z = float(rng.uniform(-1.0, 1.0)), rng.normal(size=net.state_dim)
+    args = kernel_args(net, net.params)
+    buf = kernels.StageBuffers(net.sizes, args[1], time_input, 1, 1)
+    got = kernels.nn_forward(*args, t, z, buf.rows[0], np.empty(net.state_dim))
+    want = net_eval(net, t, z)
+    # relative to the magnitude of the terms each layer sums, so that
+    # cancellation in a sum cannot shrink the bound below the roundoff
+    _, _, mid, half, _ = args
+    m = np.abs(z if mid is None else (z - mid) / half)
+    m = np.concatenate([[abs(t)], m]) if time_input else m
+    for w, b in layer_views(net.params, net.sizes):
+        m = np.abs(w) @ m + np.abs(b)
+    m = m if half is None else half * m
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(m)

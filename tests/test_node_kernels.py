@@ -184,11 +184,13 @@ def test_mutating_rk_step_result_changes_no_later_step():
     args = kernel_args(net, net.params)
     a, b, c = tableau("rk4")
     buf = kernels.StageBuffers(net.sizes, args[1], net.time_input, 4, 4)
-    step = (0.2 + 0.1 * c, 0.1 * a, 0.1 * b, z0, 0, buf.k, buf.rows)
+    ts, ea, eb = kernels.scaled_tableau(a, b, c, np.array([0.2]), np.array([0.1]))
+    step = (ts[0], ea[0], eb[0], buf.zk, 0, buf.rows)
+    buf.zk[0] = z0
     out = kernels.rk_step(*args, *step, np.empty(2))
     want = out.copy()
     out[:] = np.nan
-    buf.k[:] = np.nan
+    buf.zk[1:] = np.nan
     again = kernels.rk_step(*args, *step, out)
     assert again.tobytes() == want.tobytes()
 

@@ -377,11 +377,13 @@ def test_rk_step_matches_textbook_butcher_step(method):
     # dopri5 trial steps reuse the first-same-as-last stage from the caller
     first = 1 if method == "dopri5" else 0
     buf = kernels.StageBuffers(net.sizes, args[1], net.time_input, b.size, b.size)
-    k = buf.k
-    k[:first] = want_k[:first]
-    got_z = kernels.rk_step(
-        *args, t0 + c * h, h * a, h * b, z, first, k, buf.rows, np.empty(z.size),
-    )
+    zk = buf.zk
+    zk[0] = z
+    zk[1: 1 + first] = want_k[:first]
+    ts, ea, eb = kernels.scaled_tableau(a, b, c, np.array([t0]), np.array([h]))
+    got_z = kernels.rk_step(*args, ts[0], ea[0], eb[0], zk, first, buf.rows,
+                            np.empty(z.size))
+    k = zk[1:]
     assert np.linalg.norm(got_z - want_z) <= 1e-15 * np.linalg.norm(want_z)
     assert np.linalg.norm(k - want_k) <= 1e-15 * np.linalg.norm(want_k)
 
@@ -395,13 +397,15 @@ def test_adjoint_step_state_is_one_rollout_substep(method, h):
     z = np.array([0.4, -0.7, 0.25])
     costate = np.array([1.0, -2.0, 0.5])
     buf = kernels.StageBuffers(net.sizes, args[1], net.time_input, b.size, b.size)
-    z_adj = z.copy()
-    kernels.adjoint_step(
-        *args, 0.3, h, z_adj, costate,
-        layer_views(np.zeros(net.params.size), net.sizes), a, b, c, buf,
-    )
+    t0, step = np.array([0.3]), np.array([h])
+    ts, ea, eb = kernels.scaled_tableau(a, b, c, t0, step)
+    _, ca, cb = kernels.scaled_tableau(a, b, c, t0, -step)
+    buf.zk[0] = z
+    buf.cot[0] = costate
+    kernels.adjoint_step(*args, ts[0], ea[0], eb[0], ca[0], cb[0], buf, 0)
+    z_adj = buf.zk[0].copy()
     out = kernels.rollout_rk(
-        *args, z, a, b, c, buf.steps, buf.k, np.empty(z.size), np.empty((z.size, 2)),
-        np.array([0.3]), np.array([h]), np.array([1]),
+        *args, z, a, b, c, buf.steps, buf.zk, buf.zk2, np.empty((z.size, 2)),
+        t0, step, np.array([1]),
     )
     assert z_adj.tobytes() == out[:, 1].tobytes()
