@@ -2,12 +2,20 @@
 
 Chains the pipeline stages over one JSON config:
 
-    nirom generate  --config cfg.json          synthetic snapshots -> SNP1
+    nirom generate  --config cfg.json          synthetic snapshots -> snapshots.snp
     nirom decompose --config cfg.json          basis.pod + latent.snp + spectrum.csv
     nirom fit --method {rbf|node|dmd} ...      model_<method>.{rbf,net,dmd}
     nirom predict MODEL --config cfg.json      pred_<method>.snp
     nirom compare TRUTH PRED [PRED...]         metrics.csv + metrics.json
     nirom report METRICS.json --format csv     re-emit a metrics artifact
+
+The input field is read from a file by ``decompose`` and ``fit --method
+dmd``: the config's input path, or for a synthetic input the snapshots.snp
+that ``generate`` wrote, which is also the field ``compare`` scores
+against; only ``generate`` builds a synthetic field. ``decompose`` writes
+latent.snp.meta.json last, recording the basis.pod it wrote, so ``fit``
+refuses a basis and latent pair that an interrupted ``decompose`` left
+mixed.
 
 Exit codes: 0 success, 2 configuration/argument error, 3 numerical failure,
 4 I/O or file-format error. The default output directory comes from --out,
@@ -56,6 +64,7 @@ from .snapshot import (
     generate_synthetic,
     load_snapshots,
     save_snapshots,
+    snapshot_header,
     time_grid,
     time_tolerance,
 )
@@ -76,6 +85,8 @@ MAGIC_METHODS = {b"RBF1": "rbf", b"NET1": "node", b"DMD1": "dmd"}
 #: .meta.json keys of an rbf or node model that tie it to the files it was
 #: fit on; predict starts from these files and refuses any others
 FIT_INPUTS = {"basis_sha256": FILE_BASIS, "latent_sha256": FILE_LATENT}
+#: decompose's record of the basis it projected latent.snp on, written last
+FILE_LATENT_META = FILE_LATENT + ".meta.json"
 
 
 def _out_dir(args, cfg: PipelineConfig | None) -> Path:
@@ -105,11 +116,31 @@ def _find(out: Path, raw) -> Path:
 
 
 def _input_snapshots(cfg: PipelineConfig, out: Path) -> SnapshotSet:
-    """The pipeline's source data: an explicit file, or the synthetic set
-    regenerated in memory (deterministic under the config seed)."""
+    """The pipeline's source field, read from its file: the config's input
+    path, or for a synthetic input the snapshots.snp that generate wrote.
+    That file must hold the input block's grid size and time grid, which
+    its header alone shows."""
     if cfg.input_path is not None:
         return load_snapshots(_find(out, cfg.input_path))
-    return generate_synthetic(cfg.synthetic)
+    path = out / FILE_SNAPSHOTS
+    if not path.exists():
+        raise FormatError(
+            f"{path}: missing; run 'nirom generate' with this config first"
+        )
+    spec = cfg.synthetic
+    n, times = snapshot_header(path)
+    want = spec.times
+    if n != spec.grid_points or times.size != want.size:
+        held = f"{n} points x {times.size} times"
+    elif np.max(np.abs(times - want)) > time_tolerance(want):
+        held = f"times on [{times[0]!r}, {times[-1]!r}]"
+    else:
+        return load_snapshots(path)
+    raise ConfigError(
+        f"{path} holds {held}, but the config's 'input' block asks for "
+        f"{spec.grid_points} points x {want.size} times on "
+        f"[{want[0]!r}, {want[-1]!r}]; run 'nirom generate' again"
+    )
 
 
 def _write_meta(path: Path, **fields) -> None:
@@ -120,17 +151,37 @@ def _write_meta(path: Path, **fields) -> None:
         f.write("\n")
 
 
+def _sha256(path: Path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
 def _input_digests(out: Path) -> dict:
     """sha256 of the basis and latent files in the output directory, under
     their FIT_INPUTS keys."""
-    digests = {}
-    for key, name in FIT_INPUTS.items():
-        h = hashlib.sha256()
-        with open(out / name, "rb") as f:
-            for chunk in iter(lambda: f.read(1 << 20), b""):
-                h.update(chunk)
-        digests[key] = h.hexdigest()
-    return digests
+    return {key: _sha256(out / name) for key, name in FIT_INPUTS.items()}
+
+
+def _check_decomposition(out: Path, basis_sha256: str) -> None:
+    """Refuse a latent.snp that decompose did not project on this
+    basis.pod, as latent.snp.meta.json records: a decompose stopped before
+    it wrote that record leaves a new basis beside an old latent file."""
+    meta = out / FILE_LATENT_META
+    if not meta.exists():
+        raise FormatError(
+            f"{meta}: missing; it records the {FILE_BASIS} that {FILE_LATENT} "
+            f"was projected on, and decompose writes it last"
+        )
+    recorded = _read_json(meta, lambda tree: str(tree["basis_sha256"]))
+    if recorded != basis_sha256:
+        raise ValueError(
+            f"{out / FILE_BASIS} is not the basis {FILE_LATENT} was projected "
+            f"on (sha256 {basis_sha256[:16]}..., {meta.name} records "
+            f"{recorded[:16]}...); run 'nirom decompose' again"
+        )
 
 
 def _check_fit_inputs(model_file: Path, out: Path, digests: dict) -> None:
@@ -216,15 +267,15 @@ def cmd_generate(cfg: PipelineConfig, out: Path) -> None:
 
 def cmd_decompose(cfg: PipelineConfig, out: Path) -> None:
     crit = _require(cfg.pod, "pod", "decompose")
-    snap = _input_snapshots(cfg, out)
-    cen = center(snap)
+    # the field is decompose's own, so its deviations overwrite it
+    cen = center(_input_snapshots(cfg, out), in_place=True)
     svd = thin_svd(cen)
     basis = truncate(svd, cen.mean, rank=crit.rank, tol=crit.tolerance,
-                     component=snap.component)
+                     component=cen.component)
     save_basis(basis, out / FILE_BASIS)
     latent = project(basis, cen)
     save_snapshots(
-        SnapshotSet(latent.coeffs, latent.times, snap.component),
+        SnapshotSet(latent.coeffs, latent.times, cen.component),
         out / FILE_LATENT,
     )
     cum = energy_spectrum(svd)
@@ -233,8 +284,17 @@ def cmd_decompose(cfg: PipelineConfig, out: Path) -> None:
         w.writerow(["mode", "singular_value", "cumulative_energy"])
         for i in range(svd.rank):
             w.writerow([i + 1, f"{svd.singular[i]:.17g}", f"{cum[i]:.17g}"])
+    _write_meta(out / FILE_LATENT_META, basis_sha256=_sha256(out / FILE_BASIS))
     log.info("kept %d of %d modes", basis.m, svd.rank)
     print(out / FILE_BASIS)
+
+
+def _fit_inputs(out: Path) -> tuple:
+    """The digests of the basis and latent files fit records, and the latent
+    trajectory, once latent.snp.meta.json ties the two files together."""
+    inputs = _input_digests(out)
+    _check_decomposition(out, inputs["basis_sha256"])
+    return inputs, _load_latent(out)
 
 
 def _load_latent(out: Path) -> LatentTrajectory:
@@ -244,8 +304,7 @@ def _load_latent(out: Path) -> LatentTrajectory:
 
 def _fit_rbf(cfg: PipelineConfig, out: Path) -> None:
     block = _require(cfg.rbf, "rbf", "fit --method rbf")
-    inputs = _input_digests(out)
-    traj = _load_latent(out)
+    inputs, traj = _fit_inputs(out)
     started = time.perf_counter()
     model = rbf_mod.fit(traj, block.shape_factor)
     elapsed = time.perf_counter() - started
@@ -260,8 +319,7 @@ def _fit_rbf(cfg: PipelineConfig, out: Path) -> None:
 
 def _fit_node(cfg: PipelineConfig, out: Path) -> None:
     block = _require(cfg.node, "node", "fit --method node")
-    inputs = _input_digests(out)
-    traj = _load_latent(out)
+    inputs, traj = _fit_inputs(out)
     tau, tmap = normalize_times(traj.times)
     unit_traj = LatentTrajectory(traj.coeffs, tau)
     scale = scale_fit(unit_traj) if block.scaling else None

@@ -53,12 +53,13 @@ def writing(path, magic: bytes):
 
 
 @contextmanager
-def reading(path, magic: bytes):
+def reading(path, magic: bytes, whole: bool = True):
     """Binary file positioned at one container's fields.
 
     The block reads the fields and builds the object from them; any
     ``ValueError`` or toolkit error raised meanwhile, or bytes left after
-    the block, becomes a ``FormatError`` that names the file.
+    the block, becomes a ``FormatError`` that names the file. With
+    ``whole`` false the block may stop early, to read a header alone.
     """
     with open(path, "rb") as f:
         try:
@@ -69,7 +70,7 @@ def reading(path, magic: bytes):
             if version != VERSION:
                 raise FormatError(f"unsupported {magic.decode()} version {version}")
             yield f
-            if f.read(1):
+            if whole and f.read(1):
                 raise FormatError(f"trailing bytes after {magic.decode()} payload")
         except (ValueError, NiromError) as exc:
             raise FormatError(f"{os.fspath(path)}: {exc}") from exc
@@ -158,9 +159,10 @@ def read_label(f) -> str:
 def _write_array(f, a: np.ndarray, dtype: str) -> None:
     """Column-major payload, written through the array's own buffer when it
     already is column-major in ``dtype``: every vector, and the fields that
-    load_snapshots, pod.reconstruct and dmd.dmd_forecast return, so predict
-    writes its field without a copy. Other matrices (generated snapshots,
-    latent coefficients, POD and DMD modes) are copied column-major first."""
+    load_snapshots, generate_synthetic, pod.reconstruct and dmd.dmd_forecast
+    return, so generate and predict write their fields without a copy.
+    Other matrices (latent coefficients, POD and DMD modes) are copied
+    column-major first."""
     f.write(np.asarray(a, dtype=dtype).ravel(order="F"))
 
 

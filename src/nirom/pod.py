@@ -39,6 +39,18 @@ RANK_RTOL = 1e-12
 #: so the polish's keep rule would have dropped the same columns.
 TAIL_RTOL = 4 * np.finfo(np.float64).eps
 
+#: Entries of a left vector that are equal in exact arithmetic come out of
+#: the Gram route apart by the vector's rounding: about eps * sigma[0] / gap
+#: for a mode whose singular value stands gap from the others (Wedin's
+#: bound), against a largest entry of at least 1 / sqrt(N) in a unit vector.
+#: The sign rule counts entries within SIGN_RTOL of the largest as tied, so
+#: an exact tie stays one while sqrt(N) * sigma[0] / gap < SIGN_RTOL / eps,
+#: about 4.5e7: on a million-point mesh, a gap of 1/45000 of sigma[0]. Two
+#: entries that differ by less than SIGN_RTOL are only a convention apart,
+#: so either sign is right for them, and a wider tolerance only moves the
+#: rule's boundary further from the exact ties that symmetric meshes give.
+SIGN_RTOL = 1e-8
+
 
 @dataclass(frozen=True)
 class ThinSvd:
@@ -172,14 +184,17 @@ def _gram_svd(s: np.ndarray, count: int | None = None):
 
 
 def _signed(left: np.ndarray, sigma: np.ndarray, right: np.ndarray) -> ThinSvd:
-    """Fix the sign ambiguity: the largest-magnitude entry of each left
-    vector (lowest index on ties) is made nonnegative.
+    """Fix the sign ambiguity: of the entries of each left vector whose
+    magnitude is within ``SIGN_RTOL`` of its largest, the one at the highest
+    index is made nonnegative.
 
     Sinusoidal modes, such as a traveling wave's on a periodic grid, tie in
-    magnitude at rows i and i + N/2 up to roundoff, so roundoff decides
-    their sign: a change that moves a mode by one ulp can negate it."""
+    magnitude at rows i and i + N/2 up to roundoff, so a rule that took the
+    largest entry alone would let roundoff (the field's memory layout, a
+    reordered sum) pick the sign."""
     for j in range(sigma.size):
-        i = int(np.argmax(np.abs(left[:, j])))
+        mag = np.abs(left[::-1, j])
+        i = left.shape[0] - 1 - int(np.argmax(mag >= (1.0 - SIGN_RTOL) * mag.max()))
         if left[i, j] < 0:
             left[:, j] = -left[:, j]
             right[:, j] = -right[:, j]

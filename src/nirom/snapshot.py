@@ -165,6 +165,10 @@ class SyntheticSpec:
         if self.t_end <= self.t_start:
             raise ValueError("t_end must exceed t_start")
 
+    @property
+    def times(self) -> np.ndarray:
+        return time_grid(self.t_start, self.t_end, self.dt)
+
 
 #: the most times a uniform grid may hold
 MAX_GRID_TIMES = 1_000_000
@@ -198,10 +202,18 @@ def uniform_step(times: np.ndarray, message: str) -> float:
     return float(dts[0])
 
 
-def center(snapshots: SnapshotSet) -> CenteredSet:
-    """Remove the temporal mean from every snapshot column."""
-    mean = snapshots.data.mean(axis=1)
-    deviations = snapshots.data - mean[:, None]
+def center(snapshots: SnapshotSet, in_place: bool = False) -> CenteredSet:
+    """Remove the temporal mean from every snapshot column. With
+    ``in_place`` the deviations overwrite ``snapshots.data``, which saves a
+    field of memory and its copy; only a caller that owns the array and
+    does not read the snapshots again may ask for it."""
+    data = snapshots.data
+    mean = data.mean(axis=1)
+    if in_place:
+        data -= mean[:, None]
+        deviations = data
+    else:
+        deviations = data - mean[:, None]
     return CenteredSet(deviations, mean, snapshots.times, snapshots.component)
 
 
@@ -216,21 +228,26 @@ def orthonormal_lift(n: int, k: int, seed: int) -> np.ndarray:
 
 
 def generate_synthetic(spec: SyntheticSpec) -> SnapshotSet:
-    times = time_grid(spec.t_start, spec.t_end, spec.dt)
+    """The spec's field, built column-major (SNP1's layout), so that
+    save_snapshots writes it without a copy."""
+    times = spec.times
     if len(times) < 2:
         raise ValueError("time range too short for the given step")
     n = spec.grid_points
 
     if spec.kind == "traveling_wave":
         x = 2.0 * np.pi * np.arange(n) / n
-        data = np.sin(x[:, None] - spec.wave_speed * times[None, :])
+        # one time per row, so the transpose is column-major; the sine is
+        # taken in place on its argument
+        phase = x[None, :] - spec.wave_speed * times[:, None]
+        data = np.sin(phase, out=phase).T
     elif spec.kind == "linear_system":
         rng = np.random.default_rng(spec.seed)
         a = rng.standard_normal((n, n))
         a /= np.max(np.abs(np.linalg.eigvals(a)))
         v = rng.standard_normal(n)
         v /= np.linalg.norm(v)
-        data = np.empty((n, len(times)))
+        data = np.empty((n, len(times)), order="F")
         data[:, 0] = v
         for k in range(1, len(times)):
             data[:, k] = a @ data[:, k - 1]
@@ -238,7 +255,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SnapshotSet:
         latent = np.vstack(
             [np.cos(spec.omega * times), np.sin(spec.omega * times)]
         )
-        data = orthonormal_lift(n, 2, spec.seed) @ latent
+        data = (latent.T @ orthonormal_lift(n, 2, spec.seed).T).T
 
     return SnapshotSet(data, times, spec.component)
 
@@ -262,11 +279,22 @@ def save_snapshots(snapshots: SnapshotSet, path) -> None:
         io.write_f64_matrix(f, snapshots.data)
 
 
+def _read_header(f):
+    n = io.read_u32(f)
+    m = io.read_u32(f)
+    label = io.read_label(f)
+    return n, label, io.read_f64_vector(f, m)
+
+
+def snapshot_header(path) -> tuple:
+    """(N, times) of an SNP1 file, read without its field."""
+    with io.reading(path, SNP_MAGIC, whole=False) as f:
+        n, _, times = _read_header(f)
+        return n, times
+
+
 def load_snapshots(path) -> SnapshotSet:
     with io.reading(path, SNP_MAGIC) as f:
-        n = io.read_u32(f)
-        m = io.read_u32(f)
-        label = io.read_label(f)
-        times = io.read_f64_vector(f, m)
-        data = io.read_f64_matrix(f, n, m)
+        n, label, times = _read_header(f)
+        data = io.read_f64_matrix(f, n, times.size)
         return SnapshotSet(data, times, label)

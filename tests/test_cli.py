@@ -206,6 +206,93 @@ def test_decompose_writes_latent_trajectory(pipeline):
     assert latent.data.shape == (2, 100)
 
 
+def test_decompose_records_its_basis_last(pipeline):
+    meta = pipeline.out / "latent.snp.meta.json"
+    digest = hashlib.sha256((pipeline.out / "basis.pod").read_bytes()).hexdigest()
+    assert json.loads(meta.read_text()) == {"basis_sha256": digest}
+    assert meta.stat().st_mtime_ns >= max(
+        (pipeline.out / name).stat().st_mtime_ns
+        for name in ("basis.pod", "latent.snp", "spectrum.csv"))
+
+
+@pytest.mark.parametrize("command", [("decompose",), ("fit", "--method", "dmd")],
+                         ids=["decompose", "fit-dmd"])
+def test_missing_snapshots_exit_4_and_name_generate(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, pod={"rank": 2}, dmd={"rank": 2})
+    assert run(*command, "--config", cfg) == 4
+    err = capsys.readouterr().err
+    assert "snapshots.snp: missing" in err and "nirom generate" in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+@pytest.mark.parametrize("change", [
+    {"grid_points": 32}, {"t_end": 0.49}, {"t_start": 0.5, "t_end": 1.49},
+], ids=["grid size", "time count", "time grid"])
+@pytest.mark.parametrize("command", [("decompose",), ("fit", "--method", "dmd")],
+                         ids=["decompose", "fit-dmd"])
+def test_stale_snapshots_exit_2_and_name_generate(tmp_path, capsys, command,
+                                                  change):
+    cfg = write_cfg(tmp_path, pod={"rank": 2}, dmd={"rank": 2})
+    run_ok("generate", "--config", cfg)
+    doc = json.loads((tmp_path / "cfg.json").read_text())
+    doc["input"].update(change)
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    assert run(*command, "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert "snapshots.snp holds" in err and "'nirom generate'" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json",
+                                                          "snapshots.snp"]
+
+
+class Interrupted(Exception):
+    """Stands in for a signal that stops a command midway."""
+
+
+@pytest.mark.parametrize("step", ["project", "energy_spectrum"],
+                         ids=["after basis", "after latent"])
+@pytest.mark.parametrize("method", ["rbf", "node"])
+def test_fit_refuses_the_pair_an_interrupted_decompose_left(
+        tmp_path, capsys, monkeypatch, method, step):
+    cfg = write_cfg(tmp_path, pod={"rank": 2}, rbf={"shape_factor": 0.05},
+                    node={"hidden": [4], "activation": "tanh", "epochs": 1})
+    run_ok("generate", "--config", cfg)
+    run_ok("decompose", "--config", cfg)
+    # a second field on the same grid, decomposed until `step` raises
+    doc = json.loads((tmp_path / "cfg.json").read_text())
+    doc["input"]["kind"] = "harmonic_latent"
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    run_ok("generate", "--config", cfg)
+    basis_before = (tmp_path / "basis.pod").read_bytes()
+
+    def stop(*args, **kwargs):
+        raise Interrupted
+
+    with monkeypatch.context() as m:
+        m.setattr(cli_mod, step, stop)
+        with pytest.raises(Interrupted):
+            run("decompose", "--config", cfg)
+    assert (tmp_path / "basis.pod").read_bytes() != basis_before
+    capsys.readouterr()
+    assert run("fit", "--method", method, "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert "basis.pod is not the basis latent.snp was projected on" in err
+    assert "latent.snp.meta.json" in err
+    assert not (tmp_path / f"model_{method}.{_EXT[method]}").exists()
+    # a finished decompose ties the pair again
+    run_ok("decompose", "--config", cfg)
+    run_ok("fit", "--method", method, "--config", cfg)
+
+
+def test_fit_without_the_decompose_record_exits_4(latent_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(latent_dir, out)
+    (out / "latent.snp.meta.json").unlink()
+    cfg = write_cfg(out, pod={"rank": 2}, rbf={"shape_factor": 0.05})
+    assert run("fit", "--method", "rbf", "--config", cfg) == 4
+    assert "latent.snp.meta.json: missing" in capsys.readouterr().err
+    assert not (out / "model_rbf.rbf").exists()
+
+
 # fit ---------------------------------------------------------------------
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from nirom.errors import FormatError, NumericalError
 from nirom.pod import (
     RANK_RTOL,
+    SIGN_RTOL,
     LatentTrajectory,
     PodBasis,
     ThinSvd,
@@ -193,12 +194,37 @@ def test_sign_convention():
         assert col[np.argmax(np.abs(col))] >= 0
 
 
-def test_sign_rule_breaks_a_tie_at_the_lowest_index():
+def test_sign_rule_breaks_a_tie_at_the_highest_index():
     left = np.array([[-0.5, 0.5], [0.5, -0.5], [0.5, 0.5], [0.5, -0.5]])
     right = np.eye(2)
     out = _signed(left.copy(), np.array([2.0, 1.0]), right.copy())
-    assert np.array_equal(out.left, left * [-1.0, 1.0])
-    assert np.array_equal(out.right, right * [-1.0, 1.0])
+    assert np.array_equal(out.left, left * [1.0, -1.0])
+    assert np.array_equal(out.right, right * [1.0, -1.0])
+
+
+@pytest.mark.parametrize("excess, flips", [(0.5, False), (2.0, True)],
+                         ids=["within", "beyond"])
+def test_sign_rule_near_tie(excess, flips):
+    # row 0 is the largest by excess * SIGN_RTOL: within the tolerance the
+    # positive row 2 decides, beyond it the negative row 0 alone
+    col = np.array([[-0.5 * (1.0 + excess * SIGN_RTOL)], [0.1], [0.5], [0.3]])
+    out = _signed(col.copy(), np.array([1.0]), np.eye(1))
+    assert np.array_equal(out.left, -col if flips else col)
+
+
+@pytest.mark.parametrize("n, t_end, dt", [(64, 9.9, 0.1), (4000, 2.4925, 0.01)])
+def test_wave_signs_do_not_depend_on_layout(n, t_end, dt):
+    # the wave's modes tie at rows i and i + N/2, and the layout moves the
+    # mean and the Gram matrix at roundoff: a rule that took the largest
+    # entry alone negated both modes of the F-order copy of each wave
+    snap = generate_synthetic(SyntheticSpec("traveling_wave", n, 0.0, t_end, dt))
+    c_order, f_order = (
+        thin_svd(center(SnapshotSet(np.asarray(snap.data, order=o), snap.times)))
+        for o in "CF"
+    )
+    assert c_order.rank == f_order.rank == 2
+    assert np.max(np.abs(c_order.left - f_order.left)) <= 1e-12
+    assert np.max(np.abs(c_order.right - f_order.right)) <= 1e-12
 
 
 def test_zero_matrix_has_rank_zero():

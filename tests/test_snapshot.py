@@ -17,6 +17,7 @@ from nirom.snapshot import (
     load_snapshots,
     orthonormal_lift,
     save_snapshots,
+    snapshot_header,
     time_grid,
 )
 
@@ -170,9 +171,48 @@ def test_center_idempotent_on_deviations():
     assert np.max(np.abs(again.mean)) < 1e-12
 
 
+def test_center_leaves_its_input_alone_unless_in_place():
+    s = random_set(9, n=12, m=9)
+    before = s.data.copy()
+    c = center(s)
+    assert np.array_equal(s.data, before)
+    owned = center(SnapshotSet(before, s.times), in_place=True)
+    assert owned.deviations is before
+    assert np.array_equal(owned.deviations, c.deviations)
+    assert np.array_equal(owned.mean, c.mean)
+
+
+def test_snapshot_header_reads_no_field(tmp_path):
+    s = random_set(10, n=7, m=4)
+    path = tmp_path / "s.snp"
+    save_snapshots(s, path)
+    # drop the field's last value: the header and times still read
+    path.write_bytes(path.read_bytes()[:-8])
+    n, times = snapshot_header(path)
+    assert n == 7
+    assert np.array_equal(times, s.times)
+    with pytest.raises(FormatError, match="truncated"):
+        load_snapshots(path)
+
+
 # ---------------------------------------------------------------------------
 # synthetic generators
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["traveling_wave", "linear_system",
+                                  "harmonic_latent"])
+def test_generated_field_is_column_major(kind):
+    spec = SyntheticSpec(kind, 9, 0.0, 1.0, 0.1, seed=2)
+    s = generate_synthetic(spec)
+    assert s.data.flags.f_contiguous
+    if kind == "traveling_wave":
+        x = 2.0 * np.pi * np.arange(9) / 9
+        assert np.array_equal(s.data, np.sin(x[:, None] - s.times[None, :]))
+    elif kind == "harmonic_latent":
+        latent = np.vstack([np.cos(s.times), np.sin(s.times)])
+        want = orthonormal_lift(9, 2, 2) @ latent
+        assert np.max(np.abs(s.data - want)) <= 1e-15
 
 
 def test_time_grid_counts():
