@@ -12,10 +12,19 @@ Chains the pipeline stages over one JSON config:
 The input field is read from a file by ``decompose`` and ``fit --method
 dmd``: the config's input path, or for a synthetic input the snapshots.snp
 that ``generate`` wrote, which is also the field ``compare`` scores
-against; only ``generate`` builds a synthetic field. ``decompose`` writes
-latent.snp.meta.json last, recording the basis.pod it wrote, so ``fit``
-refuses a basis and latent pair that an interrupted ``decompose`` left
-mixed.
+against; only ``generate`` builds a synthetic field. ``generate`` writes
+snapshots.snp.meta.json last, recording the kind and parameters of the
+field, so a field of another kind or seed on the same grid is refused.
+``decompose`` writes latent.snp.meta.json last, recording the basis.pod it
+wrote, so ``fit`` refuses a basis and latent pair that an interrupted
+``decompose`` left mixed.
+
+``predict`` and ``compare`` never hold a full field: ``predict`` writes
+its lift to pred_<method>.snp one column block at a time (its
+runtime_seconds covers the forecast, the lift and the write), and
+``compare`` checks every file's header, length, shape and times before it
+reads the truth and the predictions in lockstep, one column block at a
+time.
 
 Exit codes: 0 success, 2 configuration/argument error, 3 numerical failure,
 4 I/O or file-format error. The default output directory comes from --out,
@@ -25,12 +34,14 @@ directory.
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import logging
 import os
 import sys
 import time
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +56,10 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .metrics import MetricsReport, report_emit, spatial_rmse
+from .metrics import MetricsReport, report_emit, streamed_rmse
+# no command calls it, but perfbench/tracing.py times the metrics layer
+# through this name
+from .metrics import spatial_rmse  # noqa: F401
 from .node import build_net, load_net, node_forecast, save_net, scale_fit
 from .node.training import attach_time_map, normalize_times, train
 from .pod import (
@@ -63,6 +77,7 @@ from .snapshot import (
     center,
     generate_synthetic,
     load_snapshots,
+    open_snapshots,
     save_snapshots,
     snapshot_header,
     time_grid,
@@ -73,6 +88,9 @@ log = logging.getLogger("nirom")
 
 OUT_DIR_ENV = "NIROM_OUT_DIR"
 FILE_SNAPSHOTS = "snapshots.snp"
+#: generate's record of the kind and parameters of the field it wrote,
+#: written last
+FILE_SNAPSHOTS_META = FILE_SNAPSHOTS + ".meta.json"
 FILE_BASIS = "basis.pod"
 FILE_LATENT = "latent.snp"
 FILE_SPECTRUM = "spectrum.csv"
@@ -128,6 +146,7 @@ def _input_snapshots(cfg: PipelineConfig, out: Path) -> SnapshotSet:
             f"{path}: missing; run 'nirom generate' with this config first"
         )
     spec = cfg.synthetic
+    _check_recipe(out / FILE_SNAPSHOTS_META, spec.recipe)
     n, times = snapshot_header(path)
     want = spec.times
     if n != spec.grid_points or times.size != want.size:
@@ -141,6 +160,26 @@ def _input_snapshots(cfg: PipelineConfig, out: Path) -> SnapshotSet:
         f"{spec.grid_points} points x {want.size} times on "
         f"[{want[0]!r}, {want[-1]!r}]; run 'nirom generate' again"
     )
+
+
+def _check_recipe(meta: Path, recipe: dict) -> None:
+    """Refuse a snapshots.snp that generate did not make from this recipe
+    (the kind and the parameters it reads), as its record shows: on one
+    grid, two kinds or seeds give two fields with the same header."""
+    if not meta.exists():
+        raise FormatError(
+            f"{meta}: missing; it records the kind and parameters "
+            f"{FILE_SNAPSHOTS} was generated with, and generate writes it "
+            f"last; run 'nirom generate' with this config"
+        )
+    recorded = _read_json(meta, dict)
+    if recorded != recipe:
+        raise ConfigError(
+            f"{meta.parent / FILE_SNAPSHOTS} was generated from "
+            f"{json.dumps(recorded, sort_keys=True)}, but the config's "
+            f"'input' block asks for {json.dumps(recipe, sort_keys=True)}; "
+            f"run 'nirom generate' again"
+        )
 
 
 def _write_meta(path: Path, **fields) -> None:
@@ -258,9 +297,14 @@ def _metrics_reports(tree) -> list:
 def cmd_generate(cfg: PipelineConfig, out: Path) -> None:
     if cfg.synthetic is None:
         raise ConfigError("'generate' needs a synthetic 'input' block, not a path")
+    # the record goes first and comes back last, so a field that is being
+    # replaced is never taken for the one the record describes
+    record = out / FILE_SNAPSHOTS_META
+    record.unlink(missing_ok=True)
     snap = generate_synthetic(cfg.synthetic)
     target = out / FILE_SNAPSHOTS
     save_snapshots(snap, target)
+    _write_meta(record, **cfg.synthetic.recipe)
     log.info("wrote %s (%d x %d)", target, snap.mesh_size, snap.n_snapshots)
     print(target)
 
@@ -378,10 +422,11 @@ def cmd_predict(cfg: PipelineConfig, out: Path, model_path: str) -> None:
             f"{model_file} is not a model file (magic {magic!r})"
         )
     method = MAGIC_METHODS[magic]
+    target = out / f"pred_{method}.snp"
     started = time.perf_counter()
     if method == "dmd":
         model = dmd_mod.load_model(model_file)
-        pred = dmd_mod.dmd_forecast(model, times)
+        dmd_mod.dmd_forecast(model, times, target)
         latent_dim = model.rank
     else:
         inputs = _input_digests(out)
@@ -410,36 +455,33 @@ def cmd_predict(cfg: PipelineConfig, out: Path, model_path: str) -> None:
             latent = rbf_mod.forecast(model, z0, times)
         else:
             latent = node_forecast(model, z0, times)
-        pred = reconstruct(basis, latent)
+        reconstruct(basis, latent, target)
     elapsed = time.perf_counter() - started
-    target = out / f"pred_{method}.snp"
-    save_snapshots(pred, target)
     _write_meta(Path(str(target) + ".meta.json"), method=method,
                 latent_dim=latent_dim, runtime_seconds=elapsed)
     log.info("%s prediction: %d times, %.3fs", method, times.size, elapsed)
     print(target)
 
 
-def _metrics_report(path: Path, truth: SnapshotSet) -> MetricsReport:
-    """One prediction's report; the prediction is freed on return, so
-    ``compare`` holds the truth and at most one prediction."""
-    pred = load_snapshots(path)
-    method, latent_dim, runtime_seconds = _read_meta(path)
-    series = spatial_rmse(pred, truth)
-    log.info("%s: max rmse %.3e", method, float(np.max(series)))
-    return MetricsReport(
-        method=method,
-        component=pred.component,
-        times=truth.times,
-        rmse=series,
-        latent_dim=latent_dim,
-        runtime_seconds=runtime_seconds,
-    )
-
-
 def cmd_compare(out: Path, truth_path: str, pred_paths) -> None:
-    truth = load_snapshots(_find(out, truth_path))
-    reports = [_metrics_report(_find(out, raw), truth) for raw in pred_paths]
+    paths = [_find(out, raw) for raw in pred_paths]
+    with ExitStack() as files:
+        truth = files.enter_context(open_snapshots(_find(out, truth_path)))
+        preds = [files.enter_context(open_snapshots(path)) for path in paths]
+        metas = [_read_meta(path) for path in paths]
+        series = streamed_rmse(preds, truth)
+    reports = []
+    for pred, (method, latent_dim, runtime_seconds), rmse in zip(
+            preds, metas, series):
+        log.info("%s: max rmse %.3e", method, float(np.max(rmse)))
+        reports.append(MetricsReport(
+            method=method,
+            component=pred.component,
+            times=truth.times,
+            rmse=rmse,
+            latent_dim=latent_dim,
+            runtime_seconds=runtime_seconds,
+        ))
     report_emit(reports, out / FILE_METRICS_CSV, "csv")
     report_emit(reports, out / FILE_METRICS_JSON, "json")
     print(out / FILE_METRICS_JSON)
@@ -468,7 +510,10 @@ def _add_common(sp, config_required: bool = True) -> None:
                     help="log progress to stderr")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not
+    change it, and building it costs more than a small stage."""
     p = argparse.ArgumentParser(
         prog="nirom",
         description="Reduced-order modeling pipeline: snapshot compression "

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .containers import replacing
-from .snapshot import SnapshotSet, time_tolerance
+from .snapshot import SnapshotSet, column_blocks, time_tolerance
 
 
 @dataclass(frozen=True)
@@ -35,18 +35,23 @@ class MetricsReport:
             raise ValueError("rmse values must be finite and nonnegative")
 
 
-def _check_aligned(pred: SnapshotSet, truth: SnapshotSet) -> None:
-    if pred.data.shape != truth.data.shape:
+def _check_aligned(pred_shape, pred_times, truth_shape, truth_times) -> None:
+    if pred_shape != truth_shape:
         raise ValueError(
-            f"shape mismatch: prediction {pred.data.shape}, truth {truth.data.shape}"
+            f"shape mismatch: prediction {pred_shape}, truth {truth_shape}"
         )
-    if np.any(np.abs(pred.times - truth.times) > time_tolerance(truth.times)):
+    if np.any(np.abs(pred_times - truth_times) > time_tolerance(truth_times)):
         raise ValueError("prediction and truth time stamps disagree")
 
 
-#: values in one column block of spatial_rmse's difference: 1 MiB of f64
-#: stays in a core's L2 cache between the subtract, the square and the sum
-RMSE_BLOCK_VALUES = 1 << 17
+def _mean_squares(pred, truth, diff, out) -> None:
+    """Each column's mean square difference of a block pair, into out;
+    diff, a column-major buffer of the blocks' shape, may be pred itself.
+    On column-major blocks every column is summed exactly as the
+    whole-field reduction sums it."""
+    np.subtract(pred, truth, diff)
+    np.square(diff, diff)
+    np.mean(diff, axis=0, out=out)
 
 
 def spatial_rmse(
@@ -56,29 +61,48 @@ def spatial_rmse(
     normalize=True the series is divided by max|truth|.
 
     The difference is formed in one column-major block of columns at a
-    time, so no temporary grows with the number of snapshots. On
-    column-major fields, as load_snapshots returns them, each column is
-    summed exactly as the whole-field reduction sums it."""
-    _check_aligned(pred, truth)
+    time (snapshot.column_blocks), so no temporary grows with the number
+    of snapshots."""
+    _check_aligned(pred.data.shape, pred.times, truth.data.shape, truth.times)
     n, m = truth.data.shape
-    width = min(m, max(1, RMSE_BLOCK_VALUES // n))
-    buf = np.empty((n, width), order="F")
+    blocks = column_blocks(n, m)
+    buf = np.empty((n, blocks[0].stop), order="F")
     out = np.empty(m)
     peak = 0.0
-    for start in range(0, m, width):
-        cols = slice(start, start + width)
-        block = buf[:, :min(width, m - start)]
-        np.subtract(pred.data[:, cols], truth.data[:, cols], out=block)
-        np.square(block, out=block)
-        np.mean(block, axis=0, out=out[cols])
+    for cols in blocks:
+        block = buf[:, :cols.stop - cols.start]
+        _mean_squares(pred.data[:, cols], truth.data[:, cols], block, out[cols])
         if normalize:
             peak = max(peak, np.max(np.abs(truth.data[:, cols], out=block)))
-    np.sqrt(out, out=out)
+    np.sqrt(out, out)
     if normalize:
         if peak == 0:
             raise ValueError("cannot normalize by an all-zero truth set")
         out = out / peak
     return out
+
+
+def streamed_rmse(preds: list, truth) -> list:
+    """spatial_rmse of each prediction against the truth, all of them open
+    SnapshotFiles, read in lockstep one column block at a time into reused
+    buffers; every block is checked finite as it is read. Shapes and times
+    are checked first, before any field is read."""
+    for pred in preds:
+        _check_aligned(pred.shape, pred.times, truth.shape, truth.times)
+    n, m = truth.shape
+    blocks = column_blocks(n, m)
+    truth_buf, pred_buf = (np.empty((n, blocks[0].stop), "<f8", order="F")
+                           for _ in range(2))
+    series = [np.empty(m) for _ in preds]
+    for cols in blocks:
+        width = cols.stop - cols.start
+        truth_block = truth.read(truth_buf[:, :width])
+        for pred, out in zip(preds, series):
+            block = pred.read(pred_buf[:, :width])
+            _mean_squares(block, truth_block, block, out[cols])
+    for out in series:
+        np.sqrt(out, out)
+    return series
 
 
 CSV_HEADER = ["method", "component", "time", "rmse"]

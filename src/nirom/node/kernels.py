@@ -24,8 +24,10 @@ trailing 1 and is written only for a nonlinear output layer, the one case a
 derivative is taken from it.) `rows[r]` is a StageRow of views of row r in
 each array, made with the buffers, so a stage neither slices nor allocates:
 rk_step writes a stage's input state into its row, nn_forward its layer
-inputs and nn_vjp its cotangents, all with out=. `steps[i]` groups the rows
-of substep i, and `w` holds one weight per row for layer_gradients.
+inputs and nn_vjp its cotangents, each ufunc and np.dot taking its
+output array positionally (numpy parses that faster than out=).
+`steps[i]` groups the rows of substep i, and `w` holds one weight per row
+for layer_gradients.
 
 Extended stage arrays. A step keeps its state and stage derivatives in one
 array zk = [z; k_0; ...; k_{s-1}] of n_stages + 1 rows, and its tableau
@@ -84,19 +86,19 @@ def _act(y, kind):
     elif kind == ACT_ELU:
         np.copyto(y, np.exp(np.minimum(y, 0.0)) - 1.0, where=y <= 0.0)
     elif kind == ACT_TANH:
-        np.tanh(y, out=y)
+        np.tanh(y, y)
 
 
 def _act_deriv(y, kind, out):
     """Derivative of a nonlinear activation, from its output y, into out."""
     if kind == ACT_RELU:
-        np.greater(y, 0.0, out=out)
+        np.greater(y, 0.0, out)
     elif kind == ACT_ELU:
-        np.add(y, 1.0, out=out)
+        np.add(y, 1.0, out)
         np.copyto(out, 1.0, where=y > 0.0)
     else:
-        np.multiply(y, y, out=out)
-        np.subtract(1.0, out, out=out)
+        np.multiply(y, y, out)
+        np.subtract(1.0, out, out)
 
 
 class StageRow:
@@ -169,10 +171,10 @@ def scaled_tableau(a_tab, b_tab, c_tab, t0, h):
     ts = t0.reshape(n, 1) + c_tab * hc
     ea = np.empty((n, n_stages, n_stages + 1))
     ea[:, :, 0] = 1.0
-    np.multiply(hc.reshape(n, 1, 1), a_tab, out=ea[:, :, 1:])
+    np.multiply(hc.reshape(n, 1, 1), a_tab, ea[:, :, 1:])
     eb = np.empty((n, n_stages + 1))
     eb[:, 0] = 1.0
-    np.multiply(hc, b_tab, out=eb[:, 1:])
+    np.multiply(hc, b_tab, eb[:, 1:])
     return ts, ea, eb
 
 
@@ -187,23 +189,23 @@ def nn_forward(layers, acts, mid, half, tin, t, z, row, k):
     if tin:
         x[0][0] = t
     if mid is not None:
-        np.subtract(z, mid, out=row.z)
-        np.divide(row.z, half, out=row.z)
+        np.subtract(z, mid, row.z)
+        np.divide(row.z, half, row.z)
     elif z is not row.z:
         np.copyto(row.z, z)
     top = len(layers) - 1
     for l in range(top):
         y = row.y[l]
-        np.dot(layers[l], x[l], out=y)
+        np.dot(layers[l], x[l], y)
         _act(y, acts[l])
     # the output layer writes straight into k; its row gets a copy only
     # when the reverse pass needs it for the activation derivative
-    np.dot(layers[top], x[top], out=k)
+    np.dot(layers[top], x[top], k)
     if acts[top] != ACT_LINEAR:
         _act(k, acts[top])
         np.copyto(row.y[top], k)
     if half is not None:
-        np.multiply(half, k, out=k)
+        np.multiply(half, k, k)
     return k
 
 
@@ -220,25 +222,25 @@ def nn_vjp(layers, acts, half, u, row, out):
     top = len(layers) - 1
     if acts[top] == ACT_LINEAR:
         if half is not None:
-            np.multiply(u, half, out=s[top])
+            np.multiply(u, half, s[top])
         elif u is not s[top]:
             np.copyto(s[top], u)
     else:
         if half is not None:
-            u = np.multiply(u, half, out=out)
-        np.multiply(u, s[top], out=s[top])
+            u = np.multiply(u, half, out)
+        np.multiply(u, s[top], s[top])
     # s_l @ W~_l also forms the bias slot's sum, which nothing reads
     for l in range(top, 0, -1):
-        np.dot(s[l], layers[l], out=xbar[l])
+        np.dot(s[l], layers[l], xbar[l])
         if acts[l - 1] == ACT_LINEAR:
             np.copyto(s[l - 1], xin[l])
         else:
-            np.multiply(xin[l], s[l - 1], out=s[l - 1])
-    np.dot(s[0], layers[0], out=xbar[0])
+            np.multiply(xin[l], s[l - 1], s[l - 1])
+    np.dot(s[0], layers[0], xbar[0])
     if half is None:
         np.copyto(out, row.zbar)
         return out
-    return np.divide(row.zbar, half, out=out)
+    return np.divide(row.zbar, half, out)
 
 
 def layer_gradients(grads, buf, n_rows, weights):
@@ -248,7 +250,7 @@ def layer_gradients(grads, buf, n_rows, weights):
     for l, g in enumerate(grads):
         s = buf.s[l][:n_rows]
         if weights is not None:
-            np.multiply(s, weights[:n_rows].reshape(n_rows, 1), out=s)
+            np.multiply(s, weights[:n_rows].reshape(n_rows, 1), s)
         g += np.dot(s.T, buf.x[l][:n_rows])
 
 
@@ -266,9 +268,9 @@ def rk_step(layers, acts, mid, half, tin, ts, ea, eb, zk, first, rows, znew):
     n_b = eb.shape[0]
     for st in range(first, n_b - 1):
         row = rows[st]
-        np.dot(ea[st, :st + 1], zk[:st + 1], out=row.z)
+        np.dot(ea[st, :st + 1], zk[:st + 1], row.z)
         nn_forward(layers, acts, mid, half, tin, ts[st], row.z, row, zk[st + 1])
-    return np.dot(eb, zk[:n_b], out=znew)
+    return np.dot(eb, zk[:n_b], znew)
 
 
 def rollout_rk(
@@ -323,9 +325,9 @@ def rollout_backward(
         for st in range(n_stages - 1, -1, -1):
             q = n_stages - st
             row = rows[st]
-            np.dot(r[st, :q], ub[:q], out=row.u)
+            np.dot(r[st, :q], ub[:q], row.u)
             nn_vjp(layers, acts, half, row.u, row, ub[q])
-        np.dot(ones, ub, out=ub_next[0])
+        np.dot(ones, ub, ub_next[0])
         ub, ub_next = ub_next, ub
     layer_gradients(grads, buf, n_sub * n_stages, None)
 
@@ -356,9 +358,9 @@ def adjoint_step(layers, acts, mid, half, tin, ts, ea, eb, ca, cb, buf, j):
     buf.derivs(lo, lo + n_stages)
     for st in range(n_stages):
         row = rows[st]
-        np.dot(ca[st, :st + 1], ak[:st + 1], out=row.u)
+        np.dot(ca[st, :st + 1], ak[:st + 1], row.u)
         nn_vjp(layers, acts, half, row.u, row, ak[st + 1])
-    np.dot(cb, ak, out=buf.cot2[0])
+    np.dot(cb, ak, buf.cot2[0])
     buf.w[lo: lo + n_stages] = cb[1:]
     buf.zk, buf.zk2 = buf.zk2, zk
     buf.cot, buf.cot2 = buf.cot2, ak

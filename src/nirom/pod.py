@@ -20,7 +20,7 @@ import numpy as np
 
 from . import containers as io
 from .errors import NumericalError, ValidationError
-from .snapshot import CenteredSet, SnapshotSet, check_times, lifted_field
+from .snapshot import CenteredSet, check_times, lifted_field
 
 POD_MAGIC = b"POD1"
 
@@ -275,19 +275,23 @@ def project(basis: PodBasis, centered: CenteredSet) -> LatentTrajectory:
     return LatentTrajectory(basis.modes.T @ centered.deviations, centered.times)
 
 
-def reconstruct(basis: PodBasis, traj: LatentTrajectory) -> SnapshotSet:
-    """Lift latent coefficients back to the full space and re-add the mean."""
+def reconstruct(basis: PodBasis, traj: LatentTrajectory, path=None):
+    """Lift latent coefficients back to the full space and re-add the mean:
+    the field as a SnapshotSet, or with a path written there as SNP1 one
+    column block at a time (snapshot.lifted_field)."""
     if traj.dim != basis.m:
         raise ValueError(
             f"trajectory has {traj.dim} coefficients, basis rank is {basis.m}"
         )
-    # the transposed product is the field in SNP1's column-major layout, so
-    # the mean is added in place and the file is written from this buffer;
-    # an overflow is reported by lifted_field, without numpy's warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        data = (traj.coeffs.T @ basis.modes.T).T
-        data += basis.mean[:, None]
-    return lifted_field(data, traj.times, basis.component)
+    coeffs, modes_t, mean = traj.coeffs, basis.modes.T, basis.mean[:, None]
+
+    def lift(cols, out):
+        # the transposed product is the block in SNP1's column-major layout
+        np.matmul(coeffs[:, cols].T, modes_t, out.T)
+        out += mean
+
+    return lifted_field(lift, basis.mesh_size, traj.times, basis.component,
+                        path)
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,8 @@ def forecast(model: RbfModel, z0: np.ndarray, times: np.ndarray) -> LatentTrajec
     out = np.empty((model.dim, times.size))
     out[:, 0] = z0
     # each step is _field's operations in its order, written into buffers,
-    # and the state update written straight into the next column of out
+    # and the state update written straight into the next column of out;
+    # outputs are passed positionally, which numpy parses faster than out=
     d = np.empty_like(centers)
     w = np.empty(model.n_centers)
     f = np.empty(model.dim)
@@ -184,15 +185,15 @@ def forecast(model: RbfModel, z0: np.ndarray, times: np.ndarray) -> LatentTrajec
     with np.errstate(over="ignore", invalid="ignore"):
         for dt, z, z_next in zip(np.diff(times).tolist(), cols[:-1, :, None],
                                  cols[1:]):
-            np.subtract(centers, z, out=d)
-            np.multiply(d, d, out=d)
-            np.add.reduce(d, axis=0, out=w)
-            np.sqrt(w, out=w)
-            np.multiply(neg_c, w, out=w)
-            np.exp(w, out=w)
-            np.dot(coeffs, w, out=f)
-            np.multiply(dt, f, out=f)
-            np.add(z[:, 0], f, out=z_next)
+            np.subtract(centers, z, d)
+            np.multiply(d, d, d)
+            np.add.reduce(d, 0, None, w)
+            np.sqrt(w, w)
+            np.multiply(neg_c, w, w)
+            np.exp(w, w)
+            np.dot(coeffs, w, f)
+            np.multiply(dt, f, f)
+            np.add(z[:, 0], f, z_next)
     bad = first_nonfinite(out.T)
     if bad is not None:
         k = bad[0]

@@ -4,9 +4,13 @@ high-fidelity solver output.
 
 A snapshot matrix stores one spatial degree of freedom per row and one time
 instant per column. The binary ``SNP1`` container round-trips bit-exactly.
+A field too large to hold twice moves through it a column block at a time
+(``column_blocks``): ``write_snapshots`` takes the blocks a lift makes
+(``lifted_field``), and ``open_snapshots`` hands them back in order.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +20,14 @@ from .errors import NumericalError, ValidationError
 
 SNP_MAGIC = b"SNP1"
 
-SYNTHETIC_KINDS = ("traveling_wave", "linear_system", "harmonic_latent")
+#: the SyntheticSpec fields each synthetic kind reads besides its grid and
+#: component
+KIND_PARAMETERS = {
+    "traveling_wave": ("wave_speed",),
+    "linear_system": ("seed",),
+    "harmonic_latent": ("omega", "seed"),
+}
+SYNTHETIC_KINDS = tuple(KIND_PARAMETERS)
 
 
 def first_nonfinite(a: np.ndarray):
@@ -26,6 +37,35 @@ def first_nonfinite(a: np.ndarray):
         return None
     i, k = np.unravel_index(np.argmin(finite), a.shape)
     return int(i), int(k)
+
+
+def check_finite(data: np.ndarray, col0: int = 0) -> None:
+    """Refuse a non-finite value, naming its row and its column, counted
+    from ``col0`` for a block of a larger field."""
+    pos = first_nonfinite(data)
+    if pos is not None:
+        raise ValidationError(
+            f"non-finite value at row {pos[0]}, column {col0 + pos[1]}"
+        )
+
+
+def _check_size(n: int, m: int) -> None:
+    if n < 1:
+        raise ValidationError("need at least one spatial DOF")
+    if m < 2:
+        raise ValidationError("need at least two snapshots")
+
+
+#: values in one column block of a streamed field: 1 MiB of f64 stays in a
+#: core's L2 cache between the steps that make a block and use it
+BLOCK_VALUES = 1 << 17
+
+
+def column_blocks(n: int, m: int):
+    """Slices of the column blocks an n x m field moves in: BLOCK_VALUES
+    // n columns each (at least one), the last one narrower if need be."""
+    width = max(1, BLOCK_VALUES // n)
+    return [slice(start, min(m, start + width)) for start in range(0, m, width)]
 
 
 def check_times(times) -> np.ndarray:
@@ -68,20 +108,13 @@ class SnapshotSet:
         if data.ndim != 2:
             raise ValidationError("snapshot data must be a 2-D matrix")
         n, m = data.shape
-        if n < 1:
-            raise ValidationError("need at least one spatial DOF")
-        if m < 2:
-            raise ValidationError("need at least two snapshots")
+        _check_size(n, m)
         if times.shape != (m,):
             raise ValidationError(
                 f"times length {times.shape} does not match {m} columns"
             )
         check_times(times)
-        pos = first_nonfinite(data)
-        if pos is not None:
-            raise ValidationError(
-                f"non-finite value at row {pos[0]}, column {pos[1]}"
-            )
+        check_finite(data)
 
     @property
     def mesh_size(self) -> int:
@@ -92,21 +125,44 @@ class SnapshotSet:
         return self.data.shape[1]
 
 
-def lifted_field(data, times: np.ndarray, component: str) -> SnapshotSet:
-    """A full field lifted from finite model values, as a SnapshotSet. A
-    non-finite entry there can only be an overflow: a NumericalError naming
-    the first step and time it reaches. SnapshotSet's own check is the one
-    scan of a finite field."""
-    try:
+def _lifted_blocks(lift, times: np.ndarray, dest: np.ndarray):
+    """Lift the field one column block at a time into ``dest``, the whole
+    column-major field or a buffer narrower than it that every block
+    reuses, and yield each block once it is checked. A non-finite value in
+    a lift of finite model values can only be an overflow: a NumericalError
+    naming the first step and time it reaches."""
+    n, m = dest.shape[0], times.size
+    reuse = dest.shape[1] < m
+    for cols in column_blocks(n, m):
+        block = dest[:, :cols.stop - cols.start] if reuse else dest[:, cols]
+        # an overflow is reported below, without numpy's warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            lift(cols, block)
+        bad = first_nonfinite(block.T)
+        if bad is not None:
+            k = cols.start + bad[0]
+            raise NumericalError(
+                f"full field overflows at step {k} (t={times[k]:.6g})")
+        yield block
+
+
+def lifted_field(lift, n: int, times: np.ndarray, component: str, path=None):
+    """The full n-row field that lift(cols, out) writes columns cols of into
+    out, a column-major (n, w) array, lifted one column block at a time
+    (column_blocks). With a path the blocks go straight into that SNP1 file
+    through one block-wide buffer, and None is returned; without one they
+    fill a SnapshotSet. Either way every value is the same."""
+    m = times.size
+    _check_size(n, m)
+    if path is None:
+        data = np.empty((n, m), order="F")
+        for _ in _lifted_blocks(lift, times, data):
+            pass
         return SnapshotSet(data, times, component)
-    except ValidationError:
-        bad = first_nonfinite(np.asarray(data).T)
-        if bad is None:
-            raise
-        k = bad[0]
-        raise NumericalError(
-            f"full field overflows at step {k} (t={times[k]:.6g})"
-        ) from None
+    buf = np.empty((n, column_blocks(n, m)[0].stop), order="F")
+    write_snapshots(path, n, times, component,
+                    _lifted_blocks(lift, times, buf))
+    return None
 
 
 @dataclass(frozen=True)
@@ -168,6 +224,14 @@ class SyntheticSpec:
     @property
     def times(self) -> np.ndarray:
         return time_grid(self.t_start, self.t_end, self.dt)
+
+    @property
+    def recipe(self) -> dict:
+        """The kind, the component and the parameters the kind reads: all
+        that tells two fields on one grid apart."""
+        return {"kind": self.kind, "component": self.component,
+                **{name: getattr(self, name)
+                   for name in KIND_PARAMETERS[self.kind]}}
 
 
 #: the most times a uniform grid may hold
@@ -269,17 +333,31 @@ def generate_synthetic(spec: SyntheticSpec) -> SnapshotSet:
 # ---------------------------------------------------------------------------
 
 
-def save_snapshots(snapshots: SnapshotSet, path) -> None:
-    n, m = snapshots.data.shape
+def write_snapshots(path, n: int, times: np.ndarray, component: str,
+                    blocks) -> None:
+    """An SNP1 file of a field given as column-major (n, w) blocks of its
+    columns, in order; save_snapshots is the one-block case."""
+    m = times.size
     with io.writing(path, SNP_MAGIC) as f:
         io.write_u32(f, n)
         io.write_u32(f, m)
-        io.write_label(f, snapshots.component)
-        io.write_f64_vector(f, snapshots.times)
-        io.write_f64_matrix(f, snapshots.data)
+        io.write_label(f, component)
+        io.write_f64_vector(f, times)
+        cols = 0
+        for block in blocks:
+            io.write_f64_matrix(f, block)
+            cols += block.shape[1]
+        if cols != m:
+            raise ValueError(f"the blocks hold {cols} columns, not {m}")
+
+
+def save_snapshots(snapshots: SnapshotSet, path) -> None:
+    write_snapshots(path, snapshots.mesh_size, snapshots.times,
+                    snapshots.component, [snapshots.data])
 
 
 def _read_header(f):
+    io.read_frame(f, SNP_MAGIC)
     n = io.read_u32(f)
     m = io.read_u32(f)
     label = io.read_label(f)
@@ -288,13 +366,56 @@ def _read_header(f):
 
 def snapshot_header(path) -> tuple:
     """(N, times) of an SNP1 file, read without its field."""
-    with io.reading(path, SNP_MAGIC, whole=False) as f:
+    with open(path, "rb") as f, io.decoding(path):
         n, _, times = _read_header(f)
         return n, times
 
 
+class SnapshotFile:
+    """An SNP1 file open at its field (open_snapshots), whose columns
+    ``read`` takes in order, a block at a time."""
+
+    def __init__(self, f, path, n: int, times: np.ndarray, component: str):
+        self._f = f
+        self._col = 0
+        self.path = path
+        self.n = n
+        self.times = times
+        self.component = component
+
+    @property
+    def shape(self) -> tuple:
+        return self.n, self.times.size
+
+    def read(self, out: np.ndarray, check: bool = True) -> np.ndarray:
+        """Fill out, a column-major (n, w) "<f8" array, with the next w
+        columns and return it; with ``check``, a non-finite value is
+        refused, naming its row and its column in the field. Every error
+        is a FormatError that names the file."""
+        with io.decoding(self.path):
+            io.read_f64_block(self._f, out)
+            if check:
+                check_finite(out, self._col)
+        self._col += out.shape[1]
+        return out
+
+
+@contextmanager
+def open_snapshots(path):
+    """An SNP1 file open at its field, once its header holds a valid size
+    and time grid and the file holds exactly that field: a truncated file
+    or trailing bytes are a FormatError before any field is read."""
+    with open(path, "rb") as f:
+        with io.decoding(path):
+            n, label, times = _read_header(f)
+            _check_size(n, times.size)
+            check_times(times)
+            io.check_left(f, 8 * n * times.size, SNP_MAGIC)
+        yield SnapshotFile(f, path, n, times, label)
+
+
 def load_snapshots(path) -> SnapshotSet:
-    with io.reading(path, SNP_MAGIC) as f:
-        n, label, times = _read_header(f)
-        data = io.read_f64_matrix(f, n, times.size)
-        return SnapshotSet(data, times, label)
+    with open_snapshots(path) as snp:
+        data = snp.read(np.empty(snp.shape, "<f8", order="F"), check=False)
+        with io.decoding(path):
+            return SnapshotSet(data, snp.times, snp.component)

@@ -28,6 +28,7 @@ from nirom import rbf as rbf_mod
 from nirom.cli import main
 from nirom.containers import peek_magic
 from nirom.errors import FormatError
+from nirom.metrics import spatial_rmse
 from nirom.node import PRESETS, load_net, save_net
 from nirom.pod import PodBasis, load_basis, save_basis
 from nirom.snapshot import SnapshotSet, load_snapshots, save_snapshots, time_grid
@@ -240,8 +241,67 @@ def test_stale_snapshots_exit_2_and_name_generate(tmp_path, capsys, command,
     assert run(*command, "--config", cfg) == 2
     err = capsys.readouterr().err
     assert "snapshots.snp holds" in err and "'nirom generate'" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cfg.json", "snapshots.snp", "snapshots.snp.meta.json"]
+
+
+def test_generate_records_its_recipe_last(pipeline):
+    meta = pipeline.out / "snapshots.snp.meta.json"
+    assert json.loads(meta.read_text()) == {
+        "kind": "traveling_wave", "component": "u", "wave_speed": 1.0}
+    assert (meta.stat().st_mtime_ns
+            >= (pipeline.out / "snapshots.snp").stat().st_mtime_ns)
+
+
+@pytest.mark.parametrize("command", [("decompose",), ("fit", "--method", "dmd")],
+                         ids=["decompose", "fit-dmd"])
+def test_snapshots_without_their_record_exit_4(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, pod={"rank": 2}, dmd={"rank": 2})
+    run_ok("generate", "--config", cfg)
+    (tmp_path / "snapshots.snp.meta.json").unlink()
+    assert run(*command, "--config", cfg) == 4
+    err = capsys.readouterr().err
+    assert "snapshots.snp.meta.json: missing" in err and "nirom generate" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json",
                                                           "snapshots.snp"]
+
+
+@pytest.mark.parametrize("first,change", [
+    ({}, {"kind": "harmonic_latent"}),
+    ({}, {"kind": "linear_system"}),
+    ({}, {"wave_speed": 2.0}),
+    ({"kind": "harmonic_latent"}, {"seed": 12}),
+    ({"kind": "harmonic_latent"}, {"omega": 2.0}),
+    ({"kind": "linear_system", "grid_points": 8}, {"seed": 12}),
+    ({}, {"component": "v"}),
+], ids=["wave-to-harmonic", "wave-to-linear", "wave-speed", "harmonic-seed",
+        "harmonic-omega", "linear-seed", "component"])
+@pytest.mark.parametrize("command", [("decompose",), ("fit", "--method", "dmd")],
+                         ids=["decompose", "fit-dmd"])
+def test_snapshots_of_another_recipe_exit_2_and_name_generate(
+        tmp_path, capsys, command, first, change):
+    # the same grid each time: only the record tells the fields apart
+    cfg = write_cfg(tmp_path, seed=11, pod={"rank": 2}, dmd={"rank": 2})
+    doc = json.loads((tmp_path / "cfg.json").read_text())
+    doc["input"].update(first)
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    run_ok("generate", "--config", cfg)
+    doc["seed"] = change.get("seed", doc["seed"])
+    doc["input"].update({k: v for k, v in change.items() if k != "seed"})
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    assert run(*command, "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert "snapshots.snp was generated from" in err
+    assert "'nirom generate'" in err
+    run_ok("generate", "--config", cfg)
+    run_ok(*command, "--config", cfg)
+
+
+def test_wave_snapshots_serve_any_seed(tmp_path):
+    # the wave reads no seed, so its record holds none
+    cfg = write_cfg(tmp_path, seed=11, pod={"rank": 2}, dmd={"rank": 2})
+    run_ok("generate", "--config", cfg)
+    run_ok("decompose", "--config", cfg, "--seed", "12")
 
 
 class Interrupted(Exception):
@@ -721,6 +781,61 @@ def test_compare_deeply_nested_prediction_meta_exits_4(train_grid, tmp_path,
     assert str(bad) in capsys.readouterr().err
 
 
+def test_compare_series_are_spatial_rmse_of_the_loaded_sets(pipeline):
+    tree = json.loads((pipeline.out / "metrics.json").read_text())
+    truth = load_snapshots(pipeline.truth)
+    for method in ("rbf", "dmd", "node"):
+        pred = load_snapshots(pipeline.out / f"pred_{method}.snp")
+        want = spatial_rmse(pred, truth)
+        got = np.array(tree[method]["u"]["rmse"])
+        assert got.tobytes() == want.tobytes(), method
+
+
+def _broken(blob: bytes, fault: str) -> bytes:
+    if fault == "truncated":
+        return blob[:-8]
+    if fault == "trailing":
+        return blob + b"\0"
+    # the field's last value, which the last column block reads
+    return blob[:-8] + struct.pack("<d", np.inf)
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("truncated", "truncated"), ("trailing", "trailing bytes"),
+    ("non-finite", "non-finite value at row 63, column 99"),
+])
+def test_compare_refuses_a_broken_prediction_and_writes_no_metrics(
+        train_grid, tmp_path, capsys, fault, message):
+    good = tmp_path / "pred_rbf.snp"
+    shutil.copy(train_grid.out / "pred_rbf.snp", good)
+    bad = tmp_path / "pred_dmd.snp"
+    bad.write_bytes(_broken((train_grid.out / "pred_dmd.snp").read_bytes(),
+                            fault))
+    truth = train_grid.out / "snapshots.snp"
+    assert run("compare", str(truth), str(good), str(bad),
+               "--out", str(tmp_path)) == 4
+    err = capsys.readouterr().err
+    assert str(bad) in err and message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pred_dmd.snp",
+                                                          "pred_rbf.snp"]
+
+
+@pytest.mark.parametrize("mismatch", ["shape", "times"])
+def test_compare_shape_or_time_mismatch_exits_2(train_grid, tmp_path, capsys,
+                                                mismatch):
+    truth = load_snapshots(train_grid.out / "snapshots.snp")
+    if mismatch == "shape":
+        pred = SnapshotSet(truth.data[:, :-1], truth.times[:-1])
+    else:
+        pred = SnapshotSet(truth.data, truth.times + 0.5)
+    save_snapshots(pred, tmp_path / "pred_rbf.snp")
+    assert run("compare", str(train_grid.out / "snapshots.snp"),
+               str(tmp_path / "pred_rbf.snp"), "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert ("shape mismatch" if mismatch == "shape" else "disagree") in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pred_rbf.snp"]
+
+
 # config and flag handling ----------------------------------------------------
 
 
@@ -750,6 +865,19 @@ def test_missing_subcommand_arguments_exit_2(train_grid):
     with pytest.raises(SystemExit) as exc:
         run("fit", "--config", train_grid.cfg)  # no --method
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_and_answers_alike(capsys):
+    assert cli_mod.build_parser() is cli_mod.build_parser()
+    said = []
+    for argv in (["--help"], ["fit", "--help"], ["fit", "--method", "svm"],
+                 ["--help"], ["fit", "--help"], ["fit", "--method", "svm"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+        said.append(capsys.readouterr())
+    assert said[:3] == said[3:]
+    assert "usage: nirom" in said[0].out
+    assert "invalid choice: 'svm'" in said[2].err
 
 
 def test_out_flag_overrides_config_directory(tmp_path):
@@ -897,6 +1025,20 @@ def test_overflowing_dmd_forecast_exits_3(tmp_path):
     done = run_fresh("predict", "model_dmd.dmd", "--config", cfg)
     assert_numerical_failure(done, "overflows at step 1751")
     assert not (tmp_path / "pred_dmd.snp").exists()
+
+
+def test_dmd_overflow_mid_stream_exits_3_and_leaves_no_file(tmp_path):
+    # 200 rows: blocks of 655 columns, so step 1751 is in the third block,
+    # after two blocks went to the temp file
+    cfg = write_cfg(tmp_path, dmd={"rank": 1},
+                    predict={"t_start": 0.0, "t_end": 2999.0, "dt": 1.0})
+    dmd_mod.save_model(
+        dmd_mod.DmdModel(np.ones((200, 1)), [1.5], [1.0], dt=1.0, t0=0.0),
+        tmp_path / "model_dmd.dmd")
+    done = run_fresh("predict", "model_dmd.dmd", "--config", cfg)
+    assert_numerical_failure(done, "overflows at step 1751")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json",
+                                                          "model_dmd.dmd"]
 
 
 def test_overflowing_rbf_forecast_exits_3(latent_dir, tmp_path):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nirom import dmd, rbf
+from nirom.containers import replacing
 from nirom.errors import FormatError, ValidationError
 from nirom.node import ScaleMap, TimeMap, build_net, load_net, save_net
 from nirom.pod import PodBasis, load_basis, save_basis
@@ -133,6 +134,31 @@ def test_failed_save_keeps_old_file_and_leaves_no_temp(tmp_path):
         save_basis(replace(_BASIS, component="x" * 0x10000), path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["basis.pod"]
+
+
+@pytest.mark.parametrize("mode,old,new", [
+    ("wb", b"old bytes, longer than the new", b"new"),
+    ("w", "old", "new text, longer than the old"),
+])
+def test_replacing_an_existing_file_leaves_the_new_bytes_and_no_temp(
+        tmp_path, monkeypatch, mode, old, new):
+    path = tmp_path / "artifact"
+    path.write_bytes(old) if "b" in mode else path.write_text(old)
+    # the old file is unlinked and the temp file renamed to the free name
+    monkeypatch.delattr(os, "replace")
+    with replacing(path, mode) as f:
+        f.write(new)
+        assert path.exists()
+    got = path.read_bytes() if "b" in mode else path.read_text()
+    assert got == new
+    assert os.listdir(tmp_path) == ["artifact"]
+
+
+def test_replacing_a_missing_file_creates_it(tmp_path):
+    with replacing(tmp_path / "new.bin") as f:
+        f.write(b"x")
+    assert (tmp_path / "new.bin").read_bytes() == b"x"
+    assert os.listdir(tmp_path) == ["new.bin"]
 
 
 def test_large_snapshot_load_allocates_little_beyond_its_array(tmp_path):

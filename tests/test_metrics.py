@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from nirom.cli import main
 from nirom.metrics import (
     CSV_HEADER,
-    RMSE_BLOCK_VALUES,
     MetricsReport,
     report_emit,
     spatial_rmse,
 )
-from nirom.snapshot import SnapshotSet
+from nirom.snapshot import BLOCK_VALUES, SnapshotSet
 
 
 def make_set(data, times=None) -> SnapshotSet:
@@ -81,7 +80,7 @@ def reference_rmse(pred: SnapshotSet, truth: SnapshotSet, normalize=False):
 @pytest.mark.parametrize("normalize", [False, True])
 @pytest.mark.parametrize("rows,cols", [
     (4000, 250),  # blocks of 32 columns, the last one of 26
-    (RMSE_BLOCK_VALUES // 3 + 1, 7),  # blocks of 2 columns, the last one of 1
+    (BLOCK_VALUES // 3 + 1, 7),  # blocks of 2 columns, the last one of 1
     (3, 1000),  # one block
 ])
 def test_blocked_rmse_matches_whole_field_reduction(rows, cols, normalize):
