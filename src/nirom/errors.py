@@ -29,7 +29,7 @@ class NumericalError(NiromError):
     """A numerical procedure failed or cannot proceed: a factorization that
     failed after regularization, duplicate interpolation centers, a
     zero-range component that cannot be scaled, an exhausted step budget,
-    adjoint drift, non-finite state, training loss or parameters."""
+    non-finite state, training loss or parameters."""
 
 
 class ConfigError(NiromError):

@@ -1,24 +1,25 @@
 """Reverse-mode gradients of the trajectory-fitting loss.
 
-Two routes to the same parameter gradient: replaying every solver stage
-backwards (discretize-then-optimize, the default), or integrating the
-continuous costate system from the final time to the initial one and
-accumulating the parameter sensitivity along the way. The adjoint route
-re-anchors its state at each observation time and refuses to continue when
-the backward re-integration drifts from the stored forward pass.
+Two routes to the same parameter gradient, the exact gradient of the
+discretized rollout (discretize-then-optimize). Backprop through the solver
+(the default) caches every stage of the forward pass and replays them
+backwards. The adjoint route keeps only the state at the start of every
+substep and, walking the substeps in reverse, recomputes each step from its
+state before sweeping it back, so it holds the stages of one chunk of steps
+instead of the trajectory's (checkpointed backprop, as in ANODE, Gholami et
+al. 2019). It costs one more forward evaluation per stage.
 """
 
 import numpy as np
 
-from ..errors import NumericalError
 from ..pod import LatentTrajectory
 from ..snapshot import check_times, time_tolerance
 from . import kernels
 from .network import DynamicsNet, unfold_biases
-from .solvers import FIXED_METHODS, RolloutPlan, SolverSpec, _pad_state, fixed_rollout
+from .solvers import (FIXED_METHODS, RolloutPlan, SolverSpec, _pad_state,
+                      check_rollout, fixed_rollout)
 
 GRAD_MODES = ("backprop_through_solver", "adjoint")
-ADJOINT_DRIFT_RTOL = 1e-3
 #: adjoint steps whose stage rows are kept for one deferred parameter GEMM
 #: per layer. A step stores every layer's input and cotangent for each of
 #: its stages: about 4.3 KiB for an rk4 step of a 2-64-2 net, so a chunk is
@@ -57,10 +58,10 @@ class GradPlan:
     """One gradient route for one net, initial state, time grid, target and
     solver, built once per gradient call or training run: the rollout plan
     (cached for backprop) and the augmented gradient arrays. An adjoint
-    plan also holds its chunk buffers and the tableaus of every substep:
-    `back` (ts, ea, eb) marches the state back over it with the step
-    h < 0, and `costate` (ca, cb) = [1, -h a], [1, -h b] is the costate's,
-    its negation folded in."""
+    plan also holds the scaled and reverse tableaus of every substep,
+    `tableaus` (ts, ea, eb) and `rev`, and its `chunk` buffers, rows for
+    min(ADJOINT_CHUNK, substeps) steps, whose first slot also carries the
+    forward pass."""
 
     def __init__(self, net: DynamicsNet, z0, times, target, solver: SolverSpec,
                  mode: str):
@@ -81,11 +82,11 @@ class GradPlan:
         self.grads = tuple(np.zeros_like(w) for w in roll.args[0])
         if mode == "adjoint":
             sub_t0, sub_h, _ = roll.schedule
-            t1 = sub_t0 + sub_h
-            self.back = kernels.scaled_tableau(*roll.tableau, t1, -sub_h)
-            self.costate = kernels.scaled_tableau(*roll.tableau, t1, sub_h)[1:]
-            self.chunk = roll.buffers(ADJOINT_CHUNK * roll.n_stages,
-                                      roll.n_stages)
+            a, b, c = roll.tableau
+            self.tableaus = kernels.scaled_tableau(a, b, c, sub_t0, sub_h)
+            self.rev = kernels.reverse_tableau(a, b, sub_h)
+            n_steps = min(ADJOINT_CHUNK, sub_h.size)
+            self.chunk = roll.buffers(n_steps * roll.n_stages, roll.n_stages)
 
 
 def _backprop_grad(plan: GradPlan):
@@ -104,60 +105,44 @@ def _backprop_grad(plan: GradPlan):
 
 
 def _adjoint_grad(plan: GradPlan):
-    """March the state and costate back over every substep, one
-    adjoint_step each, taking the parameter gradient of every chunk of
-    ADJOINT_CHUNK steps at once. At each observation time the state is
-    re-anchored to the forward pass and the loss cotangent joins the
-    costate; the states the re-integration reached there are checked once
-    the sweep is done."""
-    roll = plan.rollout
-    out, (_, _, out_idx) = fixed_rollout(roll, plan.z0)
+    """One uncached rollout that keeps the state at the start of every
+    substep, then one adjoint_step per substep in reverse, taking the
+    parameter gradient of every chunk of steps at once."""
+    roll, buf = plan.rollout, plan.chunk
+    sub_t0, sub_h, out_idx = roll.schedule
+    n_sub = sub_h.size
+    # column i is substep i's start state, column n_sub the last state,
+    # each contiguous
+    states = np.empty((n_sub + 1, plan.z0.size)).T
+    # a blown-up state overflows quietly; check_rollout reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernels.rollout_rk(
+            *roll.args, plan.z0, *roll.tableau, buf.steps[:1] * n_sub, buf.zk,
+            buf.zk2, states, sub_t0, sub_h, np.arange(1, n_sub + 1),
+        )
+    # the columns at the plan's times: the first, and each substep's end that
+    # lands on one
+    out = states[:, np.flatnonzero(np.append(0, out_idx) >= 0)]
+    check_rollout(roll, out)
     loss, out_bar = _loss_cotangent(plan.net, out, plan.target)
-    ts, ea, eb = plan.back
-    ca, cb = plan.costate
-    buf = plan.chunk
-    n_stages = roll.n_stages
-    last = out.shape[1] - 1
-    reached = np.empty_like(out)
+    ts, ea, eb = plan.tableaus
+    rev = plan.rev
+    n_slots, n_stages = len(buf.steps), roll.n_stages
     buf.cot[0] = 0.0
     j = 0
     # overflow surfaces as a non-finite gradient, which training rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(out_idx.shape[0] - 1, -1, -1):
-            col = out_idx[i]
-            if col >= 0:
-                if col < last:
-                    reached[:, col] = buf.zk[0]
-                buf.zk[0] = out[:, col]
-                buf.cot[0] += out_bar[:, col]
+        for i in range(n_sub - 1, -1, -1):
+            if out_idx[i] >= 0:
+                buf.cot[0] += out_bar[:, out_idx[i]]
             kernels.adjoint_step(
-                *roll.args, ts[i], ea[i], eb[i], ca[i], cb[i], buf, j,
+                *roll.args, ts[i], ea[i], eb[i], rev[i], states[:, i], buf, j,
             )
             j += 1
-            if j == ADJOINT_CHUNK or i == 0:
-                kernels.layer_gradients(plan.grads, buf, j * n_stages, buf.w)
+            if j == n_slots or i == 0:
+                kernels.layer_gradients(plan.grads, buf, j * n_stages)
                 j = 0
-        reached[:, 0] = buf.zk[0]
-        _check_drift(reached[:, :last], out[:, :last], roll.times)
     return loss
-
-
-def _check_drift(reached, anchors, times):
-    """Refuse a sweep whose re-integrated state at an observation time
-    (column c of `reached`) drifted from the forward state there by more
-    than ADJOINT_DRIFT_RTOL * (1 + |anchor|); the latest such time is the
-    first the backward sweep met, and the one reported. A NaN drift
-    compares false and is not refused."""
-    drift = np.linalg.norm(reached - anchors, axis=0)
-    limit = ADJOINT_DRIFT_RTOL * (1.0 + np.linalg.norm(anchors, axis=0))
-    bad = np.flatnonzero(drift > limit)
-    if bad.size:
-        c = bad[-1]
-        raise NumericalError(
-            f"adjoint re-integration drifted {drift[c]:.3e} from the forward "
-            f"state at t={times[c]:.6g} (limit {limit[c]:.3e}); use a "
-            "finer step or the backprop_through_solver mode"
-        )
 
 
 def _loss_and_grad(plan: GradPlan, params: np.ndarray):

@@ -26,8 +26,7 @@ each array, made with the buffers, so a stage neither slices nor allocates:
 rk_step writes a stage's input state into its row, nn_forward its layer
 inputs and nn_vjp its cotangents, each ufunc and np.dot taking its
 output array positionally (numpy parses that faster than out=).
-`steps[i]` groups the rows of substep i, and `w` holds one weight per row
-for layer_gradients.
+`steps[i]` groups the rows of substep i.
 
 Extended stage arrays. A step keeps its state and stage derivatives in one
 array zk = [z; k_0; ...; k_{s-1}] of n_stages + 1 rows, and its tableau
@@ -36,15 +35,8 @@ ea = [1, h a], and the step's end eb @ zk with eb = [1, h b], one GEMV each
 (scaled_tableau builds ts, ea and eb for a whole schedule at once). The
 buffers hold two such arrays, zk and zk2, which successive substeps take in
 turn, each writing its end into the other's first row, and two arrays
-cot and cot2, taken in turn the same way, where a reverse sweep keeps its
-cotangents, [zbar; ubar_{s-1}; ...; ubar_0], and the adjoint its costate
-stages, [a; vjp_0; ...; vjp_{s-1}], the costate's negation folded into its
-tableau.
-
-Adjoint chunks. adjoint_step writes its stage rows into slot j of buffers
-holding a chunk of steps, and its row weights into `w`; layer_gradients
-then takes the parameter gradient of the whole chunk, one GEMM per layer,
-so memory is bounded by the chunk, not by the trajectory.
+cot and cot2, taken in turn the same way, where a reverse sweep keeps a
+step's cotangents, [zbar; ubar_{s-1}; ...; ubar_0].
 
 Scaling. nn_forward applies the ScaleMap in place, (z - mid) / half into the
 input row and half * y into the stage derivative, and nn_vjp its transpose,
@@ -54,21 +46,29 @@ half = 1.
 
 Reverse sweeps. StageBuffers.derivs writes the activation derivatives of
 stored stages into their s rows, vectorized over the rows of a layer at
-once, each taken from the layer's output alone. nn_vjp then turns a stage's
-derivatives into its cotangents, and layer_gradients adds
-[gW_l | gb_l] += S_l^T diag(w) X_l, one GEMM per layer over stacked rows.
+once, each taken from the layer's output alone. step_backward then pulls a
+step's cotangent back through its stages, one nn_vjp each, which turns the
+derivatives into cotangents, and layer_gradients adds
+[gW_l | gb_l] += S_l^T X_l, one GEMM per layer over stacked rows.
+rollout_backward runs step_backward over every cached step of a rollout.
+adjoint_step keeps no cache: it recomputes one step from its saved start
+state into slot j of buffers that hold a chunk of steps and runs
+step_backward on it, so the caller takes the parameter gradient once per
+chunk and memory is bounded by the chunk, not by the trajectory.
 
 rk_step holds the one forward Runge-Kutta stage loop, generic over explicit
-tableaus: the fixed-step rollout, the adjoint step and the adaptive
-integrator's trial steps all advance through it, and rollout_backward
-reverses it for euler, midpoint, rk4 and the frozen dopri5 schedule.
+tableaus: the fixed-step rollout, the recomputed steps of adjoint_step and
+the adaptive integrator's trial steps all advance through it, and
+step_backward reverses it for euler, midpoint, rk4 and the frozen dopri5
+schedule.
 
 Call contract (counted by the benchmark's tracer): rk_step calls the
-module-level nn_forward once per stage, rollout_backward and adjoint_step
-call the module-level nn_vjp once per stage, and the gradient routes call
-rollout_backward once per backprop gradient and adjoint_step once per
-substep; no other kernel evaluates the net. rollout_rk takes the substep
-start times `sub_t0` as positional argument 13.
+module-level nn_forward once per stage, step_backward calls the
+module-level nn_vjp once per stage, and the gradient routes call
+rollout_backward once per backprop gradient, or rollout_rk once and then
+adjoint_step once per substep for the adjoint; no other kernel evaluates
+the net. rollout_rk takes the substep start times `sub_t0` as positional
+argument 13.
 """
 
 import numpy as np
@@ -128,7 +128,8 @@ class StageBuffers:
             x[:, -1] = 1.0
         self.x.append(np.empty((n_rows, dim)))
         self.s = [np.empty((n_rows, n)) for n in sizes[1:]]
-        self.w = np.empty(n_rows)
+        # sums a step's cotangent rows, one GEMV (step_backward)
+        self.ones = np.ones(n_stages + 1)
         self.zk = np.empty((n_stages + 1, dim))
         self.zk2 = np.empty((n_stages + 1, dim))
         self.cot = np.empty((n_stages + 1, dim))
@@ -243,15 +244,11 @@ def nn_vjp(layers, acts, half, u, row, out):
     return np.divide(row.zbar, half, out)
 
 
-def layer_gradients(grads, buf, n_rows, weights):
-    """Add sum_r w_r * outer(s_l, x_l) over the first n_rows stored stages
-    into each layer's augmented gradient [gW_l | gb_l]; weights None means
-    w_r = 1. Weighting scales the s rows in place."""
+def layer_gradients(grads, buf, n_rows):
+    """Add sum_r outer(s_l, x_l) over the first n_rows stored stages into
+    each layer's augmented gradient [gW_l | gb_l]."""
     for l, g in enumerate(grads):
-        s = buf.s[l][:n_rows]
-        if weights is not None:
-            np.multiply(s, weights[:n_rows].reshape(n_rows, 1), s)
-        g += np.dot(s.T, buf.x[l][:n_rows])
+        g += np.dot(buf.s[l][:n_rows].T, buf.x[l][:n_rows])
 
 
 def rk_step(layers, acts, mid, half, tin, ts, ea, eb, zk, first, rows, znew):
@@ -297,6 +294,39 @@ def rollout_rk(
     return out
 
 
+def reverse_tableau(a_tab, b_tab, sub_h):
+    """The tableau step_backward reads, scaled to every step of a schedule
+    with sizes sub_h: rev[i, st] = [h b_st, h a_{s-1,st}, ..., h a_{st+1,st}]
+    for h = sub_h[i], zero-padded to n_stages entries."""
+    n_stages = b_tab.shape[0]
+    later = a_tab[n_stages - np.arange(1, n_stages)].T
+    return sub_h.reshape(sub_h.shape[0], 1, 1) * np.concatenate(
+        [b_tab.reshape(n_stages, 1), later], axis=1)
+
+
+def step_backward(layers, acts, half, rev, rows, buf):
+    """Pull the cotangent buf.cot[0] after one step back through the step's
+    stage rows, whose s rows must hold their activation derivatives
+    (StageBuffers.derivs); rev is the step's reverse_tableau.
+
+    buf.cot = [zbar; ubar_{s-1}; ...; ubar_0] gathers the cotangent after
+    the step and each stage's state cotangent, latest stage first, so the
+    cotangent of stage st's derivative is one GEMV over the rows filled,
+    kbar_st = rev[st, :s-st] @ cot[:s-st], and the start state's cotangent
+    is their sum. That sum leads the twin array cot2, which then swaps
+    places with cot, so it is buf.cot[0] again.
+    """
+    n_stages = len(rows)
+    ub = buf.cot
+    for st in range(n_stages - 1, -1, -1):
+        q = n_stages - st
+        row = rows[st]
+        np.dot(rev[st, :q], ub[:q], row.u)
+        nn_vjp(layers, acts, half, row.u, row, ub[q])
+    np.dot(buf.ones, ub, buf.cot2[0])
+    buf.cot, buf.cot2 = buf.cot2, ub
+
+
 def rollout_backward(
     layers, acts, half, a_tab, b_tab, sub_h, out_idx, buf, out_bar, grads,
 ):
@@ -305,62 +335,29 @@ def rollout_backward(
     `grads`."""
     n_sub = sub_h.shape[0]
     n_stages = b_tab.shape[0]
-    # ub = [zbar; ubar_{s-1}; ...; ubar_0] holds the cotangent after the
-    # step and each stage's state cotangent, latest stage first, so the
-    # cotangent of stage st's derivative is one GEMV over the rows filled:
-    # kbar_st = rev[st, :s-st] @ ub[:s-st], with
-    # rev[st] = [h b_st, h a_{s-1,st}, ..., h a_{st+1,st}]
-    later = a_tab[n_stages - np.arange(1, n_stages)].T
-    rev = sub_h.reshape(n_sub, 1, 1) * np.concatenate(
-        [b_tab.reshape(n_stages, 1), later], axis=1)
-    ones = np.ones(n_stages + 1)
+    rev = reverse_tableau(a_tab, b_tab, sub_h)
     buf.derivs(0, n_sub * n_stages)
-    ub, ub_next = buf.cot, buf.cot2
-    ub[0] = 0.0
+    buf.cot[0] = 0.0
     for i in range(n_sub - 1, -1, -1):
         if out_idx[i] >= 0:
-            ub[0] += out_bar[:, out_idx[i]]
-        rows = buf.steps[i]
-        r = rev[i]
-        for st in range(n_stages - 1, -1, -1):
-            q = n_stages - st
-            row = rows[st]
-            np.dot(r[st, :q], ub[:q], row.u)
-            nn_vjp(layers, acts, half, row.u, row, ub[q])
-        np.dot(ones, ub, ub_next[0])
-        ub, ub_next = ub_next, ub
-    layer_gradients(grads, buf, n_sub * n_stages, None)
+            buf.cot[0] += out_bar[:, out_idx[i]]
+        step_backward(layers, acts, half, rev[i], buf.steps[i], buf)
+    layer_gradients(grads, buf, n_sub * n_stages)
 
 
-def adjoint_step(layers, acts, mid, half, tin, ts, ea, eb, ca, cb, buf, j):
-    """One RK step of the augmented costate system from the state
-    buf.zk[0] and the costate buf.cot[0]:
+def adjoint_step(layers, acts, mid, half, tin, ts, ea, eb, rev, z, buf, j):
+    """Recompute one substep from its start state z into the stage rows of
+    chunk slot j, buf.steps[j], and pull the cotangent buf.cot[0] after it
+    back to z's (step_backward), leaving that in buf.cot[0]; the stage rows
+    keep their cotangents for layer_gradients.
 
-        dz/dt = f(t, z)
-        da/dt = -(df/dz)^T a
-        dgw/dt = -(df/dw)^T a      (left in chunk slot j)
-
-    ts, ea and eb are the state's tableau scaled to the step h (negative
-    when marching back), ca = [1, -h a] and cb = [1, -h b] the costate's,
-    with its negation folded in. The state stages never read the costate,
-    so z advances first through rk_step into the rows of buf.steps[j], and
-    the costate stages then pull back through them. The stage rows keep
-    their cotangents and w their weights -h b for layer_gradients. The
-    advanced state and costate lead the twin arrays zk2 and cot2, which
-    then swap places with zk and cot, so they are buf.zk[0] and
-    buf.cot[0] again.
+    ts, ea and eb are the step's scaled_tableau and rev its
+    reverse_tableau. The recomputed end state is left in buf.zk2[0].
     """
-    n_stages = cb.shape[0] - 1
     rows = buf.steps[j]
-    zk, ak = buf.zk, buf.cot
-    rk_step(layers, acts, mid, half, tin, ts, ea, eb, zk, 0, rows, buf.zk2[0])
+    n_stages = len(rows)
+    np.copyto(buf.zk[0], z)
+    rk_step(layers, acts, mid, half, tin, ts, ea, eb, buf.zk, 0, rows, buf.zk2[0])
     lo = j * n_stages
     buf.derivs(lo, lo + n_stages)
-    for st in range(n_stages):
-        row = rows[st]
-        np.dot(ca[st, :st + 1], ak[:st + 1], row.u)
-        nn_vjp(layers, acts, half, row.u, row, ak[st + 1])
-    np.dot(cb, ak, buf.cot2[0])
-    buf.w[lo: lo + n_stages] = cb[1:]
-    buf.zk, buf.zk2 = buf.zk2, zk
-    buf.cot, buf.cot2 = buf.cot2, ak
+    step_backward(layers, acts, half, rev, rows, buf)

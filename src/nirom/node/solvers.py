@@ -209,13 +209,19 @@ def fixed_rollout(plan: RolloutPlan, z0: np.ndarray):
         kernels.rollout_rk(
             *plan.args, z0, *plan.tableau, steps, buf.zk, buf.zk2, out, *schedule,
         )
+    check_rollout(plan, out)
+    return out, schedule
+
+
+def check_rollout(plan: RolloutPlan, out: np.ndarray) -> None:
+    """Refuse a rollout whose states at the plan's times (the columns of
+    out) are not all finite, naming the first such time."""
     bad = first_nonfinite(out.T)
     if bad is not None:
         k = bad[0]
         raise NumericalError(
             f"integration became non-finite at step {k} "
             f"(t={plan.physical_time(plan.times[k]):.6g})")
-    return out, schedule
 
 
 def ode_solve(net: DynamicsNet, z0, times, solver: SolverSpec) -> LatentTrajectory:

@@ -389,23 +389,45 @@ def test_rk_step_matches_textbook_butcher_step(method):
 
 
 @pytest.mark.parametrize("method", ["euler", "midpoint", "rk4", "dopri5"])
-@pytest.mark.parametrize("h", [0.1, -0.1])
+@pytest.mark.parametrize("h", [0.1])
 def test_adjoint_step_state_is_one_rollout_substep(method, h):
+    # adjoint_step recomputes a substep from its start state and sweeps it
+    # back: its stage rows, end state, state cotangent and parameter
+    # gradient are those of one cached rollout_rk substep and
+    # rollout_backward over it, bit for bit
     net = stage_net()
     args = kernel_args(net, net.params)
+    layers, acts, _, half, _ = args
     a, b, c = tableau(method)
     z = np.array([0.4, -0.7, 0.25])
-    costate = np.array([1.0, -2.0, 0.5])
-    buf = kernels.StageBuffers(net.sizes, args[1], net.time_input, b.size, b.size)
+    zbar = np.array([1.0, -2.0, 0.5])
     t0, step = np.array([0.3]), np.array([h])
+
+    def buffers():
+        return kernels.StageBuffers(net.sizes, acts, net.time_input, b.size,
+                                    b.size)
+
+    adj, ref = buffers(), buffers()
     ts, ea, eb = kernels.scaled_tableau(a, b, c, t0, step)
-    _, ca, cb = kernels.scaled_tableau(a, b, c, t0, -step)
-    buf.zk[0] = z
-    buf.cot[0] = costate
-    kernels.adjoint_step(*args, ts[0], ea[0], eb[0], ca[0], cb[0], buf, 0)
-    z_adj = buf.zk[0].copy()
+    rev = kernels.reverse_tableau(a, b, step)
+    adj.cot[0] = zbar
+    kernels.adjoint_step(*args, ts[0], ea[0], eb[0], rev[0], z, adj, 0)
+    adj_g = tuple(np.zeros_like(w) for w in layers)
+    kernels.layer_gradients(adj_g, adj, b.size)
+
     out = kernels.rollout_rk(
-        *args, z, a, b, c, buf.steps, buf.zk, buf.zk2, np.empty((z.size, 2)),
+        *args, z, a, b, c, ref.steps, ref.zk, ref.zk2, np.empty((z.size, 2)),
         t0, step, np.array([1]),
     )
-    assert z_adj.tobytes() == out[:, 1].tobytes()
+    ref_g = tuple(np.zeros_like(w) for w in layers)
+    out_bar = np.stack([np.zeros(z.size), zbar], axis=1)
+    kernels.rollout_backward(layers, acts, half, a, b, step, np.array([1]), ref,
+                             out_bar, ref_g)
+
+    assert adj.zk2[0].tobytes() == out[:, 1].tobytes()
+    # x[-1], the output rows, is written only for a nonlinear output layer
+    for got, want in zip(adj.x[:-1] + adj.s, ref.x[:-1] + ref.s):
+        assert got.tobytes() == want.tobytes()
+    assert adj.cot[0].tobytes() == ref.cot[0].tobytes()
+    for got, want in zip(adj_g, ref_g):
+        assert got.tobytes() == want.tobytes()
