@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .node import PRESETS, LrSchedule, NodePreset, SolverSpec, TrainConfig
 from .node.network import ACTIVATIONS
-from .node.solvers import FIXED_METHODS
 from .snapshot import SyntheticSpec, grid_size
 
 SEED_MAX = 2**64 - 1  # NET1 stores the seed as a u64
@@ -268,12 +267,6 @@ def _parse_node(block) -> NodeBlock:
     except ValueError as exc:
         raise ConfigError(f"node: {exc}") from exc
     solver = _parse_solver(block["solver"]) if "solver" in block else None
-    if (train.grad_mode == "adjoint" and solver is not None
-            and solver.method not in FIXED_METHODS):
-        raise ConfigError(
-            "'node.grad_mode' adjoint needs a fixed-step 'node.solver'; "
-            f"{solver.method} trains with backprop_through_solver"
-        )
     return NodeBlock(
         preset=preset, hidden=tuple(hidden), activation=activation,
         scaling=_get(block, "node", "scaling", bool, False),

@@ -7,7 +7,8 @@ backwards. The adjoint route keeps only the state at the start of every
 substep and, walking the substeps in reverse, recomputes each step from its
 state before sweeping it back, so it holds the stages of one chunk of steps
 instead of the trajectory's (checkpointed backprop, as in ANODE, Gholami et
-al. 2019). It costs one more forward evaluation per stage.
+al. 2019). It costs one more forward evaluation per stage. dopri5 takes
+that route in either mode, from the states its adaptive pass keeps.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from ..pod import LatentTrajectory
 from ..snapshot import check_times, time_tolerance
 from . import kernels
 from .network import DynamicsNet, unfold_biases
-from .solvers import (FIXED_METHODS, RolloutPlan, SolverSpec, _pad_state,
+from .solvers import (RolloutPlan, SolverSpec, _dopri5_core, _pad_state,
                       check_rollout, fixed_rollout)
 
 GRAD_MODES = ("backprop_through_solver", "adjoint")
@@ -56,36 +57,31 @@ def _loss_cotangent(net: DynamicsNet, out: np.ndarray, target: np.ndarray):
 
 class GradPlan:
     """One gradient route for one net, initial state, time grid, target and
-    solver, built once per gradient call or training run: the rollout plan
-    (cached for backprop) and the augmented gradient arrays. An adjoint
-    plan also holds the scaled and reverse tableaus of every substep,
-    `tableaus` (ts, ea, eb) and `rev`, and its `chunk` buffers, rows for
-    min(ADJOINT_CHUNK, substeps) steps, whose first slot also carries the
-    forward pass."""
+    solver, built once per gradient call or training run: the rollout plan,
+    cached for fixed-step backprop, and the augmented gradient arrays. Every
+    other route recomputes each step from its start state into `chunk`,
+    rows for min(ADJOINT_CHUNK, steps) steps whose first slot also carries
+    a fixed-step forward pass; a fixed-step plan keeps the scaled and
+    reverse tableaus of every substep, `tableaus` (ts, ea, eb) and `rev`."""
 
     def __init__(self, net: DynamicsNet, z0, times, target, solver: SolverSpec,
                  mode: str):
         if mode not in GRAD_MODES:
             raise ValueError(f"unknown gradient mode {mode!r}; expected {GRAD_MODES}")
-        if mode == "adjoint" and solver.method not in FIXED_METHODS:
-            raise ValueError(
-                "adjoint gradients need a fixed-step solver; dopri5 trains "
-                "with backprop_through_solver"
-            )
         self.net = net
         self.z0 = z0
         self.target = target
-        self.mode = mode
         self.rollout = roll = RolloutPlan(
-            net, times, solver, cached=mode == "backprop_through_solver"
-        )
+            net, times, solver, cached=mode == "backprop_through_solver")
         self.grads = tuple(np.zeros_like(w) for w in roll.args[0])
-        if mode == "adjoint":
-            sub_t0, sub_h, _ = roll.schedule
-            a, b, c = roll.tableau
-            self.tableaus = kernels.scaled_tableau(a, b, c, sub_t0, sub_h)
-            self.rev = kernels.reverse_tableau(a, b, sub_h)
-            n_steps = min(ADJOINT_CHUNK, sub_h.size)
+        if not roll.cached:
+            n_steps = ADJOINT_CHUNK
+            if roll.schedule is not None:
+                sub_t0, sub_h, _ = roll.schedule
+                a, b, c = roll.tableau
+                self.tableaus = kernels.scaled_tableau(a, b, c, sub_t0, sub_h)
+                self.rev = kernels.reverse_tableau(a, b, sub_h)
+                n_steps = min(n_steps, sub_h.size)
             self.chunk = roll.buffers(n_steps * roll.n_stages, roll.n_stages)
 
 
@@ -105,38 +101,45 @@ def _backprop_grad(plan: GradPlan):
 
 
 def _adjoint_grad(plan: GradPlan):
-    """One uncached rollout that keeps the state at the start of every
-    substep, then one adjoint_step per substep in reverse, taking the
-    parameter gradient of every chunk of steps at once."""
+    """One pass that keeps every step's start state (dopri5's adaptive
+    pass, or an uncached rollout_rk over the fixed-step schedule), then one
+    adjoint_step per step in reverse, taking the parameter gradient of every
+    chunk of steps at once."""
     roll, buf = plan.rollout, plan.chunk
-    sub_t0, sub_h, out_idx = roll.schedule
-    n_sub = sub_h.size
-    # column i is substep i's start state, column n_sub the last state,
-    # each contiguous
-    states = np.empty((n_sub + 1, plan.z0.size)).T
-    # a blown-up state overflows quietly; check_rollout reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        kernels.rollout_rk(
-            *roll.args, plan.z0, *roll.tableau, buf.steps[:1] * n_sub, buf.zk,
-            buf.zk2, states, sub_t0, sub_h, np.arange(1, n_sub + 1),
-        )
-    # the columns at the plan's times: the first, and each substep's end that
-    # lands on one
-    out = states[:, np.flatnonzero(np.append(0, out_idx) >= 0)]
-    check_rollout(roll, out)
+    if roll.schedule is None:
+        states = []
+        out, (sub_t0, sub_h, out_idx) = _dopri5_core(roll, plan.z0, states)
+        a, b, c = roll.tableau
+        ts, ea, eb = kernels.scaled_tableau(a, b, c, sub_t0, sub_h)
+        rev = kernels.reverse_tableau(a, b, sub_h)
+    else:
+        (ts, ea, eb), rev = plan.tableaus, plan.rev
+        sub_t0, sub_h, out_idx = roll.schedule
+        n_sub = sub_h.size
+        # row i is substep i's start state, row n_sub the last state
+        states = np.empty((n_sub + 1, plan.z0.size))
+        # a blown-up state overflows quietly; check_rollout reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            kernels.rollout_rk(
+                *roll.args, plan.z0, *roll.tableau, buf.steps[:1] * n_sub,
+                buf.zk, buf.zk2, states.T, sub_t0, sub_h,
+                np.arange(1, n_sub + 1),
+            )
+        # the states at the plan's times: the first, and each substep's end
+        # that lands on one
+        out = states.T[:, np.flatnonzero(np.append(0, out_idx) >= 0)]
+        check_rollout(roll, out)
     loss, out_bar = _loss_cotangent(plan.net, out, plan.target)
-    ts, ea, eb = plan.tableaus
-    rev = plan.rev
     n_slots, n_stages = len(buf.steps), roll.n_stages
     buf.cot[0] = 0.0
     j = 0
     # overflow surfaces as a non-finite gradient, which training rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_sub - 1, -1, -1):
+        for i in range(out_idx.size - 1, -1, -1):
             if out_idx[i] >= 0:
                 buf.cot[0] += out_bar[:, out_idx[i]]
             kernels.adjoint_step(
-                *roll.args, ts[i], ea[i], eb[i], rev[i], states[:, i], buf, j,
+                *roll.args, ts[i], ea[i], eb[i], rev[i], states[i], buf, j,
             )
             j += 1
             if j == n_slots or i == 0:
@@ -151,10 +154,10 @@ def _loss_and_grad(plan: GradPlan, params: np.ndarray):
     plan.rollout.set_params(params)
     for g in plan.grads:
         g.fill(0.0)
-    if plan.mode == "adjoint":
-        loss = _adjoint_grad(plan)
-    else:
+    if plan.rollout.cached:
         loss = _backprop_grad(plan)
+    else:
+        loss = _adjoint_grad(plan)
     return loss, unfold_biases(plan.grads, np.empty(params.size), plan.net.sizes)
 
 

@@ -59,16 +59,17 @@ chunk and memory is bounded by the chunk, not by the trajectory.
 rk_step holds the one forward Runge-Kutta stage loop, generic over explicit
 tableaus: the fixed-step rollout, the recomputed steps of adjoint_step and
 the adaptive integrator's trial steps all advance through it, and
-step_backward reverses it for euler, midpoint, rk4 and the frozen dopri5
-schedule.
+step_backward reverses it for euler, midpoint, rk4 and dopri5's accepted
+steps.
 
 Call contract (counted by the benchmark's tracer): rk_step calls the
 module-level nn_forward once per stage, step_backward calls the
-module-level nn_vjp once per stage, and the gradient routes call
-rollout_backward once per backprop gradient, or rollout_rk once and then
-adjoint_step once per substep for the adjoint; no other kernel evaluates
-the net. rollout_rk takes the substep start times `sub_t0` as positional
-argument 13.
+module-level nn_vjp once per stage, and a fixed-step gradient calls
+rollout_backward once for backprop, or rollout_rk once and then
+adjoint_step once per substep for the adjoint. A dopri5 gradient, in
+either mode, calls neither rollout_rk nor rollout_backward: adjoint_step
+once per accepted step. No other kernel evaluates the net. rollout_rk
+takes the substep start times `sub_t0` as positional argument 13.
 """
 
 import numpy as np

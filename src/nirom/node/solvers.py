@@ -3,8 +3,8 @@
 Every method lands exactly on the requested times. Fixed-step methods
 (euler, midpoint, rk4) sub-step each observation interval evenly. dopri5 is
 the embedded 4(5) pair with PI step-size control; it shortens any step that
-would pass the next requested time so that it ends there, and records its
-accepted steps as a schedule that training replays for the reverse sweep.
+would pass the next requested time so that it ends there; a gradient
+recomputes its accepted steps from the states it keeps (_dopri5_core).
 """
 
 from dataclasses import dataclass
@@ -22,8 +22,10 @@ METHODS = FIXED_METHODS + ("dopri5",)
 
 #: the most steps max_steps may allow: a fixed-step schedule holds 24 bytes
 #: per substep (built through about twice that) and dopri5 records about
-#: 100 (three Python numbers), so a full schedule stays near 100 MB; it
-#: admits one step per interval of the longest grid (snapshot.MAX_GRID_TIMES)
+#: 100 (three Python numbers), so a full schedule stays near 100 MB; a dopri5
+#: gradient adds each accepted step's state (136 bytes at 2 dims) and
+#: tableaus (728). It admits one step per interval of the longest grid
+#: (snapshot.MAX_GRID_TIMES)
 MAX_STEPS = 1_000_000
 
 
@@ -58,8 +60,8 @@ class SolverSpec:
 def tableau(method: str):
     """Butcher arrays (a, b, c) for the named explicit method.
 
-    For dopri5 this is the 6-stage fifth-order advance used when replaying a
-    frozen schedule; error estimation lives in the adaptive integrator.
+    For dopri5 this is the 6-stage fifth-order advance that gradients
+    recompute accepted steps with; the error estimate lives in _dopri5_core.
     """
     if method == "euler":
         a = np.zeros((1, 1))
@@ -141,7 +143,8 @@ class RolloutPlan:
     reused: the kernels' net arguments, whose augmented weights the plan
     owns (set_params refills them), the tableau, the fixed-step schedule,
     and the stage buffers. A cached plan keeps the layer rows of every
-    stage for a reverse sweep.
+    stage for a reverse sweep; a dopri5 plan is never cached, its schedule
+    changing from call to call.
     """
 
     def __init__(self, net: DynamicsNet, times, solver: SolverSpec,
@@ -149,7 +152,6 @@ class RolloutPlan:
         self.net = net
         self.times = times
         self.solver = solver
-        self.cached = cached
         self.args = kernel_args(net, net.params)
         self.tableau = tableau(solver.method)
         self.n_stages = self.tableau[1].size
@@ -159,6 +161,7 @@ class RolloutPlan:
             self.schedule = build_schedule(times, solver.step, solver.max_steps)
         else:
             self.adaptive = self.buffers(_DP_K, _DP_K)
+        self.cached = cached and self.schedule is not None
         self.stages = None
 
     def set_params(self, params: np.ndarray) -> None:
@@ -177,31 +180,25 @@ class RolloutPlan:
         tmap = self.net.time_map
         return t if tmap is None else tmap.from_unit(t)
 
-    def stage_buffers(self, n_sub):
-        """The stage buffers for a rollout of n_sub substeps: rows for all
-        of them when cached, for one otherwise. They grow by at least half
-        when a dopri5 schedule outgrows them, and are reused otherwise."""
-        need = n_sub if self.cached else 1
-        have = 0 if self.stages is None else len(self.stages.steps)
-        if have < need:
-            grown = max(need, have + have // 2)
-            self.stages = self.buffers(grown * self.n_stages, self.n_stages)
+    def stage_buffers(self):
+        """The stage buffers, built once from the schedule: rows for every
+        substep when cached, for one otherwise."""
+        if self.stages is None:
+            n_steps = self.schedule[0].size if self.cached else 1
+            self.stages = self.buffers(n_steps * self.n_stages, self.n_stages)
         return self.stages
 
 
 def fixed_rollout(plan: RolloutPlan, z0: np.ndarray):
     """March the plan's tableau over its schedule; a cached plan keeps every
-    stage's rows in plan.stages. For dopri5 the schedule is the one a fresh
-    adaptive pass accepts: that pass's own states are the result unless the
-    plan is cached, and then the schedule is replayed to record the stages.
+    stage's rows in plan.stages. dopri5 has no schedule before its adaptive
+    pass accepts one: the result is that pass's own, and no stage is kept.
     Returns (out, schedule)."""
     schedule = plan.schedule
     if schedule is None:
-        out, schedule = _dopri5_core(plan, z0)
-        if not plan.cached:
-            return out, schedule
+        return _dopri5_core(plan, z0)
     n_sub = schedule[0].size
-    buf = plan.stage_buffers(n_sub)
+    buf = plan.stage_buffers()
     steps = buf.steps if plan.cached else buf.steps * n_sub
     out = np.empty((z0.shape[0], plan.times.size))
     # a blown-up state overflows quietly; the check below reports it
@@ -276,12 +273,14 @@ def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray,
 
 # a blown-up state overflows quietly; the driver reports it as NumericalError
 @np.errstate(over="ignore", invalid="ignore")
-def _dopri5_core(plan: RolloutPlan, z0: np.ndarray):
+def _dopri5_core(plan: RolloutPlan, z0: np.ndarray, states=None):
     """Adaptive integration over the plan's times and tolerances.
 
     A step that would pass the next requested time is shortened to end on
     it. Returns the states at every requested time and the accepted-step
-    schedule (t0, h, output column or -1) that fixed_rollout replays.
+    schedule (t0, h, output column or -1). Given a list `states`, appends
+    z0 and each accepted step's end state to it: recomputing step i from
+    states[i] through tableau("dopri5") repeats its stages bit for bit.
     """
     times, solver, buf = plan.times, plan.solver, plan.adaptive
     # y = zk[0] and k = zk[1:]; k[0] is the first-same-as-last stage: the
@@ -300,6 +299,8 @@ def _dopri5_core(plan: RolloutPlan, z0: np.ndarray):
     t_end = float(times[-1])
     t = float(times[0])
     np.copyto(y, z0)
+    if states is not None:
+        states.append(z0)
     rhs(t, y, k[0])
     if not np.all(np.isfinite(k[0])):
         raise NumericalError("non-finite dynamics at the initial state")
@@ -349,6 +350,8 @@ def _dopri5_core(plan: RolloutPlan, z0: np.ndarray):
             sched_t0.append(t)
             sched_h.append(h)
             sched_idx.append(landing)
+            if states is not None:
+                states.append(ynew.copy())
             if landing >= 0:
                 out[:, landing] = ynew
                 next_out += 1

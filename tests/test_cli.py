@@ -959,13 +959,34 @@ def test_fit_node_too_fine_a_solver_step_exits_3(latent_dir, tmp_path, capsys,
 @pytest.mark.parametrize("command", [
     ("generate",), ("decompose",), ("fit", "--method", "node"),
 ])
-def test_adjoint_with_dopri5_exits_2_at_config_load(tmp_path, capsys, command):
-    cfg = write_cfg(tmp_path, pod={"rank": 2}, node={
+def test_adjoint_with_dopri5_runs_past_config_load(latent_dir, tmp_path,
+                                                   capsys, command):
+    # the pairing is a valid config: each command that loads it runs through
+    out = tmp_path / "run"
+    shutil.copytree(latent_dir, out)
+    (out / "model_node.net").unlink(missing_ok=True)
+    cfg = write_cfg(out, pod={"rank": 2}, node={
         "hidden": [4], "activation": "tanh", "epochs": 1,
         "grad_mode": "adjoint", "solver": {"method": "dopri5"}})
-    assert run(*command, "--config", cfg) == 2
-    assert "'node.grad_mode'" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+    assert run(*command, "--config", cfg) == 0
+    assert "'node.grad_mode'" not in capsys.readouterr().err
+    assert (out / "model_node.net").exists() == (command[0] == "fit")
+
+
+def test_fit_node_adjoint_with_dopri5_writes_the_backprop_net(latent_dir,
+                                                              tmp_path):
+    # both gradient modes take dopri5's recompute route: the same net
+    nets = {}
+    for mode in ("backprop_through_solver", "adjoint"):
+        out = tmp_path / mode
+        shutil.copytree(latent_dir, out)
+        (out / "model_node.net").unlink(missing_ok=True)
+        cfg = write_cfg(out, pod={"rank": 2}, node={
+            "hidden": [4], "activation": "tanh", "epochs": 3,
+            "grad_mode": mode, "solver": {"method": "dopri5"}})
+        assert run("fit", "--method", "node", "--config", cfg) == 0
+        nets[mode] = (out / "model_node.net").read_bytes()
+    assert nets["adjoint"] == nets["backprop_through_solver"]
 
 
 def test_max_steps_beyond_its_bound_exits_2_at_config_load(tmp_path, capsys):

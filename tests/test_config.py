@@ -315,19 +315,15 @@ def test_node_grad_mode_passthrough():
     assert cfg.node.train.grad_mode == "adjoint"
 
 
-def test_node_adjoint_with_dopri5_is_refused():
-    # the adjoint route needs a fixed-step schedule; dopri5 trains with
-    # backprop_through_solver
-    with pytest.raises(ConfigError, match="'node.grad_mode'"):
-        parse_config(base_doc(node={
+def test_node_adjoint_with_dopri5_loads():
+    # a dopri5 gradient recomputes each accepted step in either mode
+    for mode in ("backprop_through_solver", "adjoint"):
+        cfg = parse_config(base_doc(node={
             "hidden": [8], "activation": "tanh", "epochs": 1,
-            "grad_mode": "adjoint", "solver": {"method": "dopri5"},
+            "grad_mode": mode, "solver": {"method": "dopri5"},
         }))
-    cfg = parse_config(base_doc(node={
-        "hidden": [8], "activation": "tanh", "epochs": 1,
-        "solver": {"method": "dopri5"},
-    }))
-    assert cfg.node.solver.method == "dopri5"
+        assert cfg.node.train.grad_mode == mode
+        assert cfg.node.solver.method == "dopri5"
 
 
 # dmd / predict ---------------------------------------------------------

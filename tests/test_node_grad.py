@@ -2,8 +2,8 @@
 
 Every coordinate of the analytic gradient is compared against central finite
 differences of the rolled-out loss; the adjoint route, which recomputes each
-step instead of caching it, must give the stage-replay route's gradient on
-fixed-step solvers and refuse dopri5.
+step instead of caching it, must give the stage-replay route's gradient, and
+dopri5, which takes that route in both modes, the same bytes in each.
 """
 
 import tracemalloc
@@ -238,11 +238,16 @@ def test_adjoint_agrees_with_backprop(method, step):
     assert rel < 1e-12
 
 
-def test_adjoint_with_dopri5_raises():
+@pytest.mark.parametrize("mode", GRAD_MODES)
+@pytest.mark.parametrize("solver", [SolverSpec("rk4", step=0.25),
+                                    SolverSpec("dopri5")], ids=["rk4", "dopri5"])
+def test_gradient_over_a_single_time_is_zero(solver, mode):
+    # no step is taken, so the loss does not depend on the parameters
     net = small_net("tanh")
     z0, target = problem()
-    with pytest.raises(ValueError, match="adjoint"):
-        grad(net, z0, TIMES, target, SolverSpec("dopri5"), mode="adjoint")
+    g = grad(net, z0, TIMES[:1], target[:, :1], solver, mode=mode)
+    assert g.shape == net.params.shape
+    assert np.all(g == 0.0)
 
 
 def test_adjoint_refuses_an_overflowing_rollout_as_backprop_does():
@@ -261,39 +266,67 @@ def test_adjoint_refuses_an_overflowing_rollout_as_backprop_does():
     assert messages[0] == messages[1]
 
 
-def adjoint_peak_bytes(net, n_snapshots):
-    """tracemalloc peak of one adjoint gradient over n_snapshots."""
+def gradient_peak_bytes(net, n_snapshots, method="rk4", mode="adjoint"):
+    """tracemalloc peak of one gradient over n_snapshots, and the number of
+    steps it takes."""
     times = np.linspace(0.0, 1.0, n_snapshots)
     target = np.vstack([np.sin(6.0 * times), np.cos(6.0 * times)])
-    solver = SolverSpec("rk4", step=float(times[1] - times[0]))
+    solver = (SolverSpec("dopri5") if method == "dopri5"
+              else SolverSpec(method, step=float(times[1] - times[0])))
     tracemalloc.start()
     try:
-        grad(net, target[:, 0], times, target, solver, mode="adjoint")
+        grad(net, target[:, 0], times, target, solver, mode=mode)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak
+    n_steps = reference_schedule(net, target[:, 0], times, solver)[1].size
+    return peak, n_steps
+
+
+def stage_cache_bytes(net, method):
+    """What a cached step of the method holds: every layer's input and
+    cotangent rows of each of its stages."""
+    n_stages = tableau(method)[1].size
+    cache = kernels.StageBuffers(net.sizes, kernel_args(net, net.params)[1],
+                                 net.time_input, n_stages, n_stages)
+    return sum(a.nbytes for a in cache.x + cache.s)
+
+
+def peak_growth_per_step(net, method, mode, short=500, long=2000):
+    peak_short, steps_short = gradient_peak_bytes(net, short, method, mode)
+    peak_long, steps_long = gradient_peak_bytes(net, long, method, mode)
+    return (peak_long - peak_short) / (steps_long - steps_short)
 
 
 def test_adjoint_memory_is_bounded_by_its_chunk():
     net = build_net(2, [64], "tanh", seed=1)
     n_stages = tableau("rk4")[1].size
-    # what backprop caches per rk4 step: every layer's input and cotangent
-    # rows of its four stages (about 4.3 KiB for this net)
-    cache = kernels.StageBuffers(net.sizes, kernel_args(net, net.params)[1],
-                                 net.time_input, n_stages, n_stages)
-    per_step = sum(a.nbytes for a in cache.x + cache.s)
+    # what backprop caches per rk4 step: about 4.3 KiB for this net
+    per_step = stage_cache_bytes(net, "rk4")
     assert 4000 < per_step < 4600
     short, long = 500, 2000
-    growth = (adjoint_peak_bytes(net, long) - adjoint_peak_bytes(net, short)) \
-        / (long - short)
-    assert growth < 0.5 * per_step
+    assert peak_growth_per_step(net, "rk4", "adjoint", short, long) \
+        < 0.5 * per_step
     for n_snapshots in (short, long):
         times = np.linspace(0.0, 1.0, n_snapshots)
         plan = GradPlan(net, np.zeros(2), times, np.zeros((2, n_snapshots)),
                         SolverSpec("rk4", step=float(times[1] - times[0])),
                         "adjoint")
         assert len(plan.chunk.rows) == ADJOINT_CHUNK * n_stages
+
+
+@pytest.mark.parametrize("mode", GRAD_MODES)
+def test_dopri5_gradient_memory_is_bounded_by_its_chunk(mode):
+    # both modes keep each accepted step's end state and recompute the
+    # step, instead of caching its six stages (about 6.4 KiB for this net)
+    net = build_net(2, [64], "tanh", seed=1)
+    per_step = stage_cache_bytes(net, "dopri5")
+    assert 6000 < per_step < 7000
+    assert peak_growth_per_step(net, "dopri5", mode) < 0.5 * per_step
+    plan = GradPlan(net, np.zeros(2), TIMES, np.zeros((2, TIMES.size)),
+                    SolverSpec("dopri5"), mode)
+    assert plan.rollout.stages is None
+    assert len(plan.chunk.rows) == ADJOINT_CHUNK * tableau("dopri5")[1].size
 
 
 def test_adjoint_chunk_of_a_short_grid_holds_only_its_substeps():
@@ -412,9 +445,6 @@ def test_gradient_matches_per_stage_reference(method, activation):
     # covered too; both routes give the discrete gradient at any step
     solver = (SolverSpec("dopri5", rtol=1e-7, atol=1e-9) if method == "dopri5"
               else SolverSpec(method, step=0.004 if method == "euler" else 0.02))
-    modes = ["backprop_through_solver"]
-    if method != "dopri5":
-        modes.append("adjoint")
     for time_input in (True, False):
         for augment in (0, 2):
             for scaled in (False, True):
@@ -426,11 +456,16 @@ def test_gradient_matches_per_stage_reference(method, activation):
                     net.params + 0.1 * rng.normal(size=net.params.size))
                 z0p = _pad_state(net, z0)
                 want = reference_backprop(net, z0p, times, target, solver)
-                for mode in modes:
-                    got = grad(net, z0, times, target, solver, mode=mode)
-                    assert (np.linalg.norm(got - want)
+                got = {mode: grad(net, z0, times, target, solver, mode=mode)
+                       for mode in GRAD_MODES}
+                for mode, g in got.items():
+                    assert (np.linalg.norm(g - want)
                             <= 1e-12 * np.linalg.norm(want)), (
                         mode, time_input, augment, scaled)
+                if method == "dopri5":
+                    # one route for both modes
+                    assert got["adjoint"].tobytes() == \
+                        got["backprop_through_solver"].tobytes()
 
 
 @settings(max_examples=60, deadline=None)

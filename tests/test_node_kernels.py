@@ -4,7 +4,9 @@ The benchmark's tracer counts kernel calls and checks them against the
 solver schedule: one nn_forward per stage, one nn_vjp per reverse stage,
 one rollout_backward per backprop gradient, one adjoint_step per substep,
 and rollout_rk's substep start times as its positional argument 13. These
-tests count the same calls by wrapping the module-level kernels.
+tests count the same calls by wrapping the module-level kernels, and pin
+those of a dopri5 gradient, which calls adjoint_step once per accepted step
+and neither rollout_rk nor rollout_backward.
 
 Plans reuse their stage buffers across calls, so the other tests check that
 nothing a call leaves in them, or in an array it returns, reaches the next
@@ -28,7 +30,8 @@ from nirom.node import (
 from nirom.node import kernels
 from nirom.node.gradients import GradPlan, _loss_and_grad
 from nirom.node.network import kernel_args
-from nirom.node.solvers import build_schedule, tableau
+from nirom.node.solvers import (RolloutPlan, build_schedule, fixed_rollout,
+                                 tableau)
 from nirom.pod import LatentTrajectory
 
 TIMES = np.array([0.0, 0.1, 0.35, 0.4, 0.7, 1.0])
@@ -84,6 +87,27 @@ def test_adjoint_gradient_calls(calls, method):
     })
 
 
+@pytest.mark.parametrize("mode", ["backprop_through_solver", "adjoint"])
+def test_dopri5_gradient_calls(calls, mode):
+    # one adaptive pass, the one ode_solve makes, then every accepted step
+    # recomputed from its saved state and swept back
+    net, z0, target = problem()
+    solver = SolverSpec("dopri5", rtol=1e-6, atol=1e-8)
+    n_accepted = fixed_rollout(RolloutPlan(net, TIMES, solver), z0)[1][0].size
+    assert n_accepted > TIMES.size - 1
+    calls.clear()
+    ode_solve(net, z0, TIMES, solver)
+    adaptive = calls["nn_forward"]
+    assert calls == Counter({"nn_forward": adaptive})
+    calls.clear()
+    grad(net, z0, TIMES, target, solver, mode=mode)
+    per_pass = tableau("dopri5")[1].size * n_accepted
+    assert calls == Counter({
+        "nn_forward": adaptive + per_pass, "nn_vjp": per_pass,
+        "adjoint_step": n_accepted,
+    })
+
+
 def test_ode_solve_calls(calls):
     net, z0, _ = problem()
     ode_solve(net, z0, TIMES, SolverSpec("rk4", step=STEP))
@@ -120,6 +144,7 @@ SOLVERS = [
     (SolverSpec("rk4", step=STEP), "adjoint"),
     (SolverSpec("midpoint", step=STEP), "adjoint"),
     (SolverSpec("dopri5", rtol=1e-6, atol=1e-8), "backprop_through_solver"),
+    (SolverSpec("dopri5", rtol=1e-6, atol=1e-8), "adjoint"),
 ]
 
 
@@ -140,8 +165,8 @@ def test_interleaved_plans_match_their_solo_results(solver, mode):
             got_loss, got_g = _loss_and_grad(plan, net.params)
             assert got_loss == loss
             assert got_g.tobytes() == g.tobytes()
-        # a call at other parameters, whose larger dopri5 schedule may grow
-        # the plan's buffers, leaves nothing behind either
+        # a call at other parameters, whose dopri5 schedule is another
+        # one, leaves nothing behind in the plan's buffers either
         _loss_and_grad(plan_a, moved)
 
 

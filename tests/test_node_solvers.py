@@ -23,6 +23,7 @@ from nirom.node.network import kernel_args, layer_views
 from nirom.node.solvers import (
     MAX_STEPS,
     RolloutPlan,
+    _dopri5_core,
     build_schedule,
     fixed_rollout,
     tableau,
@@ -312,16 +313,29 @@ def test_dopri5_max_steps_counts_every_interval(cached):
 
 
 def test_dopri5_result_is_its_schedule_replayed():
-    # the uncached solve returns the adaptive pass's own states; training
-    # replays the schedule that pass accepted, and must get the same bytes
+    # a gradient recomputes every accepted step from the state the adaptive
+    # pass kept before it; replaying the accepted schedule through
+    # rollout_rk must give those states, and the solve's result, bit for bit
     net = stage_net()
     times = np.array([0.0, 0.013, 0.3, 0.31, 0.8, 1.7])
     z0 = np.array([0.4, -0.7, 0.25])
     solver = SolverSpec("dopri5", rtol=1e-7, atol=1e-9)
-    got = ode_solve(net, z0, times, solver).coeffs
-    want, schedule = fixed_rollout(RolloutPlan(net, times, solver, cached=True), z0)
-    assert got.tobytes() == want.tobytes()
-    assert schedule[0].size > times.size
+    plan = RolloutPlan(net, times, solver)
+    states = []
+    got, (sub_t0, sub_h, out_idx) = _dopri5_core(plan, z0, states)
+    n_sub = sub_h.size
+    assert n_sub > times.size
+    assert len(states) == n_sub + 1
+    assert got.tobytes() == ode_solve(net, z0, times, solver).coeffs.tobytes()
+    a, b, c = tableau("dopri5")
+    buf = plan.buffers(b.size, b.size)
+    replay = kernels.rollout_rk(
+        *plan.args, z0, a, b, c, buf.steps * n_sub, buf.zk, buf.zk2,
+        np.empty((z0.size, n_sub + 1)), sub_t0, sub_h, np.arange(1, n_sub + 1),
+    )
+    assert replay.T.tobytes() == np.array(states).tobytes()
+    landed = np.flatnonzero(np.append(0, out_idx) >= 0)
+    assert replay[:, landed].tobytes() == got.tobytes()
 
 
 def test_dopri5_non_finite_dynamics():
