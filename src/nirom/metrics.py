@@ -85,8 +85,11 @@ def spatial_rmse(
 def streamed_rmse(preds: list, truth) -> list:
     """spatial_rmse of each prediction against the truth, all of them open
     SnapshotFiles, read in lockstep one column block at a time into reused
-    buffers; every block is checked finite as it is read. Shapes and times
-    are checked first, before any field is read."""
+    buffers. Every value is checked finite: each truth block as it is read,
+    and a prediction block through its column mean squares, which any
+    non-finite value in it makes non-finite; only then is that block read
+    again and scanned, to name the value's row and column. Shapes and
+    times are checked first, before any field is read."""
     for pred in preds:
         _check_aligned(pred.shape, pred.times, truth.shape, truth.times)
     n, m = truth.shape
@@ -98,8 +101,11 @@ def streamed_rmse(preds: list, truth) -> list:
         width = cols.stop - cols.start
         truth_block = truth.read(truth_buf[:, :width])
         for pred, out in zip(preds, series):
-            block = pred.read(pred_buf[:, :width])
+            block = pred.read(pred_buf[:, :width], check=False)
             _mean_squares(block, truth_block, block, out[cols])
+            if not np.isfinite(out[cols]).all():
+                # a finite block whose squares overflow passes, as before
+                pred.check_last(block)
     for out in series:
         np.sqrt(out, out)
     return series

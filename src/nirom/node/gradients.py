@@ -100,6 +100,19 @@ def _backprop_grad(plan: GradPlan):
     return loss
 
 
+def _chunk_tableaus(plan: GradPlan, sub_t0, sub_h, lo, hi):
+    """ts, ea, eb and rev of steps lo to hi - 1: slices of a fixed-step
+    plan's, or, for dopri5's accepted steps, scaled for that chunk alone,
+    so they take memory bounded by the chunk (each entry is scaled on its
+    own, so the bits are those of the whole schedule's)."""
+    if plan.rollout.schedule is None:
+        a, b, c = plan.rollout.tableau
+        return (*kernels.scaled_tableau(a, b, c, sub_t0[lo:hi], sub_h[lo:hi]),
+                kernels.reverse_tableau(a, b, sub_h[lo:hi]))
+    ts, ea, eb = plan.tableaus
+    return ts[lo:hi], ea[lo:hi], eb[lo:hi], plan.rev[lo:hi]
+
+
 def _adjoint_grad(plan: GradPlan):
     """One pass that keeps every step's start state (dopri5's adaptive
     pass, or an uncached rollout_rk over the fixed-step schedule), then one
@@ -109,11 +122,7 @@ def _adjoint_grad(plan: GradPlan):
     if roll.schedule is None:
         states = []
         out, (sub_t0, sub_h, out_idx) = _dopri5_core(roll, plan.z0, states)
-        a, b, c = roll.tableau
-        ts, ea, eb = kernels.scaled_tableau(a, b, c, sub_t0, sub_h)
-        rev = kernels.reverse_tableau(a, b, sub_h)
     else:
-        (ts, ea, eb), rev = plan.tableaus, plan.rev
         sub_t0, sub_h, out_idx = roll.schedule
         n_sub = sub_h.size
         # row i is substep i's start state, row n_sub the last state
@@ -130,21 +139,21 @@ def _adjoint_grad(plan: GradPlan):
         out = states.T[:, np.flatnonzero(np.append(0, out_idx) >= 0)]
         check_rollout(roll, out)
     loss, out_bar = _loss_cotangent(plan.net, out, plan.target)
-    n_slots, n_stages = len(buf.steps), roll.n_stages
+    bars, idx = out_bar.T, out_idx.tolist()
     buf.cot[0] = 0.0
-    j = 0
     # overflow surfaces as a non-finite gradient, which training rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(out_idx.size - 1, -1, -1):
-            if out_idx[i] >= 0:
-                buf.cot[0] += out_bar[:, out_idx[i]]
-            kernels.adjoint_step(
-                *roll.args, ts[i], ea[i], eb[i], rev[i], states[i], buf, j,
-            )
-            j += 1
-            if j == n_slots or i == 0:
-                kernels.layer_gradients(plan.grads, buf, j * n_stages)
-                j = 0
+        for hi in range(len(idx), 0, -ADJOINT_CHUNK):
+            lo = max(0, hi - ADJOINT_CHUNK)
+            ts, ea, eb, rev = _chunk_tableaus(plan, sub_t0, sub_h, lo, hi)
+            for j, i in enumerate(range(hi - 1, lo - 1, -1)):
+                if idx[i] >= 0:
+                    buf.cot[0] += bars[idx[i]]
+                r = i - lo
+                kernels.adjoint_step(
+                    *roll.args, ts[r], ea[r], eb[r], rev[r], states[i], buf, j,
+                )
+            kernels.layer_gradients(plan.grads, buf, (hi - lo) * roll.n_stages)
     return loss
 
 

@@ -22,11 +22,23 @@ so a layer is one GEMV, W~_l @ x[l], with no bias add, and its parameter
 gradient one GEMM, S_l^T X_l = [gW_l | gb_l]. (x[L], the net output, has no
 trailing 1 and is written only for a nonlinear output layer, the one case a
 derivative is taken from it.) `rows[r]` is a StageRow of views of row r in
-each array, made with the buffers, so a stage neither slices nor allocates:
-rk_step writes a stage's input state into its row, nn_forward its layer
-inputs and nn_vjp its cotangents, each ufunc and np.dot taking its
-output array positionally (numpy parses that faster than out=).
+each array, made with the buffers, so nn_forward and nn_vjp neither slice
+nor allocate (rk_step and step_backward still slice one tableau row and one
+prefix of a stage array per stage): rk_step writes a stage's input state
+into its row, nn_forward its layer inputs and nn_vjp its cotangents.
 `steps[i]` groups the rows of substep i.
+
+Call forms. Every call made once per stage or step goes straight to
+numpy's C code: ufuncs and the ndarray method `a.dot(b, out)`, which take
+their output positionally (numpy parses that faster than out=; np.maximum
+and np.minimum deprecate it), and `a[...] = b` for a copy; the adaptive
+loop in solvers likewise calls the `.all()` and `.mean()` methods. np.dot,
+np.copyto, np.all and np.mean first pass through numpy's Python-level
+__array_function__ dispatcher, which is about a third of a small GEMV: on a
+2-core x86-64 host with numpy 2.4, a 64x4 GEMV took 1.62 us through np.dot
+and 1.15 us through W.dot(x, out), and a short-vector copy 0.58 us through
+np.copyto and 0.21 us as a[...] = b. The arithmetic, and so every bit, is
+the same.
 
 Extended stage arrays. A step keeps its state and stage derivatives in one
 array zk = [z; k_0; ...; k_{s-1}] of n_stages + 1 rows, and its tableau
@@ -85,7 +97,7 @@ def _act(y, kind):
     if kind == ACT_RELU:
         np.maximum(y, 0.0, out=y)
     elif kind == ACT_ELU:
-        np.copyto(y, np.exp(np.minimum(y, 0.0)) - 1.0, where=y <= 0.0)
+        np.subtract(np.exp(np.minimum(y, 0.0)), 1.0, out=y, where=y <= 0.0)
     elif kind == ACT_TANH:
         np.tanh(y, y)
 
@@ -95,8 +107,9 @@ def _act_deriv(y, kind, out):
     if kind == ACT_RELU:
         np.greater(y, 0.0, out)
     elif kind == ACT_ELU:
+        # y + 1 for y <= 0 and 1 above: min(y + 1, 1), as y + 1 >= 1 there
         np.add(y, 1.0, out)
-        np.copyto(out, 1.0, where=y > 0.0)
+        np.minimum(out, 1.0, out=out)
     else:
         np.multiply(y, y, out)
         np.subtract(1.0, out, out)
@@ -139,14 +152,16 @@ class StageBuffers:
         xin = tuple(x[:-1] for x in xbar)
         zbar = xin[0][1:] if tin else xin[0]
         u = np.empty(dim)
+        linear_top = acts[-1] == ACT_LINEAR
+        # iterating a stacked array yields its row views, cheaper than
+        # indexing it once per row
+        ys = [x[:, :n] for x, n in zip(self.x[1:], sizes[1:])]
+        zs = self.x[0][:, 1: dim + 1] if tin else self.x[0][:, :dim]
         self.rows = []
-        for r in range(n_rows):
+        for x, y, z, s in zip(zip(*self.x[:-1]), zip(*ys), zs, zip(*self.s)):
             row = StageRow()
-            row.x = tuple(x[r] for x in self.x[:-1])
-            row.y = tuple(x[r, :n] for x, n in zip(self.x[1:], sizes[1:]))
-            row.z = row.x[0][1: dim + 1] if tin else row.x[0][:dim]
-            row.s = tuple(s[r] for s in self.s)
-            row.u = row.s[-1] if acts[-1] == ACT_LINEAR else u
+            row.x, row.y, row.z, row.s = x, y, z, s
+            row.u = s[-1] if linear_top else u
             row.xbar, row.xin, row.zbar = xbar, xin, zbar
             self.rows.append(row)
         # each nonlinear layer's activation, output rows and cotangent rows
@@ -194,18 +209,18 @@ def nn_forward(layers, acts, mid, half, tin, t, z, row, k):
         np.subtract(z, mid, row.z)
         np.divide(row.z, half, row.z)
     elif z is not row.z:
-        np.copyto(row.z, z)
+        row.z[...] = z
     top = len(layers) - 1
     for l in range(top):
         y = row.y[l]
-        np.dot(layers[l], x[l], y)
+        layers[l].dot(x[l], y)
         _act(y, acts[l])
     # the output layer writes straight into k; its row gets a copy only
     # when the reverse pass needs it for the activation derivative
-    np.dot(layers[top], x[top], k)
+    layers[top].dot(x[top], k)
     if acts[top] != ACT_LINEAR:
         _act(k, acts[top])
-        np.copyto(row.y[top], k)
+        row.y[top][...] = k
     if half is not None:
         np.multiply(half, k, k)
     return k
@@ -226,21 +241,21 @@ def nn_vjp(layers, acts, half, u, row, out):
         if half is not None:
             np.multiply(u, half, s[top])
         elif u is not s[top]:
-            np.copyto(s[top], u)
+            s[top][...] = u
     else:
         if half is not None:
             u = np.multiply(u, half, out)
         np.multiply(u, s[top], s[top])
     # s_l @ W~_l also forms the bias slot's sum, which nothing reads
     for l in range(top, 0, -1):
-        np.dot(s[l], layers[l], xbar[l])
+        s[l].dot(layers[l], xbar[l])
         if acts[l - 1] == ACT_LINEAR:
-            np.copyto(s[l - 1], xin[l])
+            s[l - 1][...] = xin[l]
         else:
             np.multiply(xin[l], s[l - 1], s[l - 1])
-    np.dot(s[0], layers[0], xbar[0])
+    s[0].dot(layers[0], xbar[0])
     if half is None:
-        np.copyto(out, row.zbar)
+        out[...] = row.zbar
         return out
     return np.divide(row.zbar, half, out)
 
@@ -249,7 +264,7 @@ def layer_gradients(grads, buf, n_rows):
     """Add sum_r outer(s_l, x_l) over the first n_rows stored stages into
     each layer's augmented gradient [gW_l | gb_l]."""
     for l, g in enumerate(grads):
-        g += np.dot(buf.s[l][:n_rows].T, buf.x[l][:n_rows])
+        g += buf.s[l][:n_rows].T.dot(buf.x[l][:n_rows])
 
 
 def rk_step(layers, acts, mid, half, tin, ts, ea, eb, zk, first, rows, znew):
@@ -266,9 +281,9 @@ def rk_step(layers, acts, mid, half, tin, ts, ea, eb, zk, first, rows, znew):
     n_b = eb.shape[0]
     for st in range(first, n_b - 1):
         row = rows[st]
-        np.dot(ea[st, :st + 1], zk[:st + 1], row.z)
+        ea[st, :st + 1].dot(zk[:st + 1], row.z)
         nn_forward(layers, acts, mid, half, tin, ts[st], row.z, row, zk[st + 1])
-    return np.dot(eb, zk[:n_b], znew)
+    return eb.dot(zk[:n_b], znew)
 
 
 def rollout_rk(
@@ -284,14 +299,16 @@ def rollout_rk(
     Returns out.
     """
     ts, ea, eb = scaled_tableau(a_tab, b_tab, c_tab, sub_t0, sub_h)
-    out[:, 0] = z0
+    # column k of out as a row of out.T, indexed by a Python int
+    cols, idx = out.T, out_idx.tolist()
+    cols[0] = z0
     zk[0] = z0
     for i in range(sub_t0.shape[0]):
         rk_step(layers, acts, mid, half, tin, ts[i], ea[i], eb[i], zk, 0,
                 steps[i], zk_next[0])
         zk, zk_next = zk_next, zk
-        if out_idx[i] >= 0:
-            out[:, out_idx[i]] = zk[0]
+        if idx[i] >= 0:
+            cols[idx[i]] = zk[0]
     return out
 
 
@@ -322,9 +339,9 @@ def step_backward(layers, acts, half, rev, rows, buf):
     for st in range(n_stages - 1, -1, -1):
         q = n_stages - st
         row = rows[st]
-        np.dot(rev[st, :q], ub[:q], row.u)
+        rev[st, :q].dot(ub[:q], row.u)
         nn_vjp(layers, acts, half, row.u, row, ub[q])
-    np.dot(buf.ones, ub, buf.cot2[0])
+    buf.ones.dot(ub, buf.cot2[0])
     buf.cot, buf.cot2 = buf.cot2, ub
 
 
@@ -339,9 +356,10 @@ def rollout_backward(
     rev = reverse_tableau(a_tab, b_tab, sub_h)
     buf.derivs(0, n_sub * n_stages)
     buf.cot[0] = 0.0
+    bars, idx = out_bar.T, out_idx.tolist()
     for i in range(n_sub - 1, -1, -1):
-        if out_idx[i] >= 0:
-            buf.cot[0] += out_bar[:, out_idx[i]]
+        if idx[i] >= 0:
+            buf.cot[0] += bars[idx[i]]
         step_backward(layers, acts, half, rev[i], buf.steps[i], buf)
     layer_gradients(grads, buf, n_sub * n_stages)
 
@@ -357,7 +375,7 @@ def adjoint_step(layers, acts, mid, half, tin, ts, ea, eb, rev, z, buf, j):
     """
     rows = buf.steps[j]
     n_stages = len(rows)
-    np.copyto(buf.zk[0], z)
+    buf.zk[0] = z
     rk_step(layers, acts, mid, half, tin, ts, ea, eb, buf.zk, 0, rows, buf.zk2[0])
     lo = j * n_stages
     buf.derivs(lo, lo + n_stages)

@@ -23,8 +23,9 @@ METHODS = FIXED_METHODS + ("dopri5",)
 #: the most steps max_steps may allow: a fixed-step schedule holds 24 bytes
 #: per substep (built through about twice that) and dopri5 records about
 #: 100 (three Python numbers), so a full schedule stays near 100 MB; a dopri5
-#: gradient adds each accepted step's state (136 bytes at 2 dims) and
-#: tableaus (728). It admits one step per interval of the longest grid
+#: gradient adds each accepted step's state (136 bytes at 2 dims), and its
+#: tableaus only one chunk of steps at a time. It admits one step per
+#: interval of the longest grid
 #: (snapshot.MAX_GRID_TIMES)
 MAX_STEPS = 1_000_000
 
@@ -251,7 +252,7 @@ _FAC_MAX = 10.0  # hnew/h upper bound
 def _error_norm(err: np.ndarray, y: np.ndarray, ynew: np.ndarray,
                 rtol: float, atol: float) -> float:
     sk = atol + rtol * np.maximum(np.abs(y), np.abs(ynew))
-    return float(np.sqrt(np.mean((err / sk) ** 2)))
+    return float(np.sqrt(((err / sk) ** 2).mean()))
 
 
 def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray,
@@ -337,7 +338,7 @@ def _dopri5_core(plan: RolloutPlan, z0: np.ndarray, states=None):
         kernels.rk_step(*plan.args, t + _DP_C * h, ea, eb, zk, 1, buf.rows, ynew)
         rhs(t + h, ynew, k[6])
         err_vec = h * (_DP_E @ k)
-        if not (np.all(np.isfinite(ynew)) and np.all(np.isfinite(err_vec))):
+        if not (np.isfinite(ynew).all() and np.isfinite(err_vec).all()):
             raise NumericalError(
                 f"integration produced non-finite state at "
                 f"t={plan.physical_time(t):.6g}"
@@ -358,8 +359,8 @@ def _dopri5_core(plan: RolloutPlan, z0: np.ndarray, states=None):
                 if next_out >= times.size:
                     break
             t = t + h
-            np.copyto(y, ynew)
-            np.copyto(k[0], k[6])
+            y[...] = ynew
+            k[0] = k[6]
             fac = fac11 / facold ** _BETA
             fac = max(1.0 / _FAC_MAX, min(1.0 / _FAC_MIN, fac / _SAFE))
             h = h / fac

@@ -175,7 +175,9 @@ def forecast(model: RbfModel, z0: np.ndarray, times: np.ndarray) -> LatentTrajec
     out[:, 0] = z0
     # each step is _field's operations in its order, written into buffers,
     # and the state update written straight into the next column of out;
-    # outputs are passed positionally, which numpy parses faster than out=
+    # outputs are passed positionally, which numpy parses faster than out=,
+    # and the GEMV is the ndarray method, which skips np.dot's Python-level
+    # dispatch (see node.kernels)
     d = np.empty_like(centers)
     w = np.empty(model.n_centers)
     f = np.empty(model.dim)
@@ -191,7 +193,7 @@ def forecast(model: RbfModel, z0: np.ndarray, times: np.ndarray) -> LatentTrajec
             np.sqrt(w, w)
             np.multiply(neg_c, w, w)
             np.exp(w, w)
-            np.dot(coeffs, w, f)
+            coeffs.dot(w, f)
             np.multiply(dt, f, f)
             np.add(z[:, 0], f, z_next)
     bad = first_nonfinite(out.T)

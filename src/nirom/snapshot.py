@@ -10,6 +10,7 @@ A field too large to hold twice moves through it a column block at a time
 """
 
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -398,6 +399,13 @@ class SnapshotFile:
                 check_finite(out, self._col)
         self._col += out.shape[1]
         return out
+
+    def check_last(self, out: np.ndarray) -> None:
+        """Read the columns the last ``read`` took into out again, and
+        refuse a non-finite value among them as a checked ``read`` does."""
+        self._f.seek(-8 * out.size, os.SEEK_CUR)
+        self._col -= out.shape[1]
+        self.read(out)
 
 
 @contextmanager

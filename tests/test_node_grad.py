@@ -322,7 +322,13 @@ def test_dopri5_gradient_memory_is_bounded_by_its_chunk(mode):
     net = build_net(2, [64], "tanh", seed=1)
     per_step = stage_cache_bytes(net, "dopri5")
     assert 6000 < per_step < 7000
-    assert peak_growth_per_step(net, "dopri5", mode) < 0.5 * per_step
+    growth = peak_growth_per_step(net, "dopri5", mode)
+    assert growth < 0.5 * per_step
+    # what grows with the accepted steps is each one's saved end state
+    # (about 136 bytes at 2 dims) and its entry in the schedule (three
+    # numbers); the scaled and reverse tableaus (728 bytes a step) are
+    # built one chunk at a time
+    assert growth < 400
     plan = GradPlan(net, np.zeros(2), TIMES, np.zeros((2, TIMES.size)),
                     SolverSpec("dopri5"), mode)
     assert plan.rollout.stages is None

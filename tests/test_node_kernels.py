@@ -6,7 +6,9 @@ one rollout_backward per backprop gradient, one adjoint_step per substep,
 and rollout_rk's substep start times as its positional argument 13. These
 tests count the same calls by wrapping the module-level kernels, and pin
 those of a dopri5 gradient, which calls adjoint_step once per accepted step
-and neither rollout_rk nor rollout_backward.
+and neither rollout_rk nor rollout_backward. A guard counts numpy's
+Python-level dispatchers (np.dot, np.copyto, np.all) instead and requires
+the same count on two grid lengths: no hot loop calls one per stage or step.
 
 Plans reuse their stage buffers across calls, so the other tests check that
 nothing a call leaves in them, or in an array it returns, reaches the next
@@ -18,6 +20,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from nirom import rbf
 from nirom.node import (
     ScaleMap,
     SolverSpec,
@@ -28,10 +31,10 @@ from nirom.node import (
     train,
 )
 from nirom.node import kernels
-from nirom.node.gradients import GradPlan, _loss_and_grad
+from nirom.node.gradients import GRAD_MODES, GradPlan, _loss_and_grad
 from nirom.node.network import kernel_args
-from nirom.node.solvers import (RolloutPlan, build_schedule, fixed_rollout,
-                                 tableau)
+from nirom.node.solvers import (RolloutPlan, _pad_state, build_schedule,
+                                 fixed_rollout, tableau)
 from nirom.pod import LatentTrajectory
 
 TIMES = np.array([0.0, 0.1, 0.35, 0.4, 0.7, 1.0])
@@ -133,6 +136,53 @@ def test_training_calls_per_epoch(calls, mode):
     assert calls["nn_vjp"] == epochs * per_epoch
     assert calls["adjoint_step"] == (epochs * intervals if adjoint else 0)
     assert calls["rollout_backward"] == (0 if adjoint else epochs)
+
+
+#: numpy functions that reach their C code through a Python-level
+#: __array_function__ dispatcher; the hot loops call the C forms instead
+DISPATCHERS = ("dot", "copyto", "all")
+
+
+def dispatcher_calls(run):
+    """How often run() calls each of DISPATCHERS."""
+    counts = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        for name in DISPATCHERS:
+            def counted(*args, _fn=getattr(np, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            mp.setattr(np, name, counted)
+        run()
+    return counts
+
+
+@pytest.mark.parametrize("activation,scaled", [("tanh", False), ("elu", True)])
+def test_hot_loops_make_no_dispatcher_call_per_step(activation, scaled):
+    # every gradient route, rollout and forecast on two grids of different
+    # lengths: equal counts mean no dispatcher call per stage or step (nor
+    # per ADJOINT_CHUNK steps: the long grid has three chunks)
+    scale = ScaleMap(np.array([0.1, -0.2]), np.array([1.3, 0.7])) if scaled else None
+    net = build_net(2, [6], activation, augment_dim=1, seed=2, scale=scale)
+    rng = np.random.default_rng(2)
+    z0 = rng.normal(size=2)
+    fit_t = np.linspace(0.0, 1.0, 20)
+    model = rbf.fit(LatentTrajectory(np.vstack([np.sin(fit_t), np.cos(fit_t)]),
+                                     fit_t), 0.05)
+
+    def run(n):
+        times = np.linspace(0.0, 1.0, n)
+        target = rng.normal(size=(2, n))
+        for solver in (SolverSpec("rk4", step=STEP),
+                       SolverSpec("dopri5", rtol=1e-6, atol=1e-8)):
+            for mode in GRAD_MODES:
+                plan = GradPlan(net, _pad_state(net, z0), times, target,
+                                solver, mode)
+                _loss_and_grad(plan, net.params)
+            ode_solve(net, z0, times, solver)
+        rbf.forecast(model, z0, times)
+
+    short, long = dispatcher_calls(lambda: run(6)), dispatcher_calls(lambda: run(90))
+    assert short == long
 
 
 # ---------------------------------------------------------------------------

@@ -131,20 +131,51 @@ def test_streamed_rmse_is_spatial_rmse_of_the_loaded_sets(tmp_path, n, m):
         assert series.tobytes() == want.tobytes()
 
 
-def test_nonfinite_block_names_its_file_row_and_column(tmp_path):
-    truth_path, pred_path, _ = write_pair(tmp_path, 4000, 250)
-    pred = load_snapshots(pred_path)
-    data = pred.data.copy()
-    data[17, 200] = np.nan  # in the seventh block of 32 columns
-    # the file holds the bad value; the SnapshotSet check is bypassed
-    raw = bytearray(pred_path.read_bytes())
+def poke(path, row, col, value):
+    """Write one value into an SNP1 file's field in place, bypassing the
+    SnapshotSet check."""
+    data = load_snapshots(path).data.copy()
+    data[row, col] = value
+    raw = bytearray(path.read_bytes())
     raw[-data.nbytes:] = data.tobytes(order="F")
-    pred_path.write_bytes(bytes(raw))
-    with open_snapshots(truth_path) as truth, open_snapshots(pred_path) as p:
-        with pytest.raises(FormatError) as err:
-            streamed_rmse([p], truth)
-    assert str(pred_path) in str(err.value)
-    assert "non-finite value at row 17, column 200" in str(err.value)
+    path.write_bytes(bytes(raw))
+
+
+def test_nonfinite_block_names_its_file_row_and_column(tmp_path):
+    # 4000 x 250 moves in eight blocks of 32 columns; the bad value sits in
+    # the second prediction, whose blocks are reduced in lockstep with the
+    # first one's until then
+    for case, (row, col, value) in enumerate([
+        (17, 200, np.nan),  # the seventh block
+        (17, 125, np.nan),  # the middle block
+        (0, 0, -np.inf),  # the first value
+    ]):
+        case_dir = tmp_path / str(case)
+        case_dir.mkdir()
+        truth_path, good_path, pred_path = write_pair(case_dir, 4000, 250)
+        poke(pred_path, row, col, value)
+        with open_snapshots(truth_path) as truth, \
+                open_snapshots(good_path) as good, \
+                open_snapshots(pred_path) as pred:
+            with pytest.raises(FormatError) as err:
+                streamed_rmse([good, pred], truth)
+        assert str(pred_path) in str(err.value)
+        assert f"non-finite value at row {row}, column {col}" in str(err.value)
+
+
+def test_finite_squares_that_overflow_stream_on_as_spatial_rmse(tmp_path):
+    # a finite block whose mean squares overflow is read again, found
+    # finite, and the stream goes on from the next block
+    truth_path, pred_path, _ = write_pair(tmp_path, 4000, 250)
+    poke(pred_path, 17, 125, 1e200)
+    with np.errstate(over="ignore"):
+        with open_snapshots(truth_path) as truth, \
+                open_snapshots(pred_path) as p:
+            got, = streamed_rmse([p], truth)
+        want = spatial_rmse(load_snapshots(pred_path),
+                            load_snapshots(truth_path))
+    assert got.tobytes() == want.tobytes()
+    assert np.isinf(got[125]) and np.isfinite(np.delete(got, 125)).all()
 
 
 @pytest.mark.parametrize("cut", [-8, 1], ids=["truncated", "trailing"])
