@@ -21,12 +21,13 @@ from .solvers import (RolloutPlan, SolverSpec, _dopri5_core, _pad_state,
                       check_rollout, fixed_rollout)
 
 GRAD_MODES = ("backprop_through_solver", "adjoint")
-#: adjoint steps whose stage rows are kept for one deferred parameter GEMM
-#: per layer. A step stores every layer's input and cotangent for each of
-#: its stages: about 4.3 KiB for an rk4 step of a 2-64-2 net, so a chunk is
+#: adjoint steps recomputed in one forward run and kept for one deferred
+#: parameter GEMM per layer (kernels.CHUNK, the run its tables are looked up
+#: for). A step stores every layer's input and cotangent for each of its
+#: stages: about 4.3 KiB for an rk4 step of a 2-64-2 net, so a chunk is
 #: about 140 KiB there and about 1 MiB for a 512-wide preset, while the
 #: GEMMs' dispatch is spread over 32 steps
-ADJOINT_CHUNK = 32
+ADJOINT_CHUNK = kernels.CHUNK
 
 
 def _target_array(net: DynamicsNet, times: np.ndarray, target) -> np.ndarray:
@@ -61,8 +62,7 @@ class GradPlan:
     cached for fixed-step backprop, and the augmented gradient arrays. Every
     other route recomputes each step from its start state into `chunk`,
     rows for min(ADJOINT_CHUNK, steps) steps whose first slot also carries
-    a fixed-step forward pass; a fixed-step plan keeps the scaled and
-    reverse tableaus of every substep, `tableaus` (ts, ea, eb) and `rev`."""
+    a fixed-step forward pass."""
 
     def __init__(self, net: DynamicsNet, z0, times, target, solver: SolverSpec,
                  mode: str):
@@ -77,11 +77,7 @@ class GradPlan:
         if not roll.cached:
             n_steps = ADJOINT_CHUNK
             if roll.schedule is not None:
-                sub_t0, sub_h, _ = roll.schedule
-                a, b, c = roll.tableau
-                self.tableaus = kernels.scaled_tableau(a, b, c, sub_t0, sub_h)
-                self.rev = kernels.reverse_tableau(a, b, sub_h)
-                n_steps = min(n_steps, sub_h.size)
+                n_steps = min(n_steps, roll.schedule[1].size)
             self.chunk = roll.buffers(n_steps * roll.n_stages, roll.n_stages)
 
 
@@ -89,36 +85,25 @@ def _backprop_grad(plan: GradPlan):
     roll = plan.rollout
     out, (_, sub_h, out_idx) = fixed_rollout(roll, plan.z0)
     loss, out_bar = _loss_cotangent(plan.net, out, plan.target)
-    a, b, _ = roll.tableau
     layers, acts, _, half, _ = roll.args
     # overflow surfaces as a non-finite gradient, which training rejects
     with np.errstate(over="ignore", invalid="ignore"):
         kernels.rollout_backward(
-            layers, acts, half, a, b, sub_h, out_idx, roll.stages, out_bar,
-            plan.grads,
+            layers, acts, half, roll.tables, sub_h, out_idx, roll.stages,
+            out_bar, plan.grads,
         )
     return loss
 
 
-def _chunk_tableaus(plan: GradPlan, sub_t0, sub_h, lo, hi):
-    """ts, ea, eb and rev of steps lo to hi - 1: slices of a fixed-step
-    plan's, or, for dopri5's accepted steps, scaled for that chunk alone,
-    so they take memory bounded by the chunk (each entry is scaled on its
-    own, so the bits are those of the whole schedule's)."""
-    if plan.rollout.schedule is None:
-        a, b, c = plan.rollout.tableau
-        return (*kernels.scaled_tableau(a, b, c, sub_t0[lo:hi], sub_h[lo:hi]),
-                kernels.reverse_tableau(a, b, sub_h[lo:hi]))
-    ts, ea, eb = plan.tableaus
-    return ts[lo:hi], ea[lo:hi], eb[lo:hi], plan.rev[lo:hi]
-
-
 def _adjoint_grad(plan: GradPlan):
     """One pass that keeps every step's start state (dopri5's adaptive
-    pass, or an uncached rollout_rk over the fixed-step schedule), then one
-    adjoint_step per step in reverse, taking the parameter gradient of every
-    chunk of steps at once."""
+    pass, or an uncached rollout_rk over the fixed-step schedule), then,
+    chunk by chunk from the last, one forward run that recomputes the
+    chunk's steps from its first saved state, one derivative pass over its
+    rows, one adjoint_step per step in reverse, and the chunk's parameter
+    gradient at once."""
     roll, buf = plan.rollout, plan.chunk
+    layers, acts, _, half, _ = roll.args
     if roll.schedule is None:
         states = []
         out, (sub_t0, sub_h, out_idx) = _dopri5_core(roll, plan.z0, states)
@@ -130,30 +115,37 @@ def _adjoint_grad(plan: GradPlan):
         # a blown-up state overflows quietly; check_rollout reports it
         with np.errstate(over="ignore", invalid="ignore"):
             kernels.rollout_rk(
-                *roll.args, plan.z0, *roll.tableau, buf.steps[:1] * n_sub,
-                buf.zk, buf.zk2, states.T, sub_t0, sub_h,
-                np.arange(1, n_sub + 1),
+                *roll.args, plan.z0, roll.tables, buf.steps[:1] * n_sub,
+                buf.zk, buf.zk2, states.T, np.arange(1, n_sub + 1), sub_h,
+                sub_t0,
             )
         # the states at the plan's times: the first, and each substep's end
         # that lands on one
         out = states.T[:, np.flatnonzero(np.append(0, out_idx) >= 0)]
         check_rollout(roll, out)
     loss, out_bar = _loss_cotangent(plan.net, out, plan.target)
-    bars, idx = out_bar.T, out_idx.tolist()
-    buf.cot[0] = 0.0
+    bars = out_bar.T
+    buf.cot.z[...] = 0.0
     # overflow surfaces as a non-finite gradient, which training rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        for hi in range(len(idx), 0, -ADJOINT_CHUNK):
+        for hi in range(sub_h.size, 0, -ADJOINT_CHUNK):
             lo = max(0, hi - ADJOINT_CHUNK)
-            ts, ea, eb, rev = _chunk_tableaus(plan, sub_t0, sub_h, lo, hi)
-            for j, i in enumerate(range(hi - 1, lo - 1, -1)):
-                if idx[i] >= 0:
-                    buf.cot[0] += bars[idx[i]]
-                r = i - lo
-                kernels.adjoint_step(
-                    *roll.args, ts[r], ea[r], eb[r], rev[r], states[i], buf, j,
-                )
-            kernels.layer_gradients(plan.grads, buf, (hi - lo) * roll.n_stages)
+            n_rows = (hi - lo) * roll.n_stages
+            hs = sub_h[lo:hi].tolist()
+            tabs = roll.tables.lookup(hs)
+            # step lo + r takes slot hi - 1 - lo - r: the chunk's last step
+            # is swept first, from slot 0
+            slots = buf.steps[hi - 1 - lo::-1]
+            buf.zk.z[...] = states[lo]
+            kernels.march(*roll.args, tabs, sub_t0[lo:hi].tolist(), slots,
+                          buf.zk, buf.zk2)
+            buf.derivs(0, n_rows)
+            for back, rows, k in zip(roll.tables.lookup_back(hs[::-1]),
+                                     buf.steps, out_idx[lo:hi].tolist()[::-1]):
+                if k >= 0:
+                    buf.cot.z += bars[k]
+                kernels.adjoint_step(layers, acts, half, back, rows, buf)
+            kernels.layer_gradients(plan.grads, buf, n_rows)
     return loss
 
 

@@ -22,11 +22,67 @@ so a layer is one GEMV, W~_l @ x[l], with no bias add, and its parameter
 gradient one GEMM, S_l^T X_l = [gW_l | gb_l]. (x[L], the net output, has no
 trailing 1 and is written only for a nonlinear output layer, the one case a
 derivative is taken from it.) `rows[r]` is a StageRow of views of row r in
-each array, made with the buffers, so nn_forward and nn_vjp neither slice
-nor allocate (rk_step and step_backward still slice one tableau row and one
-prefix of a stage array per stage): rk_step writes a stage's input state
-into its row, nn_forward its layer inputs and nn_vjp its cotangents.
-`steps[i]` groups the rows of substep i.
+each array: the forward loop writes a stage's input state into its row,
+nn_forward its layer inputs and nn_vjp its cotangents. `steps[i]` groups
+the rows of step slot i.
+
+Stage arrays. A step keeps its state and stage derivatives in one array
+zk = [z; k_0; ...; k_{s-1}] of s + 1 rows, and its tableau extended by a
+leading 1: stage st's input is ea[st, :st+1] @ zk[:st+1] with ea = [1, h a],
+and the step's end eb @ zk with eb = [1, h b], one GEMV each. The buffers
+hold two such StageArrays, zk and zk2, which successive steps take in turn,
+each writing its end into the other's first row, and two more, cot and
+cot2, taken in turn the same way, where the reverse loop keeps a step's
+cotangents, [zbar; ubar_{s-1}; ...; ubar_0]: the cotangent of stage st's
+derivative is rev[st, :s-st] @ cot[:s-st] with rev[st] = [h b_st,
+h a_{s-1,st}, ..., h a_{st+1,st}], and the start state's cotangent is the
+sum of the rows.
+
+Views built once. Neither loop slices an array per stage or step. A
+StageArray builds, with its buffers, each prefix a stage reads and the row
+it writes, paired in the order the stages take them: forward stage st
+reads zk[:st+1] and writes k_st into zk[st+1], and the reverse stage
+taken k-th (st = s-1-k) reads cot[:k+1] and writes into cot[k+1], so one
+tuple of pairs serves both loops. The tables of one step size h are built
+with their views, in loop order: a StepTable holds ea and eb scaled to h,
+each forward stage's row ea[st, :st+1] paired with its node c_st, and a
+reverse table is the tuple of rev rows the reverse stages read.
+
+Tables per distinct step size. StepTables scales the tableau once for each
+distinct step size a run takes, and keeps the tables for later runs: the
+step sizes of a fixed-step schedule differ only in their last bits and
+take a few distinct values (9 to 15 over a few hundred rk4 substeps of the
+benchmark's workloads), changing between most consecutive substeps, so a
+table held per value is built once per plan, where one rescaled whenever
+h changes would be rebuilt at most steps. It holds at most CHUNK forward
+and CHUNK reverse tables: when a run brings more, it drops them all and
+builds the run's own, so a schedule whose every step size differs
+(dopri5's accepted steps, a non-uniform grid) costs a table per step and
+no memory that grows with its length; forward and reverse tables are
+built apart, so that a rollout builds no reverse ones. An adaptive trial
+step rescales one forward table in place instead. Each entry is h times
+the unscaled one, elementwise, so a table's bits do not depend on which
+sizes were scaled with it; a stage's time is t0 + c_st h, in Python
+floats, which are IEEE doubles like numpy's.
+
+The loops. march holds the one forward stage loop: it advances a run of
+steps over their tables, stage rows and the two stage arrays. rollout_rk
+marches its whole schedule through it, CHUNK steps per table lookup; the
+adjoint recomputes each chunk of steps through it from the chunk's first
+saved state (the same operations on the same inputs, so each step starts
+from its saved state bit for bit); an adaptive trial step is a run of one.
+_sweep holds the one reverse stage loop, one nn_vjp per stage, which turns
+the activation derivatives that StageBuffers.derivs wrote into the s rows
+into cotangents; layer_gradients then adds [gW_l | gb_l] += S_l^T X_l, one
+GEMM per layer over the stacked rows. rollout_backward sweeps every cached
+step of a rollout, adjoint_step one step that the adjoint's chunk pass
+recomputed.
+
+Scaling. nn_forward applies the ScaleMap in place, (z - mid) / half into the
+input row and half * y into the stage derivative, and nn_vjp its transpose,
+u * half on the way in and xbar / half on the way out. Without a map all
+four are skipped; that changes no bits, being the arithmetic of mid = 0,
+half = 1.
 
 Call forms. Every call made once per stage or step goes straight to
 numpy's C code: ufuncs and the ndarray method `a.dot(b, out)`, which take
@@ -40,49 +96,17 @@ and 1.15 us through W.dot(x, out), and a short-vector copy 0.58 us through
 np.copyto and 0.21 us as a[...] = b. The arithmetic, and so every bit, is
 the same.
 
-Extended stage arrays. A step keeps its state and stage derivatives in one
-array zk = [z; k_0; ...; k_{s-1}] of n_stages + 1 rows, and its tableau
-extended by a leading 1: stage st's input is ea[st, :st+1] @ zk[:st+1] with
-ea = [1, h a], and the step's end eb @ zk with eb = [1, h b], one GEMV each
-(scaled_tableau builds ts, ea and eb for a whole schedule at once). The
-buffers hold two such arrays, zk and zk2, which successive substeps take in
-turn, each writing its end into the other's first row, and two arrays
-cot and cot2, taken in turn the same way, where a reverse sweep keeps a
-step's cotangents, [zbar; ubar_{s-1}; ...; ubar_0].
-
-Scaling. nn_forward applies the ScaleMap in place, (z - mid) / half into the
-input row and half * y into the stage derivative, and nn_vjp its transpose,
-u * half on the way in and xbar / half on the way out. Without a map all
-four are skipped; that changes no bits, being the arithmetic of mid = 0,
-half = 1.
-
-Reverse sweeps. StageBuffers.derivs writes the activation derivatives of
-stored stages into their s rows, vectorized over the rows of a layer at
-once, each taken from the layer's output alone. step_backward then pulls a
-step's cotangent back through its stages, one nn_vjp each, which turns the
-derivatives into cotangents, and layer_gradients adds
-[gW_l | gb_l] += S_l^T X_l, one GEMM per layer over stacked rows.
-rollout_backward runs step_backward over every cached step of a rollout.
-adjoint_step keeps no cache: it recomputes one step from its saved start
-state into slot j of buffers that hold a chunk of steps and runs
-step_backward on it, so the caller takes the parameter gradient once per
-chunk and memory is bounded by the chunk, not by the trajectory.
-
-rk_step holds the one forward Runge-Kutta stage loop, generic over explicit
-tableaus: the fixed-step rollout, the recomputed steps of adjoint_step and
-the adaptive integrator's trial steps all advance through it, and
-step_backward reverses it for euler, midpoint, rk4 and dopri5's accepted
-steps.
-
-Call contract (counted by the benchmark's tracer): rk_step calls the
-module-level nn_forward once per stage, step_backward calls the
-module-level nn_vjp once per stage, and a fixed-step gradient calls
-rollout_backward once for backprop, or rollout_rk once and then
-adjoint_step once per substep for the adjoint. A dopri5 gradient, in
-either mode, calls neither rollout_rk nor rollout_backward: adjoint_step
-once per accepted step. No other kernel evaluates the net. rollout_rk
-takes the substep start times `sub_t0` as positional argument 13.
+Call contract (counted by the benchmark's tracer): march calls the
+module-level nn_forward once per stage, and _sweep the module-level nn_vjp
+once per stage. A fixed-step gradient calls rollout_backward once for
+backprop, or rollout_rk once and then adjoint_step once per substep for
+the adjoint. A dopri5 gradient, in either mode, calls neither rollout_rk
+nor rollout_backward: adjoint_step once per accepted step. No other kernel
+evaluates the net. rollout_rk takes the substep start times `sub_t0` as
+positional argument 13.
 """
+
+from itertools import repeat
 
 import numpy as np
 
@@ -90,6 +114,11 @@ ACT_LINEAR = 0
 ACT_RELU = 1
 ACT_ELU = 2
 ACT_TANH = 3
+
+#: steps per table lookup of the rollouts, and the most forward and the
+#: most reverse tables a StepTables holds; the adjoint recomputes its steps
+#: in chunks of as many
+CHUNK = 32
 
 
 def _act(y, kind):
@@ -129,6 +158,28 @@ class StageRow:
     __slots__ = ("x", "y", "z", "s", "u", "xbar", "xin", "zbar")
 
 
+class StageArray:
+    """An extended stage array `a` of n_rows rows (module docstring) and the
+    views the loops read: `z` its first row, `pre[q]` its first q rows, and
+    `stages[q]` the pair (a[:q+1], a[q+1]) that the stage taken q-th reads
+    and writes."""
+
+    __slots__ = ("a", "z", "pre", "stages")
+
+    def __init__(self, n_rows, dim):
+        self.a = a = np.empty((n_rows, dim))
+        rows = tuple(a)
+        self.z = rows[0]
+        self.pre = tuple(a[:q] for q in range(n_rows + 1))
+        self.stages = tuple(zip(self.pre[1:], rows[1:]))
+
+
+def stage_bytes(sizes, n_rows):
+    """Bytes of the layer arrays of StageBuffers(sizes, ..., n_rows, ...)."""
+    widths = sum(n + 1 for n in sizes[:-1]) + sizes[-1] + sum(sizes[1:])
+    return 8 * n_rows * widths
+
+
 class StageBuffers:
     """Stacked per-layer stage rows and step scratch (see the module
     docstring) for `n_rows` stored stages of a net with the given layer
@@ -142,12 +193,10 @@ class StageBuffers:
             x[:, -1] = 1.0
         self.x.append(np.empty((n_rows, dim)))
         self.s = [np.empty((n_rows, n)) for n in sizes[1:]]
-        # sums a step's cotangent rows, one GEMV (step_backward)
+        # sums a step's cotangent rows, one GEMV (_sweep)
         self.ones = np.ones(n_stages + 1)
-        self.zk = np.empty((n_stages + 1, dim))
-        self.zk2 = np.empty((n_stages + 1, dim))
-        self.cot = np.empty((n_stages + 1, dim))
-        self.cot2 = np.empty((n_stages + 1, dim))
+        self.zk, self.zk2, self.cot, self.cot2 = (
+            StageArray(n_stages + 1, dim) for _ in range(4))
         xbar = tuple(np.empty(n + 1) for n in sizes[:-1])
         xin = tuple(x[:-1] for x in xbar)
         zbar = xin[0][1:] if tin else xin[0]
@@ -179,20 +228,89 @@ class StageBuffers:
             _act_deriv(y[lo:hi], kind, s[lo:hi])
 
 
-def scaled_tableau(a_tab, b_tab, c_tab, t0, h):
-    """A Butcher tableau scaled to every step of a schedule with start
-    times t0 and sizes h: the stage times ts = t0 + h c, and the extended
-    tableaus ea = [1, h a] and eb = [1, h b] (see the module docstring)."""
-    n, n_stages = h.shape[0], b_tab.shape[0]
-    hc = h.reshape(n, 1)
-    ts = t0.reshape(n, 1) + c_tab * hc
-    ea = np.empty((n, n_stages, n_stages + 1))
-    ea[:, :, 0] = 1.0
-    np.multiply(hc.reshape(n, 1, 1), a_tab, ea[:, :, 1:])
-    eb = np.empty((n, n_stages + 1))
-    eb[:, 0] = 1.0
-    np.multiply(hc, b_tab, eb[:, 1:])
-    return ts, ea, eb
+class StepTable:
+    """A tableau's forward part scaled to one step size `h` (module
+    docstring): `fwd[st]` pairs stage st's row ea[st, :st+1] with its node
+    c_st, `eb` is the end row and `n` its length, and `scaled` views the
+    parts of ea and eb that StepTables.rescale writes."""
+
+    __slots__ = ("h", "fwd", "eb", "n", "scaled")
+
+    def __init__(self, h, fwd, eb, scaled):
+        self.h, self.fwd, self.eb, self.scaled = h, fwd, eb, scaled
+        self.n = eb.shape[0]
+
+
+def _held(held, hs, build):
+    """The tables of the step sizes hs, a list of at most CHUNK floats,
+    from the dict `held`, into which build(sizes) adds those missing; when
+    they would take it past CHUNK, it holds this run's alone."""
+    new = [h for h in dict.fromkeys(hs) if h not in held]
+    if new:
+        if len(held) + len(new) > CHUNK:
+            held.clear()
+            new = list(dict.fromkeys(hs))
+        held.update(zip(new, build(new)))
+    return [held[h] for h in hs]
+
+
+class StepTables:
+    """The scaled tables of an explicit Butcher tableau (a, b, c), one per
+    distinct step size, built on first use and held for later runs, at
+    most CHUNK at a time (module docstring): forward StepTables, and for
+    the reverse loop the rows of rev in the order it takes the stages."""
+
+    def __init__(self, a_tab, b_tab, c_tab):
+        n_stages = b_tab.size
+        self.n_stages = n_stages
+        self.a, self.b, self.c = a_tab, b_tab, c_tab.tolist()
+        # row st: [b_st, a_{s-1,st}, ..., a_{st+1,st}], zero-padded
+        self.back = np.concatenate(
+            [b_tab.reshape(n_stages, 1), a_tab[n_stages - np.arange(1, n_stages)].T],
+            axis=1)
+        self.held, self.held_back = {}, {}
+
+    def lookup(self, hs):
+        """The forward tables of the step sizes hs (at most CHUNK)."""
+        return _held(self.held, hs, self.build)
+
+    def lookup_back(self, hs):
+        """The reverse tables of the step sizes hs (at most CHUNK)."""
+        return _held(self.held_back, hs, self.build_back)
+
+    # iterating a stacked array yields its row views, cheaper than indexing
+    # it once per row: the builds take each stage's rows of all the tables
+    # at once, then deal them out table by table
+
+    def build(self, hs):
+        """New forward tables for the step sizes hs, held by no one."""
+        n_h, n_stages = len(hs), self.n_stages
+        h = np.array(hs).reshape(n_h, 1, 1)
+        ea = np.empty((n_h, n_stages, n_stages + 1))
+        ea[:, :, 0] = 1.0
+        np.multiply(h, self.a, ea[:, :, 1:])
+        eb = np.empty((n_h, n_stages + 1))
+        eb[:, 0] = 1.0
+        np.multiply(h.reshape(n_h, 1), self.b, eb[:, 1:])
+        fwd = zip(*(ea[:, st, :st + 1] for st in range(n_stages)))
+        return [StepTable(*parts) for parts in zip(
+            hs, (tuple(zip(f, self.c)) for f in fwd), eb,
+            zip(ea[:, :, 1:], eb[:, 1:]))]
+
+    def build_back(self, hs):
+        """New reverse tables for the step sizes hs, held by no one."""
+        n_stages = self.n_stages
+        rev = np.array(hs).reshape(len(hs), 1, 1) * self.back
+        return list(zip(*(rev[:, st, :n_stages - st]
+                          for st in range(n_stages - 1, -1, -1))))
+
+    def rescale(self, tab, h):
+        """Scale one of this tableau's forward tables to the step size h in
+        place, as build would."""
+        ha, hb = tab.scaled
+        np.multiply(h, self.a, ha)
+        np.multiply(h, self.b, hb)
+        tab.h = h
 
 
 def nn_forward(layers, acts, mid, half, tin, t, z, row, k):
@@ -267,116 +385,103 @@ def layer_gradients(grads, buf, n_rows):
         g += buf.s[l][:n_rows].T.dot(buf.x[l][:n_rows])
 
 
-def rk_step(layers, acts, mid, half, tin, ts, ea, eb, zk, first, rows, znew):
-    """One explicit RK step from zk[0] over a Butcher tableau extended and
-    scaled to the step: stage times ts, ea = [1, h a] and eb = [1, h b]
-    (scaled_tableau).
+def march(layers, acts, mid, half, tin, tabs, t0s, steps, zk, zk2,
+          out=None, out_idx=None, first=0):
+    """Advance a run of explicit RK steps from the state zk.z: step i starts
+    at time t0s[i], is scaled by the StepTable tabs[i] and writes its stage
+    rows into steps[i], whose state slots take the stage inputs.
 
-    Fills the stage derivatives zk[1 + first:] (rows below `first` are
-    supplied by the caller, e.g. a first-same-as-last stage; rows past the
-    tableau are left alone) and stage st's layer rows into rows[st], whose
-    state slot takes the stage input. Writes the advanced state into znew,
-    which must not be a row of zk, and returns it.
+    Stages below `first` are supplied by the caller in zk (e.g. a
+    first-same-as-last stage; stage rows past the tableau are left alone).
+    zk and zk2 are StageArrays that the steps take in turn; out[k] receives
+    the state after step i where out_idx[i] = k >= 0. Returns the two
+    arrays in the order the run left them: its end state is the first's z.
     """
-    n_b = eb.shape[0]
-    for st in range(first, n_b - 1):
-        row = rows[st]
-        ea[st, :st + 1].dot(zk[:st + 1], row.z)
-        nn_forward(layers, acts, mid, half, tin, ts[st], row.z, row, zk[st + 1])
-    return eb.dot(zk[:n_b], znew)
+    for tab, t0, rows, k in zip(tabs, t0s, steps, out_idx or repeat(-1)):
+        h = tab.h
+        for (ea, c), row, (pre, slot) in zip(tab.fwd[first:], rows[first:],
+                                             zk.stages[first:]):
+            ea.dot(pre, row.z)
+            nn_forward(layers, acts, mid, half, tin, t0 + c * h, row.z, row, slot)
+        tab.eb.dot(zk.pre[tab.n], zk2.z)
+        zk, zk2 = zk2, zk
+        if k >= 0:
+            out[k] = zk.z
+    return zk, zk2
 
 
 def rollout_rk(
     layers, acts, mid, half, tin,
-    z0, a_tab, b_tab, c_tab, steps, zk, zk_next, out, sub_t0, sub_h, out_idx,
+    z0, tables, steps, zk, zk2, out, out_idx, sub_h, sub_t0,
 ):
-    """March an explicit RK tableau over a precomputed substep schedule.
+    """March the StepTables' tableau over a precomputed substep schedule.
 
     Substep i writes its stage rows into steps[i] (pass the same rows for
-    every substep to keep none); zk and zk_next are extended stage arrays
-    that the substeps take in turn. out[:, 0] receives the initial state,
-    and out[:, out_idx[i]] the state after substep i where out_idx[i] >= 0.
+    every substep to keep none); zk and zk2 are the StageArrays that the
+    substeps take in turn. out[:, 0] receives the initial state, and
+    out[:, out_idx[i]] the state after substep i where out_idx[i] >= 0.
     Returns out.
     """
-    ts, ea, eb = scaled_tableau(a_tab, b_tab, c_tab, sub_t0, sub_h)
     # column k of out as a row of out.T, indexed by a Python int
-    cols, idx = out.T, out_idx.tolist()
+    cols = out.T
     cols[0] = z0
-    zk[0] = z0
-    for i in range(sub_t0.shape[0]):
-        rk_step(layers, acts, mid, half, tin, ts[i], ea[i], eb[i], zk, 0,
-                steps[i], zk_next[0])
-        zk, zk_next = zk_next, zk
-        if idx[i] >= 0:
-            cols[idx[i]] = zk[0]
+    zk.z[...] = z0
+    for lo in range(0, sub_t0.shape[0], CHUNK):
+        hi = lo + CHUNK
+        zk, zk2 = march(layers, acts, mid, half, tin,
+                        tables.lookup(sub_h[lo:hi].tolist()),
+                        sub_t0[lo:hi].tolist(), steps[lo:hi], zk, zk2,
+                        cols, out_idx[lo:hi].tolist())
     return out
 
 
-def reverse_tableau(a_tab, b_tab, sub_h):
-    """The tableau step_backward reads, scaled to every step of a schedule
-    with sizes sub_h: rev[i, st] = [h b_st, h a_{s-1,st}, ..., h a_{st+1,st}]
-    for h = sub_h[i], zero-padded to n_stages entries."""
-    n_stages = b_tab.shape[0]
-    later = a_tab[n_stages - np.arange(1, n_stages)].T
-    return sub_h.reshape(sub_h.shape[0], 1, 1) * np.concatenate(
-        [b_tab.reshape(n_stages, 1), later], axis=1)
+def _sweep(layers, acts, half, backs, steps, buf, bars, bar_idx):
+    """Pull the cotangent buf.cot.z after a run of steps back through them,
+    latest first: step i is scaled by the reverse table backs[i]
+    (StepTables.lookup_back) and holds its stage rows in steps[i], whose s
+    rows must hold their activation derivatives (StageBuffers.derivs).
+    Before step i, bars[k] is added to the cotangent where
+    bar_idx[i] = k >= 0.
 
-
-def step_backward(layers, acts, half, rev, rows, buf):
-    """Pull the cotangent buf.cot[0] after one step back through the step's
-    stage rows, whose s rows must hold their activation derivatives
-    (StageBuffers.derivs); rev is the step's reverse_tableau.
-
-    buf.cot = [zbar; ubar_{s-1}; ...; ubar_0] gathers the cotangent after
-    the step and each stage's state cotangent, latest stage first, so the
-    cotangent of stage st's derivative is one GEMV over the rows filled,
-    kbar_st = rev[st, :s-st] @ cot[:s-st], and the start state's cotangent
-    is their sum. That sum leads the twin array cot2, which then swaps
-    places with cot, so it is buf.cot[0] again.
+    Each step leads its twin array with its start state's cotangent, then
+    the two swap places, so the result is buf.cot.z again.
     """
-    n_stages = len(rows)
-    ub = buf.cot
-    for st in range(n_stages - 1, -1, -1):
-        q = n_stages - st
-        row = rows[st]
-        rev[st, :q].dot(ub[:q], row.u)
-        nn_vjp(layers, acts, half, row.u, row, ub[q])
-    buf.ones.dot(ub, buf.cot2[0])
-    buf.cot, buf.cot2 = buf.cot2, ub
+    cot, cot2, ones = buf.cot, buf.cot2, buf.ones
+    for back, rows, k in zip(backs, steps, bar_idx):
+        if k >= 0:
+            cot.z += bars[k]
+        for rev, row, (pre, ub) in zip(back, reversed(rows), cot.stages):
+            rev.dot(pre, row.u)
+            nn_vjp(layers, acts, half, row.u, row, ub)
+        ones.dot(cot.a, cot2.z)
+        cot, cot2 = cot2, cot
+    buf.cot, buf.cot2 = cot, cot2
 
 
 def rollout_backward(
-    layers, acts, half, a_tab, b_tab, sub_h, out_idx, buf, out_bar, grads,
+    layers, acts, half, tables, sub_h, out_idx, buf, out_bar, grads,
 ):
     """Reverse sweep of a cached rollout_rk over buf.steps: cotangents of
     every recorded output column flow back to the parameters, added into
     `grads`."""
     n_sub = sub_h.shape[0]
-    n_stages = b_tab.shape[0]
-    rev = reverse_tableau(a_tab, b_tab, sub_h)
-    buf.derivs(0, n_sub * n_stages)
-    buf.cot[0] = 0.0
-    bars, idx = out_bar.T, out_idx.tolist()
-    for i in range(n_sub - 1, -1, -1):
-        if idx[i] >= 0:
-            buf.cot[0] += bars[idx[i]]
-        step_backward(layers, acts, half, rev[i], buf.steps[i], buf)
-    layer_gradients(grads, buf, n_sub * n_stages)
+    n_rows = n_sub * tables.n_stages
+    buf.derivs(0, n_rows)
+    buf.cot.z[...] = 0.0
+    bars = out_bar.T
+    for hi in range(n_sub, 0, -CHUNK):
+        lo = max(0, hi - CHUNK)
+        _sweep(layers, acts, half,
+               tables.lookup_back(sub_h[lo:hi].tolist()[::-1]),
+               buf.steps[lo:hi][::-1],
+               buf, bars, out_idx[lo:hi].tolist()[::-1])
+    layer_gradients(grads, buf, n_rows)
 
 
-def adjoint_step(layers, acts, mid, half, tin, ts, ea, eb, rev, z, buf, j):
-    """Recompute one substep from its start state z into the stage rows of
-    chunk slot j, buf.steps[j], and pull the cotangent buf.cot[0] after it
-    back to z's (step_backward), leaving that in buf.cot[0]; the stage rows
-    keep their cotangents for layer_gradients.
-
-    ts, ea and eb are the step's scaled_tableau and rev its
-    reverse_tableau. The recomputed end state is left in buf.zk2[0].
-    """
-    rows = buf.steps[j]
-    n_stages = len(rows)
-    buf.zk[0] = z
-    rk_step(layers, acts, mid, half, tin, ts, ea, eb, buf.zk, 0, rows, buf.zk2[0])
-    lo = j * n_stages
-    buf.derivs(lo, lo + n_stages)
-    step_backward(layers, acts, half, rev, rows, buf)
+def adjoint_step(layers, acts, half, back, rows, buf):
+    """Sweep one step that the adjoint's chunk pass recomputed into the
+    stage rows `rows`, scaled by the reverse table `back`: pull the
+    cotangent buf.cot.z after it back to its start state's, left in
+    buf.cot.z. The rows' s must hold their activation derivatives, and keep
+    their cotangents for layer_gradients."""
+    _sweep(layers, acts, half, (back,), (rows,), buf, None, (-1,))

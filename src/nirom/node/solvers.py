@@ -24,10 +24,15 @@ METHODS = FIXED_METHODS + ("dopri5",)
 #: per substep (built through about twice that) and dopri5 records about
 #: 100 (three Python numbers), so a full schedule stays near 100 MB; a dopri5
 #: gradient adds each accepted step's state (136 bytes at 2 dims), and its
-#: tableaus only one chunk of steps at a time. It admits one step per
-#: interval of the longest grid
+#: scaled tableaus are held for one chunk of steps at most. It admits one
+#: step per interval of the longest grid
 #: (snapshot.MAX_GRID_TIMES)
 MAX_STEPS = 1_000_000
+
+#: the most bytes a plan's stage buffers may take (kernels.stage_bytes):
+#: backprop keeps every stage of its schedule, the adjoint one chunk of
+#: steps, and either grows with the net's widths
+MAX_STAGE_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -142,10 +147,10 @@ def _pad_state(net: DynamicsNet, z0) -> np.ndarray:
 class RolloutPlan:
     """One net's rollouts over one time grid with one solver, built once and
     reused: the kernels' net arguments, whose augmented weights the plan
-    owns (set_params refills them), the tableau, the fixed-step schedule,
-    and the stage buffers. A cached plan keeps the layer rows of every
-    stage for a reverse sweep; a dopri5 plan is never cached, its schedule
-    changing from call to call.
+    owns (set_params refills them), the tableau and its scaled tables, the
+    fixed-step schedule, and the stage buffers. A cached plan keeps the
+    layer rows of every stage for a reverse sweep; a dopri5 plan is never
+    cached, its schedule changing from call to call.
     """
 
     def __init__(self, net: DynamicsNet, times, solver: SolverSpec,
@@ -156,13 +161,14 @@ class RolloutPlan:
         self.args = kernel_args(net, net.params)
         self.tableau = tableau(solver.method)
         self.n_stages = self.tableau[1].size
+        self.tables = kernels.StepTables(*self.tableau)
         self.schedule = None
         self.adaptive = None
+        self.cached = cached and solver.method in FIXED_METHODS
         if solver.method in FIXED_METHODS:
             self.schedule = build_schedule(times, solver.step, solver.max_steps)
         else:
             self.adaptive = self.buffers(_DP_K, _DP_K)
-        self.cached = cached and self.schedule is not None
         self.stages = None
 
     def set_params(self, params: np.ndarray) -> None:
@@ -170,7 +176,16 @@ class RolloutPlan:
         fold_biases(params, self.net.sizes, self.args[0])
 
     def buffers(self, n_rows, n_stages):
-        """New stage buffers of n_rows rows for this plan's net."""
+        """New stage buffers of n_rows rows for this plan's net, refused
+        above MAX_STAGE_BYTES before anything is allocated."""
+        need = kernels.stage_bytes(self.net.sizes, n_rows)
+        if need > MAX_STAGE_BYTES:
+            raise ValueError(
+                f"the net's stage buffers would take {need / 2**30:.3g} GiB "
+                f"({n_rows} stage rows for layer sizes {self.net.sizes}), "
+                f"above the limit of {MAX_STAGE_BYTES / 2**30:g} GiB"
+                + ("; grad_mode \"adjoint\" keeps one chunk of steps instead "
+                   "of every stage" if self.cached else ""))
         return kernels.StageBuffers(
             self.net.sizes, self.args[1], self.net.time_input, n_rows, n_stages,
         )
@@ -198,14 +213,15 @@ def fixed_rollout(plan: RolloutPlan, z0: np.ndarray):
     schedule = plan.schedule
     if schedule is None:
         return _dopri5_core(plan, z0)
-    n_sub = schedule[0].size
+    sub_t0, sub_h, out_idx = schedule
     buf = plan.stage_buffers()
-    steps = buf.steps if plan.cached else buf.steps * n_sub
+    steps = buf.steps if plan.cached else buf.steps * sub_h.size
     out = np.empty((z0.shape[0], plan.times.size))
     # a blown-up state overflows quietly; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         kernels.rollout_rk(
-            *plan.args, z0, *plan.tableau, steps, buf.zk, buf.zk2, out, *schedule,
+            *plan.args, z0, plan.tables, steps, buf.zk, buf.zk2, out, out_idx,
+            sub_h, sub_t0,
         )
     check_rollout(plan, out)
     return out, schedule
@@ -234,7 +250,6 @@ def ode_solve(net: DynamicsNet, z0, times, solver: SolverSpec) -> LatentTrajecto
 # Adaptive Dormand-Prince 4(5)
 # ---------------------------------------------------------------------------
 
-_DP_A, _DP_B, _DP_C = tableau("dopri5")
 # embedded 4th-order error weights (advance minus embedded), FSAL stage last
 _DP_E = np.array([
     71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
@@ -285,14 +300,14 @@ def _dopri5_core(plan: RolloutPlan, z0: np.ndarray, states=None):
     """
     times, solver, buf = plan.times, plan.solver, plan.adaptive
     # y = zk[0] and k = zk[1:]; k[0] is the first-same-as-last stage: the
-    # last stage of the step before
-    zk, row = buf.zk, buf.rows[0]
-    y, k = zk[0], zk[1:]
-    ynew = np.empty_like(z0)
-    # the tableau extended and scaled to each trial step (kernels.rk_step)
-    ea = np.empty((_DP_B.size, _DP_B.size + 1))
-    eb = np.empty(_DP_B.size + 1)
-    ea[:, 0] = eb[0] = 1.0
+    # last stage of the step before. A trial step, a run of one, leaves its
+    # end in the twin array's first row
+    zk, rows = buf.zk, buf.steps[0]
+    row = rows[0]
+    y, k, ynew = zk.z, zk.a[1:], buf.zk2.z
+    # the tableau scaled to each trial step in place
+    tables = plan.tables
+    trial = tables.build([0.0])[0]
 
     def rhs(t, z, out):
         return kernels.nn_forward(*plan.args, float(t), z, row, out)
@@ -333,9 +348,8 @@ def _dopri5_core(plan: RolloutPlan, z0: np.ndarray, states=None):
         if t + h <= t:
             raise NumericalError(
                 f"step size underflow at t={plan.physical_time(t):.6g}")
-        np.multiply(h, _DP_A, out=ea[:, 1:])
-        np.multiply(h, _DP_B, out=eb[1:])
-        kernels.rk_step(*plan.args, t + _DP_C * h, ea, eb, zk, 1, buf.rows, ynew)
+        tables.rescale(trial, h)
+        kernels.march(*plan.args, (trial,), (t,), (rows,), zk, buf.zk2, first=1)
         rhs(t + h, ynew, k[6])
         err_vec = h * (_DP_E @ k)
         if not (np.isfinite(ynew).all() and np.isfinite(err_vec).all()):

@@ -27,6 +27,10 @@ from .solvers import SolverSpec, _pad_state, ode_solve
 RMSPROP_RHO = 0.9
 RMSPROP_EPS = 1e-8
 
+#: the most epochs a run may take: its history holds two numbers per epoch,
+#: 16 MB at this count, and a preset trains for 50000
+MAX_EPOCHS = 1_000_000
+
 
 @dataclass(frozen=True)
 class LrSchedule:
@@ -67,8 +71,9 @@ class TrainConfig:
     grad_mode: str = "backprop_through_solver"
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
+        if not 0 <= self.epochs <= MAX_EPOCHS:
+            raise ValueError(
+                f"epochs must be in [0, {MAX_EPOCHS}], got {self.epochs}")
         if not self.learning_rate > 0:
             raise ValueError("learning rate must be positive")
         if not 0 <= self.momentum < 1:

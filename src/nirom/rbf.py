@@ -111,7 +111,9 @@ def fit(traj: LatentTrajectory, c: float) -> RbfModel:
         raise NumericalError(
             f"duplicate centers at indices {min(n, k)} and {max(n, k)}")
 
-    a = np.multiply(-c, r, out=r)
+    # a distance whose product with c overflows gives an exact zero weight
+    with np.errstate(over="ignore"):
+        a = np.multiply(-c, r, out=r)
     np.exp(a, out=a)
     g = targets.T  # (Mc, m), one rhs per latent component
     gnorm = np.linalg.norm(g, axis=0)

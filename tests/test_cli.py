@@ -14,6 +14,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -399,6 +400,38 @@ def test_fit_node_preset_builds_its_net(latent_dir, tmp_path, name):
     assert net.augment_dim == (1 if p.augmented else 0)
     assert (net.scale is not None) == p.scaling
     assert net.name == name
+
+
+def test_fit_node_epochs_beyond_the_bound_is_config_error(latent_dir, tmp_path,
+                                                       capsys):
+    # refused at config load, before a history of that many epochs is
+    # allocated
+    cfg = write_cfg(tmp_path, node={"hidden": [4], "activation": "tanh",
+                                    "epochs": 1_000_000_000_000})
+    assert run("fit", "--method", "node", "--config", cfg,
+               "--out", str(latent_dir)) == 2
+    assert "epochs must be in [0, 1000000]" in capsys.readouterr().err
+
+
+def test_fit_node_stage_buffers_beyond_the_limit_exit_2(latent_dir, tmp_path,
+                                                      capsys):
+    # backprop would cache 396 stage rows 400009 values wide, 1.18 GiB: the
+    # size is refused before anything that large is allocated (the net's
+    # weights are 10 MB)
+    cfg = write_cfg(tmp_path, node={"hidden": [200_000], "activation": "tanh",
+                                    "epochs": 1})
+    tracemalloc.start()
+    try:
+        code = run("fit", "--method", "node", "--config", cfg,
+                   "--out", str(latent_dir))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "1.18 GiB" in err and "limit of 1 GiB" in err
+    assert 'grad_mode "adjoint"' in err
+    assert peak < 64e6
 
 
 def test_fit_dmd_rank_beyond_columns_is_argument_error(tmp_path, capsys):

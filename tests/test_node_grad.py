@@ -22,7 +22,7 @@ from nirom.node import (
     grad,
     net_eval,
 )
-from nirom.node import kernels
+from nirom.node import kernels, solvers
 from nirom.node.gradients import (
     ADJOINT_CHUNK,
     GRAD_MODES,
@@ -333,6 +333,35 @@ def test_dopri5_gradient_memory_is_bounded_by_its_chunk(mode):
                     SolverSpec("dopri5"), mode)
     assert plan.rollout.stages is None
     assert len(plan.chunk.rows) == ADJOINT_CHUNK * tableau("dopri5")[1].size
+
+
+def test_stage_buffers_beyond_the_limit_are_refused_before_allocation(
+        monkeypatch):
+    net = build_net(2, [64], "tanh", seed=1)
+    times = np.linspace(0.0, 1.0, 100)
+    solver = SolverSpec("rk4", step=float(times[1] - times[0]))
+    target = np.zeros((2, times.size))
+    n_stages = tableau("rk4")[1].size
+    # the size is the buffers' own: 99 cached substeps, or one chunk
+    chunk = GradPlan(net, np.zeros(2), times, target, solver, "adjoint").chunk
+    assert kernels.stage_bytes(net.sizes, ADJOINT_CHUNK * n_stages) == sum(
+        a.nbytes for a in chunk.x + chunk.s)
+    cached = kernels.stage_bytes(net.sizes, 99 * n_stages)
+    # a limit between the two refuses backprop's cache, naming the adjoint,
+    # whose chunk still fits
+    monkeypatch.setattr(solvers, "MAX_STAGE_BYTES", cached - 1)
+    plan = GradPlan(net, np.zeros(2), times, target, solver,
+                    "backprop_through_solver")
+    with pytest.raises(ValueError, match='grad_mode "adjoint"'):
+        _loss_and_grad(plan, net.params)
+    assert plan.rollout.stages is None
+    _loss_and_grad(GradPlan(net, np.zeros(2), times, target, solver, "adjoint"),
+                   net.params)
+    # below the chunk, the adjoint is refused too, without that advice
+    monkeypatch.setattr(solvers, "MAX_STAGE_BYTES", 1000)
+    with pytest.raises(ValueError, match="above the limit") as refused:
+        GradPlan(net, np.zeros(2), times, target, solver, "adjoint")
+    assert "grad_mode" not in str(refused.value)
 
 
 def test_adjoint_chunk_of_a_short_grid_holds_only_its_substeps():

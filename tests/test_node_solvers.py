@@ -327,11 +327,11 @@ def test_dopri5_result_is_its_schedule_replayed():
     assert n_sub > times.size
     assert len(states) == n_sub + 1
     assert got.tobytes() == ode_solve(net, z0, times, solver).coeffs.tobytes()
-    a, b, c = tableau("dopri5")
-    buf = plan.buffers(b.size, b.size)
+    n_stages = tableau("dopri5")[1].size
+    buf = plan.buffers(n_stages, n_stages)
     replay = kernels.rollout_rk(
-        *plan.args, z0, a, b, c, buf.steps * n_sub, buf.zk, buf.zk2,
-        np.empty((z0.size, n_sub + 1)), sub_t0, sub_h, np.arange(1, n_sub + 1),
+        *plan.args, z0, plan.tables, buf.steps * n_sub, buf.zk, buf.zk2,
+        np.empty((z0.size, n_sub + 1)), np.arange(1, n_sub + 1), sub_h, sub_t0,
     )
     assert replay.T.tobytes() == np.array(states).tobytes()
     landed = np.flatnonzero(np.append(0, out_idx) >= 0)
@@ -388,16 +388,17 @@ def test_rk_step_matches_textbook_butcher_step(method):
     t0, h = 0.3, 0.1
     z = np.array([0.4, -0.7, 0.25])
     want_z, want_k = butcher_step(net, a, b, c, t0, h, z)
-    # dopri5 trial steps reuse the first-same-as-last stage from the caller
+    # a run of one step through march; dopri5 trial steps reuse the
+    # first-same-as-last stage from the caller
     first = 1 if method == "dopri5" else 0
     buf = kernels.StageBuffers(net.sizes, args[1], net.time_input, b.size, b.size)
     zk = buf.zk
-    zk[0] = z
-    zk[1: 1 + first] = want_k[:first]
-    ts, ea, eb = kernels.scaled_tableau(a, b, c, np.array([t0]), np.array([h]))
-    got_z = kernels.rk_step(*args, ts[0], ea[0], eb[0], zk, first, buf.rows,
-                            np.empty(z.size))
-    k = zk[1:]
+    zk.z[...] = z
+    zk.a[1: 1 + first] = want_k[:first]
+    tabs = kernels.StepTables(a, b, c).lookup([h])
+    got_z = kernels.march(*args, tabs, [t0], buf.steps, zk, buf.zk2,
+                          first=first)[0].z
+    k = zk.a[1:]
     assert np.linalg.norm(got_z - want_z) <= 1e-15 * np.linalg.norm(want_z)
     assert np.linalg.norm(k - want_k) <= 1e-15 * np.linalg.norm(want_k)
 
@@ -405,10 +406,10 @@ def test_rk_step_matches_textbook_butcher_step(method):
 @pytest.mark.parametrize("method", ["euler", "midpoint", "rk4", "dopri5"])
 @pytest.mark.parametrize("h", [0.1])
 def test_adjoint_step_state_is_one_rollout_substep(method, h):
-    # adjoint_step recomputes a substep from its start state and sweeps it
-    # back: its stage rows, end state, state cotangent and parameter
-    # gradient are those of one cached rollout_rk substep and
-    # rollout_backward over it, bit for bit
+    # the adjoint's chunk pass recomputes a substep from its start state
+    # through march, and adjoint_step sweeps it back: its stage rows, end
+    # state, state cotangent and parameter gradient are those of one cached
+    # rollout_rk substep and rollout_backward over it, bit for bit
     net = stage_net()
     args = kernel_args(net, net.params)
     layers, acts, _, half, _ = args
@@ -422,26 +423,30 @@ def test_adjoint_step_state_is_one_rollout_substep(method, h):
                                     b.size)
 
     adj, ref = buffers(), buffers()
-    ts, ea, eb = kernels.scaled_tableau(a, b, c, t0, step)
-    rev = kernels.reverse_tableau(a, b, step)
-    adj.cot[0] = zbar
-    kernels.adjoint_step(*args, ts[0], ea[0], eb[0], rev[0], z, adj, 0)
+    tables = kernels.StepTables(a, b, c)
+    tabs = tables.lookup(step.tolist())
+    adj.zk.z[...] = z
+    end = kernels.march(*args, tabs, t0.tolist(), adj.steps, adj.zk, adj.zk2)[0]
+    adj.derivs(0, b.size)
+    adj.cot.z[...] = zbar
+    kernels.adjoint_step(layers, acts, half, tables.lookup_back(step.tolist())[0],
+                         adj.steps[0], adj)
     adj_g = tuple(np.zeros_like(w) for w in layers)
     kernels.layer_gradients(adj_g, adj, b.size)
 
     out = kernels.rollout_rk(
-        *args, z, a, b, c, ref.steps, ref.zk, ref.zk2, np.empty((z.size, 2)),
-        t0, step, np.array([1]),
+        *args, z, tables, ref.steps, ref.zk, ref.zk2, np.empty((z.size, 2)),
+        np.array([1]), step, t0,
     )
     ref_g = tuple(np.zeros_like(w) for w in layers)
     out_bar = np.stack([np.zeros(z.size), zbar], axis=1)
-    kernels.rollout_backward(layers, acts, half, a, b, step, np.array([1]), ref,
-                             out_bar, ref_g)
+    kernels.rollout_backward(layers, acts, half, tables, step, np.array([1]),
+                             ref, out_bar, ref_g)
 
-    assert adj.zk2[0].tobytes() == out[:, 1].tobytes()
+    assert end.z.tobytes() == out[:, 1].tobytes()
     # x[-1], the output rows, is written only for a nonlinear output layer
     for got, want in zip(adj.x[:-1] + adj.s, ref.x[:-1] + ref.s):
         assert got.tobytes() == want.tobytes()
-    assert adj.cot[0].tobytes() == ref.cot[0].tobytes()
+    assert adj.cot.z.tobytes() == ref.cot.z.tobytes()
     for got, want in zip(adj_g, ref_g):
         assert got.tobytes() == want.tobytes()

@@ -28,7 +28,7 @@ from nirom.node import (
 )
 from nirom.node.network import TimeMap
 from nirom.node.solvers import build_schedule
-from nirom.node.training import attach_time_map, default_solver
+from nirom.node.training import MAX_EPOCHS, attach_time_map, default_solver
 from nirom.pod import LatentTrajectory
 
 
@@ -95,6 +95,9 @@ def test_schedule_validation():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=-1)
+    TrainConfig(epochs=MAX_EPOCHS)
+    with pytest.raises(ValueError, match="epochs must be in"):
+        TrainConfig(epochs=MAX_EPOCHS + 1)
     with pytest.raises(ValueError):
         TrainConfig(epochs=1, learning_rate=0.0)
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ form of the 2x2 interpolation system solved by hand.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -454,3 +455,13 @@ def test_model_wrong_magic(tmp_path):
     path.write_bytes(b"POD1" + b"\x00" * 24)
     with pytest.raises(FormatError):
         load_model(path)
+
+
+def test_huge_shape_factor_fits_without_a_warning():
+    # every off-diagonal c * r overflows to -inf, an exact zero weight, so
+    # the system is the identity and the coefficients are the targets
+    traj = smooth_traj(8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = fit(traj, 1e308)
+    assert np.array_equal(model.coefficients, build_derivatives(traj))
