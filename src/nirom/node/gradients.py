@@ -142,9 +142,8 @@ def _adjoint_grad(plan: GradPlan):
             buf.derivs(0, n_rows)
             for back, rows, k in zip(roll.tables.lookup_back(hs[::-1]),
                                      buf.steps, out_idx[lo:hi].tolist()[::-1]):
-                if k >= 0:
-                    buf.cot.z += bars[k]
-                kernels.adjoint_step(layers, acts, half, back, rows, buf)
+                kernels.adjoint_step(layers, acts, half, back, rows, buf,
+                                     bars, k)
             kernels.layer_gradients(plan.grads, buf, n_rows)
     return loss
 

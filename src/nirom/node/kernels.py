@@ -19,12 +19,12 @@ with one row per stored stage,
     s[l]  (n_rows, sizes[l+1])    layer l's pre-activation cotangent
 
 so a layer is one GEMV, W~_l @ x[l], with no bias add, and its parameter
-gradient one GEMM, S_l^T X_l = [gW_l | gb_l]. (x[L], the net output, has no
-trailing 1 and is written only for a nonlinear output layer, the one case a
-derivative is taken from it.) `rows[r]` is a StageRow of views of row r in
-each array: the forward loop writes a stage's input state into its row,
-nn_forward its layer inputs and nn_vjp its cotangents. `steps[i]` groups
-the rows of step slot i.
+gradient one GEMM, S_l^T X_l = [gW_l | gb_l]. The output layer is linear
+(network.DynamicsNet refuses any other), so the net output is written only
+into the stage derivative and no derivative is taken from it. `rows[r]` is
+a StageRow of views of row r in each array: the forward loop writes a
+stage's input state into its row, nn_forward its layer inputs and nn_vjp
+its cotangents. `steps[i]` groups the rows of step slot i.
 
 Stage arrays. A step keeps its state and stage derivatives in one array
 zk = [z; k_0; ...; k_{s-1}] of s + 1 rows, and its tableau extended by a
@@ -146,14 +146,13 @@ def _act_deriv(y, kind, out):
 
 class StageRow:
     """Views of one stored stage: `x` holds its row of each layer's input
-    array (trailing 1 included), `y` the output part of the next one (the
-    net output row last), `z` the state part of its input row, and `s` its
-    row of each cotangent array, and `u` is where the cotangent of its
-    output goes for nn_vjp: the output layer's s row when that layer is
-    linear, which saves a copy, else scratch. `xbar` is the cotangent
-    scratch it shares with the other rows of its buffers, one per layer
-    input and as long as that row; `xin` views the part of each that
-    excludes the bias slot, and `zbar` its state part in the net input's."""
+    array (trailing 1 included), `y` the part of x[l + 1] that hidden layer
+    l writes, `z` the state part of its input row, and `s` its row of each
+    cotangent array; `u` is the output layer's s row, where the cotangent
+    of the net output goes for nn_vjp. `xbar` is the cotangent scratch it
+    shares with the other rows of its buffers, one per layer input and as
+    long as that row; `xin` views the part of each that excludes the bias
+    slot, and `zbar` its state part in the net input's."""
 
     __slots__ = ("x", "y", "z", "s", "u", "xbar", "xin", "zbar")
 
@@ -174,9 +173,15 @@ class StageArray:
         self.stages = tuple(zip(self.pre[1:], rows[1:]))
 
 
+#: the most bytes a net's weights (network.net_init) or a plan's stage
+#: buffers (stage_bytes) may take; both grow with the net's widths, and
+#: backprop's buffers with its schedule
+MAX_NET_BYTES = 1 << 30
+
+
 def stage_bytes(sizes, n_rows):
     """Bytes of the layer arrays of StageBuffers(sizes, ..., n_rows, ...)."""
-    widths = sum(n + 1 for n in sizes[:-1]) + sizes[-1] + sum(sizes[1:])
+    widths = sum(n + 1 for n in sizes[:-1]) + sum(sizes[1:])
     return 8 * n_rows * widths
 
 
@@ -191,7 +196,6 @@ class StageBuffers:
         self.x = [np.empty((n_rows, n + 1)) for n in sizes[:-1]]
         for x in self.x:
             x[:, -1] = 1.0
-        self.x.append(np.empty((n_rows, dim)))
         self.s = [np.empty((n_rows, n)) for n in sizes[1:]]
         # sums a step's cotangent rows, one GEMV (_sweep)
         self.ones = np.ones(n_stages + 1)
@@ -200,23 +204,20 @@ class StageBuffers:
         xbar = tuple(np.empty(n + 1) for n in sizes[:-1])
         xin = tuple(x[:-1] for x in xbar)
         zbar = xin[0][1:] if tin else xin[0]
-        u = np.empty(dim)
-        linear_top = acts[-1] == ACT_LINEAR
         # iterating a stacked array yields its row views, cheaper than
-        # indexing it once per row
-        ys = [x[:, :n] for x, n in zip(self.x[1:], sizes[1:])]
+        # indexing it once per row; a net without a hidden layer has no y
+        ys = [x[:, :-1] for x in self.x[1:]]
         zs = self.x[0][:, 1: dim + 1] if tin else self.x[0][:, :dim]
         self.rows = []
-        for x, y, z, s in zip(zip(*self.x[:-1]), zip(*ys), zs, zip(*self.s)):
+        for x, y, z, s in zip(zip(*self.x), zip(*ys) if ys else repeat(()),
+                              zs, zip(*self.s)):
             row = StageRow()
-            row.x, row.y, row.z, row.s = x, y, z, s
-            row.u = s[-1] if linear_top else u
+            row.x, row.y, row.z, row.s, row.u = x, y, z, s, s[-1]
             row.xbar, row.xin, row.zbar = xbar, xin, zbar
             self.rows.append(row)
-        # each nonlinear layer's activation, output rows and cotangent rows
+        # each nonlinear hidden layer's activation, output and cotangent rows
         self.nonlinear = tuple(
-            (kind, x[:, :n], s)
-            for kind, x, n, s in zip(acts, self.x[1:], sizes[1:], self.s)
+            (kind, y, s) for kind, y, s in zip(acts, ys, self.s)
             if kind != ACT_LINEAR)
         self.steps = [tuple(self.rows[i: i + n_stages])
                       for i in range(0, n_rows - n_stages + 1, n_stages)]
@@ -333,37 +334,26 @@ def nn_forward(layers, acts, mid, half, tin, t, z, row, k):
         y = row.y[l]
         layers[l].dot(x[l], y)
         _act(y, acts[l])
-    # the output layer writes straight into k; its row gets a copy only
-    # when the reverse pass needs it for the activation derivative
+    # the linear output layer writes straight into k
     layers[top].dot(x[top], k)
-    if acts[top] != ACT_LINEAR:
-        _act(k, acts[top])
-        row.y[top][...] = k
     if half is not None:
         np.multiply(half, k, k)
     return k
 
 
-def nn_vjp(layers, acts, half, u, row, out):
-    """Pull the cotangent u back through one stored stage into the state
-    cotangent `out`, and return it. u may be the row's own slot row.u,
-    which saves the copy.
+def nn_vjp(layers, acts, half, row, out):
+    """Pull the cotangent of the net output, written into row.u (the
+    linear output layer's s row), back through one stored stage into the
+    state cotangent `out`, and return it.
 
-    The row's s must hold its activation derivatives (StageBuffers.derivs);
-    each is overwritten by its layer's pre-activation cotangent, for
-    layer_gradients.
+    The row's other s rows must hold their activation derivatives
+    (StageBuffers.derivs); each is overwritten by its layer's pre-activation
+    cotangent, for layer_gradients.
     """
     s, xbar, xin = row.s, row.xbar, row.xin
     top = len(layers) - 1
-    if acts[top] == ACT_LINEAR:
-        if half is not None:
-            np.multiply(u, half, s[top])
-        elif u is not s[top]:
-            s[top][...] = u
-    else:
-        if half is not None:
-            u = np.multiply(u, half, out)
-        np.multiply(u, s[top], s[top])
+    if half is not None:
+        np.multiply(s[top], half, s[top])
     # s_l @ W~_l also forms the bias slot's sum, which nothing reads
     for l in range(top, 0, -1):
         s[l].dot(layers[l], xbar[l])
@@ -452,7 +442,7 @@ def _sweep(layers, acts, half, backs, steps, buf, bars, bar_idx):
             cot.z += bars[k]
         for rev, row, (pre, ub) in zip(back, reversed(rows), cot.stages):
             rev.dot(pre, row.u)
-            nn_vjp(layers, acts, half, row.u, row, ub)
+            nn_vjp(layers, acts, half, row, ub)
         ones.dot(cot.a, cot2.z)
         cot, cot2 = cot2, cot
     buf.cot, buf.cot2 = cot, cot2
@@ -478,10 +468,10 @@ def rollout_backward(
     layer_gradients(grads, buf, n_rows)
 
 
-def adjoint_step(layers, acts, half, back, rows, buf):
+def adjoint_step(layers, acts, half, back, rows, buf, bars, k):
     """Sweep one step that the adjoint's chunk pass recomputed into the
-    stage rows `rows`, scaled by the reverse table `back`: pull the
-    cotangent buf.cot.z after it back to its start state's, left in
-    buf.cot.z. The rows' s must hold their activation derivatives, and keep
-    their cotangents for layer_gradients."""
-    _sweep(layers, acts, half, (back,), (rows,), buf, None, (-1,))
+    stage rows `rows`, scaled by the reverse table `back`: add bars[k] to
+    the cotangent buf.cot.z after it when k >= 0, and pull that back to its
+    start state's, left in buf.cot.z. The rows' s must hold their activation
+    derivatives, and keep their cotangents for layer_gradients."""
+    _sweep(layers, acts, half, (back,), (rows,), buf, bars, (k,))

@@ -74,8 +74,9 @@ class DynamicsNet:
 
     sizes runs input -> hidden... -> output; the input is the state (plus a
     leading time feature when time_input) and the output is the state
-    derivative, so sizes[-1] == sizes[0] - time_input. Parameters are one
-    flat vector packed W0, b0, W1, b1, ... row-major.
+    derivative, so sizes[-1] == sizes[0] - time_input. The output layer is
+    linear. Parameters are one flat vector packed W0, b0, W1, b1, ...
+    row-major.
     """
 
     sizes: tuple
@@ -102,6 +103,10 @@ class DynamicsNet:
         for a in self.activations:
             if a not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {a!r}")
+        # the kernels take no derivative of the net output
+        if self.activations[-1] != "linear":
+            raise ValueError(
+                f"the output layer must be linear, got {self.activations[-1]!r}")
         if self.sizes[-1] != self.sizes[0] - (1 if self.time_input else 0):
             raise ValueError(
                 "output size must equal the state part of the input "
@@ -194,7 +199,15 @@ def net_init(
     name: str = "",
 ) -> DynamicsNet:
     """Glorot-uniform weights (limit sqrt(6/(fan_in+fan_out))), zero biases,
-    drawn layer by layer from a single seeded generator."""
+    drawn layer by layer from a single seeded generator. A net whose
+    parameters would take more than kernels.MAX_NET_BYTES is refused before
+    the first draw."""
+    need = 8 * param_count(sizes)
+    if need > kernels.MAX_NET_BYTES:
+        raise ValueError(
+            f"a net of layer sizes {tuple(sizes)} would take "
+            f"{need / 2**30:.3g} GiB of parameters, above the limit of "
+            f"{kernels.MAX_NET_BYTES / 2**30:g} GiB")
     rng = np.random.default_rng(seed)
     chunks = []
     for l in range(len(sizes) - 1):
@@ -225,7 +238,8 @@ def build_net(
     scale: ScaleMap | None = None,
     name: str = "",
 ) -> DynamicsNet:
-    """Convenience constructor: hidden widths + one activation, linear output."""
+    """Convenience constructor: hidden widths + one activation, and the
+    linear output layer that every DynamicsNet ends in."""
     state = latent_dim + augment_dim
     sizes = [state + (1 if time_input else 0), *hidden, state]
     activations = [activation] * len(hidden) + ["linear"]

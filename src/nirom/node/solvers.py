@@ -29,11 +29,6 @@ METHODS = FIXED_METHODS + ("dopri5",)
 #: (snapshot.MAX_GRID_TIMES)
 MAX_STEPS = 1_000_000
 
-#: the most bytes a plan's stage buffers may take (kernels.stage_bytes):
-#: backprop keeps every stage of its schedule, the adjoint one chunk of
-#: steps, and either grows with the net's widths
-MAX_STAGE_BYTES = 1 << 30
-
 
 @dataclass(frozen=True)
 class SolverSpec:
@@ -177,13 +172,13 @@ class RolloutPlan:
 
     def buffers(self, n_rows, n_stages):
         """New stage buffers of n_rows rows for this plan's net, refused
-        above MAX_STAGE_BYTES before anything is allocated."""
+        above kernels.MAX_NET_BYTES before anything is allocated."""
         need = kernels.stage_bytes(self.net.sizes, n_rows)
-        if need > MAX_STAGE_BYTES:
+        if need > kernels.MAX_NET_BYTES:
             raise ValueError(
                 f"the net's stage buffers would take {need / 2**30:.3g} GiB "
                 f"({n_rows} stage rows for layer sizes {self.net.sizes}), "
-                f"above the limit of {MAX_STAGE_BYTES / 2**30:g} GiB"
+                f"above the limit of {kernels.MAX_NET_BYTES / 2**30:g} GiB"
                 + ("; grad_mode \"adjoint\" keeps one chunk of steps instead "
                    "of every stage" if self.cached else ""))
         return kernels.StageBuffers(

@@ -434,6 +434,25 @@ def test_fit_node_stage_buffers_beyond_the_limit_exit_2(latent_dir, tmp_path,
     assert peak < 64e6
 
 
+def test_fit_node_weights_beyond_the_limit_exit_2(latent_dir, tmp_path,
+                                                 capsys):
+    # 10^10 weights, 80 GB: refused before the first draw, with no traceback
+    cfg = write_cfg(tmp_path, node={"hidden": [100_000, 100_000],
+                                    "activation": "tanh", "epochs": 1})
+    tracemalloc.start()
+    try:
+        code = run("fit", "--method", "node", "--config", cfg,
+                   "--out", str(latent_dir))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "100000, 100000" in err and "limit of 1 GiB" in err
+    assert peak < 16e6
+
+
 def test_fit_dmd_rank_beyond_columns_is_argument_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, dmd={"rank": 20})
     doc = json.loads((tmp_path / "cfg.json").read_text())

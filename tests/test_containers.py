@@ -78,9 +78,11 @@ def test_corrupt_container_fails_only_as_format_error(
         pass
 
 
-# the scaled NET1 sample's scale vectors: magic, version, layer count,
-# 3 sizes, 2 activation ids, augment_dim, time_input, has_scale
-_MID_AT = 4 + 4 + 4 + 3 * 4 + 2 * 2 + 4 + 2 + 2
+# the NET1 samples' output activation id (magic, version, layer count,
+# 3 sizes, hidden activation id) and the scaled one's scale vectors (after
+# both activation ids, augment_dim, time_input, has_scale)
+_OUT_ACT_AT = 4 + 4 + 4 + 3 * 4 + 2
+_MID_AT = _OUT_ACT_AT + 2 + 4 + 2 + 2
 _HALF_AT = _MID_AT + 2 * 8
 
 
@@ -88,6 +90,7 @@ _HALF_AT = _MID_AT + 2 * 8
     ("NET1", 0, 16, struct.pack("<I", 7)),  # hidden width: wrong parameter count
     ("NET1", 1, _MID_AT, struct.pack("<d", np.nan)),  # scale centre
     ("NET1", 1, _HALF_AT + 8, struct.pack("<d", np.nan)),  # scale half-range
+    ("NET1", 0, _OUT_ACT_AT, struct.pack("<H", 3)),  # tanh output layer
     ("RBF1", 0, 16, struct.pack("<d", -1.0)),  # shape factor
     ("RBF1", 0, 16, struct.pack("<d", np.nan)),
     ("RBF1", 0, 24, struct.pack("<H", 1)),  # kernel id: only 0 exists
@@ -96,7 +99,8 @@ _HALF_AT = _MID_AT + 2 * 8
     ("DMD1", 0, 16, struct.pack("<d", np.nan)),
     ("DMD1", 0, 24, struct.pack("<d", np.nan)),  # start time
     ("DMD1", 0, -16, struct.pack("<d", np.nan)),  # last amplitude
-], ids=["NET1", "NET1-mid-nan", "NET1-half-nan", "RBF1", "RBF1-nan",
+], ids=["NET1", "NET1-mid-nan", "NET1-half-nan", "NET1-tanh-output",
+        "RBF1", "RBF1-nan",
         "RBF1-kernel-id", "RBF1-center-nan", "DMD1", "DMD1-nan", "DMD1-t0-nan",
         "DMD1-amplitude-nan"])
 def test_fields_that_build_no_object_are_format_errors(

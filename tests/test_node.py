@@ -56,6 +56,11 @@ def test_rejects_unknown_activation():
         DynamicsNet((2, 2, 1), ("tanh", "softmax"), np.zeros(9))
 
 
+def test_rejects_nonlinear_output_layer():
+    with pytest.raises(ValueError, match="output layer must be linear"):
+        DynamicsNet((2, 2, 1), ("tanh", "tanh"), np.zeros(9))
+
+
 def test_rejects_output_size_mismatch():
     # with a time feature the output must be one smaller than the input
     with pytest.raises(ValueError, match="output"):

@@ -22,7 +22,7 @@ from nirom.node import (
     grad,
     net_eval,
 )
-from nirom.node import kernels, solvers
+from nirom.node import kernels
 from nirom.node.gradients import (
     ADJOINT_CHUNK,
     GRAD_MODES,
@@ -349,7 +349,7 @@ def test_stage_buffers_beyond_the_limit_are_refused_before_allocation(
     cached = kernels.stage_bytes(net.sizes, 99 * n_stages)
     # a limit between the two refuses backprop's cache, naming the adjoint,
     # whose chunk still fits
-    monkeypatch.setattr(solvers, "MAX_STAGE_BYTES", cached - 1)
+    monkeypatch.setattr(kernels, "MAX_NET_BYTES", cached - 1)
     plan = GradPlan(net, np.zeros(2), times, target, solver,
                     "backprop_through_solver")
     with pytest.raises(ValueError, match='grad_mode "adjoint"'):
@@ -358,7 +358,7 @@ def test_stage_buffers_beyond_the_limit_are_refused_before_allocation(
     _loss_and_grad(GradPlan(net, np.zeros(2), times, target, solver, "adjoint"),
                    net.params)
     # below the chunk, the adjoint is refused too, without that advice
-    monkeypatch.setattr(solvers, "MAX_STAGE_BYTES", 1000)
+    monkeypatch.setattr(kernels, "MAX_NET_BYTES", 1000)
     with pytest.raises(ValueError, match="above the limit") as refused:
         GradPlan(net, np.zeros(2), times, target, solver, "adjoint")
     assert "grad_mode" not in str(refused.value)

@@ -15,6 +15,7 @@ nothing a call leaves in them, or in an array it returns, reaches the next
 call.
 """
 
+import inspect
 from collections import Counter
 
 import numpy as np
@@ -109,6 +110,12 @@ def test_dopri5_gradient_calls(calls, mode):
         "nn_forward": adaptive + per_pass, "nn_vjp": per_pass,
         "adjoint_step": n_accepted,
     })
+
+
+def test_rollout_rk_takes_sub_t0_as_argument_13():
+    # the benchmark's tracer reads the substep count from this position
+    params = list(inspect.signature(kernels.rollout_rk).parameters)
+    assert params[13] == "sub_t0"
 
 
 def test_ode_solve_calls(calls):

@@ -81,7 +81,7 @@ def ref_step_backward(layers, acts, half, rev, rows, sc):
         q = n_stages - st
         row = rows[st]
         rev[st, :q].dot(ub[:q], row.u)
-        kernels.nn_vjp(layers, acts, half, row.u, row, ub[q])
+        kernels.nn_vjp(layers, acts, half, row, ub[q])
     sc.ones.dot(ub, sc.cot2[0])
     sc.cot, sc.cot2 = sc.cot2, ub
 
