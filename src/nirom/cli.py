@@ -12,12 +12,18 @@ Chains the pipeline stages over one JSON config:
 The input field is read from a file by ``decompose`` and ``fit --method
 dmd``: the config's input path, or for a synthetic input the snapshots.snp
 that ``generate`` wrote, which is also the field ``compare`` scores
-against; only ``generate`` builds a synthetic field. ``generate`` writes
-snapshots.snp.meta.json last, recording the kind and parameters of the
-field, so a field of another kind or seed on the same grid is refused.
-``decompose`` writes latent.snp.meta.json last, recording the basis.pod it
-wrote, so ``fit`` refuses a basis and latent pair that an interrupted
-``decompose`` left mixed.
+against; only ``generate`` builds a synthetic field.
+
+Every artifact's record is <artifact>.meta.json (``_record``), written by
+``_write_meta`` as strict JSON, last, and checked by ``_check_record``
+against the values a stage needs, key by key: a missing record, or one
+without a key, exits 4 naming the record; a differing value exits 2 naming
+the key, both values and the stage to run again; other keys are not read.
+snapshots.snp's record holds the kind and parameters of the field, so a
+field of another kind or seed on the same grid is refused; latent.snp's
+holds the basis.pod it was projected on, so ``fit`` refuses a pair that an
+interrupted ``decompose`` left mixed; a model's holds the basis and latent
+files it was fit on, which ``predict`` must find.
 
 ``predict`` and ``compare`` never hold a full field: ``predict`` writes
 its lift to pred_<method>.snp one column block at a time (its
@@ -88,9 +94,6 @@ log = logging.getLogger("nirom")
 
 OUT_DIR_ENV = "NIROM_OUT_DIR"
 FILE_SNAPSHOTS = "snapshots.snp"
-#: generate's record of the kind and parameters of the field it wrote,
-#: written last
-FILE_SNAPSHOTS_META = FILE_SNAPSHOTS + ".meta.json"
 FILE_BASIS = "basis.pod"
 FILE_LATENT = "latent.snp"
 FILE_SPECTRUM = "spectrum.csv"
@@ -103,8 +106,6 @@ MAGIC_METHODS = {b"RBF1": "rbf", b"NET1": "node", b"DMD1": "dmd"}
 #: .meta.json keys of an rbf or node model that tie it to the files it was
 #: fit on; predict starts from these files and refuses any others
 FIT_INPUTS = {"basis_sha256": FILE_BASIS, "latent_sha256": FILE_LATENT}
-#: decompose's record of the basis it projected latent.snp on, written last
-FILE_LATENT_META = FILE_LATENT + ".meta.json"
 
 
 def _out_dir(args, cfg: PipelineConfig | None) -> Path:
@@ -146,7 +147,7 @@ def _input_snapshots(cfg: PipelineConfig, out: Path) -> SnapshotSet:
             f"{path}: missing; run 'nirom generate' with this config first"
         )
     spec = cfg.synthetic
-    _check_recipe(out / FILE_SNAPSHOTS_META, spec.recipe)
+    _check_record(path, spec.recipe, "nirom generate")
     n, times = snapshot_header(path)
     want = spec.times
     if n != spec.grid_points or times.size != want.size:
@@ -162,32 +163,37 @@ def _input_snapshots(cfg: PipelineConfig, out: Path) -> SnapshotSet:
     )
 
 
-def _check_recipe(meta: Path, recipe: dict) -> None:
-    """Refuse a snapshots.snp that generate did not make from this recipe
-    (the kind and the parameters it reads), as its record shows: on one
-    grid, two kinds or seeds give two fields with the same header."""
-    if not meta.exists():
-        raise FormatError(
-            f"{meta}: missing; it records the kind and parameters "
-            f"{FILE_SNAPSHOTS} was generated with, and generate writes it "
-            f"last; run 'nirom generate' with this config"
-        )
-    recorded = _read_json(meta, dict)
-    if recorded != recipe:
-        raise ConfigError(
-            f"{meta.parent / FILE_SNAPSHOTS} was generated from "
-            f"{json.dumps(recorded, sort_keys=True)}, but the config's "
-            f"'input' block asks for {json.dumps(recipe, sort_keys=True)}; "
-            f"run 'nirom generate' again"
-        )
+def _record(artifact: Path) -> Path:
+    """The .meta.json record beside an artifact."""
+    return Path(f"{artifact}.meta.json")
 
 
-def _write_meta(path: Path, **fields) -> None:
-    """Write the fields as strict JSON; a NaN or infinite value is a
-    ValueError, and no file is written."""
-    with replacing(path, "w") as f:
+def _write_meta(artifact: Path, **fields) -> None:
+    """Write the artifact's record: the fields as strict JSON; a NaN or
+    infinite value is a ValueError, and no file is written."""
+    with replacing(_record(artifact), "w") as f:
         json.dump(fields, f, indent=2, allow_nan=False)
         f.write("\n")
+
+
+def _check_record(artifact: Path, want: dict, command: str) -> None:
+    """Refuse an artifact whose record does not hold ``want``, compared key
+    by key in order: a missing record, or one without a key, is a
+    FormatError; a differing value is a ConfigError that names the key,
+    both values and ``command``, the stage to run again. Keys the record
+    holds beyond ``want`` are not read."""
+    record = _record(artifact)
+    if not record.exists():
+        raise FormatError(f"{record}: missing; run '{command}', which "
+                          f"writes it last, after {artifact.name}")
+    held = _read_json(record, dict)
+    for key, value in want.items():
+        if key not in held:
+            raise FormatError(f"{record}: no '{key}'; run '{command}' again")
+        if held[key] != value:
+            raise ConfigError(
+                f"{record} records {key} {json.dumps(held[key])}, but this "
+                f"run needs {json.dumps(value)}; run '{command}' again")
 
 
 def _sha256(path: Path) -> str:
@@ -202,44 +208,6 @@ def _input_digests(out: Path) -> dict:
     """sha256 of the basis and latent files in the output directory, under
     their FIT_INPUTS keys."""
     return {key: _sha256(out / name) for key, name in FIT_INPUTS.items()}
-
-
-def _check_decomposition(out: Path, basis_sha256: str) -> None:
-    """Refuse a latent.snp that decompose did not project on this
-    basis.pod, as latent.snp.meta.json records: a decompose stopped before
-    it wrote that record leaves a new basis beside an old latent file."""
-    meta = out / FILE_LATENT_META
-    if not meta.exists():
-        raise FormatError(
-            f"{meta}: missing; it records the {FILE_BASIS} that {FILE_LATENT} "
-            f"was projected on, and decompose writes it last"
-        )
-    recorded = _read_json(meta, lambda tree: str(tree["basis_sha256"]))
-    if recorded != basis_sha256:
-        raise ValueError(
-            f"{out / FILE_BASIS} is not the basis {FILE_LATENT} was projected "
-            f"on (sha256 {basis_sha256[:16]}..., {meta.name} records "
-            f"{recorded[:16]}...); run 'nirom decompose' again"
-        )
-
-
-def _check_fit_inputs(model_file: Path, out: Path, digests: dict) -> None:
-    """Refuse a basis or latent file other than the one the model was fit
-    on, as its .meta.json records."""
-    meta = Path(str(model_file) + ".meta.json")
-    if not meta.exists():
-        raise FormatError(
-            f"{meta}: missing; it records the {FILE_BASIS} and {FILE_LATENT} "
-            f"that {model_file.name} was fit on"
-        )
-    recorded = _read_json(meta, lambda tree: {key: str(tree[key]) for key in digests})
-    for key, digest in digests.items():
-        if recorded[key] != digest:
-            raise ValueError(
-                f"{out / FIT_INPUTS[key]} is not the file {model_file.name} was "
-                f"fit on (sha256 {digest[:16]}..., {meta.name} records "
-                f"{recorded[key][:16]}...)"
-            )
 
 
 def _read_json(path, decode):
@@ -258,7 +226,7 @@ def _read_meta(pred_path: Path) -> tuple:
     """(method, latent_dim, runtime_seconds) from the .meta.json beside a
     prediction; without that file the method comes from the file name."""
     method = pred_path.stem.removeprefix("pred_")
-    meta = Path(str(pred_path) + ".meta.json")
+    meta = _record(pred_path)
     if not meta.exists():
         return method, 0, 0.0
 
@@ -299,12 +267,11 @@ def cmd_generate(cfg: PipelineConfig, out: Path) -> None:
         raise ConfigError("'generate' needs a synthetic 'input' block, not a path")
     # the record goes first and comes back last, so a field that is being
     # replaced is never taken for the one the record describes
-    record = out / FILE_SNAPSHOTS_META
-    record.unlink(missing_ok=True)
-    snap = generate_synthetic(cfg.synthetic)
     target = out / FILE_SNAPSHOTS
+    _record(target).unlink(missing_ok=True)
+    snap = generate_synthetic(cfg.synthetic)
     save_snapshots(snap, target)
-    _write_meta(record, **cfg.synthetic.recipe)
+    _write_meta(target, **cfg.synthetic.recipe)
     log.info("wrote %s (%d x %d)", target, snap.mesh_size, snap.n_snapshots)
     print(target)
 
@@ -328,7 +295,7 @@ def cmd_decompose(cfg: PipelineConfig, out: Path) -> None:
         w.writerow(["mode", "singular_value", "cumulative_energy"])
         for i in range(svd.rank):
             w.writerow([i + 1, f"{svd.singular[i]:.17g}", f"{cum[i]:.17g}"])
-    _write_meta(out / FILE_LATENT_META, basis_sha256=_sha256(out / FILE_BASIS))
+    _write_meta(out / FILE_LATENT, basis_sha256=_sha256(out / FILE_BASIS))
     log.info("kept %d of %d modes", basis.m, svd.rank)
     print(out / FILE_BASIS)
 
@@ -337,7 +304,8 @@ def _fit_inputs(out: Path) -> tuple:
     """The digests of the basis and latent files fit records, and the latent
     trajectory, once latent.snp.meta.json ties the two files together."""
     inputs = _input_digests(out)
-    _check_decomposition(out, inputs["basis_sha256"])
+    _check_record(out / FILE_LATENT, {"basis_sha256": inputs["basis_sha256"]},
+                  "nirom decompose")
     return inputs, _load_latent(out)
 
 
@@ -354,7 +322,7 @@ def _fit_rbf(cfg: PipelineConfig, out: Path) -> None:
     elapsed = time.perf_counter() - started
     target = out / MODEL_FILES["rbf"]
     rbf_mod.save_model(model, target)
-    _write_meta(Path(str(target) + ".meta.json"), method="rbf",
+    _write_meta(target, method="rbf",
                 latent_dim=model.dim, fit_seconds=elapsed, **inputs)
     log.info("rbf fit: %d centers, c=%g, %.3fs", model.n_centers,
              block.shape_factor, elapsed)
@@ -384,11 +352,10 @@ def _fit_node(cfg: PipelineConfig, out: Path) -> None:
         w.writerow(["epoch", "loss", "learning_rate"])
         for i in range(history.loss.size):
             w.writerow([i, f"{history.loss[i]:.17g}", f"{history.lr[i]:.17g}"])
-    _write_meta(Path(str(target) + ".meta.json"), method="node",
-                latent_dim=trained.latent_dim, fit_seconds=elapsed,
+    _write_meta(target, method="node", latent_dim=trained.latent_dim,
+                fit_seconds=elapsed,
                 final_loss=history.final_loss if block.train.epochs else None,
-                epochs=block.train.epochs,
-                **inputs)
+                epochs=block.train.epochs, **inputs)
     log.info("node fit: %s, final loss %.3e, %.3fs", trained.name,
              history.final_loss, elapsed)
     print(target)
@@ -402,7 +369,7 @@ def _fit_dmd(cfg: PipelineConfig, out: Path) -> None:
     elapsed = time.perf_counter() - started
     target = out / MODEL_FILES["dmd"]
     dmd_mod.save_model(model, target)
-    _write_meta(Path(str(target) + ".meta.json"), method="dmd",
+    _write_meta(target, method="dmd",
                 latent_dim=model.rank, fit_seconds=elapsed)
     log.info("dmd fit: rank %d, %.3fs", model.rank, elapsed)
     print(target)
@@ -450,14 +417,14 @@ def cmd_predict(cfg: PipelineConfig, out: Path, model_path: str) -> None:
                 f"model has {latent_dim} latent components, "
                 f"basis has {basis.m} modes"
             )
-        _check_fit_inputs(model_file, out, inputs)
+        _check_record(model_file, inputs, f"nirom fit --method {method}")
         if method == "rbf":
             latent = rbf_mod.forecast(model, z0, times)
         else:
             latent = node_forecast(model, z0, times)
         reconstruct(basis, latent, target)
     elapsed = time.perf_counter() - started
-    _write_meta(Path(str(target) + ".meta.json"), method=method,
+    _write_meta(target, method=method,
                 latent_dim=latent_dim, runtime_seconds=elapsed)
     log.info("%s prediction: %d times, %.3fs", method, times.size, elapsed)
     print(target)

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .node import PRESETS, LrSchedule, NodePreset, SolverSpec, TrainConfig
 from .node.network import ACTIVATIONS
-from .snapshot import SyntheticSpec, grid_size
+from .snapshot import MAX_FIELD_BYTES, SyntheticSpec, grid_size
 
 SEED_MAX = 2**64 - 1  # NET1 stores the seed as a u64
+GRID_POINTS_MAX = 2**32 - 1  # SNP1 stores the grid size as a u32
 
 
 def _where(path: str, key: str) -> str:
@@ -64,11 +65,11 @@ def _get(block: dict, path: str, key: str, kind, default=None):
     return float(val) if kind is float else val
 
 
-def _check_grid(path: str, t_start: float, t_end: float, dt: float) -> None:
-    """The size check of the uniform time grid that block ``path`` defines:
-    a dt too fine for its span is a ConfigError naming '<path>.dt'."""
+def _check_grid(path: str, t_start: float, t_end: float, dt: float) -> int:
+    """The size of the uniform time grid that block ``path`` defines: a dt
+    too fine for its span is a ConfigError naming '<path>.dt'."""
     try:
-        grid_size(t_start, t_end, dt)
+        return grid_size(t_start, t_end, dt)
     except ValueError as exc:
         raise ConfigError(f"'{path}.dt' is too fine: {exc}") from exc
 
@@ -151,7 +152,17 @@ def _parse_input(block, seed: int):
         spec = SyntheticSpec(**spec_kwargs)
     except ValueError as exc:
         raise ConfigError(f"input: {exc}") from exc
-    _check_grid("input", spec.t_start, spec.t_end, spec.dt)
+    m = _check_grid("input", spec.t_start, spec.t_end, spec.dt)
+    n = spec.grid_points
+    if n > GRID_POINTS_MAX:
+        raise ConfigError(f"'input.grid_points' is {n}, but SNP1 holds at "
+                          f"most {GRID_POINTS_MAX} points")
+    need = 8 * n * m + (8 * n * n if spec.kind == "linear_system" else 0)
+    if need > MAX_FIELD_BYTES:
+        raise ConfigError(
+            f"'input.grid_points' is {n}: the {spec.kind} field takes "
+            f"{need / 2**30:.3g} GiB, above the limit of "
+            f"{MAX_FIELD_BYTES / 2**30:g} GiB")
     return None, spec
 
 

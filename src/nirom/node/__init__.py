@@ -10,7 +10,6 @@ from .network import (
     TimeMap,
     build_net,
     load_net,
-    net_eval,
     net_init,
     save_net,
     scale_fit,
@@ -42,7 +41,6 @@ __all__ = [
     "grad",
     "load_net",
     "lr_at",
-    "net_eval",
     "net_init",
     "node_forecast",
     "normalize_times",

@@ -249,25 +249,6 @@ def build_net(
     )
 
 
-def net_eval(net: DynamicsNet, t: float, z: np.ndarray) -> np.ndarray:
-    """Single right-hand side evaluation net(t, z), layer by layer from the
-    flat parameters (W_l x + b_l) without the kernels' buffers, so tests
-    can hold the kernels against it."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (net.state_dim,):
-        raise ValueError(f"state must have shape ({net.state_dim},), got {z.shape}")
-    if not (np.isfinite(t) and np.all(np.isfinite(z))):
-        raise NumericalError("non-finite input to the dynamics net")
-    _, acts, mid, half, tin = kernel_args(net, net.params)
-    x = z if mid is None else (z - mid) / half
-    if tin:
-        x = np.concatenate([[float(t)], x])
-    for (w, b), kind in zip(layer_views(net.params, net.sizes), acts):
-        x = w @ x + b
-        kernels._act(x, kind)
-    return x if half is None else half * x
-
-
 # ---------------------------------------------------------------------------
 # Table of tuned configurations: (hidden layers, width, activation,
 # staircase decay steps, decay rate, input scaling, state augmentation).

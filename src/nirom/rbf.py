@@ -147,21 +147,6 @@ def fit(traj: LatentTrajectory, c: float) -> RbfModel:
     )
 
 
-def _field(centers, coeffs, c, z):
-    """sum_k coeffs[:, k] * exp(-c * ||z - centers[:, k]||)."""
-    d = centers - z.reshape(z.shape[0], 1)
-    w = np.exp(-c * np.sqrt(np.sum(d * d, axis=0)))
-    return np.dot(coeffs, w)
-
-
-def eval_dynamics(model: RbfModel, z: np.ndarray) -> np.ndarray:
-    """Interpolated latent time derivative at state z."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (model.dim,):
-        raise ValueError(f"state must have shape ({model.dim},), got {z.shape}")
-    return _field(model.centers, model.coefficients, float(model.shape_factor), z)
-
-
 def forecast(model: RbfModel, z0: np.ndarray, times: np.ndarray) -> LatentTrajectory:
     """March z^{n+1} = z^n + dt_n * F(z^n) across the given time stamps."""
     times = check_times(times)
@@ -175,8 +160,9 @@ def forecast(model: RbfModel, z0: np.ndarray, times: np.ndarray) -> LatentTrajec
     neg_c = -float(model.shape_factor)
     out = np.empty((model.dim, times.size))
     out[:, 0] = z0
-    # each step is _field's operations in its order, written into buffers,
-    # and the state update written straight into the next column of out;
+    # each step evaluates F(z) = coeffs exp(-c |centers - z|) as the
+    # subtract, square, column sum, sqrt, scale, exp and GEMV below, into
+    # buffers, and writes the state update into the next column of out;
     # outputs are passed positionally, which numpy parses faster than out=,
     # and the GEMV is the ndarray method, which skips np.dot's Python-level
     # dispatch (see node.kernels)

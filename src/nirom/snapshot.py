@@ -237,6 +237,12 @@ class SyntheticSpec:
 
 #: the most times a uniform grid may hold
 MAX_GRID_TIMES = 1_000_000
+#: the most bytes a synthetic field (8 N M), with linear_system's N x N
+#: operator, may take: generate builds it whole, and decompose and fit
+#: --method dmd load it whole beside their working copies, so a larger one
+#: is refused at config load instead of failing in the allocator; it
+#: admits a 20000-point mesh over thousands of times
+MAX_FIELD_BYTES = 1 << 32
 
 
 def grid_size(t_start: float, t_end: float, dt: float) -> int:

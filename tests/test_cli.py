@@ -145,6 +145,33 @@ def test_generate_missing_kind_is_config_error(tmp_path, capsys):
     assert "input.kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind,grid_points,message", [
+    ("traveling_wave", 100_000_000_000, "SNP1 holds at most 4294967295 points"),
+    ("traveling_wave", 100_000_000, "field takes 74.5 GiB"),
+    # the field alone is 0.75 GiB; its 10^6 x 10^6 operator is not
+    ("linear_system", 1_000_000, "field takes 7.45e+03 GiB"),
+], ids=["u32", "field", "operator"])
+def test_generate_grid_beyond_the_limit_exit_2(tmp_path, capsys, kind,
+                                               grid_points, message):
+    # refused at config load, before the field or the operator is allocated
+    cfg = write_cfg(tmp_path, dmd={"rank": 2})
+    doc = json.loads((tmp_path / "cfg.json").read_text())
+    doc["input"].update(kind=kind, grid_points=grid_points)
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        code = run("generate", "--config", cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"'input.grid_points' is {grid_points}" in err and message in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+    assert peak < 16e6
+
+
 def test_generate_is_byte_deterministic(tmp_path):
     for sub in ("a", "b"):
         d = tmp_path / sub
@@ -292,10 +319,19 @@ def test_snapshots_of_another_recipe_exit_2_and_name_generate(
     (tmp_path / "cfg.json").write_text(json.dumps(doc))
     assert run(*command, "--config", cfg) == 2
     err = capsys.readouterr().err
-    assert "snapshots.snp was generated from" in err
-    assert "'nirom generate'" in err
+    key = "kind" if "kind" in change else next(iter(change))
+    assert f"snapshots.snp.meta.json records {key} " in err
+    assert "run 'nirom generate' again" in err
     run_ok("generate", "--config", cfg)
+    # a key the recipe does not name is not read
+    _add_to_record(tmp_path / "snapshots.snp.meta.json", note="extra")
     run_ok(*command, "--config", cfg)
+
+
+def _add_to_record(record, **fields):
+    tree = json.loads(record.read_text())
+    tree.update(fields)
+    record.write_text(json.dumps(tree))
 
 
 def test_wave_snapshots_serve_any_seed(tmp_path):
@@ -336,19 +372,25 @@ def test_fit_refuses_the_pair_an_interrupted_decompose_left(
     capsys.readouterr()
     assert run("fit", "--method", method, "--config", cfg) == 2
     err = capsys.readouterr().err
-    assert "basis.pod is not the basis latent.snp was projected on" in err
-    assert "latent.snp.meta.json" in err
+    assert "latent.snp.meta.json records basis_sha256 " in err
+    assert "run 'nirom decompose' again" in err
     assert not (tmp_path / f"model_{method}.{_EXT[method]}").exists()
-    # a finished decompose ties the pair again
+    # a finished decompose ties the pair again, and a key the check does
+    # not name is not read
     run_ok("decompose", "--config", cfg)
+    _add_to_record(tmp_path / "latent.snp.meta.json", note="extra")
     run_ok("fit", "--method", method, "--config", cfg)
 
 
 def test_fit_without_the_decompose_record_exits_4(latent_dir, tmp_path, capsys):
     out = tmp_path / "run"
     shutil.copytree(latent_dir, out)
-    (out / "latent.snp.meta.json").unlink()
+    record = out / "latent.snp.meta.json"
     cfg = write_cfg(out, pod={"rank": 2}, rbf={"shape_factor": 0.05})
+    record.write_text(json.dumps({"note": "no basis_sha256"}))
+    assert run("fit", "--method", "rbf", "--config", cfg) == 4
+    assert "latent.snp.meta.json: no 'basis_sha256'" in capsys.readouterr().err
+    record.unlink()
     assert run("fit", "--method", "rbf", "--config", cfg) == 4
     assert "latent.snp.meta.json: missing" in capsys.readouterr().err
     assert not (out / "model_rbf.rbf").exists()
@@ -486,9 +528,10 @@ def test_fit_node_without_epochs_writes_strict_json_meta(latent_dir, tmp_path):
 
 
 def test_meta_writer_refuses_nan(tmp_path):
-    target = tmp_path / "model.meta.json"
+    artifact = tmp_path / "model_node.net"
     with pytest.raises(ValueError):
-        cli_mod._write_meta(target, method="node", final_loss=float("nan"))
+        cli_mod._write_meta(artifact, method="node", final_loss=float("nan"))
+    # neither the record nor its temp file
     assert list(tmp_path.iterdir()) == []
 
 
@@ -643,7 +686,9 @@ def test_predict_refuses_another_runs_basis_or_latent(
         shutil.copyfile(other_run / name, out / name)
     assert run("predict", f"model_{method}.{_EXT[method]}", "--config", cfg) == 2
     err = capsys.readouterr().err
-    assert f"{swapped[0]} is not the file model_{method}" in err
+    key = {"basis.pod": "basis_sha256", "latent.snp": "latent_sha256"}[swapped[0]]
+    assert f"model_{method}.{_EXT[method]}.meta.json records {key} " in err
+    assert f"run 'nirom fit --method {method}' again" in err
     assert not (out / f"pred_{method}.snp").exists()
 
 
@@ -652,18 +697,22 @@ def test_predict_refuses_another_runs_basis_or_latent(
 def test_predict_without_the_fit_record_exits_4(pipeline, tmp_path, capsys,
                                                 method, damage):
     out, cfg = _predict_copy(pipeline, tmp_path)
+    (out / f"pred_{method}.snp").unlink()
     meta = out / f"model_{method}.{_EXT[method]}.meta.json"
+    tree = json.loads(meta.read_text())
     if damage == "meta file":
         meta.unlink()
     else:
-        tree = json.loads(meta.read_text())
-        del tree[damage]
-        meta.write_text(json.dumps(tree))
+        meta.write_text(json.dumps({k: v for k, v in tree.items() if k != damage}))
     assert run("predict", f"model_{method}.{_EXT[method]}", "--config", cfg) == 4
     err = capsys.readouterr().err
     assert meta.name in err
     if damage != "meta file":
-        assert damage in err
+        assert f"no '{damage}'" in err
+    assert not (out / f"pred_{method}.snp").exists()
+    # the whole record with a key the check does not name is accepted
+    meta.write_text(json.dumps({**tree, "note": "extra"}))
+    run_ok("predict", f"model_{method}.{_EXT[method]}", "--config", cfg)
 
 
 def test_predict_from_another_start_time_is_config_error(pipeline, tmp_path,

@@ -9,7 +9,7 @@ from nirom.config import load_config, parse_config
 from nirom.errors import ConfigError
 from nirom.node import PRESETS
 from nirom.node.solvers import MAX_STEPS
-from nirom.snapshot import MAX_GRID_TIMES
+from nirom.snapshot import MAX_FIELD_BYTES, MAX_GRID_TIMES
 
 
 def base_doc(**extra):
@@ -363,6 +363,25 @@ def test_grid_size_limit_names_dt(block):
                       (1e300, 1e-300)]:  # the count overflows to inf
         with pytest.raises(ConfigError, match=f"'{block}.dt' is too fine"):
             parse_config(doc(t_end, dt))
+
+
+@pytest.mark.parametrize("kind", ["traveling_wave", "linear_system"])
+def test_field_size_limit_names_grid_points(kind):
+    def doc(n, m):
+        d = base_doc()
+        d["input"].update(kind=kind, grid_points=n, t_end=m - 1.0, dt=1.0)
+        return d
+
+    # the largest field accepted takes exactly MAX_FIELD_BYTES
+    if kind == "traveling_wave":
+        n, m = MAX_FIELD_BYTES // 64, 8
+    else:  # 8 N M + 8 N^2 with N = 2^14, M = 2^14
+        n = m = 1 << 14
+    assert 8 * n * m + (8 * n * n if kind == "linear_system" else 0) == (
+        MAX_FIELD_BYTES)
+    parse_config(doc(n, m))
+    with pytest.raises(ConfigError, match=f"'input.grid_points' is {n + 1}"):
+        parse_config(doc(n + 1, m))
 
 
 # files ----------------------------------------------------------------

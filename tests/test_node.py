@@ -20,13 +20,13 @@ from nirom.node import (
     TimeMap,
     build_net,
     load_net,
-    net_eval,
     net_init,
     save_net,
     scale_fit,
 )
 from nirom.node.network import layer_views, param_count
 from nirom.pod import LatentTrajectory
+from reference import net_eval
 
 HAND_TANH_PLAIN = 0.07985200036280397
 HAND_TANH_SCALED = 0.5947294270298413

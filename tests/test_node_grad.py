@@ -20,7 +20,6 @@ from nirom.node import (
     SolverSpec,
     build_net,
     grad,
-    net_eval,
 )
 from nirom.node import kernels
 from nirom.node.gradients import (
@@ -34,6 +33,7 @@ from nirom.node.gradients import (
 from nirom.node.network import kernel_args, layer_views
 from nirom.node.solvers import RolloutPlan, fixed_rollout, tableau
 from nirom.pod import LatentTrajectory
+from reference import net_eval
 
 FD_STEP = 1e-6
 TIMES = np.linspace(0.0, 1.0, 5)

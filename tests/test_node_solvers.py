@@ -15,7 +15,6 @@ from nirom.node import (
     ScaleMap,
     SolverSpec,
     build_net,
-    net_eval,
     ode_solve,
 )
 from nirom.node import kernels
@@ -29,6 +28,7 @@ from nirom.node.solvers import (
     tableau,
 )
 from nirom.snapshot import MAX_GRID_TIMES
+from reference import net_eval
 
 DECAY_PARAMS = np.array([-1.0, 0.0])
 

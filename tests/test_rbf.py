@@ -17,15 +17,14 @@ from nirom.rbf import (
     MAX_CENTERS,
     RbfModel,
     _distance_matrix,
-    _field,
     build_derivatives,
-    eval_dynamics,
     fit,
     forecast,
     load_model,
     save_model,
 )
 from nirom.snapshot import SyntheticSpec, center, generate_synthetic, time_grid
+from reference import eval_dynamics, rbf_field
 
 # closed-form solution of [[1, e^-1], [e^-1, 1]] alpha = [1, 0]
 ALPHA_1 = 1.1565176427496657
@@ -344,7 +343,7 @@ def test_decreasing_times_rejected():
 
 
 def field_loop(model, z0, times):
-    """Forward Euler through _field, one fresh array per operation: the
+    """Forward Euler through rbf_field, one fresh array per operation: the
     reference the buffered forecast loop must match byte for byte."""
     centers = np.ascontiguousarray(model.centers)
     coeffs = np.ascontiguousarray(model.coefficients)
@@ -352,7 +351,7 @@ def field_loop(model, z0, times):
     out[:, 0] = z = z0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(times.size - 1):
-            z = z + (times[k + 1] - times[k]) * _field(
+            z = z + (times[k + 1] - times[k]) * rbf_field(
                 centers, coeffs, float(model.shape_factor), z)
             out[:, k + 1] = z
     return out
