@@ -85,8 +85,8 @@ from .snapshot import (
     load_snapshots,
     open_snapshots,
     save_snapshots,
+    same_times,
     snapshot_header,
-    time_grid,
     time_tolerance,
 )
 
@@ -150,17 +150,22 @@ def _input_snapshots(cfg: PipelineConfig, out: Path) -> SnapshotSet:
     _check_record(path, spec.recipe, "nirom generate")
     n, times = snapshot_header(path)
     want = spec.times
-    if n != spec.grid_points or times.size != want.size:
-        held = f"{n} points x {times.size} times"
-    elif np.max(np.abs(times - want)) > time_tolerance(want):
-        held = f"times on [{times[0]!r}, {times[-1]!r}]"
-    else:
+    if n == spec.grid_points and same_times(times, want):
         return load_snapshots(path)
     raise ConfigError(
-        f"{path} holds {held}, but the config's 'input' block asks for "
-        f"{spec.grid_points} points x {want.size} times on "
-        f"[{want[0]!r}, {want[-1]!r}]; run 'nirom generate' again"
+        f"{path} holds {_grid_text(n, times)}, but the config's 'input' block "
+        f"asks for {_grid_text(spec.grid_points, want)}; run 'nirom generate' "
+        "again"
     )
+
+
+def _grid_text(n: int, times: np.ndarray) -> str:
+    """'n points x m times on [first, last]', the span left out of an empty
+    grid."""
+    text = f"{n} points x {times.size} times"
+    if times.size:
+        text += f" on [{float(times[0])}, {float(times[-1])}]"
+    return text
 
 
 def _record(artifact: Path) -> Path:
@@ -380,8 +385,7 @@ def cmd_fit(cfg: PipelineConfig, out: Path, method: str) -> None:
 
 
 def cmd_predict(cfg: PipelineConfig, out: Path, model_path: str) -> None:
-    grid = _require(cfg.predict, "predict", "predict")
-    times = time_grid(grid.t_start, grid.t_end, grid.dt)
+    times = _require(cfg.predict, "predict", "predict")
     model_file = _find(out, model_path)
     magic = peek_magic(model_file)
     if magic not in MAGIC_METHODS:
@@ -401,9 +405,9 @@ def cmd_predict(cfg: PipelineConfig, out: Path, model_path: str) -> None:
         latent = _load_latent(out)
         if abs(times[0] - latent.times[0]) > time_tolerance(latent.times):
             raise ConfigError(
-                f"'predict.t_start' is {grid.t_start!r}, but {method} forecasts "
-                f"start from the first latent snapshot at t="
-                f"{latent.times[0]!r}; set it to that time"
+                f"'predict.t_start' is {float(times[0])}, but {method} "
+                f"forecasts start from the first latent snapshot at t="
+                f"{float(latent.times[0])}; set it to that time"
             )
         z0 = latent.coeffs[:, 0]
         if method == "rbf":

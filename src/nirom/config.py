@@ -12,10 +12,13 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError
 from .node import PRESETS, LrSchedule, NodePreset, SolverSpec, TrainConfig
 from .node.network import ACTIVATIONS
-from .snapshot import MAX_FIELD_BYTES, SyntheticSpec, grid_size
+from .node.solvers import FIXED_METHODS
+from .snapshot import MAX_FIELD_BYTES, SyntheticSpec, time_grid
 
 SEED_MAX = 2**64 - 1  # NET1 stores the seed as a u64
 GRID_POINTS_MAX = 2**32 - 1  # SNP1 stores the grid size as a u32
@@ -65,13 +68,11 @@ def _get(block: dict, path: str, key: str, kind, default=None):
     return float(val) if kind is float else val
 
 
-def _check_grid(path: str, t_start: float, t_end: float, dt: float) -> int:
-    """The size of the uniform time grid that block ``path`` defines: a dt
-    too fine for its span is a ConfigError naming '<path>.dt'."""
-    try:
-        return grid_size(t_start, t_end, dt)
-    except ValueError as exc:
-        raise ConfigError(f"'{path}.dt' is too fine: {exc}") from exc
+def _key_error(path: str, exc: ValueError) -> ConfigError:
+    """A domain object's ValueError, whose message starts with the
+    parameter at fault, as a ConfigError naming that key of block path."""
+    key, rest = str(exc).split(" ", 1)
+    return ConfigError(f"'{path}.{key}' {rest}")
 
 
 @dataclass(frozen=True)
@@ -103,13 +104,6 @@ class DmdBlock:
 
 
 @dataclass(frozen=True)
-class PredictBlock:
-    t_start: float
-    t_end: float
-    dt: float
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
     seed: int
     output_dir: str | None
@@ -119,7 +113,7 @@ class PipelineConfig:
     rbf: RbfBlock | None
     node: NodeBlock | None
     dmd: DmdBlock | None
-    predict: PredictBlock | None
+    predict: np.ndarray | None  # the prediction times
 
 
 _INPUT_KEYS = {
@@ -137,23 +131,21 @@ def _parse_input(block, seed: int):
                 f"'input.{extra[0]}' cannot be combined with 'input.path'"
             )
         return _get(block, "input", "path", str), None
-    spec_kwargs = dict(
-        kind=_get(block, "input", "kind", str),
-        grid_points=_get(block, "input", "grid_points", int),
-        t_start=_get(block, "input", "t_start", float, 0.0),
-        t_end=_get(block, "input", "t_end", float),
-        dt=_get(block, "input", "dt", float),
-        wave_speed=_get(block, "input", "wave_speed", float, 1.0),
-        omega=_get(block, "input", "omega", float, 1.0),
-        component=_get(block, "input", "component", str, "u"),
-        seed=seed,
-    )
     try:
-        spec = SyntheticSpec(**spec_kwargs)
+        spec = SyntheticSpec(
+            kind=_get(block, "input", "kind", str),
+            grid_points=_get(block, "input", "grid_points", int),
+            t_start=_get(block, "input", "t_start", float, 0.0),
+            t_end=_get(block, "input", "t_end", float),
+            dt=_get(block, "input", "dt", float),
+            wave_speed=_get(block, "input", "wave_speed", float, 1.0),
+            omega=_get(block, "input", "omega", float, 1.0),
+            component=_get(block, "input", "component", str, "u"),
+            seed=seed,
+        )
     except ValueError as exc:
-        raise ConfigError(f"input: {exc}") from exc
-    m = _check_grid("input", spec.t_start, spec.t_end, spec.dt)
-    n = spec.grid_points
+        raise _key_error("input", exc) from exc
+    n, m = spec.grid_points, spec.times.size
     if n > GRID_POINTS_MAX:
         raise ConfigError(f"'input.grid_points' is {n}, but SNP1 holds at "
                           f"most {GRID_POINTS_MAX} points")
@@ -189,14 +181,22 @@ def _parse_rbf(block) -> RbfBlock:
 
 _SOLVER_OPTIONS = {"step": float, "rtol": float, "atol": float,
                    "max_steps": int}
+#: the options a solver method never reads
+_UNREAD_OPTIONS = {"dopri5": ("step",),
+                   **dict.fromkeys(FIXED_METHODS, ("rtol", "atol"))}
 
 
 def _parse_solver(block) -> SolverSpec:
     _check_keys(block, "node.solver", {"method", *_SOLVER_OPTIONS})
+    method = _get(block, "node.solver", "method", str)
+    for key in _UNREAD_OPTIONS.get(method, ()):
+        if key in block:
+            raise ConfigError(
+                f"'node.solver.{key}' is not read by method {method!r}")
     options = {key: _get(block, "node.solver", key, kind)
                for key, kind in _SOLVER_OPTIONS.items() if key in block}
     try:
-        return SolverSpec(_get(block, "node.solver", "method", str), **options)
+        return SolverSpec(method, **options)
     except ValueError as exc:
         raise ConfigError(f"node.solver: {exc}") from exc
 
@@ -296,24 +296,13 @@ def _parse_dmd(block) -> DmdBlock:
     return DmdBlock(rank)
 
 
-def _parse_predict(block) -> PredictBlock:
+def _parse_predict(block) -> np.ndarray:
     _check_keys(block, "predict", {"t_start", "t_end", "dt"})
-    p = PredictBlock(
-        _get(block, "predict", "t_start", float),
-        _get(block, "predict", "t_end", float),
-        _get(block, "predict", "dt", float),
-    )
-    if p.dt <= 0:
-        raise ConfigError("'predict.dt' must be positive")
-    if p.t_end <= p.t_start:
-        raise ConfigError("'predict.t_end' must exceed 'predict.t_start'")
-    if p.dt > p.t_end - p.t_start:
-        raise ConfigError(
-            "'predict.dt' must not exceed 't_end - t_start': the grid needs "
-            "at least two times"
-        )
-    _check_grid("predict", p.t_start, p.t_end, p.dt)
-    return p
+    try:
+        return time_grid(*(_get(block, "predict", key, float)
+                           for key in ("t_start", "t_end", "dt")))
+    except ValueError as exc:
+        raise _key_error("predict", exc) from exc
 
 
 _TOP_KEYS = {"seed", "output_dir", "input", "pod", "rbf", "node", "dmd",

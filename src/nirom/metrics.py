@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .containers import replacing
-from .snapshot import SnapshotSet, column_blocks, time_tolerance
+from .snapshot import SnapshotSet, column_blocks, same_times
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ def _check_aligned(pred_shape, pred_times, truth_shape, truth_times) -> None:
         raise ValueError(
             f"shape mismatch: prediction {pred_shape}, truth {truth_shape}"
         )
-    if np.any(np.abs(pred_times - truth_times) > time_tolerance(truth_times)):
+    if not same_times(pred_times, truth_times):
         raise ValueError("prediction and truth time stamps disagree")
 
 

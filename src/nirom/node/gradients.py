@@ -14,7 +14,7 @@ that route in either mode, from the states its adaptive pass keeps.
 import numpy as np
 
 from ..pod import LatentTrajectory
-from ..snapshot import check_times, time_tolerance
+from ..snapshot import check_times, same_times
 from . import kernels
 from .network import DynamicsNet, unfold_biases
 from .solvers import (RolloutPlan, SolverSpec, _dopri5_core, _pad_state,
@@ -32,9 +32,7 @@ ADJOINT_CHUNK = kernels.CHUNK
 
 def _target_array(net: DynamicsNet, times: np.ndarray, target) -> np.ndarray:
     if isinstance(target, LatentTrajectory):
-        if target.times.shape != times.shape or not np.allclose(
-            target.times, times, rtol=0.0, atol=time_tolerance(times)
-        ):
+        if not same_times(target.times, times):
             raise ValueError("target times do not match the requested times")
         target = target.coeffs
     target = np.asarray(target, dtype=np.float64)

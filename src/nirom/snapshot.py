@@ -12,7 +12,7 @@ A field too large to hold twice moves through it a column block at a time
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,7 +82,7 @@ def check_times(times) -> np.ndarray:
         k = int(np.argmax(steps))
         raise ValidationError(
             f"times must be strictly increasing; violation between "
-            f"indices {k} and {k + 1} ({times[k]!r} -> {times[k + 1]!r})"
+            f"indices {k} and {k + 1} ({times[k]} -> {times[k + 1]})"
         )
     return times
 
@@ -208,23 +208,17 @@ class SyntheticSpec:
     omega: float = 1.0
     seed: int = 0
     component: str = "u"
+    #: the uniform grid (time_grid) of t_start, t_end and dt
+    times: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in SYNTHETIC_KINDS:
             raise ValueError(
-                f"unknown synthetic kind {self.kind!r}; expected one of "
-                f"{SYNTHETIC_KINDS}"
-            )
+                f"kind must be one of {SYNTHETIC_KINDS}, got {self.kind!r}")
         if self.grid_points < 2:
             raise ValueError("grid_points must be >= 2")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end <= self.t_start:
-            raise ValueError("t_end must exceed t_start")
-
-    @property
-    def times(self) -> np.ndarray:
-        return time_grid(self.t_start, self.t_end, self.dt)
+        object.__setattr__(self, "times",
+                           time_grid(self.t_start, self.t_end, self.dt))
 
     @property
     def recipe(self) -> dict:
@@ -245,30 +239,45 @@ MAX_GRID_TIMES = 1_000_000
 MAX_FIELD_BYTES = 1 << 32
 
 
-def grid_size(t_start: float, t_end: float, dt: float) -> int:
-    """Number of times on the uniform grid t_start + k*dt covering
-    [t_start, t_end] (inclusive up to a 1e-9*dt slack on the endpoint).
-    Raises ValueError beyond MAX_GRID_TIMES, or when the count is not
-    finite (a span over dt that overflows)."""
+def time_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
+    """The one builder and check of a uniform grid: the times t_start +
+    k*dt covering [t_start, t_end] (inclusive up to a 1e-9*dt slack on the
+    endpoint). A nonpositive dt, an empty span, fewer than two times or
+    more than MAX_GRID_TIMES (counted in float first, so a span over dt
+    that overflows is refused too) is a ValueError whose message starts
+    with the parameter at fault, 'dt' or 't_end'."""
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    if not t_end > t_start:
+        raise ValueError("t_end must exceed t_start")
     steps = (t_end - t_start) / dt + 1e-9
     if not steps < MAX_GRID_TIMES:
         raise ValueError(
-            f"the grid would hold {steps + 1:.6g} times; at most "
-            f"{MAX_GRID_TIMES} are allowed"
+            f"dt is too fine: the grid would hold {steps + 1:.6g} times; at "
+            f"most {MAX_GRID_TIMES} are allowed"
         )
-    return math.floor(steps) + 1
+    if steps < 1:
+        raise ValueError("dt must not exceed t_end - t_start: the grid needs "
+                         "at least two times")
+    return t_start + dt * np.arange(math.floor(steps) + 1)
 
 
-def time_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
-    """Uniform grid t_start + k*dt of grid_size times."""
-    return t_start + dt * np.arange(grid_size(t_start, t_end, dt))
+def same_times(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether times a are the nonempty times b: as many, each within
+    time_tolerance(b) of its counterpart."""
+    return a.shape == b.shape and bool(
+        np.all(np.abs(a - b) <= time_tolerance(b)))
 
 
 def uniform_step(times: np.ndarray, message: str) -> float:
-    """Spacing of a uniform time grid (steps equal to 1e-9 relative);
-    raises ValueError(message) for any other grid."""
+    """Spacing of a uniform time grid: every step within 1e-9 of the first,
+    relative, plus four roundings of the grid's largest time, which is what
+    time_grid's own steps are off by far from t = 0. Raises
+    ValueError(message) for any other grid."""
     dts = np.diff(times)
-    if np.any(np.abs(dts - dts[0]) > 1e-9 * abs(dts[0])):
+    far = max(abs(times[0]), abs(times[-1]))
+    slack = 1e-9 * abs(dts[0]) + 4 * np.finfo(np.float64).eps * far
+    if np.any(np.abs(dts - dts[0]) > slack):
         raise ValueError(message)
     return float(dts[0])
 
@@ -302,8 +311,6 @@ def generate_synthetic(spec: SyntheticSpec) -> SnapshotSet:
     """The spec's field, built column-major (SNP1's layout), so that
     save_snapshots writes it without a copy."""
     times = spec.times
-    if len(times) < 2:
-        raise ValueError("time range too short for the given step")
     n = spec.grid_points
 
     if spec.kind == "traveling_wave":

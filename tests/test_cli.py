@@ -269,6 +269,9 @@ def test_stale_snapshots_exit_2_and_name_generate(tmp_path, capsys, command,
     assert run(*command, "--config", cfg) == 2
     err = capsys.readouterr().err
     assert "snapshots.snp holds" in err and "'nirom generate'" in err
+    assert "np.float64" not in err
+    if "t_start" in change:
+        assert "on [0.0, 0.99]" in err and "on [0.5, 1.49]" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "cfg.json", "snapshots.snp", "snapshots.snp.meta.json"]
 
@@ -517,6 +520,20 @@ def test_fit_dmd_rank_beyond_numerical_rank_is_numerical_error(
     assert "numerical rank" in capsys.readouterr().err
 
 
+def test_fit_rbf_and_dmd_take_a_grid_far_from_time_zero(tmp_path):
+    # the steps of t = 1e5 + 0.01 k are off by more than 1e-9 of dt, as
+    # every uniform grid's are that far from t = 0
+    cfg = write_cfg(tmp_path, pod={"rank": 2}, rbf={"shape_factor": 0.05},
+                    dmd={"rank": 2})
+    doc = json.loads((tmp_path / "cfg.json").read_text())
+    doc["input"].update(t_start=100000.0, t_end=100000.99, dt=0.01)
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    for command in (("generate",), ("decompose",), ("fit", "--method", "rbf"),
+                    ("fit", "--method", "dmd")):
+        run_ok(*command, "--config", cfg)
+    assert load_snapshots(tmp_path / "snapshots.snp").n_snapshots == 100
+
+
 def test_fit_node_without_epochs_writes_strict_json_meta(latent_dir, tmp_path):
     cfg = write_cfg(tmp_path, node={"hidden": [4], "activation": "tanh",
                                     "epochs": 0})
@@ -725,7 +742,9 @@ def test_predict_from_another_start_time_is_config_error(pipeline, tmp_path,
         (out / f"pred_{method}.snp").unlink()
         assert run("predict", f"model_{method}.{_EXT[method]}",
                    "--config", cfg) == 2, method
-        assert "'predict.t_start' is 0.5" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "'predict.t_start' is 0.5" in err and "at t=0.0;" in err
+        assert "np.float64" not in err
         assert not (out / f"pred_{method}.snp").exists()
     # DMD keeps its own start time, so any grid after it is fine
     run_ok("predict", "model_dmd.dmd", "--config", cfg)

@@ -2,14 +2,16 @@
 
 import dataclasses
 import json
+import re
 
+import numpy as np
 import pytest
 
 from nirom.config import load_config, parse_config
 from nirom.errors import ConfigError
 from nirom.node import PRESETS
 from nirom.node.solvers import MAX_STEPS
-from nirom.snapshot import MAX_FIELD_BYTES, MAX_GRID_TIMES
+from nirom.snapshot import MAX_FIELD_BYTES, MAX_GRID_TIMES, time_grid
 
 
 def base_doc(**extra):
@@ -105,6 +107,18 @@ def test_bad_synthetic_kind_wrapped():
     doc = base_doc()
     doc["input"]["kind"] = "mystery"
     with pytest.raises(ConfigError, match="input"):
+        parse_config(doc)
+
+
+def test_bad_synthetic_parameters_name_their_key():
+    doc = base_doc()
+    doc["input"]["kind"] = "mystery"
+    with pytest.raises(ConfigError, match="^'input.kind' must be one of .*"
+                                          "got 'mystery'$"):
+        parse_config(doc)
+    doc = base_doc()
+    doc["input"]["grid_points"] = 1
+    with pytest.raises(ConfigError, match="^'input.grid_points' must be >= 2"):
         parse_config(doc)
 
 
@@ -315,6 +329,33 @@ def test_node_grad_mode_passthrough():
     assert cfg.node.train.grad_mode == "adjoint"
 
 
+@pytest.mark.parametrize("solver,key", [
+    ({"method": "dopri5", "step": 0.5}, "step"),
+    ({"method": "rk4", "step": 0.1, "rtol": 1e-4}, "rtol"),
+    ({"method": "euler", "step": 0.1, "atol": 1e-6}, "atol"),
+    ({"method": "midpoint", "step": 0.1, "rtol": 1e-4, "atol": 1e-6}, "rtol"),
+])
+def test_node_solver_options_the_method_never_reads_rejected(solver, key):
+    with pytest.raises(ConfigError,
+                       match=rf"^'node\.solver\.{key}' is not read by method "
+                             f"'{solver['method']}'"):
+        parse_config(base_doc(node={
+            "hidden": [8], "activation": "tanh", "epochs": 1,
+            "solver": solver,
+        }))
+
+
+def test_node_solver_options_each_method_reads_load():
+    for solver in ({"method": "dopri5", "rtol": 1e-4, "atol": 1e-6,
+                    "max_steps": 50},
+                   {"method": "rk4", "step": 0.1, "max_steps": 50}):
+        cfg = parse_config(base_doc(node={
+            "hidden": [8], "activation": "tanh", "epochs": 1,
+            "solver": solver,
+        }))
+        assert cfg.node.solver.max_steps == 50
+
+
 def test_node_adjoint_with_dopri5_loads():
     # a dopri5 gradient recomputes each accepted step in either mode
     for mode in ("backprop_through_solver", "adjoint"):
@@ -336,18 +377,29 @@ def test_dmd_rank_validation():
 
 def test_predict_block():
     cfg = parse_config(base_doc(predict={
-        "t_start": 0.0, "t_end": 1.0, "dt": 0.005,
+        "t_start": 0.5, "t_end": 1.0, "dt": 0.005,
     }))
-    assert cfg.predict.dt == 0.005
+    assert np.array_equal(cfg.predict, time_grid(0.5, 1.0, 0.005))
+    assert cfg.predict.size == 101
+    assert parse_config(base_doc()).predict is None
 
 
-def test_predict_validation():
-    with pytest.raises(ConfigError, match="predict.dt"):
-        parse_config(base_doc(predict={"t_start": 0, "t_end": 1, "dt": 0}))
-    with pytest.raises(ConfigError, match="predict.t_end"):
-        parse_config(base_doc(predict={"t_start": 1, "t_end": 1, "dt": 0.1}))
-    with pytest.raises(ConfigError, match="predict.dt"):  # one-point grid
-        parse_config(base_doc(predict={"t_start": 0, "t_end": 1, "dt": 2}))
+@pytest.mark.parametrize("block", ["input", "predict"])
+@pytest.mark.parametrize("grid,message", [
+    ({"t_start": 0.0, "t_end": 1.0, "dt": 0.0}, "'{}.dt' must be positive"),
+    ({"t_start": 1.0, "t_end": 1.0, "dt": 0.1}, "'{}.t_end' must exceed"),
+    ({"t_start": 1.0, "t_end": 0.5, "dt": 0.1}, "'{}.t_end' must exceed"),
+    # one-point grids: dt beyond the span, and the span of an input run
+    ({"t_start": 0.0, "t_end": 1.0, "dt": 2.0}, "'{}.dt' must not exceed"),
+    ({"t_start": 0.0, "t_end": 0.005, "dt": 0.01}, "'{}.dt' must not exceed"),
+], ids=["zero-dt", "empty-span", "reversed-span", "one-point",
+        "one-point-short-span"])
+def test_predict_validation(block, grid, message):
+    doc = base_doc(predict={"t_start": 0.0, "t_end": 1.0, "dt": 0.1})
+    doc[block].update(grid)
+    match = "^" + re.escape(message.format(block))
+    with pytest.raises(ConfigError, match=match):
+        parse_config(doc)
 
 
 @pytest.mark.parametrize("block", ["input", "predict"])

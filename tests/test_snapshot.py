@@ -17,8 +17,11 @@ from nirom.snapshot import (
     load_snapshots,
     orthonormal_lift,
     save_snapshots,
+    same_times,
     snapshot_header,
     time_grid,
+    time_tolerance,
+    uniform_step,
 )
 
 
@@ -45,7 +48,9 @@ def test_rejects_equal_times():
 
 
 def test_rejects_decreasing_times():
-    with pytest.raises(ValidationError, match="strictly increasing"):
+    # the violating pair prints as plain floats, not np.float64(...)
+    with pytest.raises(ValidationError, match=r"strictly increasing; "
+                       r"violation between indices 1 and 2 \(2\.0 -> 1\.0\)"):
         SnapshotSet(np.zeros((2, 3)), np.array([0.0, 2.0, 1.0]))
 
 
@@ -225,6 +230,57 @@ def test_time_grid_is_bounded():
     for t_end, dt in [(float(MAX_GRID_TIMES), 1.0), (1e300, 1e-300)]:
         with pytest.raises(ValueError, match="at most"):
             time_grid(0.0, t_end, dt)
+
+
+@pytest.mark.parametrize("t_start,t_end,dt,message", [
+    (0.0, 1.0, 0.0, "^dt must be positive"),
+    (0.0, 1.0, -0.1, "^dt must be positive"),
+    (0.0, 1.0, float("nan"), "^dt must be positive"),
+    (1.0, 1.0, 0.1, "^t_end must exceed t_start"),
+    (1.0, 0.0, 0.1, "^t_end must exceed t_start"),
+    (0.0, 1.0, 1.5, "^dt must not exceed t_end - t_start"),
+    (0.0, 0.005, 0.01, "^dt must not exceed t_end - t_start"),
+    (0.0, 1e300, 1e-300, "^dt is too fine"),
+])
+def test_time_grid_refusals_name_the_parameter(t_start, t_end, dt, message):
+    with pytest.raises(ValueError, match=message):
+        time_grid(t_start, t_end, dt)
+
+
+def test_time_grid_two_times_is_the_smallest():
+    assert np.array_equal(time_grid(0.0, 1.0, 1.0), [0.0, 1.0])
+    # the endpoint slack admits a dt a rounding past the span
+    assert time_grid(0.0, 0.3, 0.1 + 0.2).size == 2
+
+
+def test_same_times_matches_within_the_tolerance():
+    b = time_grid(0.0, 0.99, 0.01)
+    tol = time_tolerance(b)
+    assert same_times(b, b)
+    assert same_times(b + 0.5 * tol, b)
+    assert not same_times(b + np.where(np.arange(b.size) == 7, 2 * tol, 0), b)
+    assert not same_times(b[:-1], b)
+    assert not same_times(np.empty(0), b)
+    far = time_grid(1e6, 1e6 + 1.0, 0.25)
+    assert same_times(far + 1e-4, far)  # 1e-9 relative to 1e6
+    assert not same_times(far + 1e-2, far)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e5, 1e6, 1e8])
+@pytest.mark.parametrize("dt", [1e-4, 0.01, 0.37, 30.0])
+def test_uniform_step_accepts_every_time_grid(offset, dt):
+    # half a step of slack keeps the count at 100 despite the span's rounding
+    times = time_grid(offset, offset + 99.5 * dt, dt)
+    assert times.size == 100
+    assert uniform_step(times, "not uniform") == times[1] - times[0]
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e5])
+def test_uniform_step_refuses_a_step_off_by_1e_7(offset):
+    times = time_grid(offset, offset + 0.99, 0.01)
+    times[50:] += 1e-7
+    with pytest.raises(ValueError, match="^not uniform$"):
+        uniform_step(times, "not uniform")
 
 
 def test_traveling_wave_value_at_quarter_period():
