@@ -263,6 +263,8 @@ def _parse_node(block) -> NodeBlock:
             f"'node.activation' must be one of {sorted(ACTIVATIONS)}"
         )
     lr = _get(block, "node", "learning_rate", float, 1e-3)
+    if not lr > 0:  # before the schedule, whose base rate it also is
+        raise ConfigError("'node.learning_rate' must be positive")
     schedule = None
     if "schedule" in block:
         schedule = _parse_schedule(block["schedule"], lr)

@@ -1,14 +1,17 @@
-"""The binary model/snapshot container frame and its field primitives.
+"""The binary model/snapshot container frame and its field codecs.
 
 Every container in the toolkit follows the same pattern: a 4-byte ASCII
-magic, a u32 version, then fixed-width little-endian fields. Matrices are
-stored column-major as f64; complex matrices interleave (real, imag) pairs.
-This module owns the whole frame: ``writing`` and ``reading`` open the file,
-handle magic, version and the end-of-file check, and map every decoding
-failure to ``FormatError``; the per-format save/load functions list only
-their fields. ``replacing`` is the one writer of every artifact: it writes a
-sibling temp file and moves it into place, so an interrupted write never
-leaves a half-written file under the final name.
+magic, a u32 version, then little-endian fields, each group written and
+read by one codec pair: ``write_fields``/``read_fields`` (a struct format),
+``write_label``/``read_label`` or ``write_array``/``read_array``
+(column-major f64 or complex arrays). Every read checks its size against
+the file before it allocates anything. This module owns the whole frame:
+``writing`` and ``reading`` open the file, handle magic, version and the
+end-of-file check, and map every decoding failure to ``FormatError``; the
+per-format save/load functions list only their fields. ``replacing`` is
+the one writer of every artifact: it writes a sibling temp file and moves
+it into place, so an interrupted write never leaves a half-written file
+under the final name.
 
 At every instant an artifact's name holds the old complete file, no file,
 or the new complete file: ``replacing`` unlinks the old file and then
@@ -29,11 +32,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import FormatError, NiromError
-
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
-_F64 = struct.Struct("<d")
 
 VERSION = 1
 
@@ -63,7 +61,7 @@ def writing(path, magic: bytes):
     """Binary file for one container's fields, after its magic and version."""
     with replacing(path) as f:
         f.write(magic)
-        f.write(_U32.pack(VERSION))
+        write_fields(f, "I", VERSION)
         yield f
 
 
@@ -82,7 +80,7 @@ def read_frame(f, magic: bytes) -> None:
     got = _read_exact(f, 4)
     if got != magic:
         raise FormatError(f"bad magic: expected {magic!r}, got {got!r}")
-    (version,) = _U32.unpack(_read_exact(f, 4))
+    (version,) = read_fields(f, "I")
     if version != VERSION:
         raise FormatError(f"unsupported {magic.decode()} version {version}")
 
@@ -131,7 +129,7 @@ def _fill(f, flipped: np.ndarray) -> None:
             f"truncated file: expected {flipped.nbytes} bytes, got {got}")
 
 
-def _read_array(f, shape, dtype: str) -> np.ndarray:
+def read_array(f, shape, dtype: str) -> np.ndarray:
     """A column-major array of ``shape`` read straight into its buffer; the
     size is checked against the file before the array is allocated."""
     check_left(f, math.prod(shape) * np.dtype(dtype).itemsize)
@@ -153,84 +151,37 @@ def peek_magic(path) -> bytes:
         return _read_exact(f, 4)
 
 
-def write_u16(f, value: int) -> None:
-    f.write(_U16.pack(value))
+def write_fields(f, fmt: str, *values) -> None:
+    """Fields packed by the struct format ``fmt``, little-endian, unpadded."""
+    f.write(struct.pack("<" + fmt, *values))
 
 
-def read_u16(f) -> int:
-    return _U16.unpack(_read_exact(f, 2))[0]
-
-
-def write_u32(f, value: int) -> None:
-    f.write(_U32.pack(value))
-
-
-def read_u32(f) -> int:
-    return _U32.unpack(_read_exact(f, 4))[0]
-
-
-def write_u64(f, value: int) -> None:
-    f.write(_U64.pack(value))
-
-
-def read_u64(f) -> int:
-    return _U64.unpack(_read_exact(f, 8))[0]
-
-
-def write_f64(f, value: float) -> None:
-    f.write(_F64.pack(value))
-
-
-def read_f64(f) -> float:
-    return _F64.unpack(_read_exact(f, 8))[0]
+def read_fields(f, fmt: str) -> tuple:
+    """The fields ``write_fields(f, fmt, ...)`` wrote."""
+    fmt = "<" + fmt
+    return struct.unpack(fmt, _read_exact(f, struct.calcsize(fmt)))
 
 
 def write_label(f, text: str) -> None:
     data = text.encode("utf-8")
     if len(data) > 0xFFFF:
         raise ValueError("label too long for u16 length prefix")
-    write_u16(f, len(data))
+    write_fields(f, "H", len(data))
     f.write(data)
 
 
 def read_label(f) -> str:
-    return _read_exact(f, read_u16(f)).decode("utf-8")
+    (size,) = read_fields(f, "H")
+    return _read_exact(f, size).decode("utf-8")
 
 
-def _write_array(f, a: np.ndarray, dtype: str) -> None:
+def write_array(f, a: np.ndarray, dtype: str) -> None:
     """Column-major payload, written through the array's own buffer when it
     already is column-major in ``dtype``: every vector, the fields that
     load_snapshots, generate_synthetic, pod.reconstruct and dmd.dmd_forecast
     return, and the column blocks of a lifted field, so generate and
     predict write their fields without a copy.
     Other matrices (latent coefficients, POD and DMD modes) are copied
-    column-major first."""
+    column-major first. "<c16" is interleaved (real, imag) f64 pairs, so
+    every complex bit round-trips without arithmetic."""
     f.write(np.asarray(a, dtype=dtype).ravel(order="F"))
-
-
-def write_f64_vector(f, v: np.ndarray) -> None:
-    _write_array(f, v, "<f8")
-
-
-def read_f64_vector(f, n: int) -> np.ndarray:
-    return _read_array(f, (n,), "<f8")
-
-
-def write_f64_matrix(f, a: np.ndarray) -> None:
-    """Column-major f64 payload."""
-    _write_array(f, a, "<f8")
-
-
-def read_f64_matrix(f, rows: int, cols: int) -> np.ndarray:
-    return _read_array(f, (rows, cols), "<f8")
-
-
-def write_c128_array(f, a: np.ndarray) -> None:
-    """Interleaved (real, imag) f64 pairs, column-major for matrices. These
-    are exactly the bytes of "<c16", so neither direction needs arithmetic
-    and every bit round-trips."""
-    _write_array(f, a, "<c16")
-
-
-def read_c128_array(f, shape) -> np.ndarray:
-    return _read_array(f, shape, "<c16")

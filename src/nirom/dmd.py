@@ -150,32 +150,27 @@ def dmd_forecast(model: DmdModel, times: np.ndarray, path=None):
 
 
 # ---------------------------------------------------------------------------
-# DMD1 container: magic, u32 version=1, u32 N, u32 r, f64 dt, f64 t0,
-# u16 label, then complex modes (N x r), eigenvalues (r), amplitudes (r)
-# as interleaved (re, im) f64 little-endian, column-major.
+# DMD1 container: magic, u32 version=1, "IIdd" N, r, dt, t0, component
+# label, then complex modes (N x r), eigenvalues (r), amplitudes (r) as
+# interleaved (re, im) f64 little-endian, column-major.
 # ---------------------------------------------------------------------------
 
 
 def save_model(model: DmdModel, path) -> None:
     with io.writing(path, DMD_MAGIC) as f:
-        io.write_u32(f, model.mesh_size)
-        io.write_u32(f, model.rank)
-        io.write_f64(f, model.dt)
-        io.write_f64(f, model.t0)
+        io.write_fields(f, "IIdd", model.mesh_size, model.rank, model.dt,
+                        model.t0)
         io.write_label(f, model.component)
-        io.write_c128_array(f, model.modes)
-        io.write_c128_array(f, model.eigenvalues)
-        io.write_c128_array(f, model.amplitudes)
+        io.write_array(f, model.modes, "<c16")
+        io.write_array(f, model.eigenvalues, "<c16")
+        io.write_array(f, model.amplitudes, "<c16")
 
 
 def load_model(path) -> DmdModel:
     with io.reading(path, DMD_MAGIC) as f:
-        n = io.read_u32(f)
-        r = io.read_u32(f)
-        dt = io.read_f64(f)
-        t0 = io.read_f64(f)
+        n, r, dt, t0 = io.read_fields(f, "IIdd")
         label = io.read_label(f)
-        modes = io.read_c128_array(f, (n, r))
-        lam = io.read_c128_array(f, (r,))
-        amps = io.read_c128_array(f, (r,))
+        modes = io.read_array(f, (n, r), "<c16")
+        lam = io.read_array(f, (r,), "<c16")
+        amps = io.read_array(f, (r,), "<c16")
         return DmdModel(modes, lam, amps, dt=dt, t0=t0, component=label)

@@ -284,64 +284,62 @@ PRESETS = {
 
 
 # ---------------------------------------------------------------------------
-# NET1 container: magic, u32 version=1, u32 layer count, u32 sizes,
-# u16 activation ids, u32 augment_dim, u16 time_input, u16 has_scale
-# [+ mid, half vectors], u16 has_time_map [+ t_lo, t_hi], u64 seed,
-# u16 name label, u64 parameter count + f64 parameter vector.
+# NET1 container: magic, u32 version=1, "I" layer count L, "{L}I" sizes,
+# "{L-1}H" activation ids, "IHH" augment_dim, time_input, has_scale [+ mid,
+# half vectors], "H" has_time_map [+ "dd" t_lo, t_hi], "Q" seed, name
+# label, "Q" parameter count + f64 parameter vector.
 # ---------------------------------------------------------------------------
 
 
 def save_net(net: DynamicsNet, path) -> None:
     with io.writing(path, NET_MAGIC) as f:
-        io.write_u32(f, len(net.sizes))
-        for s in net.sizes:
-            io.write_u32(f, s)
-        for a in net.activations:
-            io.write_u16(f, ACTIVATIONS[a])
-        io.write_u32(f, net.augment_dim)
-        io.write_u16(f, 1 if net.time_input else 0)
-        io.write_u16(f, 0 if net.scale is None else 1)
+        layers = len(net.sizes)
+        io.write_fields(f, "I", layers)
+        io.write_fields(f, f"{layers}I", *net.sizes)
+        io.write_fields(f, f"{layers - 1}H",
+                        *(ACTIVATIONS[a] for a in net.activations))
+        io.write_fields(f, "IHH", net.augment_dim, 1 if net.time_input else 0,
+                        0 if net.scale is None else 1)
         if net.scale is not None:
-            io.write_f64_vector(f, net.scale.mid)
-            io.write_f64_vector(f, net.scale.half)
-        io.write_u16(f, 0 if net.time_map is None else 1)
+            io.write_array(f, net.scale.mid, "<f8")
+            io.write_array(f, net.scale.half, "<f8")
+        io.write_fields(f, "H", 0 if net.time_map is None else 1)
         if net.time_map is not None:
-            io.write_f64(f, net.time_map.t_lo)
-            io.write_f64(f, net.time_map.t_hi)
-        io.write_u64(f, net.seed)
+            io.write_fields(f, "dd", net.time_map.t_lo, net.time_map.t_hi)
+        io.write_fields(f, "Q", net.seed)
         io.write_label(f, net.name)
-        io.write_u64(f, net.params.size)
-        io.write_f64_vector(f, net.params)
+        io.write_fields(f, "Q", net.params.size)
+        io.write_array(f, net.params, "<f8")
 
 
 def load_net(path) -> DynamicsNet:
     with io.reading(path, NET_MAGIC) as f:
-        n_sizes = io.read_u32(f)
-        if n_sizes < 2:
-            raise io.FormatError(f"need at least two layer sizes, got {n_sizes}")
-        sizes = tuple(io.read_u32(f) for _ in range(n_sizes))
-        act_ids = [io.read_u16(f) for _ in range(n_sizes - 1)]
+        (layers,) = io.read_fields(f, "I")
+        if layers < 2:
+            raise io.FormatError(f"need at least two layer sizes, got {layers}")
+        sizes = io.read_fields(f, f"{layers}I")
+        act_ids = io.read_fields(f, f"{layers - 1}H")
         for a in act_ids:
             if a not in ACTIVATION_NAMES:
                 raise io.FormatError(f"unknown activation id {a}")
         activations = tuple(ACTIVATION_NAMES[a] for a in act_ids)
-        augment_dim = io.read_u32(f)
-        time_input = io.read_u16(f) == 1
+        augment_dim, time_input, has_scale = io.read_fields(f, "IHH")
         scale = None
-        if io.read_u16(f) == 1:
+        if has_scale == 1:
             dim = sizes[-1] - augment_dim
-            mid = io.read_f64_vector(f, dim)
-            half = io.read_f64_vector(f, dim)
+            mid = io.read_array(f, (dim,), "<f8")
+            half = io.read_array(f, (dim,), "<f8")
             scale = ScaleMap(mid, half)
         time_map = None
-        if io.read_u16(f) == 1:
-            time_map = TimeMap(io.read_f64(f), io.read_f64(f))
-        seed = io.read_u64(f)
+        (has_time_map,) = io.read_fields(f, "H")
+        if has_time_map == 1:
+            time_map = TimeMap(*io.read_fields(f, "dd"))
+        (seed,) = io.read_fields(f, "Q")
         name = io.read_label(f)
-        n_params = io.read_u64(f)
-        params = io.read_f64_vector(f, n_params)
+        (n_params,) = io.read_fields(f, "Q")
+        params = io.read_array(f, (n_params,), "<f8")
         return DynamicsNet(
             sizes, activations, params,
-            augment_dim=augment_dim, time_input=time_input,
+            augment_dim=augment_dim, time_input=time_input == 1,
             scale=scale, time_map=time_map, seed=seed, name=name,
         )

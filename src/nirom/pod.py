@@ -295,32 +295,31 @@ def reconstruct(basis: PodBasis, traj: LatentTrajectory, path=None):
 
 
 # ---------------------------------------------------------------------------
-# POD1 container: magic, u32 version=1, u32 N, u32 m, u16 label, f64
-# tolerance (NaN when truncated by rank), mean (N), singular values (m),
-# modes (N x m column-major).
+# POD1 container: magic, u32 version=1, "II" N, m, component label, "d"
+# tolerance (NaN when truncated by rank), f64 mean (N), singular values
+# (m), modes (N x m column-major).
 # ---------------------------------------------------------------------------
 
 
 def save_basis(basis: PodBasis, path) -> None:
     with io.writing(path, POD_MAGIC) as f:
-        io.write_u32(f, basis.mesh_size)
-        io.write_u32(f, basis.m)
+        io.write_fields(f, "II", basis.mesh_size, basis.m)
         io.write_label(f, basis.component)
-        io.write_f64(f, np.nan if basis.tolerance_used is None else basis.tolerance_used)
-        io.write_f64_vector(f, basis.mean)
-        io.write_f64_vector(f, basis.singular)
-        io.write_f64_matrix(f, basis.modes)
+        io.write_fields(f, "d", np.nan if basis.tolerance_used is None
+                        else basis.tolerance_used)
+        io.write_array(f, basis.mean, "<f8")
+        io.write_array(f, basis.singular, "<f8")
+        io.write_array(f, basis.modes, "<f8")
 
 
 def load_basis(path) -> PodBasis:
     with io.reading(path, POD_MAGIC) as f:
-        n = io.read_u32(f)
-        m = io.read_u32(f)
+        n, m = io.read_fields(f, "II")
         label = io.read_label(f)
-        tol = io.read_f64(f)
-        mean = io.read_f64_vector(f, n)
-        singular = io.read_f64_vector(f, m)
-        modes = io.read_f64_matrix(f, n, m)
+        (tol,) = io.read_fields(f, "d")
+        mean = io.read_array(f, (n,), "<f8")
+        singular = io.read_array(f, (m,), "<f8")
+        modes = io.read_array(f, (n, m), "<f8")
         return PodBasis(
             modes, singular, mean,
             tolerance_used=None if np.isnan(tol) else tol,

@@ -193,29 +193,24 @@ def forecast(model: RbfModel, z0: np.ndarray, times: np.ndarray) -> LatentTrajec
 
 
 # ---------------------------------------------------------------------------
-# RBF1 container: magic, u32 version=1, u32 m, u32 Mc, f64 shape factor,
-# u16 kernel id, centers (m x Mc), coefficients (m x Mc), column-major f64.
+# RBF1 container: magic, u32 version=1, "IIdH" m, Mc, shape factor, kernel
+# id, f64 centers (m x Mc), coefficients (m x Mc), column-major.
 # ---------------------------------------------------------------------------
 
 
 def save_model(model: RbfModel, path) -> None:
     with io.writing(path, RBF_MAGIC) as f:
-        io.write_u32(f, model.dim)
-        io.write_u32(f, model.n_centers)
-        io.write_f64(f, model.shape_factor)
-        io.write_u16(f, _KERNEL_ID)
-        io.write_f64_matrix(f, model.centers)
-        io.write_f64_matrix(f, model.coefficients)
+        io.write_fields(f, "IIdH", model.dim, model.n_centers,
+                        model.shape_factor, _KERNEL_ID)
+        io.write_array(f, model.centers, "<f8")
+        io.write_array(f, model.coefficients, "<f8")
 
 
 def load_model(path) -> RbfModel:
     with io.reading(path, RBF_MAGIC) as f:
-        m = io.read_u32(f)
-        mc = io.read_u32(f)
-        c = io.read_f64(f)
-        kid = io.read_u16(f)
+        m, mc, c, kid = io.read_fields(f, "IIdH")
         if kid != _KERNEL_ID:
             raise io.FormatError(f"unknown kernel id {kid}")
-        centers = io.read_f64_matrix(f, m, mc)
-        coeffs = io.read_f64_matrix(f, m, mc)
+        centers = io.read_array(f, (m, mc), "<f8")
+        coeffs = io.read_array(f, (m, mc), "<f8")
         return RbfModel(centers, coeffs, c)

@@ -11,6 +11,7 @@ A field too large to hold twice moves through it a column block at a time
 
 import math
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -219,6 +220,13 @@ class SyntheticSpec:
             raise ValueError("grid_points must be >= 2")
         object.__setattr__(self, "times",
                            time_grid(self.t_start, self.t_end, self.dt))
+        # Python floats: an overflow gives inf here instead of a warning
+        far = float(max(abs(self.times[0]), abs(self.times[-1])))
+        for rate in ("wave_speed", "omega"):
+            if (rate in KIND_PARAMETERS[self.kind]
+                    and not math.isfinite(float(getattr(self, rate)) * far)):
+                raise ValueError(f"{rate} is too large: {rate} * t overflows "
+                                 f"at t = {far:.6g}")
 
     @property
     def recipe(self) -> dict:
@@ -241,11 +249,12 @@ MAX_FIELD_BYTES = 1 << 32
 
 def time_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
     """The one builder and check of a uniform grid: the times t_start +
-    k*dt covering [t_start, t_end] (inclusive up to a 1e-9*dt slack on the
-    endpoint). A nonpositive dt, an empty span, fewer than two times or
-    more than MAX_GRID_TIMES (counted in float first, so a span over dt
-    that overflows is refused too) is a ValueError whose message starts
-    with the parameter at fault, 'dt' or 't_end'."""
+    k*dt covering [t_start, t_end] (inclusive up to a slack on the endpoint
+    of 1e-9*dt plus four roundings of the grid's largest time). A
+    nonpositive dt, an empty span, fewer than two times, more than
+    MAX_GRID_TIMES (counted in float first, so a span over dt that
+    overflows is refused too) or a slack of half a step is a ValueError
+    whose message starts with the parameter at fault, 'dt' or 't_end'."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     if not t_end > t_start:
@@ -256,6 +265,14 @@ def time_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
             f"dt is too fine: the grid would hold {steps + 1:.6g} times; at "
             f"most {MAX_GRID_TIMES} are allowed"
         )
+    # after the count check, which bounds far / dt, so nothing overflows
+    far = max(abs(t_start), abs(t_end))
+    slack = 4 * sys.float_info.epsilon * far / dt
+    if slack >= 0.5:
+        raise ValueError(
+            f"dt is too fine: steps of {dt:.6g} cannot be told apart at "
+            f"t = {far:.6g}")
+    steps += slack
     if steps < 1:
         raise ValueError("dt must not exceed t_end - t_start: the grid needs "
                          "at least two times")
@@ -341,9 +358,8 @@ def generate_synthetic(spec: SyntheticSpec) -> SnapshotSet:
 # ---------------------------------------------------------------------------
 # File I/O
 #
-# SNP1 layout: magic "SNP1", u32 version=1, u32 N, u32 M, u16 label length +
-# UTF-8 component label, M f64 time stamps, N*M f64 values column-major,
-# all little-endian.
+# SNP1 layout: magic "SNP1", u32 version=1, "II" N, M, component label,
+# M f64 time stamps, N*M f64 values column-major, all little-endian.
 # ---------------------------------------------------------------------------
 
 
@@ -353,13 +369,12 @@ def write_snapshots(path, n: int, times: np.ndarray, component: str,
     columns, in order; save_snapshots is the one-block case."""
     m = times.size
     with io.writing(path, SNP_MAGIC) as f:
-        io.write_u32(f, n)
-        io.write_u32(f, m)
+        io.write_fields(f, "II", n, m)
         io.write_label(f, component)
-        io.write_f64_vector(f, times)
+        io.write_array(f, times, "<f8")
         cols = 0
         for block in blocks:
-            io.write_f64_matrix(f, block)
+            io.write_array(f, block, "<f8")
             cols += block.shape[1]
         if cols != m:
             raise ValueError(f"the blocks hold {cols} columns, not {m}")
@@ -372,10 +387,9 @@ def save_snapshots(snapshots: SnapshotSet, path) -> None:
 
 def _read_header(f):
     io.read_frame(f, SNP_MAGIC)
-    n = io.read_u32(f)
-    m = io.read_u32(f)
+    n, m = io.read_fields(f, "II")
     label = io.read_label(f)
-    return n, label, io.read_f64_vector(f, m)
+    return n, label, io.read_array(f, (m,), "<f8")
 
 
 def snapshot_header(path) -> tuple:

@@ -172,6 +172,21 @@ def test_generate_grid_beyond_the_limit_exit_2(tmp_path, capsys, kind,
     assert peak < 16e6
 
 
+@pytest.mark.parametrize("kind,rate", [("traveling_wave", "wave_speed"),
+                                       ("harmonic_latent", "omega")])
+def test_generate_overflowing_rate_exit_2(tmp_path, kind, rate):
+    # refused at config load, before numpy overflows and warns
+    cfg = write_cfg(tmp_path, dmd={"rank": 2})
+    doc = json.loads((tmp_path / "cfg.json").read_text())
+    doc["input"].update(kind=kind, t_end=2.0, **{rate: 1e308})
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    done = run_fresh("generate", "--config", cfg)
+    assert done.returncode == 2
+    assert f"'input.{rate}' is too large" in done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
 def test_generate_is_byte_deterministic(tmp_path):
     for sub in ("a", "b"):
         d = tmp_path / sub

@@ -284,6 +284,18 @@ def test_node_schedule_and_flags():
     assert sched.decay_steps == 10
 
 
+@pytest.mark.parametrize("schedule", [None, {"decay_steps": 10,
+                                              "decay_rate": 0.5}])
+def test_node_bad_learning_rate_names_the_key(schedule):
+    node = {"hidden": [4], "activation": "tanh", "epochs": 1,
+            "learning_rate": -1.0}
+    if schedule is not None:
+        node["schedule"] = schedule
+    with pytest.raises(ConfigError,
+                       match="^'node.learning_rate' must be positive"):
+        parse_config(base_doc(node=node))
+
+
 def test_node_bad_schedule_kind_wrapped():
     with pytest.raises(ConfigError, match="node.schedule"):
         parse_config(base_doc(node={
@@ -404,17 +416,18 @@ def test_predict_validation(block, grid, message):
 
 @pytest.mark.parametrize("block", ["input", "predict"])
 def test_grid_size_limit_names_dt(block):
-    def doc(t_end, dt):
+    def doc(t_end, dt, t_start=0.0):
         d = base_doc(predict={"t_start": 0.0, "t_end": 1.0, "dt": 0.1})
-        d[block].update(t_end=t_end, dt=dt)
+        d[block].update(t_start=t_start, t_end=t_end, dt=dt)
         return d
 
     # a grid of exactly MAX_GRID_TIMES times is the largest accepted
     parse_config(doc(float(MAX_GRID_TIMES - 1), 1.0))
-    for t_end, dt in [(float(MAX_GRID_TIMES), 1.0),  # one time too many
-                      (1e300, 1e-300)]:  # the count overflows to inf
+    for args in [(float(MAX_GRID_TIMES), 1.0),  # one time too many
+                 (1e300, 1e-300),  # the count overflows to inf
+                 (1e8 + 1e-6, 1e-7, 1e8)]:  # steps within the rounding at 1e8
         with pytest.raises(ConfigError, match=f"'{block}.dt' is too fine"):
-            parse_config(doc(t_end, dt))
+            parse_config(doc(*args))
 
 
 @pytest.mark.parametrize("kind", ["traveling_wave", "linear_system"])

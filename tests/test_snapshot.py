@@ -241,10 +241,22 @@ def test_time_grid_is_bounded():
     (0.0, 1.0, 1.5, "^dt must not exceed t_end - t_start"),
     (0.0, 0.005, 0.01, "^dt must not exceed t_end - t_start"),
     (0.0, 1e300, 1e-300, "^dt is too fine"),
+    (1e8, 1e8 + 1e-6, 1e-7, "^dt is too fine"),  # dt < 8 roundings of 1e8
 ])
 def test_time_grid_refusals_name_the_parameter(t_start, t_end, dt, message):
     with pytest.raises(ValueError, match=message):
         time_grid(t_start, t_end, dt)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e5, 3.6e5, 1e6, 1e8, -1e8])
+@pytest.mark.parametrize("dt,count", [(0.01, 100), (1e-4, 1000), (1e-4, 2),
+                                      (0.37, 100), (30.0, 100)])
+def test_time_grid_keeps_an_exact_endpoint_far_from_zero(offset, dt, count):
+    # the rounding of t_end - t_start grows with the offset
+    t_end = offset + (count - 1) * dt
+    times = time_grid(offset, t_end, dt)
+    assert times.size == count
+    assert abs(times[-1] - t_end) <= 1e-9 * max(abs(t_end), 1.0)
 
 
 def test_time_grid_two_times_is_the_smallest():
@@ -269,8 +281,7 @@ def test_same_times_matches_within_the_tolerance():
 @pytest.mark.parametrize("offset", [0.0, 1e5, 1e6, 1e8])
 @pytest.mark.parametrize("dt", [1e-4, 0.01, 0.37, 30.0])
 def test_uniform_step_accepts_every_time_grid(offset, dt):
-    # half a step of slack keeps the count at 100 despite the span's rounding
-    times = time_grid(offset, offset + 99.5 * dt, dt)
+    times = time_grid(offset, offset + 99 * dt, dt)
     assert times.size == 100
     assert uniform_step(times, "not uniform") == times[1] - times[0]
 
