@@ -12,7 +12,8 @@ Chains the pipeline stages over one JSON config:
 The input field is read from a file by ``decompose`` and ``fit --method
 dmd``: the config's input path, or for a synthetic input the snapshots.snp
 that ``generate`` wrote, which is also the field ``compare`` scores
-against; only ``generate`` builds a synthetic field.
+against; only ``generate`` makes a synthetic field, and it streams it to
+that file a column block at a time, as ``predict`` does its lift.
 
 Every artifact's record is <artifact>.meta.json (``_record``), written by
 ``_write_meta`` as strict JSON, last, and checked by ``_check_record``
@@ -23,7 +24,11 @@ snapshots.snp's record holds the kind and parameters of the field, so a
 field of another kind or seed on the same grid is refused; latent.snp's
 holds the basis.pod it was projected on, so ``fit`` refuses a pair that an
 interrupted ``decompose`` left mixed; a model's holds the basis and latent
-files it was fit on, which ``predict`` must find.
+files it was fit on, which ``predict`` must find. ``generate``, ``fit`` and
+``predict`` remove their artifact's record before they replace the
+artifact and write it last (``_recorded``): an interrupted run leaves its
+artifact without a record, which the record checks refuse, and never
+beside an older run's.
 
 ``predict`` and ``compare`` never hold a full field: ``predict`` writes
 its lift to pred_<method>.snp one column block at a time (its
@@ -47,7 +52,7 @@ import logging
 import os
 import sys
 import time
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +186,18 @@ def _write_meta(artifact: Path, **fields) -> None:
         f.write("\n")
 
 
+@contextmanager
+def _recorded(artifact: Path):
+    """Replace an artifact and its record, in that order: the old record
+    is removed first, the body replaces the artifact and fills the yielded
+    dict, and the record is written from it last. An interrupted run thus
+    leaves its artifact without a record, never beside an older run's."""
+    _record(artifact).unlink(missing_ok=True)
+    fields = {}
+    yield fields
+    _write_meta(artifact, **fields)
+
+
 def _check_record(artifact: Path, want: dict, command: str) -> None:
     """Refuse an artifact whose record does not hold ``want``, compared key
     by key in order: a missing record, or one without a key, is a
@@ -270,14 +287,12 @@ def _metrics_reports(tree) -> list:
 def cmd_generate(cfg: PipelineConfig, out: Path) -> None:
     if cfg.synthetic is None:
         raise ConfigError("'generate' needs a synthetic 'input' block, not a path")
-    # the record goes first and comes back last, so a field that is being
-    # replaced is never taken for the one the record describes
+    spec = cfg.synthetic
     target = out / FILE_SNAPSHOTS
-    _record(target).unlink(missing_ok=True)
-    snap = generate_synthetic(cfg.synthetic)
-    save_snapshots(snap, target)
-    _write_meta(target, **cfg.synthetic.recipe)
-    log.info("wrote %s (%d x %d)", target, snap.mesh_size, snap.n_snapshots)
+    with _recorded(target) as record:
+        generate_synthetic(spec, target)
+        record.update(spec.recipe)
+    log.info("wrote %s (%d x %d)", target, spec.grid_points, spec.times.size)
     print(target)
 
 
@@ -326,9 +341,10 @@ def _fit_rbf(cfg: PipelineConfig, out: Path) -> None:
     model = rbf_mod.fit(traj, block.shape_factor)
     elapsed = time.perf_counter() - started
     target = out / MODEL_FILES["rbf"]
-    rbf_mod.save_model(model, target)
-    _write_meta(target, method="rbf",
-                latent_dim=model.dim, fit_seconds=elapsed, **inputs)
+    with _recorded(target) as record:
+        rbf_mod.save_model(model, target)
+        record.update(method="rbf", latent_dim=model.dim,
+                      fit_seconds=elapsed, **inputs)
     log.info("rbf fit: %d centers, c=%g, %.3fs", model.n_centers,
              block.shape_factor, elapsed)
     print(target)
@@ -351,16 +367,19 @@ def _fit_node(cfg: PipelineConfig, out: Path) -> None:
     elapsed = time.perf_counter() - started
     trained = attach_time_map(trained, tmap)
     target = out / MODEL_FILES["node"]
-    save_net(trained, target)
-    with replacing(out / FILE_HISTORY, "w") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "loss", "learning_rate"])
-        for i in range(history.loss.size):
-            w.writerow([i, f"{history.loss[i]:.17g}", f"{history.lr[i]:.17g}"])
-    _write_meta(target, method="node", latent_dim=trained.latent_dim,
-                fit_seconds=elapsed,
-                final_loss=history.final_loss if block.train.epochs else None,
-                epochs=block.train.epochs, **inputs)
+    with _recorded(target) as record:
+        save_net(trained, target)
+        with replacing(out / FILE_HISTORY, "w") as f:
+            w = csv.writer(f)
+            w.writerow(["epoch", "loss", "learning_rate"])
+            for i in range(history.loss.size):
+                w.writerow([i, f"{history.loss[i]:.17g}",
+                            f"{history.lr[i]:.17g}"])
+        record.update(
+            method="node", latent_dim=trained.latent_dim,
+            fit_seconds=elapsed,
+            final_loss=history.final_loss if block.train.epochs else None,
+            epochs=block.train.epochs, **inputs)
     log.info("node fit: %s, final loss %.3e, %.3fs", trained.name,
              history.final_loss, elapsed)
     print(target)
@@ -373,9 +392,10 @@ def _fit_dmd(cfg: PipelineConfig, out: Path) -> None:
     model = dmd_mod.dmd_fit(snap, block.rank)
     elapsed = time.perf_counter() - started
     target = out / MODEL_FILES["dmd"]
-    dmd_mod.save_model(model, target)
-    _write_meta(target, method="dmd",
-                latent_dim=model.rank, fit_seconds=elapsed)
+    with _recorded(target) as record:
+        dmd_mod.save_model(model, target)
+        record.update(method="dmd", latent_dim=model.rank,
+                      fit_seconds=elapsed)
     log.info("dmd fit: rank %d, %.3fs", model.rank, elapsed)
     print(target)
 
@@ -394,42 +414,43 @@ def cmd_predict(cfg: PipelineConfig, out: Path, model_path: str) -> None:
         )
     method = MAGIC_METHODS[magic]
     target = out / f"pred_{method}.snp"
-    started = time.perf_counter()
-    if method == "dmd":
-        model = dmd_mod.load_model(model_file)
-        dmd_mod.dmd_forecast(model, times, target)
-        latent_dim = model.rank
-    else:
-        inputs = _input_digests(out)
-        basis = load_basis(out / FILE_BASIS)
-        latent = _load_latent(out)
-        if abs(times[0] - latent.times[0]) > time_tolerance(latent.times):
-            raise ConfigError(
-                f"'predict.t_start' is {float(times[0])}, but {method} "
-                f"forecasts start from the first latent snapshot at t="
-                f"{float(latent.times[0])}; set it to that time"
-            )
-        z0 = latent.coeffs[:, 0]
-        if method == "rbf":
-            model = rbf_mod.load_model(model_file)
-            latent_dim = model.dim
+    with _recorded(target) as record:
+        started = time.perf_counter()
+        if method == "dmd":
+            model = dmd_mod.load_model(model_file)
+            dmd_mod.dmd_forecast(model, times, target)
+            latent_dim = model.rank
         else:
-            model = load_net(model_file)
-            latent_dim = model.latent_dim
-        if latent_dim != basis.m:
-            raise ValueError(
-                f"model has {latent_dim} latent components, "
-                f"basis has {basis.m} modes"
-            )
-        _check_record(model_file, inputs, f"nirom fit --method {method}")
-        if method == "rbf":
-            latent = rbf_mod.forecast(model, z0, times)
-        else:
-            latent = node_forecast(model, z0, times)
-        reconstruct(basis, latent, target)
-    elapsed = time.perf_counter() - started
-    _write_meta(target, method=method,
-                latent_dim=latent_dim, runtime_seconds=elapsed)
+            inputs = _input_digests(out)
+            basis = load_basis(out / FILE_BASIS)
+            latent = _load_latent(out)
+            if abs(times[0] - latent.times[0]) > time_tolerance(latent.times):
+                raise ConfigError(
+                    f"'predict.t_start' is {float(times[0])}, but {method} "
+                    f"forecasts start from the first latent snapshot at t="
+                    f"{float(latent.times[0])}; set it to that time"
+                )
+            z0 = latent.coeffs[:, 0]
+            if method == "rbf":
+                model = rbf_mod.load_model(model_file)
+                latent_dim = model.dim
+            else:
+                model = load_net(model_file)
+                latent_dim = model.latent_dim
+            if latent_dim != basis.m:
+                raise ValueError(
+                    f"model has {latent_dim} latent components, "
+                    f"basis has {basis.m} modes"
+                )
+            _check_record(model_file, inputs, f"nirom fit --method {method}")
+            if method == "rbf":
+                latent = rbf_mod.forecast(model, z0, times)
+            else:
+                latent = node_forecast(model, z0, times)
+            reconstruct(basis, latent, target)
+        elapsed = time.perf_counter() - started
+        record.update(method=method, latent_dim=latent_dim,
+                      runtime_seconds=elapsed)
     log.info("%s prediction: %d times, %.3fs", method, times.size, elapsed)
     print(target)
 

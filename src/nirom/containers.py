@@ -178,9 +178,9 @@ def read_label(f) -> str:
 def write_array(f, a: np.ndarray, dtype: str) -> None:
     """Column-major payload, written through the array's own buffer when it
     already is column-major in ``dtype``: every vector, the fields that
-    load_snapshots, generate_synthetic, pod.reconstruct and dmd.dmd_forecast
-    return, and the column blocks of a lifted field, so generate and
-    predict write their fields without a copy.
+    load_snapshots and snapshot.lifted_field return, and the column blocks
+    that lifted_field streams, so generate and predict write their fields
+    without a copy.
     Other matrices (latent coefficients, POD and DMD modes) are copied
     column-major first. "<c16" is interleaved (real, imag) f64 pairs, so
     every complex bit round-trips without arithmetic."""

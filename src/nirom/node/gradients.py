@@ -47,10 +47,12 @@ def _target_array(net: DynamicsNet, times: np.ndarray, target) -> np.ndarray:
 def _loss_cotangent(net: DynamicsNet, out: np.ndarray, target: np.ndarray):
     """Loss over the latent rows only; augmented rows carry no cotangent."""
     m = net.latent_dim
-    diff = out[:m] - target
-    loss = float(np.mean(diff * diff))
     out_bar = np.zeros_like(out)
-    out_bar[:m] = (2.0 / diff.size) * diff
+    # an overflow gives a non-finite loss, which training reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = out[:m] - target
+        loss = float(np.mean(diff * diff))
+        out_bar[:m] = (2.0 / diff.size) * diff
     return loss, out_bar
 
 

@@ -5,8 +5,8 @@ high-fidelity solver output.
 A snapshot matrix stores one spatial degree of freedom per row and one time
 instant per column. The binary ``SNP1`` container round-trips bit-exactly.
 A field too large to hold twice moves through it a column block at a time
-(``column_blocks``): ``write_snapshots`` takes the blocks a lift makes
-(``lifted_field``), and ``open_snapshots`` hands them back in order.
+(``column_blocks``): ``write_snapshots`` takes the blocks that every field
+builder makes (``lifted_field``), and ``open_snapshots`` hands them back.
 """
 
 import math
@@ -47,8 +47,7 @@ def check_finite(data: np.ndarray, col0: int = 0) -> None:
     pos = first_nonfinite(data)
     if pos is not None:
         raise ValidationError(
-            f"non-finite value at row {pos[0]}, column {col0 + pos[1]}"
-        )
+            f"non-finite value at row {pos[0]}, column {col0 + pos[1]}")
 
 
 def _check_size(n: int, m: int) -> None:
@@ -83,8 +82,7 @@ def check_times(times) -> np.ndarray:
         k = int(np.argmax(steps))
         raise ValidationError(
             f"times must be strictly increasing; violation between "
-            f"indices {k} and {k + 1} ({times[k]} -> {times[k + 1]})"
-        )
+            f"indices {k} and {k + 1} ({times[k]} -> {times[k + 1]})")
     return times
 
 
@@ -113,8 +111,7 @@ class SnapshotSet:
         _check_size(n, m)
         if times.shape != (m,):
             raise ValidationError(
-                f"times length {times.shape} does not match {m} columns"
-            )
+                f"times length {times.shape} does not match {m} columns")
         check_times(times)
         check_finite(data)
 
@@ -164,7 +161,6 @@ def lifted_field(lift, n: int, times: np.ndarray, component: str, path=None):
     buf = np.empty((n, column_blocks(n, m)[0].stop), order="F")
     write_snapshots(path, n, times, component,
                     _lifted_blocks(lift, times, buf))
-    return None
 
 
 @dataclass(frozen=True)
@@ -177,11 +173,9 @@ class CenteredSet:
     component: str = "u"
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "deviations", np.asarray(self.deviations, dtype=np.float64)
-        )
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=np.float64))
+        for name in ("deviations", "mean", "times"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name),
+                                                      dtype=np.float64))
 
     @property
     def mesh_size(self) -> int:
@@ -240,10 +234,9 @@ class SyntheticSpec:
 #: the most times a uniform grid may hold
 MAX_GRID_TIMES = 1_000_000
 #: the most bytes a synthetic field (8 N M), with linear_system's N x N
-#: operator, may take: generate builds it whole, and decompose and fit
-#: --method dmd load it whole beside their working copies, so a larger one
-#: is refused at config load instead of failing in the allocator; it
-#: admits a 20000-point mesh over thousands of times
+#: operator, may take: generate streams it, but decompose and fit --method
+#: dmd load it whole beside their working copies, so a larger one exits at
+#: config load, not in the allocator; 20000 points x 3000 times fit
 MAX_FIELD_BYTES = 1 << 32
 
 
@@ -263,8 +256,7 @@ def time_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
     if not steps < MAX_GRID_TIMES:
         raise ValueError(
             f"dt is too fine: the grid would hold {steps + 1:.6g} times; at "
-            f"most {MAX_GRID_TIMES} are allowed"
-        )
+            f"most {MAX_GRID_TIMES} are allowed")
     # after the count check, which bounds far / dt, so nothing overflows
     far = max(abs(t_start), abs(t_end))
     slack = 4 * sys.float_info.epsilon * far / dt
@@ -324,35 +316,43 @@ def orthonormal_lift(n: int, k: int, seed: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def generate_synthetic(spec: SyntheticSpec) -> SnapshotSet:
-    """The spec's field, built column-major (SNP1's layout), so that
-    save_snapshots writes it without a copy."""
-    times = spec.times
-    n = spec.grid_points
-
+def generate_synthetic(spec: SyntheticSpec, path=None):
+    """The spec's field, lifted a column block at a time (lifted_field):
+    with a path, written there and never held whole; else a SnapshotSet."""
+    times, n = spec.times, spec.grid_points
     if spec.kind == "traveling_wave":
         x = 2.0 * np.pi * np.arange(n) / n
-        # one time per row, so the transpose is column-major; the sine is
-        # taken in place on its argument
-        phase = x[None, :] - spec.wave_speed * times[:, None]
-        data = np.sin(phase, out=phase).T
+
+        def lift(cols, out):
+            # out.T holds one time per row; the sine is taken in place
+            np.subtract(x, spec.wave_speed * times[cols, None], out.T)
+            np.sin(out.T, out.T)
     elif spec.kind == "linear_system":
         rng = np.random.default_rng(spec.seed)
         a = rng.standard_normal((n, n))
         a /= np.max(np.abs(np.linalg.eigvals(a)))
         v = rng.standard_normal(n)
         v /= np.linalg.norm(v)
-        data = np.empty((n, len(times)), order="F")
-        data[:, 0] = v
-        for k in range(1, len(times)):
-            data[:, k] = a @ data[:, k - 1]
-    else:  # harmonic_latent
-        latent = np.vstack(
-            [np.cos(spec.omega * times), np.sin(spec.omega * times)]
-        )
-        data = (latent.T @ orthonormal_lift(n, 2, spec.seed).T).T
 
-    return SnapshotSet(data, times, spec.component)
+        def lift(cols, out):
+            # v_k, carried from block to block apart from out, which a
+            # path reuses
+            nonlocal v
+            for k in range(cols.start, cols.stop):
+                v = a @ v if k else v
+                out[:, k - cols.start] = v
+    else:  # harmonic_latent
+        wt = spec.omega * times
+        latent = np.array([np.cos(wt), np.sin(wt)])
+        q_t = orthonormal_lift(n, 2, spec.seed).T
+
+        def lift(cols, out):
+            if out.shape[1] > 1:
+                np.matmul(latent[:, cols].T, q_t, out.T)
+            else:  # as two columns: BLAS's one-column route rounds otherwise
+                out[:, 0] = (latent[:, [cols.start] * 2].T @ q_t)[0]
+
+    return lifted_field(lift, n, times, spec.component, path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Plain reference evaluations the optimized code is tested against: the
-dynamics net layer by layer from its flat parameters, and the RBF field
-with one fresh array per operation."""
+dynamics net layer by layer from its flat parameters, the RBF field with
+one fresh array per operation, and each synthetic field built whole from
+its definition."""
 
 import numpy as np
 
@@ -8,6 +9,7 @@ from nirom.errors import NumericalError
 from nirom.node import kernels
 from nirom.node.network import DynamicsNet, kernel_args, layer_views
 from nirom.rbf import RbfModel
+from nirom.snapshot import SyntheticSpec, orthonormal_lift
 
 
 def net_eval(net: DynamicsNet, t: float, z: np.ndarray) -> np.ndarray:
@@ -42,3 +44,25 @@ def eval_dynamics(model: RbfModel, z: np.ndarray) -> np.ndarray:
         raise ValueError(f"state must have shape ({model.dim},), got {z.shape}")
     return rbf_field(model.centers, model.coefficients,
                      float(model.shape_factor), z)
+
+
+def synthetic_field(spec: SyntheticSpec) -> np.ndarray:
+    """The spec's field from the definition of its kind (SyntheticSpec),
+    built whole: linear_system one map application per column."""
+    n, times = spec.grid_points, spec.times
+    if spec.kind == "traveling_wave":
+        x = 2.0 * np.pi * np.arange(n) / n
+        return np.sin(x[:, None] - spec.wave_speed * times[None, :])
+    if spec.kind == "harmonic_latent":
+        wt = spec.omega * times
+        return orthonormal_lift(n, 2, spec.seed) @ np.vstack(
+            [np.cos(wt), np.sin(wt)])
+    rng = np.random.default_rng(spec.seed)
+    a = rng.standard_normal((n, n))
+    a /= np.max(np.abs(np.linalg.eigvals(a)))
+    v = rng.standard_normal(n)
+    field = np.empty((n, times.size), order="F")
+    field[:, 0] = v / np.linalg.norm(v)
+    for k in range(1, times.size):
+        field[:, k] = a @ field[:, k - 1]
+    return field

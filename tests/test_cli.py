@@ -400,6 +400,70 @@ def test_fit_refuses_the_pair_an_interrupted_decompose_left(
     run_ok("fit", "--method", method, "--config", cfg)
 
 
+def _interrupt(*args, **kwargs):
+    raise Interrupted
+
+
+@pytest.mark.parametrize("method, change", [
+    ("rbf", {"shape_factor": 0.1}), ("node", {"epochs": 2}),
+])
+def test_predict_refuses_the_model_an_interrupted_fit_left(
+        tmp_path, capsys, monkeypatch, method, change):
+    cfg = write_cfg(tmp_path, pod={"rank": 2}, rbf={"shape_factor": 0.05},
+                    node={"hidden": [4], "activation": "tanh", "epochs": 1},
+                    predict={"t_start": 0.0, "t_end": 0.99, "dt": 0.01})
+    model = tmp_path / f"model_{method}.{_EXT[method]}"
+    for command in ("generate", "decompose"):
+        run_ok(command, "--config", cfg)
+    run_ok("fit", "--method", method, "--config", cfg)
+    model_before = model.read_bytes()
+    # a second fit with another setting, stopped before its record
+    doc = json.loads((tmp_path / "cfg.json").read_text())
+    doc[method].update(change)
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    with monkeypatch.context() as m:
+        m.setattr(cli_mod, "_write_meta", _interrupt)
+        with pytest.raises(Interrupted):
+            run("fit", "--method", method, "--config", cfg)
+    assert model.read_bytes() != model_before
+    capsys.readouterr()
+    assert run("predict", model.name, "--config", cfg) == 4
+    err = capsys.readouterr().err
+    assert f"{model.name}.meta.json: missing" in err
+    assert f"run 'nirom fit --method {method}'" in err
+    assert not (tmp_path / f"pred_{method}.snp").exists()
+    # a finished fit records its model again
+    run_ok("fit", "--method", method, "--config", cfg)
+    run_ok("predict", model.name, "--config", cfg)
+
+
+@pytest.mark.parametrize("method", ["rbf", "dmd"])
+def test_an_interrupted_predict_leaves_no_record(tmp_path, monkeypatch,
+                                                 method):
+    cfg = write_cfg(tmp_path, pod={"rank": 2}, rbf={"shape_factor": 0.05},
+                    dmd={"rank": 2},
+                    predict={"t_start": 0.0, "t_end": 0.99, "dt": 0.01})
+    for command in ("generate", "decompose"):
+        run_ok(command, "--config", cfg)
+    run_ok("fit", "--method", method, "--config", cfg)
+    model = f"model_{method}.{_EXT[method]}"
+    pred = tmp_path / f"pred_{method}.snp"
+    record = Path(f"{pred}.meta.json")
+    run_ok("predict", model, "--config", cfg)
+    assert json.loads(record.read_text())["runtime_seconds"] > 0
+    with monkeypatch.context() as m:
+        m.setattr(cli_mod, "_write_meta", _interrupt)
+        with pytest.raises(Interrupted):
+            run("predict", model, "--config", cfg)
+    assert pred.exists()
+    assert not record.exists()
+    # compare reads no runtime for a prediction without its record
+    run_ok("compare", str(tmp_path / "snapshots.snp"), str(pred),
+           "--out", str(tmp_path))
+    tree = json.loads((tmp_path / "metrics.json").read_text())
+    assert tree[method]["u"]["runtime_seconds"] == 0.0
+
+
 def test_fit_without_the_decompose_record_exits_4(latent_dir, tmp_path, capsys):
     out = tmp_path / "run"
     shutil.copytree(latent_dir, out)
@@ -1075,6 +1139,20 @@ def test_training_blowup_is_numerical_error(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         rc = run("fit", "--method", "node", "--config", cfg)
     assert rc == 3
+
+
+def test_loss_overflow_reports_its_error_alone(latent_dir, tmp_path, capsys):
+    # the first update overflows the weights, and the next loss with them;
+    # training names the epoch, and numpy's own warning stays quiet
+    out = tmp_path / "run"
+    shutil.copytree(latent_dir, out)
+    cfg = write_cfg(out, pod={"rank": 2}, node={
+        "hidden": [4], "activation": "tanh", "epochs": 3,
+        "learning_rate": 1e300})
+    capsys.readouterr()
+    assert run("fit", "--method", "node", "--config", cfg) == 3
+    assert capsys.readouterr().err == (
+        "error: loss became non-finite at epoch 1\n")
 
 
 @pytest.mark.parametrize("step", [1e-300, 1e-20])

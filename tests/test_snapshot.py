@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nirom import snapshot
 from nirom.errors import FormatError, ValidationError
 from nirom.snapshot import (
     MAX_GRID_TIMES,
@@ -23,6 +24,7 @@ from nirom.snapshot import (
     time_tolerance,
     uniform_step,
 )
+from reference import synthetic_field
 
 
 def random_set(seed: int, n: int = 6, m: int = 5) -> SnapshotSet:
@@ -218,6 +220,30 @@ def test_generated_field_is_column_major(kind):
         latent = np.vstack([np.cos(s.times), np.sin(s.times)])
         want = orthonormal_lift(9, 2, 2) @ latent
         assert np.max(np.abs(s.data - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("kind", ["traveling_wave", "linear_system",
+                                  "harmonic_latent"])
+def test_generated_file_holds_the_definition_across_blocks(
+        kind, width, tmp_path, monkeypatch):
+    # 9 points x 11 times in blocks of `width` columns: a wave's block
+    # starts mid-grid, linear_system carries its last column across each
+    # boundary, and a one-column block takes a one-row product
+    monkeypatch.setattr(snapshot, "BLOCK_VALUES", 9 * width)
+    spec = SyntheticSpec(kind, 9, 0.0, 1.0, 0.1, wave_speed=0.7, omega=1.3,
+                         seed=2)
+    assert len(snapshot.column_blocks(9, spec.times.size)) >= 3
+    path = tmp_path / "s.snp"
+    assert generate_synthetic(spec, path) is None
+    got, want = load_snapshots(path), synthetic_field(spec)
+    assert np.array_equal(got.times, spec.times)
+    if kind == "harmonic_latent":
+        assert np.max(np.abs(got.data - want)) <= 1e-15
+    else:
+        assert np.array_equal(got.data, want)
+    # the same blocks fill the returned set
+    assert np.array_equal(generate_synthetic(spec).data, got.data)
 
 
 def test_time_grid_counts():
