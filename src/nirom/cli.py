@@ -23,8 +23,9 @@ the key, both values and the stage to run again; other keys are not read.
 snapshots.snp's record holds the kind and parameters of the field, so a
 field of another kind or seed on the same grid is refused; latent.snp's
 holds the basis.pod it was projected on, so ``fit`` refuses a pair that an
-interrupted ``decompose`` left mixed; a model's holds the basis and latent
-files it was fit on, which ``predict`` must find. ``generate``, ``fit`` and
+interrupted ``decompose`` left mixed; a model's holds its method and, for
+rbf and node, the basis and latent files it was fit on, which ``predict``
+checks before every forecast. ``generate``, ``fit`` and
 ``predict`` remove their artifact's record before they replace the
 artifact and write it last (``_recorded``): an interrupted run leaves its
 artifact without a record, which the record checks refuse, and never
@@ -416,12 +417,12 @@ def cmd_predict(cfg: PipelineConfig, out: Path, model_path: str) -> None:
     target = out / f"pred_{method}.snp"
     with _recorded(target) as record:
         started = time.perf_counter()
+        want = {"method": method}
         if method == "dmd":
             model = dmd_mod.load_model(model_file)
-            dmd_mod.dmd_forecast(model, times, target)
             latent_dim = model.rank
         else:
-            inputs = _input_digests(out)
+            want.update(_input_digests(out))
             basis = load_basis(out / FILE_BASIS)
             latent = _load_latent(out)
             if abs(times[0] - latent.times[0]) > time_tolerance(latent.times):
@@ -442,12 +443,13 @@ def cmd_predict(cfg: PipelineConfig, out: Path, model_path: str) -> None:
                     f"model has {latent_dim} latent components, "
                     f"basis has {basis.m} modes"
                 )
-            _check_record(model_file, inputs, f"nirom fit --method {method}")
-            if method == "rbf":
-                latent = rbf_mod.forecast(model, z0, times)
-            else:
-                latent = node_forecast(model, z0, times)
-            reconstruct(basis, latent, target)
+        _check_record(model_file, want, f"nirom fit --method {method}")
+        if method == "dmd":
+            dmd_mod.dmd_forecast(model, times, target)
+        elif method == "rbf":
+            reconstruct(basis, rbf_mod.forecast(model, z0, times), target)
+        else:
+            reconstruct(basis, node_forecast(model, z0, times), target)
         elapsed = time.perf_counter() - started
         record.update(method=method, latent_dim=latent_dim,
                       runtime_seconds=elapsed)

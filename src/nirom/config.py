@@ -4,8 +4,9 @@ Every block is checked against a closed key set so a typo fails loudly with
 its dotted path instead of being silently ignored, and every value is read
 through one typed getter (numbers must be finite). A node preset is shorthand
 for the node keys it fixes. Numeric invariants of the domain objects
-(positive steps, ranks in range) are enforced by the objects themselves; this
-module wraps those failures with the block path.
+(positive steps, ranks in range) are enforced by the objects themselves,
+whose messages start with the field at fault; this module names that field
+by its dotted key (_key_error).
 """
 
 import json
@@ -198,7 +199,7 @@ def _parse_solver(block) -> SolverSpec:
     try:
         return SolverSpec(method, **options)
     except ValueError as exc:
-        raise ConfigError(f"node.solver: {exc}") from exc
+        raise _key_error("node.solver", exc) from exc
 
 
 def _parse_schedule(block, base_lr: float) -> LrSchedule:
@@ -211,7 +212,7 @@ def _parse_schedule(block, base_lr: float) -> LrSchedule:
             _get(block, "node.schedule", "decay_rate", float),
         )
     except ValueError as exc:
-        raise ConfigError(f"node.schedule: {exc}") from exc
+        raise _key_error("node.schedule", exc) from exc
 
 
 _NODE_KEYS = {
@@ -278,7 +279,7 @@ def _parse_node(block) -> NodeBlock:
                            "backprop_through_solver"),
         )
     except ValueError as exc:
-        raise ConfigError(f"node: {exc}") from exc
+        raise _key_error("node", exc) from exc
     solver = _parse_solver(block["solver"]) if "solver" in block else None
     return NodeBlock(
         preset=preset, hidden=tuple(hidden), activation=activation,

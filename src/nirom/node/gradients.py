@@ -131,8 +131,7 @@ def _adjoint_grad(plan: GradPlan):
         for hi in range(sub_h.size, 0, -ADJOINT_CHUNK):
             lo = max(0, hi - ADJOINT_CHUNK)
             n_rows = (hi - lo) * roll.n_stages
-            hs = sub_h[lo:hi].tolist()
-            tabs = roll.tables.lookup(hs)
+            tabs = roll.tables.lookup(sub_h[lo:hi].tolist())
             # step lo + r takes slot hi - 1 - lo - r: the chunk's last step
             # is swept first, from slot 0
             slots = buf.steps[hi - 1 - lo::-1]
@@ -140,9 +139,9 @@ def _adjoint_grad(plan: GradPlan):
             kernels.march(*roll.args, tabs, sub_t0[lo:hi].tolist(), slots,
                           buf.zk, buf.zk2)
             buf.derivs(0, n_rows)
-            for back, rows, k in zip(roll.tables.lookup_back(hs[::-1]),
-                                     buf.steps, out_idx[lo:hi].tolist()[::-1]):
-                kernels.adjoint_step(layers, acts, half, back, rows, buf,
+            for tab, rows, k in zip(tabs[::-1], buf.steps,
+                                    out_idx[lo:hi].tolist()[::-1]):
+                kernels.adjoint_step(layers, acts, half, tab, rows, buf,
                                      bars, k)
             kernels.layer_gradients(plan.grads, buf, n_rows)
     return loss

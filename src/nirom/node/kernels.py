@@ -43,10 +43,10 @@ StageArray builds, with its buffers, each prefix a stage reads and the row
 it writes, paired in the order the stages take them: forward stage st
 reads zk[:st+1] and writes k_st into zk[st+1], and the reverse stage
 taken k-th (st = s-1-k) reads cot[:k+1] and writes into cot[k+1], so one
-tuple of pairs serves both loops. The tables of one step size h are built
-with their views, in loop order: a StepTable holds ea and eb scaled to h,
-each forward stage's row ea[st, :st+1] paired with its node c_st, and a
-reverse table is the tuple of rev rows the reverse stages read.
+tuple of pairs serves both loops. The table of one step size h is built
+with its views, in loop order: a StepTable holds ea, eb and rev scaled to
+h, each forward stage's row ea[st, :st+1] paired with its node c_st, and
+the tuple of rev rows the reverse stages read.
 
 Tables per distinct step size. StepTables scales the tableau once for each
 distinct step size a run takes, and keeps the tables for later runs: the
@@ -54,16 +54,16 @@ step sizes of a fixed-step schedule differ only in their last bits and
 take a few distinct values (9 to 15 over a few hundred rk4 substeps of the
 benchmark's workloads), changing between most consecutive substeps, so a
 table held per value is built once per plan, where one rescaled whenever
-h changes would be rebuilt at most steps. It holds at most CHUNK forward
-and CHUNK reverse tables: when a run brings more, it drops them all and
-builds the run's own, so a schedule whose every step size differs
-(dopri5's accepted steps, a non-uniform grid) costs a table per step and
-no memory that grows with its length; forward and reverse tables are
-built apart, so that a rollout builds no reverse ones. An adaptive trial
-step rescales one forward table in place instead. Each entry is h times
-the unscaled one, elementwise, so a table's bits do not depend on which
-sizes were scaled with it; a stage's time is t0 + c_st h, in Python
-floats, which are IEEE doubles like numpy's.
+h changes would be rebuilt at most steps. The forward march and the
+reverse sweep of a step read the one table of its size. It holds at most
+CHUNK tables: when a run brings more, it drops them all and builds the
+run's own, so a schedule whose every step size differs (dopri5's accepted
+steps, a non-uniform grid) costs a table per step and no memory that grows
+with its length. An adaptive trial step rescales one table in place
+instead, reverse rows included. Each entry is h times the unscaled one,
+elementwise, so a table's bits do not depend on which sizes were scaled
+with it; a stage's time is t0 + c_st h, in Python floats, which are IEEE
+doubles like numpy's.
 
 The loops. march holds the one forward stage loop: it advances a run of
 steps over their tables, stage rows and the two stage arrays. rollout_rk
@@ -115,9 +115,8 @@ ACT_RELU = 1
 ACT_ELU = 2
 ACT_TANH = 3
 
-#: steps per table lookup of the rollouts, and the most forward and the
-#: most reverse tables a StepTables holds; the adjoint recomputes its steps
-#: in chunks of as many
+#: steps per table lookup of the rollouts, and the most tables a StepTables
+#: holds; the adjoint recomputes its steps in chunks of as many
 CHUNK = 32
 
 
@@ -230,61 +229,54 @@ class StageBuffers:
 
 
 class StepTable:
-    """A tableau's forward part scaled to one step size `h` (module
-    docstring): `fwd[st]` pairs stage st's row ea[st, :st+1] with its node
-    c_st, `eb` is the end row and `n` its length, and `scaled` views the
-    parts of ea and eb that StepTables.rescale writes."""
+    """A tableau scaled to one step size `h` (module docstring): `fwd[st]`
+    pairs forward stage st's row ea[st, :st+1] with its node c_st, `eb` is
+    the end row and `n` its length, `back` holds the rows of rev in the
+    order the reverse loop takes the stages, and `scaled` views the parts
+    of ea, eb and rev that StepTables.rescale writes."""
 
-    __slots__ = ("h", "fwd", "eb", "n", "scaled")
+    __slots__ = ("h", "fwd", "eb", "n", "back", "scaled")
 
-    def __init__(self, h, fwd, eb, scaled):
-        self.h, self.fwd, self.eb, self.scaled = h, fwd, eb, scaled
+    def __init__(self, h, fwd, eb, back, scaled):
+        self.h, self.fwd, self.eb, self.back = h, fwd, eb, back
+        self.scaled = scaled
         self.n = eb.shape[0]
 
 
-def _held(held, hs, build):
-    """The tables of the step sizes hs, a list of at most CHUNK floats,
-    from the dict `held`, into which build(sizes) adds those missing; when
-    they would take it past CHUNK, it holds this run's alone."""
-    new = [h for h in dict.fromkeys(hs) if h not in held]
-    if new:
-        if len(held) + len(new) > CHUNK:
-            held.clear()
-            new = list(dict.fromkeys(hs))
-        held.update(zip(new, build(new)))
-    return [held[h] for h in hs]
-
-
 class StepTables:
-    """The scaled tables of an explicit Butcher tableau (a, b, c), one per
-    distinct step size, built on first use and held for later runs, at
-    most CHUNK at a time (module docstring): forward StepTables, and for
-    the reverse loop the rows of rev in the order it takes the stages."""
+    """The StepTable of each distinct step size of an explicit Butcher
+    tableau (a, b, c), built on first use and held for later runs, at most
+    CHUNK at a time (module docstring)."""
 
     def __init__(self, a_tab, b_tab, c_tab):
         n_stages = b_tab.size
         self.n_stages = n_stages
         self.a, self.b, self.c = a_tab, b_tab, c_tab.tolist()
         # row st: [b_st, a_{s-1,st}, ..., a_{st+1,st}], zero-padded
-        self.back = np.concatenate(
+        self.rev = np.concatenate(
             [b_tab.reshape(n_stages, 1), a_tab[n_stages - np.arange(1, n_stages)].T],
             axis=1)
-        self.held, self.held_back = {}, {}
+        self.held = {}
 
     def lookup(self, hs):
-        """The forward tables of the step sizes hs (at most CHUNK)."""
-        return _held(self.held, hs, self.build)
-
-    def lookup_back(self, hs):
-        """The reverse tables of the step sizes hs (at most CHUNK)."""
-        return _held(self.held_back, hs, self.build_back)
-
-    # iterating a stacked array yields its row views, cheaper than indexing
-    # it once per row: the builds take each stage's rows of all the tables
-    # at once, then deal them out table by table
+        """The tables of the step sizes hs, a list of at most CHUNK floats,
+        building those not held; when they would take the held ones past
+        CHUNK, it holds this run's alone."""
+        held = self.held
+        new = [h for h in dict.fromkeys(hs) if h not in held]
+        if new:
+            if len(held) + len(new) > CHUNK:
+                held.clear()
+                new = list(dict.fromkeys(hs))
+            held.update(zip(new, self.build(new)))
+        return [held[h] for h in hs]
 
     def build(self, hs):
-        """New forward tables for the step sizes hs, held by no one."""
+        """New tables for the step sizes hs, held by no one.
+
+        Iterating a stacked array yields its row views, cheaper than
+        indexing it once per row: it takes each stage's rows of all the
+        tables at once, then deals them out table by table."""
         n_h, n_stages = len(hs), self.n_stages
         h = np.array(hs).reshape(n_h, 1, 1)
         ea = np.empty((n_h, n_stages, n_stages + 1))
@@ -293,24 +285,21 @@ class StepTables:
         eb = np.empty((n_h, n_stages + 1))
         eb[:, 0] = 1.0
         np.multiply(h.reshape(n_h, 1), self.b, eb[:, 1:])
+        rev = np.multiply(h, self.rev)
         fwd = zip(*(ea[:, st, :st + 1] for st in range(n_stages)))
+        back = zip(*(rev[:, st, :n_stages - st]
+                     for st in range(n_stages - 1, -1, -1)))
         return [StepTable(*parts) for parts in zip(
-            hs, (tuple(zip(f, self.c)) for f in fwd), eb,
-            zip(ea[:, :, 1:], eb[:, 1:]))]
-
-    def build_back(self, hs):
-        """New reverse tables for the step sizes hs, held by no one."""
-        n_stages = self.n_stages
-        rev = np.array(hs).reshape(len(hs), 1, 1) * self.back
-        return list(zip(*(rev[:, st, :n_stages - st]
-                          for st in range(n_stages - 1, -1, -1))))
+            hs, (tuple(zip(f, self.c)) for f in fwd), eb, back,
+            zip(ea[:, :, 1:], eb[:, 1:], rev))]
 
     def rescale(self, tab, h):
-        """Scale one of this tableau's forward tables to the step size h in
-        place, as build would."""
-        ha, hb = tab.scaled
+        """Scale one of this tableau's tables to the step size h in place,
+        as build would."""
+        ha, hb, hrev = tab.scaled
         np.multiply(h, self.a, ha)
         np.multiply(h, self.b, hb)
+        np.multiply(h, self.rev, hrev)
         tab.h = h
 
 
@@ -425,22 +414,21 @@ def rollout_rk(
     return out
 
 
-def _sweep(layers, acts, half, backs, steps, buf, bars, bar_idx):
+def _sweep(layers, acts, half, tabs, steps, buf, bars, bar_idx):
     """Pull the cotangent buf.cot.z after a run of steps back through them,
-    latest first: step i is scaled by the reverse table backs[i]
-    (StepTables.lookup_back) and holds its stage rows in steps[i], whose s
-    rows must hold their activation derivatives (StageBuffers.derivs).
-    Before step i, bars[k] is added to the cotangent where
-    bar_idx[i] = k >= 0.
+    latest first: step i is scaled by the reverse rows of the StepTable
+    tabs[i] and holds its stage rows in steps[i], whose s rows must hold
+    their activation derivatives (StageBuffers.derivs). Before step i,
+    bars[k] is added to the cotangent where bar_idx[i] = k >= 0.
 
     Each step leads its twin array with its start state's cotangent, then
     the two swap places, so the result is buf.cot.z again.
     """
     cot, cot2, ones = buf.cot, buf.cot2, buf.ones
-    for back, rows, k in zip(backs, steps, bar_idx):
+    for tab, rows, k in zip(tabs, steps, bar_idx):
         if k >= 0:
             cot.z += bars[k]
-        for rev, row, (pre, ub) in zip(back, reversed(rows), cot.stages):
+        for rev, row, (pre, ub) in zip(tab.back, reversed(rows), cot.stages):
             rev.dot(pre, row.u)
             nn_vjp(layers, acts, half, row, ub)
         ones.dot(cot.a, cot2.z)
@@ -462,16 +450,16 @@ def rollout_backward(
     for hi in range(n_sub, 0, -CHUNK):
         lo = max(0, hi - CHUNK)
         _sweep(layers, acts, half,
-               tables.lookup_back(sub_h[lo:hi].tolist()[::-1]),
+               tables.lookup(sub_h[lo:hi].tolist()[::-1]),
                buf.steps[lo:hi][::-1],
                buf, bars, out_idx[lo:hi].tolist()[::-1])
     layer_gradients(grads, buf, n_rows)
 
 
-def adjoint_step(layers, acts, half, back, rows, buf, bars, k):
+def adjoint_step(layers, acts, half, tab, rows, buf, bars, k):
     """Sweep one step that the adjoint's chunk pass recomputed into the
-    stage rows `rows`, scaled by the reverse table `back`: add bars[k] to
+    stage rows `rows`, scaled by the StepTable `tab`: add bars[k] to
     the cotangent buf.cot.z after it when k >= 0, and pull that back to its
     start state's, left in buf.cot.z. The rows' s must hold their activation
     derivatives, and keep their cotangents for layer_gradients."""
-    _sweep(layers, acts, half, (back,), (rows,), buf, bars, (k,))
+    _sweep(layers, acts, half, (tab,), (rows,), buf, bars, (k,))

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import NumericalError
 from ..pod import LatentTrajectory
-from ..snapshot import check_times, first_nonfinite, time_tolerance
+from ..snapshot import check_steps, check_times, time_tolerance
 from . import kernels
 from .network import DynamicsNet, fold_biases, kernel_args
 
@@ -33,7 +33,7 @@ MAX_STEPS = 1_000_000
 @dataclass(frozen=True)
 class SolverSpec:
     """Integrator choice: fixed step size for euler/midpoint/rk4, error
-    tolerances for dopri5."""
+    tolerances for dopri5. A refused value's message starts with its field."""
 
     method: str = "rk4"
     step: float | None = None
@@ -44,14 +44,16 @@ class SolverSpec:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(
-                f"unknown solver {self.method!r}; expected one of {METHODS}"
-            )
+                f"method must be one of {METHODS}, got {self.method!r}")
         if self.method in FIXED_METHODS:
             if self.step is None or not self.step > 0:
-                raise ValueError("fixed-step methods need step > 0")
+                raise ValueError(
+                    f"step must be positive for method {self.method!r}")
         else:
-            if not (self.rtol > 0 and self.atol > 0):
-                raise ValueError("dopri5 needs rtol > 0 and atol > 0")
+            if not self.rtol > 0:
+                raise ValueError("rtol must be positive for method 'dopri5'")
+            if not self.atol > 0:
+                raise ValueError("atol must be positive for method 'dopri5'")
         if not 1 <= self.max_steps <= MAX_STEPS:
             raise ValueError(
                 f"max_steps must be in [1, {MAX_STEPS}], got {self.max_steps}"
@@ -225,12 +227,8 @@ def fixed_rollout(plan: RolloutPlan, z0: np.ndarray):
 def check_rollout(plan: RolloutPlan, out: np.ndarray) -> None:
     """Refuse a rollout whose states at the plan's times (the columns of
     out) are not all finite, naming the first such time."""
-    bad = first_nonfinite(out.T)
-    if bad is not None:
-        k = bad[0]
-        raise NumericalError(
-            f"integration became non-finite at step {k} "
-            f"(t={plan.physical_time(plan.times[k]):.6g})")
+    check_steps(out, plan.times, "integration became non-finite",
+                to_time=plan.physical_time)
 
 
 def ode_solve(net: DynamicsNet, z0, times, solver: SolverSpec) -> LatentTrajectory:

@@ -35,7 +35,8 @@ MAX_EPOCHS = 1_000_000
 @dataclass(frozen=True)
 class LrSchedule:
     """Decayed learning rate: staircase uses floor(step/decay_steps) in the
-    exponent, exponential uses the continuous ratio."""
+    exponent, exponential uses the continuous ratio. A refused value's
+    message starts with its field."""
 
     kind: str
     base_lr: float
@@ -44,13 +45,14 @@ class LrSchedule:
 
     def __post_init__(self):
         if self.kind not in ("staircase", "exponential"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
+            raise ValueError("kind must be 'staircase' or 'exponential', "
+                             f"got {self.kind!r}")
         if not self.base_lr > 0:
-            raise ValueError("base learning rate must be positive")
+            raise ValueError("base_lr must be positive")
         if self.decay_steps < 1:
             raise ValueError("decay_steps must be at least 1")
         if not 0 < self.decay_rate <= 1:
-            raise ValueError("decay rate must be in (0, 1]")
+            raise ValueError("decay_rate must be in (0, 1]")
 
 
 def lr_at(schedule: LrSchedule, step: int) -> float:
@@ -64,6 +66,8 @@ def lr_at(schedule: LrSchedule, step: int) -> float:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training settings; a refused value's message starts with its field."""
+
     epochs: int
     learning_rate: float = 1e-3
     momentum: float = 0.9
@@ -75,13 +79,12 @@ class TrainConfig:
             raise ValueError(
                 f"epochs must be in [0, {MAX_EPOCHS}], got {self.epochs}")
         if not self.learning_rate > 0:
-            raise ValueError("learning rate must be positive")
+            raise ValueError("learning_rate must be positive")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must be in [0, 1)")
         if self.grad_mode not in GRAD_MODES:
             raise ValueError(
-                f"unknown gradient mode {self.grad_mode!r}; expected {GRAD_MODES}"
-            )
+                f"grad_mode must be one of {GRAD_MODES}, got {self.grad_mode!r}")
 
 
 @dataclass(frozen=True)

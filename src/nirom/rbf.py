@@ -15,7 +15,7 @@ import numpy as np
 from . import containers as io
 from .errors import NumericalError
 from .pod import LatentTrajectory
-from .snapshot import check_times, first_nonfinite, uniform_step
+from .snapshot import check_steps, check_times, uniform_step
 
 RBF_MAGIC = b"RBF1"
 
@@ -184,11 +184,7 @@ def forecast(model: RbfModel, z0: np.ndarray, times: np.ndarray) -> LatentTrajec
             coeffs.dot(w, f)
             np.multiply(dt, f, f)
             np.add(z[:, 0], f, z_next)
-    bad = first_nonfinite(out.T)
-    if bad is not None:
-        k = bad[0]
-        raise NumericalError(
-            f"RBF forecast became non-finite at step {k} (t={times[k]:.6g})")
+    check_steps(out, times, "RBF forecast became non-finite")
     return LatentTrajectory(out, times)
 
 

@@ -41,6 +41,18 @@ def first_nonfinite(a: np.ndarray):
     return int(i), int(k)
 
 
+def check_steps(states: np.ndarray, times: np.ndarray, what: str,
+                first: int = 0, to_time=float) -> None:
+    """Refuse a trajectory whose states, the columns of ``states``, are not
+    all finite: a NumericalError "<what> at step k (t=...)" naming the
+    first step k that holds a non-finite value, counted from ``first`` for
+    a block of a longer trajectory, and its time to_time(times[k])."""
+    bad = first_nonfinite(states.T)
+    if bad is not None:
+        k = first + bad[0]
+        raise NumericalError(f"{what} at step {k} (t={to_time(times[k]):.6g})")
+
+
 def check_finite(data: np.ndarray, col0: int = 0) -> None:
     """Refuse a non-finite value, naming its row and its column, counted
     from ``col0`` for a block of a larger field."""
@@ -137,11 +149,7 @@ def _lifted_blocks(lift, times: np.ndarray, dest: np.ndarray):
         # an overflow is reported below, without numpy's warning
         with np.errstate(over="ignore", invalid="ignore"):
             lift(cols, block)
-        bad = first_nonfinite(block.T)
-        if bad is not None:
-            k = cols.start + bad[0]
-            raise NumericalError(
-                f"full field overflows at step {k} (t={times[k]:.6g})")
+        check_steps(block, times, "full field overflows", cols.start)
         yield block
 
 

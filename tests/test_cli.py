@@ -406,11 +406,13 @@ def _interrupt(*args, **kwargs):
 
 @pytest.mark.parametrize("method, change", [
     ("rbf", {"shape_factor": 0.1}), ("node", {"epochs": 2}),
+    ("dmd", {"rank": 1}),
 ])
 def test_predict_refuses_the_model_an_interrupted_fit_left(
         tmp_path, capsys, monkeypatch, method, change):
     cfg = write_cfg(tmp_path, pod={"rank": 2}, rbf={"shape_factor": 0.05},
                     node={"hidden": [4], "activation": "tanh", "epochs": 1},
+                    dmd={"rank": 2},
                     predict={"t_start": 0.0, "t_end": 0.99, "dt": 0.01})
     model = tmp_path / f"model_{method}.{_EXT[method]}"
     for command in ("generate", "decompose"):
@@ -462,6 +464,29 @@ def test_an_interrupted_predict_leaves_no_record(tmp_path, monkeypatch,
            "--out", str(tmp_path))
     tree = json.loads((tmp_path / "metrics.json").read_text())
     assert tree[method]["u"]["runtime_seconds"] == 0.0
+
+
+def test_a_temp_file_a_hard_kill_left_is_left_alone(tmp_path):
+    # a hard kill inside containers.replacing leaves <artifact>.<pid>.tmp
+    # behind; it may be a live writer's, and no reader opens it, so later
+    # commands write their artifacts beside it as a clean run does
+    planted = "snapshots.snp.99999999.tmp"
+    for sub in ("clean", "planted"):
+        d = tmp_path / sub
+        d.mkdir()
+        cfg = write_cfg(d, pod={"rank": 2}, dmd={"rank": 2})
+        if sub == "planted":
+            (d / planted).write_bytes(b"half a field")
+        for command in ("generate", "decompose"):
+            run_ok(command, "--config", cfg)
+    clean, dirty = tmp_path / "clean", tmp_path / "planted"
+    names = sorted(p.name for p in clean.iterdir())
+    assert "latent.snp.meta.json" in names
+    assert sorted(p.name for p in dirty.iterdir()) == sorted(names + [planted])
+    for name in names:
+        if name != "cfg.json":
+            assert (dirty / name).read_bytes() == (clean / name).read_bytes()
+    assert (dirty / planted).read_bytes() == b"half a field"
 
 
 def test_fit_without_the_decompose_record_exits_4(latent_dir, tmp_path, capsys):
@@ -534,7 +559,7 @@ def test_fit_node_epochs_beyond_the_bound_is_config_error(latent_dir, tmp_path,
                                     "epochs": 1_000_000_000_000})
     assert run("fit", "--method", "node", "--config", cfg,
                "--out", str(latent_dir)) == 2
-    assert "epochs must be in [0, 1000000]" in capsys.readouterr().err
+    assert "'node.epochs' must be in [0, 1000000]" in capsys.readouterr().err
 
 
 def test_fit_node_stage_buffers_beyond_the_limit_exit_2(latent_dir, tmp_path,
@@ -1209,7 +1234,7 @@ def test_max_steps_beyond_its_bound_exits_2_at_config_load(tmp_path, capsys):
         "hidden": [4], "activation": "tanh", "epochs": 1,
         "solver": {"method": "rk4", "step": 1e-13, "max_steps": 10**17}})
     assert run("generate", "--config", cfg) == 2
-    assert "node.solver: max_steps must be in" in capsys.readouterr().err
+    assert "'node.solver.max_steps' must be in" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
 
@@ -1250,12 +1275,19 @@ def assert_numerical_failure(done, message):
     assert message in lines[0]
 
 
+def save_dmd_model(model, out):
+    """Save a hand-built DMD model into out with the record a fit writes
+    beside it."""
+    dmd_mod.save_model(model, out / "model_dmd.dmd")
+    (out / "model_dmd.dmd.meta.json").write_text(json.dumps({"method": "dmd"}))
+
+
 def test_overflowing_dmd_forecast_exits_3(tmp_path):
     cfg = write_cfg(tmp_path, dmd={"rank": 1},
                     predict={"t_start": 0.0, "t_end": 2999.0, "dt": 1.0})
-    dmd_mod.save_model(
+    save_dmd_model(
         dmd_mod.DmdModel(np.ones((3, 1)), [1.5], [1.0], dt=1.0, t0=0.0),
-        tmp_path / "model_dmd.dmd")
+        tmp_path)
     done = run_fresh("predict", "model_dmd.dmd", "--config", cfg)
     assert_numerical_failure(done, "overflows at step 1751")
     assert not (tmp_path / "pred_dmd.snp").exists()
@@ -1266,13 +1298,13 @@ def test_dmd_overflow_mid_stream_exits_3_and_leaves_no_file(tmp_path):
     # after two blocks went to the temp file
     cfg = write_cfg(tmp_path, dmd={"rank": 1},
                     predict={"t_start": 0.0, "t_end": 2999.0, "dt": 1.0})
-    dmd_mod.save_model(
+    save_dmd_model(
         dmd_mod.DmdModel(np.ones((200, 1)), [1.5], [1.0], dt=1.0, t0=0.0),
-        tmp_path / "model_dmd.dmd")
+        tmp_path)
     done = run_fresh("predict", "model_dmd.dmd", "--config", cfg)
     assert_numerical_failure(done, "overflows at step 1751")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json",
-                                                          "model_dmd.dmd"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cfg.json", "model_dmd.dmd", "model_dmd.dmd.meta.json"]
 
 
 def test_overflowing_rbf_forecast_exits_3(latent_dir, tmp_path):
@@ -1313,9 +1345,9 @@ def test_dmd_field_overflow_exits_3(tmp_path):
     # the spectral coefficients stay at 1e10; the 1e300 modes overflow them
     cfg = write_cfg(tmp_path, dmd={"rank": 1},
                     predict={"t_start": 0.0, "t_end": 3.0, "dt": 1.0})
-    dmd_mod.save_model(
+    save_dmd_model(
         dmd_mod.DmdModel(np.full((3, 1), 1e300), [1.0], [1e10], dt=1.0, t0=0.0),
-        tmp_path / "model_dmd.dmd")
+        tmp_path)
     done = run_fresh("predict", "model_dmd.dmd", "--config", cfg)
     assert_numerical_failure(done, "overflows at step 0 (t=0)")
     assert not (tmp_path / "pred_dmd.snp").exists()

@@ -325,12 +325,42 @@ def test_node_bad_solver_wrapped():
 def test_node_max_steps_bounded_at_load():
     # a step budget past MAX_STEPS is refused before any schedule is
     # counted or built: the step below would need 10^13 substeps
-    with pytest.raises(ConfigError, match=r"node\.solver: max_steps must be "
+    with pytest.raises(ConfigError, match=r"'node\.solver\.max_steps' must be "
                                           rf"in \[1, {MAX_STEPS}\], got {10**17}"):
         parse_config(base_doc(node={
             "hidden": [8], "activation": "tanh", "epochs": 1,
             "solver": {"method": "rk4", "step": 1e-13, "max_steps": 10**17},
         }))
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("solver", "method", "leapfrog"),
+    ("solver", "step", 0.0),
+    ("solver", "rtol", 0.0),
+    ("solver", "atol", 0.0),
+    ("solver", "max_steps", 0),
+    ("schedule", "kind", "cosine"),
+    ("schedule", "decay_steps", 0),
+    ("schedule", "decay_rate", 1.5),
+    (None, "epochs", -1),
+    (None, "learning_rate", -1.0),
+    (None, "momentum", 1.0),
+    (None, "grad_mode", "forward"),
+])
+def test_node_domain_errors_name_their_dotted_key(block, key, value):
+    node = {"hidden": [8], "activation": "tanh", "epochs": 1}
+    solver = {"method": "rk4", "step": 0.1}
+    if key in ("rtol", "atol"):
+        solver = {"method": "dopri5"}
+    schedule = {"decay_steps": 10, "decay_rate": 0.5}
+    sub = {"solver": solver, "schedule": schedule}.get(block, node)
+    sub[key] = value
+    if block is not None:
+        node[block] = sub
+    where = f"node.{block}.{key}" if block else f"node.{key}"
+    with pytest.raises(ConfigError) as refused:
+        parse_config(base_doc(node=node))
+    assert str(refused.value).startswith(f"'{where}' ")
 
 
 def test_node_grad_mode_passthrough():

@@ -264,7 +264,6 @@ def test_a_table_holds_the_bits_of_the_whole_schedules_arrays():
         rev = ref_reverse_tableau(a, b, h)
         tables = kernels.StepTables(a, b, c)
         trial = tables.build([0.5])[0]
-        backs = tables.lookup_back(h.tolist())
         for i, tab in enumerate(tables.lookup(h.tolist())):
             tables.rescale(trial, float(h[i]))
             for got in (tab, trial):
@@ -272,9 +271,9 @@ def test_a_table_holds_the_bits_of_the_whole_schedules_arrays():
                 for st, (row, node) in enumerate(got.fwd):
                     assert row.tobytes() == ea[i, st, :st + 1].tobytes()
                     assert t0[i] + node * got.h == ts[i, st]
-            for k, row in enumerate(backs[i]):
-                st = b.size - 1 - k
-                assert row.tobytes() == rev[i, st, :k + 1].tobytes()
+                for k, row in enumerate(got.back):
+                    st = b.size - 1 - k
+                    assert row.tobytes() == rev[i, st, :k + 1].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +281,13 @@ def test_a_table_holds_the_bits_of_the_whole_schedules_arrays():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("direction", ["lookup", "lookup_back"])
-def test_tables_are_built_once_per_distinct_step_size(direction):
+def test_tables_are_built_once_per_distinct_step_size():
     tables = kernels.StepTables(*tableau("rk4"))
-    lookup = getattr(tables, direction)
     hs = [0.1, 0.2, 0.1, 0.3, 0.2]
-    first = lookup(hs)
-    assert len(tables.held) + len(tables.held_back) == 3
+    first = tables.lookup(hs)
+    assert len(tables.held) == 3
     assert first[0] is first[2] and first[1] is first[4]
-    again = lookup(hs[::-1])
+    again = tables.lookup(hs[::-1])
     assert all(x is y for x, y in zip(again, first[::-1]))
 
 
@@ -308,11 +305,11 @@ def test_tables_drop_what_they_hold_when_a_run_brings_too_many():
 
 
 def one_table_bytes():
-    """What the forward and reverse tables of one rk4 step size hold."""
+    """What the table of one rk4 step size holds."""
     tables = kernels.StepTables(*tableau("rk4"))
     tracemalloc.start()
     try:
-        held = tables.build([0.1]), tables.build_back([0.1])  # noqa: F841
+        held = tables.build([0.1])  # noqa: F841
         size, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -344,7 +341,6 @@ def test_all_different_step_tables_do_not_grow_with_the_grid(route):
         finally:
             tracemalloc.stop()
         assert len(tables.held) <= kernels.CHUNK
-        assert len(tables.held_back) <= kernels.CHUNK
         return top
 
     short, long = 200, 800

@@ -429,8 +429,8 @@ def test_adjoint_step_state_is_one_rollout_substep(method, h):
     end = kernels.march(*args, tabs, t0.tolist(), adj.steps, adj.zk, adj.zk2)[0]
     adj.derivs(0, b.size)
     adj.cot.z[...] = zbar
-    kernels.adjoint_step(layers, acts, half, tables.lookup_back(step.tolist())[0],
-                         adj.steps[0], adj, None, -1)
+    kernels.adjoint_step(layers, acts, half, tabs[0], adj.steps[0], adj, None,
+                         -1)
     adj_g = tuple(np.zeros_like(w) for w in layers)
     kernels.layer_gradients(adj_g, adj, b.size)
 
