@@ -73,7 +73,8 @@ from .metrics import MetricsReport, report_emit, streamed_rmse
 # through this name
 from .metrics import spatial_rmse  # noqa: F401
 from .node import build_net, load_net, node_forecast, save_net, scale_fit
-from .node.training import attach_time_map, normalize_times, train
+from .node.network import NET_MAGIC
+from .node.training import train
 from .pod import (
     LatentTrajectory,
     energy_spectrum,
@@ -108,7 +109,8 @@ FILE_METRICS_CSV = "metrics.csv"
 FILE_METRICS_JSON = "metrics.json"
 MODEL_FILES = {"rbf": "model_rbf.rbf", "node": "model_node.net",
                "dmd": "model_dmd.dmd"}
-MAGIC_METHODS = {b"RBF1": "rbf", b"NET1": "node", b"DMD1": "dmd"}
+MAGIC_METHODS = {rbf_mod.RBF_MAGIC: "rbf", NET_MAGIC: "node",
+                 dmd_mod.DMD_MAGIC: "dmd"}
 #: .meta.json keys of an rbf or node model that tie it to the files it was
 #: fit on; predict starts from these files and refuses any others
 FIT_INPUTS = {"basis_sha256": FILE_BASIS, "latent_sha256": FILE_LATENT}
@@ -354,19 +356,16 @@ def _fit_rbf(cfg: PipelineConfig, out: Path) -> None:
 def _fit_node(cfg: PipelineConfig, out: Path) -> None:
     block = _require(cfg.node, "node", "fit --method node")
     inputs, traj = _fit_inputs(out)
-    tau, tmap = normalize_times(traj.times)
-    unit_traj = LatentTrajectory(traj.coeffs, tau)
-    scale = scale_fit(unit_traj) if block.scaling else None
+    scale = scale_fit(traj) if block.scaling else None
     net = build_net(
-        unit_traj.dim, list(block.hidden), block.activation,
+        traj.dim, list(block.hidden), block.activation,
         augment_dim=block.augment_dim, seed=cfg.seed,
         time_input=block.time_input, scale=scale,
         name=block.preset or "custom",
     )
     started = time.perf_counter()
-    trained, history = train(net, unit_traj, block.train, solver=block.solver)
+    trained, history = train(net, traj, block.train, solver=block.solver)
     elapsed = time.perf_counter() - started
-    trained = attach_time_map(trained, tmap)
     target = out / MODEL_FILES["node"]
     with _recorded(target) as record:
         save_net(trained, target)
@@ -519,10 +518,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub.add_parser("decompose",
                                help="build the truncated modal basis"))
     fit = sub.add_parser("fit", help="fit one latent-dynamics model")
-    fit.add_argument("--method", required=True, choices=["rbf", "node", "dmd"])
+    fit.add_argument("--method", required=True, choices=list(MODEL_FILES))
     _add_common(fit)
     pred = sub.add_parser("predict", help="forecast and reconstruct fields")
-    pred.add_argument("model", help="model file (RBF1/NET1/DMD1)")
+    pred.add_argument("model", help="model file ({})".format(
+        "/".join(magic.decode() for magic in MAGIC_METHODS)))
     _add_common(pred)
     cmp_ = sub.add_parser("compare", help="score predictions against truth")
     cmp_.add_argument("truth", help="reference snapshot file")

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .containers import MAX_LABEL_BYTES
 from .errors import ConfigError
-from .node import PRESETS, LrSchedule, NodePreset, SolverSpec, TrainConfig
+from .node import LrSchedule, SolverSpec, TrainConfig
 from .node.network import ACTIVATIONS
 from .node.solvers import FIXED_METHODS
 from .snapshot import MAX_FIELD_BYTES, SyntheticSpec, time_grid
@@ -150,6 +151,14 @@ def _parse_input(block, seed: int):
     if n > GRID_POINTS_MAX:
         raise ConfigError(f"'input.grid_points' is {n}, but SNP1 holds at "
                           f"most {GRID_POINTS_MAX} points")
+    try:
+        size = len(spec.component.encode("utf-8"))
+    except UnicodeEncodeError as exc:
+        raise ConfigError(
+            f"'input.component' is not UTF-8 text ({exc.reason})") from exc
+    if size > MAX_LABEL_BYTES:
+        raise ConfigError(f"'input.component' is {size} bytes in UTF-8, but "
+                          f"SNP1 holds a label of at most {MAX_LABEL_BYTES}")
     need = 8 * n * m + (8 * n * n if spec.kind == "linear_system" else 0)
     if need > MAX_FIELD_BYTES:
         raise ConfigError(
@@ -221,20 +230,30 @@ _NODE_KEYS = {
 }
 
 
-def _preset_keys(p: NodePreset) -> dict:
-    """The node keys a preset stands for. All but epochs are fixed: a block
-    naming a preset may not set them itself."""
-    return {
-        "hidden": [p.width] * p.n_hidden,
-        "activation": p.activation,
-        "scaling": p.scaling,
-        "augmented": p.augmented,
-        "learning_rate": p.learning_rate,
-        "momentum": p.momentum,
-        "schedule": {"kind": "staircase", "decay_steps": p.decay_steps,
-                     "decay_rate": p.decay_rate},
-        "epochs": p.epochs,
-    }
+#: The node keys each tuned preset stands for, built from its row: hidden
+#: layers, width, activation, staircase decay steps and rate, input scaling,
+#: state augmentation. Every preset trains for 50000 epochs at learning rate
+#: 1e-3 with momentum 0.9. All its keys but epochs are fixed: a block naming
+#: a preset may not set them itself.
+PRESETS = {
+    name: {"hidden": [width] * n_hidden, "activation": activation,
+           "scaling": scaling, "augmented": augmented,
+           "learning_rate": 1e-3, "momentum": 0.9,
+           "schedule": {"kind": "staircase", "decay_steps": decay_steps,
+                        "decay_rate": decay_rate},
+           "epochs": 50000}
+    for name, (n_hidden, width, activation, decay_steps, decay_rate, scaling,
+               augmented) in {
+        "NODE1": (1, 256, "elu", 10000, 0.3, False, False),
+        "NODE2": (1, 256, "tanh", 5000, 0.7, True, False),
+        "NODE3": (1, 512, "elu", 5000, 0.5, False, False),
+        "NODE4": (1, 256, "tanh", 10000, 0.25, True, True),
+        "NODE5": (4, 64, "tanh", 5000, 0.5, True, False),
+        "NODE6": (1, 256, "elu", 10000, 0.1, False, False),
+        "NODE7": (2, 128, "elu", 5000, 0.5, False, False),
+        "NODE8": (1, 512, "tanh", 5000, 0.5, True, True),
+    }.items()
+}
 
 
 def _parse_node(block) -> NodeBlock:
@@ -246,13 +265,13 @@ def _parse_node(block) -> NodeBlock:
             raise ConfigError(
                 f"'node.preset' must be one of NODE1..NODE8, got {preset!r}"
             )
-        implied = _preset_keys(PRESETS[preset])
-        clash = sorted((implied.keys() - {"epochs"}) & block.keys())
+        clash = sorted((PRESETS[preset].keys() - {"epochs"}) & block.keys())
         if clash:
             raise ConfigError(
                 f"'node.{clash[0]}' conflicts with 'node.preset'"
             )
-        block = {**implied, **block}
+        # a new block: the table's own dicts are never written
+        block = {**PRESETS[preset], **block}
 
     hidden = _get(block, "node", "hidden", list)
     if not hidden or any(isinstance(w, bool) or not isinstance(w, int) or w < 1

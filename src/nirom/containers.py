@@ -35,6 +35,9 @@ from .errors import FormatError, NiromError
 
 VERSION = 1
 
+#: the longest label, in UTF-8 bytes: its length is stored as a u16
+MAX_LABEL_BYTES = 0xFFFF
+
 
 @contextmanager
 def replacing(path, mode: str = "wb"):
@@ -164,7 +167,7 @@ def read_fields(f, fmt: str) -> tuple:
 
 def write_label(f, text: str) -> None:
     data = text.encode("utf-8")
-    if len(data) > 0xFFFF:
+    if len(data) > MAX_LABEL_BYTES:
         raise ValueError("label too long for u16 length prefix")
     write_fields(f, "H", len(data))
     f.write(data)

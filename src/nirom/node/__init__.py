@@ -3,9 +3,7 @@ Runge-Kutta solvers to roll it out, and reverse-mode training."""
 
 from .network import (
     ACTIVATIONS,
-    PRESETS,
     DynamicsNet,
-    NodePreset,
     ScaleMap,
     TimeMap,
     build_net,
@@ -28,10 +26,8 @@ from .training import (
 
 __all__ = [
     "ACTIVATIONS",
-    "PRESETS",
     "DynamicsNet",
     "LrSchedule",
-    "NodePreset",
     "ScaleMap",
     "SolverSpec",
     "TimeMap",

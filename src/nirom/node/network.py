@@ -1,7 +1,7 @@
-"""Network container, initialization, the preset table, scaling maps, and
-the NET1 container format."""
+"""Network container, initialization, scaling maps, and the NET1 container
+format."""
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -247,40 +247,6 @@ def build_net(
         sizes, activations, augment_dim=augment_dim, seed=seed,
         time_input=time_input, scale=scale, name=name,
     )
-
-
-# ---------------------------------------------------------------------------
-# Table of tuned configurations: (hidden layers, width, activation,
-# staircase decay steps, decay rate, input scaling, state augmentation).
-# Training for every entry: 50000 epochs, rk4, RMSProp at 1e-3 with
-# momentum 0.9. The config reads a preset name as the node keys it fixes.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NodePreset:
-    n_hidden: int
-    width: int
-    activation: str
-    decay_steps: int
-    decay_rate: float
-    scaling: bool
-    augmented: bool
-    epochs: int = 50000
-    learning_rate: float = 1e-3
-    momentum: float = 0.9
-
-
-PRESETS = {
-    "NODE1": NodePreset(1, 256, "elu", 10000, 0.3, False, False),
-    "NODE2": NodePreset(1, 256, "tanh", 5000, 0.7, True, False),
-    "NODE3": NodePreset(1, 512, "elu", 5000, 0.5, False, False),
-    "NODE4": NodePreset(1, 256, "tanh", 10000, 0.25, True, True),
-    "NODE5": NodePreset(4, 64, "tanh", 5000, 0.5, True, False),
-    "NODE6": NodePreset(1, 256, "elu", 10000, 0.1, False, False),
-    "NODE7": NodePreset(2, 128, "elu", 5000, 0.5, False, False),
-    "NODE8": NodePreset(1, 512, "tanh", 5000, 0.5, True, True),
-}
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,11 @@ update:
     v <- mu * v + lr * g / sqrt(a + eps)
     w <- w - v
 
-Training works on times normalized to [0, 1]; the map back to physical time
-rides along on the net so forecasts accept physical times.
+``train`` maps the trajectory's own time window onto [0, 1] and stamps the
+map on the net before anything integrates: a solver failure in training
+names its physical time, and forecasts accept physical times. The net
+trains on the unit grid: a solver's step, and default_solver's spacing, are
+measured there.
 """
 
 from dataclasses import dataclass, replace
@@ -18,7 +21,7 @@ import numpy as np
 
 from ..errors import NumericalError
 from ..pod import LatentTrajectory
-from ..snapshot import check_times, time_tolerance
+from ..snapshot import check_times
 from .gradients import GRAD_MODES, GradPlan, _loss_and_grad
 from .network import DynamicsNet, TimeMap
 from .solvers import SolverSpec, _pad_state, ode_solve
@@ -120,24 +123,17 @@ def train(
     config: TrainConfig,
     solver: SolverSpec | None = None,
 ):
-    """Optimize the net against one latent trajectory.
-
-    The trajectory's times must already be normalized to [0, 1] (see
-    normalize_times). Without a solver, default_solver(times) integrates.
-    Returns (trained net, per-epoch history).
+    """Optimize the net against one latent trajectory on its own window of
+    two or more times, mapped onto [0, 1] by normalize_times. Without a
+    solver, default_solver(unit times) integrates. Returns (trained net,
+    which carries the map, per-epoch history).
     """
-    times = check_times(traj.times)
     if traj.dim != net.latent_dim:
         raise ValueError(
             f"trajectory has {traj.dim} components, net expects {net.latent_dim}"
         )
-    if times.size < 2:
-        raise ValueError("need at least two training snapshots")
-    tol = time_tolerance(times)
-    if abs(times[0]) > tol or abs(times[-1] - 1.0) > tol:
-        raise ValueError(
-            "training times must be normalized to [0, 1]; see normalize_times"
-        )
+    times, tmap = normalize_times(traj.times)
+    net = replace(net, time_map=tmap)
     if solver is None:
         solver = default_solver(times)
 
@@ -184,7 +180,3 @@ def node_forecast(
         solver = default_solver(tau)
     sol = ode_solve(net, z0, tau, solver)
     return LatentTrajectory(sol.coeffs[: net.latent_dim], times)
-
-
-def attach_time_map(net: DynamicsNet, tmap: TimeMap) -> DynamicsNet:
-    return replace(net, time_map=tmap)

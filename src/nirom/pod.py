@@ -155,10 +155,22 @@ def _lift(s: np.ndarray, sigma: np.ndarray, v: np.ndarray):
 def _gram_svd(s: np.ndarray, count: int | None = None):
     """Leading ``count`` triplets (all for None) of the thin SVD of s
     (n x m, m <= n) via eigendecomposition of s.T @ s."""
-    try:
-        w, v = np.linalg.eigh(s.T @ s)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Gram eigendecomposition failed: {exc}") from exc
+    # an overflow shows as a Gram entry or eigenvalue that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = s.T @ s
+        overflow = not np.all(np.isfinite(gram))
+        if not overflow:
+            try:
+                w, v = np.linalg.eigh(gram)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(
+                    f"Gram eigendecomposition failed: {exc}") from exc
+            overflow = not np.all(np.isfinite(w))
+    if overflow:
+        raise NumericalError(
+            "the Gram matrix or its eigenvalues are not finite: the field's "
+            "squared singular values overflow (largest entry magnitude "
+            f"{np.max(np.abs(s)):.3g})")
     w = np.maximum(w[::-1], 0.0)
     v = v[:, ::-1]
     sigma = np.sqrt(w)

@@ -303,14 +303,23 @@ def center(snapshots: SnapshotSet, in_place: bool = False) -> CenteredSet:
     """Remove the temporal mean from every snapshot column. With
     ``in_place`` the deviations overwrite ``snapshots.data``, which saves a
     field of memory and its copy; only a caller that owns the array and
-    does not read the snapshots again may ask for it."""
+    does not read the snapshots again may ask for it. A mean that
+    overflows is a NumericalError, raised before the field is changed; a
+    deviation that overflows is left to the Gram SVD's check."""
     data = snapshots.data
-    mean = data.mean(axis=1)
-    if in_place:
-        data -= mean[:, None]
-        deviations = data
-    else:
-        deviations = data - mean[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = data.mean(axis=1)
+        if not np.all(np.isfinite(mean)):
+            i = int(np.argmin(np.isfinite(mean)))
+            raise NumericalError(
+                f"the temporal mean of grid point {i} is not finite: its "
+                f"entries (largest magnitude {np.max(np.abs(data[i])):.3g}) "
+                "overflow when summed")
+        if in_place:
+            data -= mean[:, None]
+            deviations = data
+        else:
+            deviations = data - mean[:, None]
     return CenteredSet(deviations, mean, snapshots.times, snapshots.component)
 
 

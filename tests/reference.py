@@ -11,6 +11,21 @@ from nirom.node.network import DynamicsNet, kernel_args, layer_views
 from nirom.rbf import RbfModel
 from nirom.snapshot import SyntheticSpec, orthonormal_lift
 
+#: the tuned node presets, stated apart from nirom.config.PRESETS: name ->
+#: (hidden layers, width, activation, staircase decay steps, decay rate,
+#: input scaling, state augmentation); every preset trains for 50000 epochs
+#: of RMSProp at learning rate 1e-3 with momentum 0.9
+PRESET_ROWS = {
+    "NODE1": (1, 256, "elu", 10000, 0.3, False, False),
+    "NODE2": (1, 256, "tanh", 5000, 0.7, True, False),
+    "NODE3": (1, 512, "elu", 5000, 0.5, False, False),
+    "NODE4": (1, 256, "tanh", 10000, 0.25, True, True),
+    "NODE5": (4, 64, "tanh", 5000, 0.5, True, False),
+    "NODE6": (1, 256, "elu", 10000, 0.1, False, False),
+    "NODE7": (2, 128, "elu", 5000, 0.5, False, False),
+    "NODE8": (1, 512, "tanh", 5000, 0.5, True, True),
+}
+
 
 def net_eval(net: DynamicsNet, t: float, z: np.ndarray) -> np.ndarray:
     """Single right-hand side evaluation net(t, z), layer by layer from the

@@ -15,8 +15,8 @@ import pytest
 from nirom import dmd as dmd_mod
 from nirom import rbf as rbf_mod
 from nirom.cli import main as cli_main
+from nirom.config import PRESETS
 from nirom.node import (
-    PRESETS,
     SolverSpec,
     TrainConfig,
     build_net,
@@ -25,7 +25,7 @@ from nirom.node import (
     ode_solve,
     scale_fit,
 )
-from nirom.node.training import attach_time_map, normalize_times, train
+from nirom.node.training import train
 from nirom.pod import (
     LatentTrajectory,
     project,
@@ -256,14 +256,11 @@ def test_pod_node_end_to_end(capsys):
                          component=snap.component)
         latent = project(basis, cen)
 
-        tau, tmap = normalize_times(latent.times)
-        unit = LatentTrajectory(latent.coeffs, tau)
         net = build_net(2, [64], "tanh", seed=0, time_input=False,
-                        scale=scale_fit(unit))
+                        scale=scale_fit(latent))
         trained, history = train(
-            net, unit, TrainConfig(epochs=5000, learning_rate=1e-3)
+            net, latent, TrainConfig(epochs=5000, learning_rate=1e-3)
         )
-        trained = attach_time_map(trained, tmap)
         assert np.isfinite(history.final_loss)
 
         horizon = np.arange(0.0, 1.2 * 6.2 + 1e-9, 0.1)
@@ -304,11 +301,10 @@ def test_preset_fidelity(capsys):
         for name, (n_hidden, width, act, scaling, augmented) in (
                 PRESET_TABLE.items()):
             p = PRESETS[name]
-            assert p.n_hidden == n_hidden, name
-            assert p.width == width, name
-            assert p.activation == act, name
-            assert p.scaling == scaling, name
-            assert p.augmented == augmented, name
+            assert p["hidden"] == [width] * n_hidden, name
+            assert p["activation"] == act, name
+            assert p["scaling"] == scaling, name
+            assert p["augmented"] == augmented, name
 
 
 def test_pipeline_determinism(tmp_path, capsys):

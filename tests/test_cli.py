@@ -27,10 +27,11 @@ from nirom import dmd as dmd_mod
 from nirom import errors
 from nirom import rbf as rbf_mod
 from nirom.cli import main
+from nirom.config import PRESETS
 from nirom.containers import peek_magic
 from nirom.errors import FormatError
 from nirom.metrics import spatial_rmse
-from nirom.node import PRESETS, load_net, save_net
+from nirom.node import load_net, save_net
 from nirom.pod import PodBasis, load_basis, save_basis
 from nirom.snapshot import SnapshotSet, load_snapshots, save_snapshots, time_grid
 
@@ -172,6 +173,23 @@ def test_generate_grid_beyond_the_limit_exit_2(tmp_path, capsys, kind,
     assert peak < 16e6
 
 
+def test_a_component_label_too_long_for_snp1_exits_2_at_load(tmp_path,
+                                                             capsys):
+    cfg = write_cfg(tmp_path, dmd={"rank": 2})
+    run_ok("generate", "--config", cfg)
+    kept = {name: (tmp_path / name).read_bytes()
+            for name in ("snapshots.snp", "snapshots.snp.meta.json")}
+    doc = json.loads((tmp_path / "cfg.json").read_text())
+    doc["input"]["component"] = "é" * 32768  # 65536 bytes in UTF-8
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    assert run("generate", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert "'input.component' is 65536 bytes" in err and "65535" in err
+    assert {name: (tmp_path / name).read_bytes() for name in kept} == kept
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
+        ["cfg.json", *kept])
+
+
 @pytest.mark.parametrize("kind,rate", [("traveling_wave", "wave_speed"),
                                        ("harmonic_latent", "omega")])
 def test_generate_overflowing_rate_exit_2(tmp_path, kind, rate):
@@ -243,6 +261,43 @@ def test_decompose_rank_beyond_numerical_rank_is_exit_2(tmp_path, capsys):
     assert run("decompose", "--config", cfg) == 2
     assert "rank must be in [1, 2], got 3" in capsys.readouterr().err
     assert not (tmp_path / "basis.pod").exists()
+
+
+def overflowing_field(kind: str) -> SnapshotSet:
+    """A finite 64 x 100 field too large for the Gram SVD."""
+    times = 0.01 * np.arange(100)
+    wave = np.sin(2.0 * np.pi * np.arange(64)[:, None] / 64 - times)
+    if kind == "eigenvalue":
+        # decompose's centered Gram peaks at 1.14e307, yet its top
+        # eigenvalue is infinite
+        return SnapshotSet(1.2e153 * wave, times)
+    if kind == "entry":
+        wave[3, 7] = 1e300  # one square overflows the Gram
+        return SnapshotSet(wave, times)
+    if kind == "deviation":
+        # three times: each row's mean is finite, but not its deviations
+        return SnapshotSet(1.7e308 * np.sign(wave[:, :3] + [2.0, -2.0, -2.0])
+                           * (1.0 - 1e-3 * wave[:, :3]), times[:3])
+    # every row's sum, and so its mean, overflows
+    return SnapshotSet(1.7e308 * (1.0 + 0.01 * wave), times)
+
+
+@pytest.mark.parametrize("command", [("decompose",), ("fit", "--method", "dmd")],
+                         ids=["decompose", "fit-dmd"])
+@pytest.mark.parametrize("kind", ["eigenvalue", "entry", "mean", "deviation"])
+def test_a_field_too_large_for_the_gram_svd_exits_3(tmp_path, command, kind):
+    save_snapshots(overflowing_field(kind), tmp_path / "field.snp")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "input": {"path": str(tmp_path / "field.snp")},
+        "pod": {"rank": 2}, "dmd": {"rank": 2}, "output_dir": str(tmp_path)}))
+    done = run_fresh(*command, "--config", str(cfg))
+    assert done.returncode == 3, done.stderr
+    # no numpy warning, and no traceback, beside the error
+    [line] = done.stderr.splitlines()
+    assert line.startswith("error: ") and "not finite" in line
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.json",
+                                                           "field.snp"]
 
 
 def test_decompose_writes_latent_trajectory(pipeline):
@@ -543,11 +598,12 @@ def test_fit_node_preset_builds_its_net(latent_dir, tmp_path, name):
     cfg = write_cfg(tmp_path, node={"preset": name, "epochs": 0})
     run_ok("fit", "--method", "node", "--config", cfg, "--out", str(latent_dir))
     net = load_net(latent_dir / "model_node.net")
-    state = 2 + (1 if p.augmented else 0)
-    assert net.sizes == (state + 1, *[p.width] * p.n_hidden, state)
-    assert net.activations == (p.activation,) * p.n_hidden + ("linear",)
-    assert net.augment_dim == (1 if p.augmented else 0)
-    assert (net.scale is not None) == p.scaling
+    state = 2 + (1 if p["augmented"] else 0)
+    hidden = p["hidden"]
+    assert net.sizes == (state + 1, *hidden, state)
+    assert net.activations == (p["activation"],) * len(hidden) + ("linear",)
+    assert net.augment_dim == (1 if p["augmented"] else 0)
+    assert (net.scale is not None) == p["scaling"]
     assert net.name == name
 
 
@@ -636,6 +692,26 @@ def test_fit_rbf_and_dmd_take_a_grid_far_from_time_zero(tmp_path):
                     ("fit", "--method", "dmd")):
         run_ok(*command, "--config", cfg)
     assert load_snapshots(tmp_path / "snapshots.snp").n_snapshots == 100
+
+
+def test_a_training_failure_names_its_physical_time(tmp_path, capsys):
+    # dopri5 ends a step on each of the 121 training times, so its budget
+    # of 50 runs out at the unit time 50/120, physical 10 + 12 * 50/120
+    cfg = write_cfg(tmp_path, pod={"rank": 2}, node={
+        "hidden": [4], "activation": "tanh", "epochs": 1,
+        "solver": {"method": "dopri5", "max_steps": 50}})
+    doc = json.loads((tmp_path / "cfg.json").read_text())
+    doc["input"] = {"kind": "harmonic_latent", "grid_points": 32,
+                    "t_start": 10.0, "t_end": 22.0, "dt": 0.1}
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    run_ok("generate", "--config", cfg)
+    run_ok("decompose", "--config", cfg)
+    capsys.readouterr()
+    assert run("fit", "--method", "node", "--config", cfg) == 3
+    err = capsys.readouterr().err
+    assert "dopri5 exceeded max_steps=50" in err
+    t = float(re.search(r"at t=(\S+)$", err.strip())[1])
+    assert 10.0 <= t <= 22.0
 
 
 def test_fit_node_without_epochs_writes_strict_json_meta(latent_dir, tmp_path):

@@ -1,5 +1,6 @@
 """Config parsing: closed key sets, dotted error paths, block validation."""
 
+import copy
 import dataclasses
 import json
 import re
@@ -7,11 +8,11 @@ import re
 import numpy as np
 import pytest
 
-from nirom.config import load_config, parse_config
+from nirom.config import PRESETS, load_config, parse_config
 from nirom.errors import ConfigError
-from nirom.node import PRESETS
 from nirom.node.solvers import MAX_STEPS
 from nirom.snapshot import MAX_FIELD_BYTES, MAX_GRID_TIMES, time_grid
+from reference import PRESET_ROWS
 
 
 def base_doc(**extra):
@@ -203,18 +204,18 @@ def test_node_preset_conflicts_with_architecture_keys():
 
 
 def _spelled_out(name: str) -> dict:
-    p = PRESETS[name]
+    n_hidden, width, act, steps, rate, scaling, augmented = PRESET_ROWS[name]
     return {
-        "hidden": [p.width] * p.n_hidden, "activation": p.activation,
-        "scaling": p.scaling, "augmented": p.augmented,
-        "learning_rate": p.learning_rate, "momentum": p.momentum,
-        "schedule": {"kind": "staircase", "decay_steps": p.decay_steps,
-                     "decay_rate": p.decay_rate},
+        "hidden": [width] * n_hidden, "activation": act,
+        "scaling": scaling, "augmented": augmented,
+        "learning_rate": 1e-3, "momentum": 0.9,
+        "schedule": {"kind": "staircase", "decay_steps": steps,
+                     "decay_rate": rate},
         "epochs": 50000,
     }
 
 
-@pytest.mark.parametrize("name", sorted(PRESETS))
+@pytest.mark.parametrize("name", sorted(PRESET_ROWS))
 def test_node_preset_is_its_explicit_block(name):
     extra = {"time_input": False, "grad_mode": "adjoint",
              "solver": {"method": "midpoint", "step": 0.01}}
@@ -224,6 +225,13 @@ def test_node_preset_is_its_explicit_block(name):
             node={**_spelled_out(name), **accompany}))
         assert preset.node.preset == name
         assert dataclasses.replace(preset.node, preset=None) == explicit.node
+
+
+def test_node_preset_overrides_leave_the_table_unchanged():
+    table = copy.deepcopy(PRESETS)
+    cfg = parse_config(base_doc(node={"preset": "NODE7", "epochs": 3}))
+    assert cfg.node.train.epochs == 3
+    assert PRESETS == table
 
 
 def test_node_explicit_block_defaults():
@@ -477,6 +485,20 @@ def test_field_size_limit_names_grid_points(kind):
     parse_config(doc(n, m))
     with pytest.raises(ConfigError, match=f"'input.grid_points' is {n + 1}"):
         parse_config(doc(n + 1, m))
+
+
+@pytest.mark.parametrize("component,message", [
+    ("é" * 32768, "is 65536 bytes in UTF-8"),
+    ("\ud800", "is not UTF-8 text"),  # a lone surrogate JSON can spell
+], ids=["u16", "surrogate"])
+def test_component_label_snp1_cannot_store_names_its_key(component, message):
+    # SNP1 stores the label with a u16 byte count: 65535 bytes still fit
+    doc = base_doc()
+    doc["input"]["component"] = "é" * 32767 + "a"
+    parse_config(doc)
+    doc["input"]["component"] = component
+    with pytest.raises(ConfigError, match=f"^'input.component' {message}"):
+        parse_config(doc)
 
 
 # files ----------------------------------------------------------------

@@ -6,15 +6,17 @@ W1=(0.7,-0.5), b1=0.2; the scaled variant maps z through (z-0.5)/2 and
 multiplies the output by 2.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nirom.config import PRESETS
 from nirom.errors import FormatError, NumericalError
 from nirom.node import (
     ACTIVATIONS,
-    PRESETS,
     DynamicsNet,
     ScaleMap,
     TimeMap,
@@ -26,7 +28,7 @@ from nirom.node import (
 )
 from nirom.node.network import layer_views, param_count
 from nirom.pod import LatentTrajectory
-from reference import net_eval
+from reference import PRESET_ROWS, net_eval
 
 HAND_TANH_PLAIN = 0.07985200036280397
 HAND_TANH_SCALED = 0.5947294270298413
@@ -236,28 +238,18 @@ def test_time_map_rejects_empty_window():
 # presets
 # ---------------------------------------------------------------------------
 
-PRESET_ROWS = {
-    "NODE1": (1, 256, "elu", 10000, 0.3, False, False),
-    "NODE2": (1, 256, "tanh", 5000, 0.7, True, False),
-    "NODE3": (1, 512, "elu", 5000, 0.5, False, False),
-    "NODE4": (1, 256, "tanh", 10000, 0.25, True, True),
-    "NODE5": (4, 64, "tanh", 5000, 0.5, True, False),
-    "NODE6": (1, 256, "elu", 10000, 0.1, False, False),
-    "NODE7": (2, 128, "elu", 5000, 0.5, False, False),
-    "NODE8": (1, 512, "tanh", 5000, 0.5, True, True),
-}
-
 
 @pytest.mark.parametrize("name", sorted(PRESET_ROWS))
 def test_preset_table(name):
     n_hidden, width, act, steps, rate, scaling, augmented = PRESET_ROWS[name]
     p = PRESETS[name]
-    assert (p.n_hidden, p.width, p.activation) == (n_hidden, width, act)
-    assert (p.decay_steps, p.decay_rate) == (steps, rate)
-    assert (p.scaling, p.augmented) == (scaling, augmented)
-    assert p.epochs == 50000
-    assert p.learning_rate == 1e-3
-    assert p.momentum == 0.9
+    assert (p["hidden"], p["activation"]) == ([width] * n_hidden, act)
+    assert p["schedule"] == {"kind": "staircase", "decay_steps": steps,
+                             "decay_rate": rate}
+    assert (p["scaling"], p["augmented"]) == (scaling, augmented)
+    assert p["epochs"] == 50000
+    assert p["learning_rate"] == 1e-3
+    assert p["momentum"] == 0.9
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +278,7 @@ def test_net_roundtrip_full(tmp_path):
     net = build_net(
         2, [4, 4], "tanh", augment_dim=1, seed=3, time_input=False, scale=smap
     )
-    from nirom.node.training import attach_time_map
-
-    net = attach_time_map(net, TimeMap(1.5, 9.0))
+    net = replace(net, time_map=TimeMap(1.5, 9.0))
     path = tmp_path / "model.net"
     save_net(net, path)
     back = load_net(path)

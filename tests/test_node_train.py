@@ -28,7 +28,7 @@ from nirom.node import (
 )
 from nirom.node.network import TimeMap
 from nirom.node.solvers import build_schedule
-from nirom.node.training import MAX_EPOCHS, attach_time_map, default_solver
+from nirom.node.training import MAX_EPOCHS, default_solver
 from nirom.pod import LatentTrajectory
 
 
@@ -130,9 +130,11 @@ def test_normalize_times_needs_two_points():
 
 def test_zero_epochs_returns_net_unchanged():
     traj = spiral_trajectory()
+    traj = LatentTrajectory(traj.coeffs, 5.0 + 2.0 * traj.times)
     net = build_net(2, [8], "tanh", seed=0, time_input=False)
     trained, hist = train(net, traj, TrainConfig(epochs=0))
-    assert trained is net
+    assert trained.params.tobytes() == net.params.tobytes()
+    assert trained.time_map == TimeMap(5.0, 7.0)
     assert hist.loss.size == 0 and hist.lr.size == 0
     assert np.isnan(hist.final_loss)
 
@@ -174,11 +176,23 @@ def test_training_reaches_small_mse():
     assert trained.params.shape == net.params.shape
 
 
-def test_training_rejects_unnormalized_times():
-    times = np.linspace(0.0, 2.0, 10)
-    traj = LatentTrajectory(np.vstack([np.cos(times), np.sin(times)]), times)
+def test_training_on_a_window_is_training_on_its_unit_grid():
+    # the net reads time, so a grid left unmapped would train differently
+    times = np.linspace(10.0, 12.0, 11)
+    coeffs = np.vstack([np.cos(times), np.sin(times)])
+    tau, _ = normalize_times(times)
+    net = build_net(2, [8], "tanh", seed=0, time_input=True)
+    config = TrainConfig(epochs=20)
+    on_window, _ = train(net, LatentTrajectory(coeffs, times), config)
+    on_unit, _ = train(net, LatentTrajectory(coeffs, tau), config)
+    assert on_window.params.tobytes() == on_unit.params.tobytes()
+    assert on_window.time_map == TimeMap(10.0, 12.0)
+
+
+def test_training_needs_two_times():
     net = build_net(2, [8], "tanh", seed=0, time_input=False)
-    with pytest.raises(ValueError, match="normalized"):
+    traj = LatentTrajectory(np.ones((2, 1)), np.array([3.0]))
+    with pytest.raises(ValueError, match="two times"):
         train(net, traj, TrainConfig(epochs=1))
 
 
@@ -230,7 +244,7 @@ def test_forecast_maps_physical_times():
     net = build_net(2, [32], "tanh", seed=2, time_input=False)
     trained, _ = train(net, traj, TrainConfig(epochs=2000))
     # pretend training time 0..1 corresponds to physical 10..12
-    stamped = attach_time_map(trained, TimeMap(10.0, 12.0))
+    stamped = replace(trained, time_map=TimeMap(10.0, 12.0))
     phys = 10.0 + 2.0 * traj.times
     fc_phys = node_forecast(stamped, traj.coeffs[:, 0], phys)
     fc_unit = node_forecast(trained, traj.coeffs[:, 0], traj.times)
