@@ -211,12 +211,11 @@ def _parse_solver(block) -> SolverSpec:
         raise _key_error("node.solver", exc) from exc
 
 
-def _parse_schedule(block, base_lr: float) -> LrSchedule:
+def _parse_schedule(block) -> LrSchedule:
     _check_keys(block, "node.schedule", {"kind", "decay_steps", "decay_rate"})
     try:
         return LrSchedule(
             _get(block, "node.schedule", "kind", str, "staircase"),
-            base_lr,
             _get(block, "node.schedule", "decay_steps", int),
             _get(block, "node.schedule", "decay_rate", float),
         )
@@ -283,11 +282,11 @@ def _parse_node(block) -> NodeBlock:
             f"'node.activation' must be one of {sorted(ACTIVATIONS)}"
         )
     lr = _get(block, "node", "learning_rate", float, 1e-3)
-    if not lr > 0:  # before the schedule, whose base rate it also is
+    if not lr > 0:  # before the schedule, which decays it
         raise ConfigError("'node.learning_rate' must be positive")
     schedule = None
     if "schedule" in block:
-        schedule = _parse_schedule(block["schedule"], lr)
+        schedule = _parse_schedule(block["schedule"])
     try:
         train = TrainConfig(
             epochs=_get(block, "node", "epochs", int),

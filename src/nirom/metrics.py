@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .containers import replacing
+from .errors import NumericalError
 from .snapshot import SnapshotSet, column_blocks, same_times
 
 
@@ -49,9 +50,10 @@ def _mean_squares(pred, truth, diff, out) -> None:
     diff, a column-major buffer of the blocks' shape, may be pred itself.
     On column-major blocks every column is summed exactly as the
     whole-field reduction sums it."""
-    np.subtract(pred, truth, diff)
-    np.square(diff, diff)
-    np.mean(diff, axis=0, out=out)
+    with np.errstate(over="ignore"):
+        np.subtract(pred, truth, diff)
+        np.square(diff, diff)
+        np.mean(diff, axis=0, out=out)
 
 
 def spatial_rmse(
@@ -88,8 +90,9 @@ def streamed_rmse(preds: list, truth) -> list:
     buffers. Every value is checked finite: each truth block as it is read,
     and a prediction block through its column mean squares, which any
     non-finite value in it makes non-finite; only then is that block read
-    again and scanned, to name the value's row and column. Shapes and
-    times are checked first, before any field is read."""
+    again and scanned, to name the value's row and column. A finite block
+    whose squared error overflows is a NumericalError naming its first such
+    column. Shapes and times are checked first, before any field is read."""
     for pred in preds:
         _check_aligned(pred.shape, pred.times, truth.shape, truth.times)
     n, m = truth.shape
@@ -103,9 +106,12 @@ def streamed_rmse(preds: list, truth) -> list:
         for pred, out in zip(preds, series):
             block = pred.read(pred_buf[:, :width], check=False)
             _mean_squares(block, truth_block, block, out[cols])
-            if not np.isfinite(out[cols]).all():
-                # a finite block whose squares overflow passes, as before
+            finite = np.isfinite(out[cols])
+            if not finite.all():
                 pred.check_last(block)
+                raise NumericalError(
+                    f"{pred.path}: the squared error of column "
+                    f"{cols.start + int(np.argmin(finite))} overflows")
     for out in series:
         np.sqrt(out, out)
     return series

@@ -98,10 +98,12 @@ the same.
 
 Call contract (counted by the benchmark's tracer): march calls the
 module-level nn_forward once per stage, and _sweep the module-level nn_vjp
-once per stage. A fixed-step gradient calls rollout_backward once for
-backprop, or rollout_rk once and then adjoint_step once per substep for
-the adjoint. A dopri5 gradient, in either mode, calls neither rollout_rk
-nor rollout_backward: adjoint_step once per accepted step. No other kernel
+once per stage. solvers.fixed_rollout makes every forward pass, a
+gradient's included: over a fixed-step schedule it calls rollout_rk once,
+the adjoint's pass too. A fixed-step gradient then calls rollout_backward
+once for backprop, or adjoint_step once per substep for the adjoint. A
+dopri5 gradient, in either mode, calls neither rollout_rk nor
+rollout_backward: adjoint_step once per accepted step. No other kernel
 evaluates the net. rollout_rk takes the substep start times `sub_t0` as
 positional argument 13.
 """

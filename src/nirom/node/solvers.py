@@ -3,8 +3,9 @@
 Every method lands exactly on the requested times. Fixed-step methods
 (euler, midpoint, rk4) sub-step each observation interval evenly. dopri5 is
 the embedded 4(5) pair with PI step-size control; it shortens any step that
-would pass the next requested time so that it ends there; a gradient
-recomputes its accepted steps from the states it keeps (_dopri5_core).
+would pass the next requested time so that it ends there. fixed_rollout
+makes every forward pass, a gradient's included, keeping what the reverse
+pass of its plan's route reads (RolloutPlan).
 """
 
 from dataclasses import dataclass
@@ -28,6 +29,17 @@ METHODS = FIXED_METHODS + ("dopri5",)
 #: step per interval of the longest grid
 #: (snapshot.MAX_GRID_TIMES)
 MAX_STEPS = 1_000_000
+
+#: what a RolloutPlan serves: a rollout alone, or a gradient mode's
+GRAD_MODES = ("backprop_through_solver", "adjoint")
+ROUTES = ("rollout",) + GRAD_MODES
+#: adjoint steps recomputed in one forward run and kept for one deferred
+#: parameter GEMM per layer (kernels.CHUNK, the run its tables are looked up
+#: for). A step stores every layer's input and cotangent for each of its
+#: stages: about 4.3 KiB for an rk4 step of a 2-64-2 net, so a chunk is
+#: about 140 KiB there and about 1 MiB for a 512-wide preset, while the
+#: GEMMs' dispatch is spread over 32 steps
+ADJOINT_CHUNK = kernels.CHUNK
 
 
 @dataclass(frozen=True)
@@ -142,31 +154,45 @@ def _pad_state(net: DynamicsNet, z0) -> np.ndarray:
 
 
 class RolloutPlan:
-    """One net's rollouts over one time grid with one solver, built once and
-    reused: the kernels' net arguments, whose augmented weights the plan
-    owns (set_params refills them), the tableau and its scaled tables, the
-    fixed-step schedule, and the stage buffers. A cached plan keeps the
-    layer rows of every stage for a reverse sweep; a dopri5 plan is never
-    cached, its schedule changing from call to call.
-    """
+    """One net's rollouts over one time grid with one solver, for one of
+    ROUTES, built once and reused: the kernels' net arguments, whose
+    augmented weights the plan owns (set_params refills them), the scaled
+    tableau tables, the fixed-step schedule, and the buffers the route
+    keeps, sized here. A rollout keeps one step's stage rows (dopri5 none).
+    Fixed-step backprop is `cached`: `stages` holds every substep's rows.
+    Any other gradient route keeps every step's start state, and the last,
+    in `states`, and `stages` holds one chunk of at most ADJOINT_CHUNK
+    steps, which the forward pass runs through and the reverse pass
+    recomputes into."""
 
     def __init__(self, net: DynamicsNet, times, solver: SolverSpec,
-                 cached: bool = False):
+                 route: str = "rollout"):
+        if route not in ROUTES:
+            raise ValueError(f"unknown route {route!r}; expected {ROUTES}")
         self.net = net
         self.times = times
         self.solver = solver
         self.args = kernel_args(net, net.params)
-        self.tableau = tableau(solver.method)
-        self.n_stages = self.tableau[1].size
-        self.tables = kernels.StepTables(*self.tableau)
-        self.schedule = None
-        self.adaptive = None
-        self.cached = cached and solver.method in FIXED_METHODS
-        if solver.method in FIXED_METHODS:
+        self.tables = kernels.StepTables(*tableau(solver.method))
+        self.n_stages = self.tables.n_stages
+        fixed = solver.method in FIXED_METHODS
+        self.cached = fixed and route == "backprop_through_solver"
+        self.schedule = self.adaptive = self.stages = self.states = None
+        if fixed:
             self.schedule = build_schedule(times, solver.step, solver.max_steps)
+            n_sub = self.schedule[1].size
         else:
             self.adaptive = self.buffers(_DP_K, _DP_K)
-        self.stages = None
+        if self.cached:
+            n_steps = n_sub
+        elif route != "rollout":
+            n_steps = min(ADJOINT_CHUNK, n_sub) if fixed else ADJOINT_CHUNK
+            self.states = np.empty((n_sub + 1, net.state_dim)) if fixed else []
+        else:
+            # a dopri5 rollout marches in its adaptive buffers alone
+            n_steps = 1 if fixed else None
+        if n_steps is not None:
+            self.stages = self.buffers(n_steps * self.n_stages, self.n_stages)
 
     def set_params(self, params: np.ndarray) -> None:
         """Fold a new flat parameter vector into the plan's weights."""
@@ -193,42 +219,35 @@ class RolloutPlan:
         tmap = self.net.time_map
         return t if tmap is None else tmap.from_unit(t)
 
-    def stage_buffers(self):
-        """The stage buffers, built once from the schedule: rows for every
-        substep when cached, for one otherwise."""
-        if self.stages is None:
-            n_steps = self.schedule[0].size if self.cached else 1
-            self.stages = self.buffers(n_steps * self.n_stages, self.n_stages)
-        return self.stages
-
 
 def fixed_rollout(plan: RolloutPlan, z0: np.ndarray):
-    """March the plan's tableau over its schedule; a cached plan keeps every
-    stage's rows in plan.stages. dopri5 has no schedule before its adaptive
-    pass accepts one: the result is that pass's own, and no stage is kept.
+    """March the plan's tableau over its schedule, keeping what its route
+    keeps (RolloutPlan). dopri5 has no schedule before its adaptive pass
+    accepts one: the result is that pass's own. Refuses states at the
+    plan's times that are not all finite, naming the first such time.
     Returns (out, schedule)."""
-    schedule = plan.schedule
+    schedule, states = plan.schedule, plan.states
     if schedule is None:
-        return _dopri5_core(plan, z0)
+        return _dopri5_core(plan, z0, states)
     sub_t0, sub_h, out_idx = schedule
-    buf = plan.stage_buffers()
-    steps = buf.steps if plan.cached else buf.steps * sub_h.size
-    out = np.empty((z0.shape[0], plan.times.size))
+    buf = plan.stages
+    steps = buf.steps if plan.cached else buf.steps[:1] * sub_h.size
+    # row i of states is substep i's start state, row n_sub the last state
+    out = np.empty((z0.shape[0], plan.times.size)) if states is None else states.T
+    cols = out_idx if states is None else np.arange(1, sub_h.size + 1)
     # a blown-up state overflows quietly; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         kernels.rollout_rk(
-            *plan.args, z0, plan.tables, steps, buf.zk, buf.zk2, out, out_idx,
+            *plan.args, z0, plan.tables, steps, buf.zk, buf.zk2, out, cols,
             sub_h, sub_t0,
         )
-    check_rollout(plan, out)
-    return out, schedule
-
-
-def check_rollout(plan: RolloutPlan, out: np.ndarray) -> None:
-    """Refuse a rollout whose states at the plan's times (the columns of
-    out) are not all finite, naming the first such time."""
+    if states is not None:
+        # the states at the plan's times: the first, and each substep's end
+        # that lands on one
+        out = out[:, np.flatnonzero(np.append(0, out_idx) >= 0)]
     check_steps(out, plan.times, "integration became non-finite",
                 to_time=plan.physical_time)
+    return out, schedule
 
 
 def ode_solve(net: DynamicsNet, z0, times, solver: SolverSpec) -> LatentTrajectory:
@@ -287,8 +306,8 @@ def _dopri5_core(plan: RolloutPlan, z0: np.ndarray, states=None):
 
     A step that would pass the next requested time is shortened to end on
     it. Returns the states at every requested time and the accepted-step
-    schedule (t0, h, output column or -1). Given a list `states`, appends
-    z0 and each accepted step's end state to it: recomputing step i from
+    schedule (t0, h, output column or -1). Given a list `states`, refills
+    it with z0 and each accepted step's end state: recomputing step i from
     states[i] through tableau("dopri5") repeats its stages bit for bit.
     """
     times, solver, buf = plan.times, plan.solver, plan.adaptive
@@ -309,7 +328,7 @@ def _dopri5_core(plan: RolloutPlan, z0: np.ndarray, states=None):
     t = float(times[0])
     np.copyto(y, z0)
     if states is not None:
-        states.append(z0)
+        states[:] = [z0]
     rhs(t, y, k[0])
     if not np.all(np.isfinite(k[0])):
         raise NumericalError("non-finite dynamics at the initial state")

@@ -37,12 +37,11 @@ MAX_EPOCHS = 1_000_000
 
 @dataclass(frozen=True)
 class LrSchedule:
-    """Decayed learning rate: staircase uses floor(step/decay_steps) in the
-    exponent, exponential uses the continuous ratio. A refused value's
-    message starts with its field."""
+    """Decay of a TrainConfig's learning rate (lr_at): staircase uses
+    floor(step/decay_steps) in the exponent, exponential uses the
+    continuous ratio. A refused value's message starts with its field."""
 
     kind: str
-    base_lr: float
     decay_steps: int
     decay_rate: float
 
@@ -50,21 +49,10 @@ class LrSchedule:
         if self.kind not in ("staircase", "exponential"):
             raise ValueError("kind must be 'staircase' or 'exponential', "
                              f"got {self.kind!r}")
-        if not self.base_lr > 0:
-            raise ValueError("base_lr must be positive")
         if self.decay_steps < 1:
             raise ValueError("decay_steps must be at least 1")
         if not 0 < self.decay_rate <= 1:
             raise ValueError("decay_rate must be in (0, 1]")
-
-
-def lr_at(schedule: LrSchedule, step: int) -> float:
-    if step < 0:
-        raise ValueError("step must be nonnegative")
-    ratio = step / schedule.decay_steps
-    if schedule.kind == "staircase":
-        ratio = np.floor(ratio)
-    return float(schedule.base_lr * schedule.decay_rate ** ratio)
 
 
 @dataclass(frozen=True)
@@ -88,6 +76,20 @@ class TrainConfig:
         if self.grad_mode not in GRAD_MODES:
             raise ValueError(
                 f"grad_mode must be one of {GRAD_MODES}, got {self.grad_mode!r}")
+
+
+def lr_at(config: TrainConfig, step: int) -> float:
+    """The learning rate of epoch `step`: the config's, decayed by its
+    schedule when it has one."""
+    if step < 0:
+        raise ValueError("step must be nonnegative")
+    schedule = config.schedule
+    if schedule is None:
+        return config.learning_rate
+    ratio = step / schedule.decay_steps
+    if schedule.kind == "staircase":
+        ratio = np.floor(ratio)
+    return float(config.learning_rate * schedule.decay_rate ** ratio)
 
 
 @dataclass(frozen=True)
@@ -149,7 +151,7 @@ def train(
         loss, g = _loss_and_grad(plan, params)
         if not np.isfinite(loss):
             raise NumericalError(f"loss became non-finite at epoch {epoch}")
-        lr = lr_at(config.schedule, epoch) if config.schedule else config.learning_rate
+        lr = lr_at(config, epoch)
         acc = RMSPROP_RHO * acc + (1.0 - RMSPROP_RHO) * g * g
         vel = config.momentum * vel + lr * g / np.sqrt(acc + RMSPROP_EPS)
         params = params - vel

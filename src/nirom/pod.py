@@ -133,7 +133,9 @@ def _lift(s: np.ndarray, sigma: np.ndarray, v: np.ndarray):
     # block at j = K; the polish takes the columns before the first
     # trailing block of rounding
     sq = np.einsum("ij,ij->j", sv, sv)
-    tail = np.append(np.cumsum(sq[::-1])[::-1], 0.0)
+    # a sum past the largest float is infinite, and fails the cut below
+    with np.errstate(over="ignore"):
+        tail = np.append(np.cumsum(sq[::-1])[::-1], 0.0)
     width = np.arange(sq.size, -1, -1)
     j = int(np.argmax(tail <= width * (TAIL_RTOL * sigma[0]) ** 2))
     # Recovered left vectors lose orthogonality roughly as sigma[0]/sigma[i];
@@ -231,18 +233,30 @@ def thin_svd(centered: CenteredSet) -> ThinSvd:
     return thin_svd_matrix(centered.deviations)
 
 
+def _check_energy(total: float, singular: np.ndarray) -> None:
+    """Refuse a sum of squared singular values past the largest float."""
+    if not np.isfinite(total):
+        raise NumericalError(
+            "the squared singular values sum past the largest float "
+            f"(largest singular value {np.max(singular):.3g})")
+
+
 def residual_energies(singular: np.ndarray) -> np.ndarray:
     """Entry i: fraction of squared singular values discarded when keeping
     the first i+1 modes. The final entry is exactly zero."""
-    sq = singular**2
-    tail = np.concatenate([np.cumsum(sq[::-1])[::-1][1:], [0.0]])
-    return tail / sq.sum()
+    with np.errstate(over="ignore"):
+        sq = singular**2
+        total = sq.sum()
+        tail = np.concatenate([np.cumsum(sq[::-1])[::-1][1:], [0.0]])
+    _check_energy(total, singular)
+    return tail / total
 
 
 def energy_spectrum(svd: ThinSvd) -> np.ndarray:
     """Cumulative energy fractions; the final entry equals 1."""
-    sq = svd.singular**2
-    cum = np.cumsum(sq)
+    with np.errstate(over="ignore"):
+        cum = np.cumsum(svd.singular**2)
+    _check_energy(cum[-1], svd.singular)
     return cum / cum[-1]
 
 

@@ -300,6 +300,34 @@ def test_a_field_too_large_for_the_gram_svd_exits_3(tmp_path, command, kind):
                                                            "field.snp"]
 
 
+def spectrum_overflow_field() -> SnapshotSet:
+    """Two orthonormal modes, both at singular value 1.2e154, centered
+    already: each squared value is finite, and their sum is not."""
+    phase = 2.0 * np.pi * (np.arange(64)[:, None] / 64 - np.arange(100) / 100)
+    return SnapshotSet(3e152 * np.cos(phase), 0.01 * np.arange(100))
+
+
+@pytest.mark.parametrize("command, pod, code", [
+    (("decompose",), {"rank": 2}, 3),
+    (("decompose",), {"tolerance": 0.1}, 3),
+    (("fit", "--method", "dmd"), {"rank": 2}, 0),
+], ids=["decompose-rank", "decompose-tolerance", "fit-dmd"])
+def test_a_spectrum_whose_energy_overflows(tmp_path, command, pod, code):
+    # the energies are refused, and the lift needs none: no numpy warning
+    save_snapshots(spectrum_overflow_field(), tmp_path / "field.snp")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "input": {"path": str(tmp_path / "field.snp")},
+        "pod": pod, "dmd": {"rank": 2}, "output_dir": str(tmp_path)}))
+    done = run_fresh(*command, "--config", str(cfg))
+    assert done.returncode == code, done.stderr
+    if code:
+        [line] = done.stderr.splitlines()
+        assert line.startswith("error: ") and "largest float" in line
+    else:
+        assert done.stderr == ""
+
+
 def test_decompose_writes_latent_trajectory(pipeline):
     latent = load_snapshots(pipeline.out / "latent.snp")
     assert latent.data.shape == (2, 100)
@@ -1118,6 +1146,22 @@ def test_compare_refuses_a_broken_prediction_and_writes_no_metrics(
     assert str(bad) in err and message in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pred_dmd.snp",
                                                           "pred_rbf.snp"]
+
+
+def test_compare_squared_error_past_the_largest_float_exits_3(tmp_path):
+    # every value is finite, but 1e200 squared is not
+    times = np.arange(5.0)
+    save_snapshots(SnapshotSet(np.zeros((4, 5)), times), tmp_path / "truth.snp")
+    pred = np.zeros((4, 5))
+    pred[2, 3:] = 1e200
+    save_snapshots(SnapshotSet(pred, times), tmp_path / "pred_rbf.snp")
+    done = run_fresh("compare", str(tmp_path / "truth.snp"),
+                     str(tmp_path / "pred_rbf.snp"), "--out", str(tmp_path))
+    assert done.returncode == 3, done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith("error: ") and str(tmp_path / "pred_rbf.snp") in line
+    assert "column 3 overflows" in line
+    assert not (tmp_path / "metrics.csv").exists()
 
 
 @pytest.mark.parametrize("mismatch", ["shape", "times"])

@@ -288,7 +288,7 @@ def test_node_schedule_and_flags():
     assert nb.augment_dim == 1
     sched = nb.train.schedule
     assert sched.kind == "exponential"
-    assert sched.base_lr == 0.01
+    assert nb.train.learning_rate == 0.01
     assert sched.decay_steps == 10
 
 

@@ -283,6 +283,20 @@ def gradient_peak_bytes(net, n_snapshots, method="rk4", mode="adjoint"):
     return peak, n_steps
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The row count of every StageBuffers built from here on, in order."""
+    rows = []
+
+    class Counted(kernels.StageBuffers):
+        def __init__(self, sizes, acts, tin, n_rows, n_stages):
+            rows.append(n_rows)
+            super().__init__(sizes, acts, tin, n_rows, n_stages)
+
+    monkeypatch.setattr(kernels, "StageBuffers", Counted)
+    return rows
+
+
 def stage_cache_bytes(net, method):
     """What a cached step of the method holds: every layer's input and
     cotangent rows of each of its stages."""
@@ -298,7 +312,7 @@ def peak_growth_per_step(net, method, mode, short=500, long=2000):
     return (peak_long - peak_short) / (steps_long - steps_short)
 
 
-def test_adjoint_memory_is_bounded_by_its_chunk():
+def test_adjoint_memory_is_bounded_by_its_chunk(built):
     net = build_net(2, [64], "tanh", seed=1)
     n_stages = tableau("rk4")[1].size
     # what backprop caches per rk4 step: about 4.3 KiB for this net
@@ -309,14 +323,17 @@ def test_adjoint_memory_is_bounded_by_its_chunk():
         < 0.5 * per_step
     for n_snapshots in (short, long):
         times = np.linspace(0.0, 1.0, n_snapshots)
+        built.clear()
         plan = GradPlan(net, np.zeros(2), times, np.zeros((2, n_snapshots)),
                         SolverSpec("rk4", step=float(times[1] - times[0])),
                         "adjoint")
-        assert len(plan.chunk.rows) == ADJOINT_CHUNK * n_stages
+        # one chunk, whatever the grid's length, and no other buffers
+        assert built == [ADJOINT_CHUNK * n_stages]
+        assert len(plan.rollout.stages.rows) == ADJOINT_CHUNK * n_stages
 
 
 @pytest.mark.parametrize("mode", GRAD_MODES)
-def test_dopri5_gradient_memory_is_bounded_by_its_chunk(mode):
+def test_dopri5_gradient_memory_is_bounded_by_its_chunk(mode, built):
     # both modes keep each accepted step's end state and recompute the
     # step, instead of caching its six stages (about 6.4 KiB for this net)
     net = build_net(2, [64], "tanh", seed=1)
@@ -329,32 +346,38 @@ def test_dopri5_gradient_memory_is_bounded_by_its_chunk(mode):
     # numbers); the scaled and reverse tableaus (728 bytes a step) are
     # built one chunk at a time
     assert growth < 400
+    built.clear()
     plan = GradPlan(net, np.zeros(2), TIMES, np.zeros((2, TIMES.size)),
                     SolverSpec("dopri5"), mode)
-    assert plan.rollout.stages is None
-    assert len(plan.chunk.rows) == ADJOINT_CHUNK * tableau("dopri5")[1].size
+    n_rows = ADJOINT_CHUNK * tableau("dopri5")[1].size
+    # the adaptive pass's seven rows, then one chunk and nothing more
+    assert built == [7, n_rows]
+    assert len(plan.rollout.stages.rows) == n_rows
+    _loss_and_grad(plan, net.params)
+    assert built == [7, n_rows]
 
 
 def test_stage_buffers_beyond_the_limit_are_refused_before_allocation(
-        monkeypatch):
+        monkeypatch, built):
     net = build_net(2, [64], "tanh", seed=1)
     times = np.linspace(0.0, 1.0, 100)
     solver = SolverSpec("rk4", step=float(times[1] - times[0]))
     target = np.zeros((2, times.size))
     n_stages = tableau("rk4")[1].size
     # the size is the buffers' own: 99 cached substeps, or one chunk
-    chunk = GradPlan(net, np.zeros(2), times, target, solver, "adjoint").chunk
+    chunk = GradPlan(net, np.zeros(2), times, target, solver,
+                     "adjoint").rollout.stages
     assert kernels.stage_bytes(net.sizes, ADJOINT_CHUNK * n_stages) == sum(
         a.nbytes for a in chunk.x + chunk.s)
     cached = kernels.stage_bytes(net.sizes, 99 * n_stages)
-    # a limit between the two refuses backprop's cache, naming the adjoint,
-    # whose chunk still fits
+    # a limit between the two refuses backprop's cache when its plan is
+    # built, naming the adjoint, whose chunk still fits
     monkeypatch.setattr(kernels, "MAX_NET_BYTES", cached - 1)
-    plan = GradPlan(net, np.zeros(2), times, target, solver,
-                    "backprop_through_solver")
+    built.clear()
     with pytest.raises(ValueError, match='grad_mode "adjoint"'):
-        _loss_and_grad(plan, net.params)
-    assert plan.rollout.stages is None
+        GradPlan(net, np.zeros(2), times, target, solver,
+                 "backprop_through_solver")
+    assert built == []
     _loss_and_grad(GradPlan(net, np.zeros(2), times, target, solver, "adjoint"),
                    net.params)
     # below the chunk, the adjoint is refused too, without that advice
@@ -364,18 +387,20 @@ def test_stage_buffers_beyond_the_limit_are_refused_before_allocation(
     assert "grad_mode" not in str(refused.value)
 
 
-def test_adjoint_chunk_of_a_short_grid_holds_only_its_substeps():
+def test_adjoint_chunk_of_a_short_grid_holds_only_its_substeps(built):
     net = small_net("tanh")
     z0, target = problem()
     solver = SolverSpec("rk4", step=0.25)
     plan = GradPlan(net, _pad_state(net, z0), TIMES, target, solver, "adjoint")
     n_sub = TIMES.size - 1
     assert n_sub < ADJOINT_CHUNK
-    assert len(plan.chunk.rows) == n_sub * tableau("rk4")[1].size
-    # the chunk also carries the forward pass: the rollout plan builds none
-    assert plan.rollout.stages is None
+    n_rows = n_sub * tableau("rk4")[1].size
+    assert len(plan.rollout.stages.rows) == n_rows
+    # the chunk also carries the forward pass: the plan builds no other
+    # buffers, then or in a gradient
+    assert built == [n_rows]
     _loss_and_grad(plan, net.params)
-    assert plan.rollout.stages is None
+    assert built == [n_rows]
 
 
 # ---------------------------------------------------------------------------

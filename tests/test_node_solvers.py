@@ -21,6 +21,7 @@ from nirom.node import kernels
 from nirom.node.network import kernel_args, layer_views
 from nirom.node.solvers import (
     MAX_STEPS,
+    ROUTES,
     RolloutPlan,
     _dopri5_core,
     build_schedule,
@@ -303,11 +304,11 @@ def test_dopri5_exceeding_max_steps():
                   SolverSpec("dopri5", rtol=1e-12, atol=1e-14, max_steps=5))
 
 
-@pytest.mark.parametrize("cached", [False, True])
-def test_dopri5_max_steps_counts_every_interval(cached):
+@pytest.mark.parametrize("route", ROUTES)
+def test_dopri5_max_steps_counts_every_interval(route):
     # four output intervals need at least four steps
     plan = RolloutPlan(decay_net(), np.linspace(0.0, 1e-3, 5), SolverSpec(
-        "dopri5", max_steps=3), cached=cached)
+        "dopri5", max_steps=3), route)
     with pytest.raises(NumericalError, match="max_steps"):
         fixed_rollout(plan, np.array([1.0]))
 

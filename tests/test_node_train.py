@@ -46,50 +46,57 @@ def spiral_trajectory(n_steps: int = 21) -> LatentTrajectory:
 # ---------------------------------------------------------------------------
 
 
+def decayed(kind, decay_steps, decay_rate, step, learning_rate=1e-3):
+    """lr_at of a config training at learning_rate under the schedule."""
+    return lr_at(TrainConfig(epochs=0, learning_rate=learning_rate,
+                             schedule=LrSchedule(kind, decay_steps, decay_rate)),
+                 step)
+
+
 def test_lr_at_step_zero_is_base():
-    s = LrSchedule("staircase", 1e-3, 1000, 0.5)
-    assert lr_at(s, 0) == 1e-3
+    assert decayed("staircase", 1000, 0.5, 0) == 1e-3
 
 
 def test_lr_staircase_first_drop():
-    s = LrSchedule("staircase", 1e-3, 5000, 0.5)
-    assert lr_at(s, 4999) == 1e-3
-    assert lr_at(s, 5000) == pytest.approx(5e-4, rel=1e-15)
+    assert decayed("staircase", 5000, 0.5, 4999) == 1e-3
+    assert decayed("staircase", 5000, 0.5, 5000) == pytest.approx(5e-4,
+                                                                 rel=1e-15)
 
 
 def test_lr_staircase_table_row():
-    s = LrSchedule("staircase", 1e-3, 10000, 0.3)
-    assert lr_at(s, 10000) == pytest.approx(3e-4, rel=1e-15)
+    assert decayed("staircase", 10000, 0.3, 10000) == pytest.approx(3e-4,
+                                                                   rel=1e-15)
 
 
 def test_lr_exponential_midway():
-    s = LrSchedule("exponential", 1e-3, 10000, 0.25)
-    assert lr_at(s, 5000) == pytest.approx(1e-3 * 0.5, rel=1e-12)
+    assert decayed("exponential", 10000, 0.25, 5000) == pytest.approx(
+        1e-3 * 0.5, rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 8), st.integers(1, 10000))
 def test_lr_kinds_agree_at_multiples(k, decay_steps):
-    stair = LrSchedule("staircase", 1e-3, decay_steps, 0.7)
-    expo = LrSchedule("exponential", 1e-3, decay_steps, 0.7)
     step = k * decay_steps
-    assert lr_at(stair, step) == pytest.approx(lr_at(expo, step), rel=1e-12)
+    assert decayed("staircase", decay_steps, 0.7, step) == pytest.approx(
+        decayed("exponential", decay_steps, 0.7, step), rel=1e-12)
 
 
 def test_lr_rejects_negative_step():
     with pytest.raises(ValueError):
-        lr_at(LrSchedule("staircase", 1e-3, 100, 0.5), -1)
+        decayed("staircase", 100, 0.5, -1)
+
+
+def test_lr_without_a_schedule_is_the_configs():
+    assert lr_at(TrainConfig(epochs=0, learning_rate=0.02), 7) == 0.02
 
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        LrSchedule("linear", 1e-3, 100, 0.5)
+        LrSchedule("linear", 100, 0.5)
     with pytest.raises(ValueError):
-        LrSchedule("staircase", 0.0, 100, 0.5)
+        LrSchedule("staircase", 0, 0.5)
     with pytest.raises(ValueError):
-        LrSchedule("staircase", 1e-3, 0, 0.5)
-    with pytest.raises(ValueError):
-        LrSchedule("staircase", 1e-3, 100, 1.5)
+        LrSchedule("staircase", 100, 1.5)
 
 
 def test_train_config_validation():
@@ -153,12 +160,14 @@ def test_training_is_deterministic():
 def test_history_records_schedule():
     traj = spiral_trajectory()
     net = build_net(2, [8], "tanh", seed=0, time_input=False)
-    sched = LrSchedule("staircase", 1e-3, 10, 0.5)
-    _, hist = train(net, traj, TrainConfig(epochs=25, schedule=sched))
+    # the schedule decays the config's learning rate, not the default
+    sched = LrSchedule("staircase", 10, 0.5)
+    _, hist = train(net, traj, TrainConfig(epochs=25, learning_rate=1e-2,
+                                           schedule=sched))
     assert hist.loss.size == 25
-    assert np.all(hist.lr[:10] == 1e-3)
-    assert np.all(hist.lr[10:20] == 5e-4)
-    assert np.all(hist.lr[20:] == 2.5e-4)
+    assert np.all(hist.lr[:10] == 1e-2)
+    assert np.all(hist.lr[10:20] == 5e-3)
+    assert np.all(hist.lr[20:] == 2.5e-3)
 
 
 def test_training_loss_decreases():

@@ -163,19 +163,19 @@ def test_nonfinite_block_names_its_file_row_and_column(tmp_path):
         assert f"non-finite value at row {row}, column {col}" in str(err.value)
 
 
-def test_finite_squares_that_overflow_stream_on_as_spatial_rmse(tmp_path):
+def test_finite_squares_that_overflow_are_a_numerical_error(tmp_path):
     # a finite block whose mean squares overflow is read again, found
-    # finite, and the stream goes on from the next block
+    # finite, and refused, naming the file and the first such column;
+    # spatial_rmse, over sets in memory, reports that column infinite
     truth_path, pred_path, _ = write_pair(tmp_path, 4000, 250)
     poke(pred_path, 17, 125, 1e200)
-    with np.errstate(over="ignore"):
-        with open_snapshots(truth_path) as truth, \
-                open_snapshots(pred_path) as p:
-            got, = streamed_rmse([p], truth)
-        want = spatial_rmse(load_snapshots(pred_path),
-                            load_snapshots(truth_path))
-    assert got.tobytes() == want.tobytes()
-    assert np.isinf(got[125]) and np.isfinite(np.delete(got, 125)).all()
+    with open_snapshots(truth_path) as truth, open_snapshots(pred_path) as p:
+        with pytest.raises(NumericalError) as err:
+            streamed_rmse([p], truth)
+    assert str(pred_path) in str(err.value)
+    assert "column 125 overflows" in str(err.value)
+    want = spatial_rmse(load_snapshots(pred_path), load_snapshots(truth_path))
+    assert np.isinf(want[125]) and np.isfinite(np.delete(want, 125)).all()
 
 
 @pytest.mark.parametrize("cut", [-8, 1], ids=["truncated", "trailing"])
