@@ -306,13 +306,15 @@ def cmd_decompose(cfg: PipelineConfig, out: Path) -> None:
     svd = thin_svd(cen)
     basis = truncate(svd, cen.mean, rank=crit.rank, tol=crit.tolerance,
                      component=cen.component)
+    # a spectrum whose energy overflows is refused before any file is
+    # replaced, under 'pod.rank' as under 'pod.tolerance'
+    cum = energy_spectrum(svd)
     save_basis(basis, out / FILE_BASIS)
     latent = project(basis, cen)
     save_snapshots(
         SnapshotSet(latent.coeffs, latent.times, cen.component),
         out / FILE_LATENT,
     )
-    cum = energy_spectrum(svd)
     with replacing(out / FILE_SPECTRUM, "w") as f:
         w = csv.writer(f)
         w.writerow(["mode", "singular_value", "cumulative_energy"])

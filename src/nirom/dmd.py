@@ -14,7 +14,7 @@ import numpy as np
 
 from . import containers as io
 from .errors import NumericalError
-from .pod import thin_svd_matrix
+from .pod import thin_svd_matrix, tied_peak
 from .snapshot import SnapshotSet, check_times, lifted_field, uniform_step
 
 DMD_MAGIC = b"DMD1"
@@ -87,6 +87,17 @@ def dmd_fit(snapshots: SnapshotSet, r: int) -> DmdModel:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     phi = lift @ w
+    # a mode's complex phase is free, and LAPACK makes the eigenvector's
+    # largest component real; a traveling wave's components tie in modulus,
+    # so roundoff would pick which. As pod._signed fixes a sign, the tied
+    # entry at the highest index is made real and positive, and b, fitted
+    # below, takes the opposite rotation
+    for j in range(r):
+        i = tied_peak(np.abs(phi[:, j]))
+        peak = phi[i, j]
+        if peak != 0:
+            phi[:, j] *= abs(peak) / peak
+            phi[i, j] = abs(peak)
     # b fits the first snapshot. One step of iterative refinement, a second
     # solve for the residual, takes lstsq's own rounding out of b: lstsq
     # alone can leave ten times the refined t0 residual (2e-15 against

@@ -197,6 +197,14 @@ def _gram_svd(s: np.ndarray, count: int | None = None):
     return left[:, :count], d[:count], right[:, :count]
 
 
+def tied_peak(mag: np.ndarray) -> int:
+    """The highest index of the entries of mag within SIGN_RTOL of its
+    largest: the entry a sign or phase convention fixes (_signed,
+    dmd.dmd_fit)."""
+    ties = mag[::-1] >= (1.0 - SIGN_RTOL) * mag.max()
+    return mag.size - 1 - int(np.argmax(ties))
+
+
 def _signed(left: np.ndarray, sigma: np.ndarray, right: np.ndarray) -> ThinSvd:
     """Fix the sign ambiguity: of the entries of each left vector whose
     magnitude is within ``SIGN_RTOL`` of its largest, the one at the highest
@@ -207,8 +215,7 @@ def _signed(left: np.ndarray, sigma: np.ndarray, right: np.ndarray) -> ThinSvd:
     largest entry alone would let roundoff (the field's memory layout, a
     reordered sum) pick the sign."""
     for j in range(sigma.size):
-        mag = np.abs(left[::-1, j])
-        i = left.shape[0] - 1 - int(np.argmax(mag >= (1.0 - SIGN_RTOL) * mag.max()))
+        i = tied_peak(np.abs(left[:, j]))
         if left[i, j] < 0:
             left[:, j] = -left[:, j]
             right[:, j] = -right[:, j]

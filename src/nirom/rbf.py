@@ -8,7 +8,10 @@ final one has no forward difference and only supplies a target for its
 predecessor.
 """
 
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +32,15 @@ FIT_RESIDUAL_RTOL = 1e-8
 #: matrix, 512 MiB of float64 at this count, and the fit holds two of them
 #: at its peak
 MAX_CENTERS = 8192
+
+#: most centers whose fit runs on one thread of scipy's OpenBLAS. Up to this
+#: size a second thread saves no time, and once woken it busy-waits for
+#: about 0.12 s of CPU beside numpy's threads: with scipy's pool asleep
+#: beforehand, as between a pipeline's commands, 1000 centers factor in
+#: 10.9 ms on one thread and 11.4 ms on two (2-core x86-64). Above it the
+#: fit keeps the library's own count, which pays: 22 against 15 ms at 1250
+#: centers, 61 against 38 ms at 2000.
+SERIAL_MAX_CENTERS = 1000
 
 
 @dataclass(frozen=True)
@@ -86,10 +98,50 @@ def _distance_matrix(centers: np.ndarray) -> np.ndarray:
     return np.sqrt(r, out=r)
 
 
+@functools.cache
+def _scipy_openblas():
+    """The get and set thread-count functions of the OpenBLAS copy that
+    scipy's wheels vendor (scipy.libs/libscipy_openblas-*.so), or None
+    where scipy uses another BLAS. numpy's own copy is left alone."""
+    import ctypes
+
+    import scipy
+
+    libs = Path(scipy.__file__).parents[1] / "scipy.libs"
+    for path in sorted(libs.glob("libscipy_openblas-*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            return (lib.scipy_openblas_get_num_threads,
+                    lib.scipy_openblas_set_num_threads)
+        except (OSError, AttributeError):
+            pass
+    return None
+
+
+@contextmanager
+def _scipy_blas_threads(mc: int):
+    """Run the block on one of scipy's OpenBLAS threads if the system has at
+    most SERIAL_MAX_CENTERS rows, and restore the library's count after;
+    where that library is not found, do nothing."""
+    found = _scipy_openblas() if mc <= SERIAL_MAX_CENTERS else None
+    if found is None:
+        yield
+        return
+    get, set_threads = found
+    before = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 def fit(traj: LatentTrajectory, c: float) -> RbfModel:
     """Solve the symmetric interpolation system A alpha^j = g^j per latent
     component. A failed or inaccurate Cholesky factorization is retried once
-    with a small diagonal shift before giving up."""
+    with a small diagonal shift before giving up. The factorization, the
+    solve and the residual run on scipy's BLAS, on one thread for at most
+    SERIAL_MAX_CENTERS centers."""
     if c <= 0:
         raise ValueError(f"shape factor must be positive, got {c}")
     if traj.n_steps - 1 > MAX_CENTERS:
@@ -121,26 +173,30 @@ def fit(traj: LatentTrajectory, c: float) -> RbfModel:
     # imported here, its only use, to keep scipy off every other command's
     # start-up
     import scipy.linalg
+    from scipy.linalg.blas import dgemm
 
     shifted = np.empty((mc, mc))
     shift = 0.0
-    for attempt in range(2):
-        np.copyto(shifted, a)
-        shifted[np.diag_indices(mc)] += shift
-        try:
-            # the matrix is symmetric, so its transpose is the same matrix
-            # in column-major order, which LAPACK factors where it lies
-            factor = scipy.linalg.cho_factor(shifted.T, lower=True,
-                                             overwrite_a=True)
-            alpha = scipy.linalg.cho_solve(factor, g)
-        except scipy.linalg.LinAlgError:
-            alpha = None
-        if alpha is not None:
-            resid = np.linalg.norm(a @ alpha - g, axis=0)
-            if np.all(resid <= FIT_RESIDUAL_RTOL * np.maximum(gnorm, 1e-300)):
-                return RbfModel(centers, alpha.T.copy(), c)
-        # trace(A) = Mc since the kernel has unit diagonal
-        shift = 1e-10 * np.trace(a) / mc
+    with _scipy_blas_threads(mc):
+        for attempt in range(2):
+            np.copyto(shifted, a)
+            shifted[np.diag_indices(mc)] += shift
+            # the matrix is symmetric, so its transpose is the same matrix in
+            # column-major order, which LAPACK and BLAS read where it lies
+            try:
+                factor = scipy.linalg.cho_factor(shifted.T, lower=True,
+                                                 overwrite_a=True)
+                alpha = scipy.linalg.cho_solve(factor, g)
+            except scipy.linalg.LinAlgError:
+                alpha = None
+            if alpha is not None:
+                # A alpha - g on the solve's BLAS: numpy's would wake its
+                # own worker threads for this small product
+                resid = np.linalg.norm(dgemm(1.0, a.T, alpha, -1.0, g), axis=0)
+                if np.all(resid <= FIT_RESIDUAL_RTOL * np.maximum(gnorm, 1e-300)):
+                    return RbfModel(centers, alpha.T.copy(), c)
+            # trace(A) = Mc since the kernel has unit diagonal
+            shift = 1e-10 * np.trace(a) / mc
     raise NumericalError(
         "interpolation system could not be solved to tolerance, even with a "
         f"diagonal shift of {shift:g}"

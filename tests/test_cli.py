@@ -328,6 +328,26 @@ def test_a_spectrum_whose_energy_overflows(tmp_path, command, pod, code):
         assert done.stderr == ""
 
 
+def test_a_refused_spectrum_leaves_the_last_decompose_in_place(tmp_path):
+    # pod.rank reads no energy to truncate, yet the overflow is refused
+    # before the basis and latent files are replaced
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "input": {"path": str(tmp_path / "field.snp")},
+        "pod": {"rank": 2}, "dmd": {"rank": 2},
+        "output_dir": str(tmp_path)}))
+    field = spectrum_overflow_field()
+    save_snapshots(SnapshotSet(field.data / 3e152, field.times),
+                   tmp_path / "field.snp")
+    run_ok("decompose", "--config", str(cfg))
+    names = ("basis.pod", "latent.snp", "latent.snp.meta.json",
+             "spectrum.csv")
+    before = {name: (tmp_path / name).read_bytes() for name in names}
+    save_snapshots(field, tmp_path / "field.snp")
+    assert run("decompose", "--config", str(cfg)) == 3
+    assert {name: (tmp_path / name).read_bytes() for name in names} == before
+
+
 def test_decompose_writes_latent_trajectory(pipeline):
     latent = load_snapshots(pipeline.out / "latent.snp")
     assert latent.data.shape == (2, 100)
@@ -446,7 +466,7 @@ class Interrupted(Exception):
     """Stands in for a signal that stops a command midway."""
 
 
-@pytest.mark.parametrize("step", ["project", "energy_spectrum"],
+@pytest.mark.parametrize("step", ["project", "_write_meta"],
                          ids=["after basis", "after latent"])
 @pytest.mark.parametrize("method", ["rbf", "node"])
 def test_fit_refuses_the_pair_an_interrupted_decompose_left(

@@ -16,6 +16,7 @@ from nirom.dmd import (
     save_model,
 )
 from nirom.errors import FormatError, NumericalError
+from nirom.pod import tied_peak
 from nirom.snapshot import SnapshotSet, SyntheticSpec, generate_synthetic, time_grid
 
 COS_TENTH = 0.99500416527802582
@@ -102,6 +103,19 @@ def test_conjugate_symmetric_spectrum():
     model = dmd_fit(s, r=6)
     for lam in model.eigenvalues:
         assert np.min(np.abs(model.eigenvalues - np.conj(lam))) < 1e-10
+
+
+@pytest.mark.parametrize("data, r", [(wave_set(), 2), (linear_set()[0], 8)],
+                         ids=["traveling wave", "linear"])
+def test_each_mode_is_real_and_positive_at_its_last_tied_peak(data, r):
+    # the wave's modes tie in modulus across the grid, so without the rule
+    # roundoff would choose the entry LAPACK makes real
+    model = dmd_fit(data, r)
+    for mode in model.modes.T:
+        peak = mode[tied_peak(np.abs(mode))]
+        assert peak.imag == 0 and peak.real > 0
+    rebuilt = (model.modes * model.amplitudes).real.sum(axis=1)
+    assert np.allclose(rebuilt, data.data[:, 0], rtol=0, atol=1e-12)
 
 
 def test_recovers_true_operator_spectrum():

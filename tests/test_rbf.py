@@ -4,12 +4,19 @@ The 2-center coefficients and the midpoint value are frozen from the closed
 form of the 2x2 interpolation system solved by hand.
 """
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nirom
+from nirom import rbf as rbf_mod
 from nirom.errors import FormatError, NumericalError
 from nirom.pod import LatentTrajectory, project, reconstruct, thin_svd, truncate
 from nirom.rbf import (
@@ -180,8 +187,11 @@ def reference_fit(traj: LatentTrajectory, c: float) -> RbfModel:
     shift = 0.0
     for attempt in range(2):
         try:
-            factor = scipy.linalg.cho_factor(a + shift * np.eye(mc), lower=True)
-            alpha = scipy.linalg.cho_solve(factor, g)
+            # at fit's thread count, which may reorder LAPACK's sums
+            with rbf_mod._scipy_blas_threads(mc):
+                factor = scipy.linalg.cho_factor(a + shift * np.eye(mc),
+                                                 lower=True)
+                alpha = scipy.linalg.cho_solve(factor, g)
         except scipy.linalg.LinAlgError:
             alpha = None
         if alpha is not None:
@@ -235,6 +245,49 @@ def test_fit_peak_holds_about_two_system_matrices():
     finally:
         tracemalloc.stop()
     assert peak <= 2.2 * 8 * mc * mc
+
+
+#: fits on 500 centers in a fresh interpreter, then reports the CPU time
+#: the process burns in a following 0.3 s sleep and the thread counts of
+#: numpy's and scipy's OpenBLAS copies before and after
+SPIN_CHILD = """\
+import ctypes, json, time
+from pathlib import Path
+import numpy as np
+from nirom import rbf
+from nirom.pod import LatentTrajectory
+
+libs = Path(np.__file__).parents[1] / "numpy.libs"
+found = sorted(libs.glob("libscipy_openblas64_-*.so"))
+numpy_threads = (ctypes.CDLL(str(found[0])).scipy_openblas_get_num_threads64_
+                 if found else lambda: None)
+t = 0.01 * np.arange(501.0)
+traj = LatentTrajectory(np.vstack([np.sin(t), np.cos(t), np.sin(3 * t)]), t)
+rbf.fit(traj, c=1.0)
+get_scipy_threads = rbf._scipy_openblas()[0]
+before = [numpy_threads(), get_scipy_threads()]
+rbf.fit(traj, c=1.0)
+spun = time.process_time()
+time.sleep(0.3)
+spun = time.process_time() - spun
+print(json.dumps({"spun": spun, "before": before,
+                  "after": [numpy_threads(), get_scipy_threads()]}))
+"""
+
+
+def test_a_small_fit_wakes_no_blas_worker():
+    # a woken OpenBLAS worker busy-waits for about 0.12 s after its job
+    if rbf_mod._scipy_openblas() is None:
+        pytest.skip("scipy's vendored OpenBLAS is not found")
+    done = subprocess.run(
+        [sys.executable, "-c", SPIN_CHILD],
+        env=dict(os.environ, PYTHONPATH=str(Path(nirom.__file__).parents[1])),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["spun"] <= 0.02
+    assert report["after"] == report["before"]
 
 
 def test_distance_matrix_matches_the_stacked_difference_sum():

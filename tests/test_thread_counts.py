@@ -8,13 +8,12 @@ largest magnitude, the POD modes with the same signs, and each method's
 largest RMSE over time to 1e-10 relative, floored at RMSE_FLOOR as the
 benchmark reports it: below that an RMSE is roundoff itself.
 
-Two arrays of the model files are compared through what they determine.
-An RBF model's coefficients solve an interpolation system whose condition
+One array of the model files is compared through what it determines. An
+RBF model's coefficients solve an interpolation system whose condition
 number (about 8e3 here) amplifies the roundoff, so the interpolant's values
-at its centers are compared. A DMD mode and its amplitude share a free
-complex phase, which LAPACK fixes by making the eigenvector's largest
-component real, and a traveling wave's components tie in modulus, so each
-mode times its amplitude is compared.
+at its centers are compared. A DMD mode's free complex phase is fixed by a
+rule that tolerates the ties of a traveling wave's components (dmd.dmd_fit),
+so modes and amplitudes are compared as they are.
 """
 
 import dataclasses
@@ -96,8 +95,7 @@ def rbf_values(model) -> np.ndarray:
 
 
 #: model fields compared through what they determine (module docstring)
-FREE = {(rbf_mod.RbfModel, "coefficients"), (dmd_mod.DmdModel, "modes"),
-        (dmd_mod.DmdModel, "amplitudes")}
+FREE = {(rbf_mod.RbfModel, "coefficients")}
 
 
 def arrays(obj, prefix=""):
@@ -105,8 +103,6 @@ def arrays(obj, prefix=""):
     nested records' included, a FREE field's in what it determines."""
     if isinstance(obj, rbf_mod.RbfModel):
         yield "values at centers", rbf_values(obj)
-    if isinstance(obj, dmd_mod.DmdModel):
-        yield "modes * amplitudes", obj.modes * obj.amplitudes
     for field in dataclasses.fields(obj):
         value = getattr(obj, field.name)
         name = prefix + field.name
