@@ -33,15 +33,6 @@ FIT_RESIDUAL_RTOL = 1e-8
 #: at its peak
 MAX_CENTERS = 8192
 
-#: most centers whose fit runs on one thread of scipy's OpenBLAS. Up to this
-#: size a second thread saves no time, and once woken it busy-waits for
-#: about 0.12 s of CPU beside numpy's threads: with scipy's pool asleep
-#: beforehand, as between a pipeline's commands, 1000 centers factor in
-#: 10.9 ms on one thread and 11.4 ms on two (2-core x86-64). Above it the
-#: fit keeps the library's own count, which pays: 22 against 15 ms at 1250
-#: centers, 61 against 38 ms at 2000.
-SERIAL_MAX_CENTERS = 1000
-
 
 @dataclass(frozen=True)
 class RbfModel:
@@ -119,11 +110,15 @@ def _scipy_openblas():
 
 
 @contextmanager
-def _scipy_blas_threads(mc: int):
-    """Run the block on one of scipy's OpenBLAS threads if the system has at
-    most SERIAL_MAX_CENTERS rows, and restore the library's count after;
-    where that library is not found, do nothing."""
-    found = _scipy_openblas() if mc <= SERIAL_MAX_CENTERS else None
+def _scipy_blas_threads():
+    """Run the block on one of scipy's OpenBLAS threads and restore the
+    library's count after; where that library is not found, do nothing.
+
+    A worker woken for a threaded call busy-waits for about 0.12 s of CPU
+    after it, beside numpy's threads. Up to 1000 centers a second thread
+    saves no time (2-core x86-64); larger systems would factor faster on
+    more, but no workload fits one."""
+    found = _scipy_openblas()
     if found is None:
         yield
         return
@@ -140,8 +135,7 @@ def fit(traj: LatentTrajectory, c: float) -> RbfModel:
     """Solve the symmetric interpolation system A alpha^j = g^j per latent
     component. A failed or inaccurate Cholesky factorization is retried once
     with a small diagonal shift before giving up. The factorization, the
-    solve and the residual run on scipy's BLAS, on one thread for at most
-    SERIAL_MAX_CENTERS centers."""
+    solve and the residual run on one thread of scipy's BLAS."""
     if c <= 0:
         raise ValueError(f"shape factor must be positive, got {c}")
     if traj.n_steps - 1 > MAX_CENTERS:
@@ -177,7 +171,7 @@ def fit(traj: LatentTrajectory, c: float) -> RbfModel:
 
     shifted = np.empty((mc, mc))
     shift = 0.0
-    with _scipy_blas_threads(mc):
+    with _scipy_blas_threads():
         for attempt in range(2):
             np.copyto(shifted, a)
             shifted[np.diag_indices(mc)] += shift

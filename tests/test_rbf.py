@@ -188,7 +188,7 @@ def reference_fit(traj: LatentTrajectory, c: float) -> RbfModel:
     for attempt in range(2):
         try:
             # at fit's thread count, which may reorder LAPACK's sums
-            with rbf_mod._scipy_blas_threads(mc):
+            with rbf_mod._scipy_blas_threads():
                 factor = scipy.linalg.cho_factor(a + shift * np.eye(mc),
                                                  lower=True)
                 alpha = scipy.linalg.cho_solve(factor, g)
@@ -247,13 +247,14 @@ def test_fit_peak_holds_about_two_system_matrices():
     assert peak <= 2.2 * 8 * mc * mc
 
 
-#: fits on 500 centers in a fresh interpreter, then reports the CPU time
-#: the process burns in a following 0.3 s sleep and the thread counts of
-#: numpy's and scipy's OpenBLAS copies before and after
+#: fits twice on 500 centers in a fresh interpreter, then reports the CPU
+#: time the process burns in a following 0.3 s sleep and the thread counts
+#: of numpy's and scipy's OpenBLAS copies before the first fit and after
 SPIN_CHILD = """\
 import ctypes, json, time
 from pathlib import Path
 import numpy as np
+import scipy.linalg
 from nirom import rbf
 from nirom.pod import LatentTrajectory
 
@@ -261,11 +262,11 @@ libs = Path(np.__file__).parents[1] / "numpy.libs"
 found = sorted(libs.glob("libscipy_openblas64_-*.so"))
 numpy_threads = (ctypes.CDLL(str(found[0])).scipy_openblas_get_num_threads64_
                  if found else lambda: None)
+get_scipy_threads = rbf._scipy_openblas()[0]
+before = [numpy_threads(), get_scipy_threads()]
 t = 0.01 * np.arange(501.0)
 traj = LatentTrajectory(np.vstack([np.sin(t), np.cos(t), np.sin(3 * t)]), t)
 rbf.fit(traj, c=1.0)
-get_scipy_threads = rbf._scipy_openblas()[0]
-before = [numpy_threads(), get_scipy_threads()]
 rbf.fit(traj, c=1.0)
 spun = time.process_time()
 time.sleep(0.3)
