@@ -15,7 +15,7 @@ import numpy as np
 from . import containers as io
 from .errors import NumericalError
 from .pod import thin_svd_matrix, tied_peak
-from .snapshot import SnapshotSet, check_times, lifted_field, uniform_step
+from .snapshot import SnapshotSet, check_times, product_field, uniform_step
 
 DMD_MAGIC = b"DMD1"
 
@@ -138,7 +138,7 @@ def _eig_powers(lam: np.ndarray, p: np.ndarray) -> np.ndarray:
 def dmd_forecast(model: DmdModel, times: np.ndarray, path=None):
     """Evaluate the spectral expansion at the requested times (real part):
     the field as a SnapshotSet, or with a path written there as SNP1 one
-    column block at a time (snapshot.lifted_field)."""
+    column block at a time (snapshot.product_field)."""
     times = check_times(times)
     if times.size < 2:
         raise ValueError("need at least two forecast times")
@@ -146,18 +146,13 @@ def dmd_forecast(model: DmdModel, times: np.ndarray, path=None):
     if p[0] < -1e-9:
         raise ValueError("forecast times must not precede the fit start time")
     # Re(modes @ coefs) = [Re modes, -Im modes] @ [Re coefs; Im coefs]: one
-    # real GEMM per block with no complex N x T product, taken transposed so
-    # the block comes out in SNP1's column-major layout. A growing mode
-    # overflows quietly; lifted_field reports it.
+    # real GEMM per block with no complex N x T product. A growing mode
+    # overflows quietly; product_field reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         coefs = _eig_powers(model.eigenvalues, p) * model.amplitudes[:, None]
     stacked = np.concatenate([coefs.real, coefs.imag])
     lift_t = np.concatenate([model.modes.real, -model.modes.imag], axis=1).T
-
-    def lift(cols, out):
-        np.matmul(stacked[:, cols].T, lift_t, out.T)
-
-    return lifted_field(lift, model.mesh_size, times, model.component, path)
+    return product_field(stacked, lift_t, times, model.component, path)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ The Gram eigenvalues carry eps * sigma[0]**2 of roundoff, so a rank-deficient
 field leaves columns at about sqrt(eps) * sigma[0] above the Gram cut. Lifted
 as s @ v they shrink to the rounding of that product, and the lift drops such
 a trailing block (``TAIL_RTOL``) before the polish instead of factoring it:
-on a rank-2 wave of 20000 x 250 the QR takes 2 columns instead of 119.
+on a rank-2 wave of 20000 x 250 the QR takes 2 columns instead of 121.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import containers as io
 from .errors import NumericalError, ValidationError
-from .snapshot import CenteredSet, check_times, lifted_field
+from .snapshot import CenteredSet, check_times, product_field
 
 POD_MAGIC = b"POD1"
 
@@ -167,6 +167,7 @@ def _gram_svd(s: np.ndarray, count: int | None = None):
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(
                     f"Gram eigendecomposition failed: {exc}") from exc
+            del gram  # before the lift, whose s @ v is field-sized
             overflow = not np.all(np.isfinite(w))
     if overflow:
         raise NumericalError(
@@ -311,20 +312,13 @@ def project(basis: PodBasis, centered: CenteredSet) -> LatentTrajectory:
 def reconstruct(basis: PodBasis, traj: LatentTrajectory, path=None):
     """Lift latent coefficients back to the full space and re-add the mean:
     the field as a SnapshotSet, or with a path written there as SNP1 one
-    column block at a time (snapshot.lifted_field)."""
+    column block at a time (snapshot.product_field)."""
     if traj.dim != basis.m:
         raise ValueError(
             f"trajectory has {traj.dim} coefficients, basis rank is {basis.m}"
         )
-    coeffs, modes_t, mean = traj.coeffs, basis.modes.T, basis.mean[:, None]
-
-    def lift(cols, out):
-        # the transposed product is the block in SNP1's column-major layout
-        np.matmul(coeffs[:, cols].T, modes_t, out.T)
-        out += mean
-
-    return lifted_field(lift, basis.mesh_size, traj.times, basis.component,
-                        path)
+    return product_field(traj.coeffs, basis.modes.T, traj.times,
+                         basis.component, path, basis.mean)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ A snapshot matrix stores one spatial degree of freedom per row and one time
 instant per column. The binary ``SNP1`` container round-trips bit-exactly.
 A field too large to hold twice moves through it a column block at a time
 (``column_blocks``): ``write_snapshots`` takes the blocks that every field
-builder makes (``lifted_field``), and ``open_snapshots`` hands them back.
+builder makes (``lifted_field``; ``product_field`` for a product of modes
+and coefficients), and ``open_snapshots`` hands them back.
 """
 
 import math
@@ -171,6 +172,24 @@ def lifted_field(lift, n: int, times: np.ndarray, component: str, path=None):
                     _lifted_blocks(lift, times, buf))
 
 
+def product_field(coeffs: np.ndarray, modes_t: np.ndarray, times: np.ndarray,
+                  component: str, path=None, mean=None):
+    """The field modes_t.T @ coeffs (+ mean in every column), one GEMM per
+    column block (lifted_field). A one-column block is taken as two equal
+    columns: BLAS's one-column route rounds otherwise, so a column's bits
+    do not depend on the block it falls in."""
+    def lift(cols, out):
+        # the transposed product is the block in SNP1's column-major layout
+        if out.shape[1] > 1:
+            np.matmul(coeffs[:, cols].T, modes_t, out.T)
+        else:
+            out[:, 0] = (coeffs[:, [cols.start] * 2].T @ modes_t)[0]
+        if mean is not None:
+            out += mean[:, None]
+
+    return lifted_field(lift, modes_t.shape[1], times, component, path)
+
+
 @dataclass(frozen=True)
 class CenteredSet:
     """Mean-removed snapshots: ``deviations[:, k] = data[:, k] - mean``."""
@@ -195,7 +214,8 @@ class SyntheticSpec:
     """Recipe for a synthetic snapshot set.
 
     kinds:
-      traveling_wave  sin(x - c t) on a uniform periodic grid over [0, 2*pi)
+      traveling_wave  sin(x - c t) on a uniform periodic grid over [0, 2*pi),
+                      lifted as sin x cos ct - cos x sin ct (product_field)
       linear_system   v_{k+1} = A v_k, A seeded and normalized to unit
                       spectral radius (one map application per time step)
       harmonic_latent [cos(w t), sin(w t)] lifted to N dims by a seeded
@@ -337,14 +357,7 @@ def generate_synthetic(spec: SyntheticSpec, path=None):
     """The spec's field, lifted a column block at a time (lifted_field):
     with a path, written there and never held whole; else a SnapshotSet."""
     times, n = spec.times, spec.grid_points
-    if spec.kind == "traveling_wave":
-        x = 2.0 * np.pi * np.arange(n) / n
-
-        def lift(cols, out):
-            # out.T holds one time per row; the sine is taken in place
-            np.subtract(x, spec.wave_speed * times[cols, None], out.T)
-            np.sin(out.T, out.T)
-    elif spec.kind == "linear_system":
+    if spec.kind == "linear_system":
         rng = np.random.default_rng(spec.seed)
         a = rng.standard_normal((n, n))
         a /= np.max(np.abs(np.linalg.eigvals(a)))
@@ -358,18 +371,16 @@ def generate_synthetic(spec: SyntheticSpec, path=None):
             for k in range(cols.start, cols.stop):
                 v = a @ v if k else v
                 out[:, k - cols.start] = v
+
+        return lifted_field(lift, n, times, spec.component, path)
+    if spec.kind == "traveling_wave":
+        x = 2.0 * np.pi * np.arange(n) / n
+        rate, map_t = spec.wave_speed, np.array([np.sin(x), -np.cos(x)])
     else:  # harmonic_latent
-        wt = spec.omega * times
-        latent = np.array([np.cos(wt), np.sin(wt)])
-        q_t = orthonormal_lift(n, 2, spec.seed).T
-
-        def lift(cols, out):
-            if out.shape[1] > 1:
-                np.matmul(latent[:, cols].T, q_t, out.T)
-            else:  # as two columns: BLAS's one-column route rounds otherwise
-                out[:, 0] = (latent[:, [cols.start] * 2].T @ q_t)[0]
-
-    return lifted_field(lift, n, times, spec.component, path)
+        rate, map_t = spec.omega, orthonormal_lift(n, 2, spec.seed).T
+    wt = rate * times
+    return product_field(np.array([np.cos(wt), np.sin(wt)]), map_t, times,
+                         spec.component, path)
 
 
 # ---------------------------------------------------------------------------

@@ -78,20 +78,19 @@ def test_decompose_peak(noise, bound):
     wave = generate_synthetic(SyntheticSpec("traveling_wave", N, 0.0, 2.4925, 0.01))
     data = wave.data + noise * np.random.default_rng(3).standard_normal((N, T))
     snap = SnapshotSet(data, wave.times)
-    # the deviations overwrite the field. Rank 2 (0.53 measured): s @ v over
-    # the 119 columns the Gram cut keeps, of which the polish takes 2. Full
-    # rank (3.14): s @ v until its QR is done, then Q and Q @ P, whose kept
-    # columns are a view; each is 250 columns wide
+    # the deviations overwrite the field. Rank 2 (0.539 measured): s @ v
+    # over the 120 columns the Gram cut keeps, of which the polish takes 2.
+    # Full rank (3.13): s @ v until its QR is done, then Q and Q @ P, whose
+    # kept columns are a view; each is 250 columns wide
     assert peak_fields(lambda: decompose(snap)) <= bound
 
 
 @pytest.mark.parametrize("kind", ["traveling_wave", "harmonic_latent"])
 def test_generate_peak(kind, tmp_path):
     # the stage as generate runs it: the field streams to its file through
-    # one block buffer, 6 columns or 0.024 of this field. 0.031 measured
-    # for traveling_wave (the buffer, one block's finiteness mask and the
-    # grid), and 0.055 for harmonic_latent, which also draws and factors
-    # its N x 2 lift
+    # one block buffer, 6 columns or 0.024 of this field. 0.035 measured
+    # for harmonic_latent (the buffer, one block's finiteness mask and its
+    # 2 x N map), and 0.040 for traveling_wave, which also keeps its grid
     n = 20000
     spec = SyntheticSpec(kind, n, 0.0, 2.4925, 0.01)
     peak = peak_fields(

@@ -5,7 +5,9 @@ Each streamed result must equal, byte for byte, the in-memory route it
 stands in for: ``save_snapshots(reconstruct(...))``,
 ``save_snapshots(dmd_forecast(...))`` and ``spatial_rmse`` on the loaded
 sets. The shapes cover blocks whose last one is narrower than the others,
-one column per block (more rows than ``BLOCK_VALUES``) and a single block.
+one column per block (more rows than ``BLOCK_VALUES``) and a single block;
+a prediction streamed in blocks one or three columns wide holds the bytes
+of the default blocks.
 """
 
 import os
@@ -14,6 +16,7 @@ import re
 import numpy as np
 import pytest
 
+from nirom import snapshot
 from nirom.dmd import DmdModel, dmd_forecast
 from nirom.errors import FormatError, NumericalError
 from nirom.metrics import spatial_rmse, streamed_rmse
@@ -62,9 +65,17 @@ def dmd_case(n, m, seed=1):
     return model, np.arange(float(m))
 
 
-@pytest.mark.parametrize("n,m", SHAPES, ids=SHAPE_IDS)
+#: each shape at the default block width, and in blocks `width` columns wide
+WIDTH_CASES = [pytest.param(n, m, width,
+                            id=name if width is None else f"{name}-{width}")
+               for width in (None, 1, 3)
+               for (n, m), name in zip(SHAPES, SHAPE_IDS)]
+
+
+@pytest.mark.parametrize("n,m,width", WIDTH_CASES)
 @pytest.mark.parametrize("method", ["reconstruct", "dmd_forecast"])
-def test_streamed_prediction_is_the_saved_one(tmp_path, method, n, m):
+def test_streamed_prediction_is_the_saved_one(tmp_path, monkeypatch, method,
+                                              n, m, width):
     if method == "reconstruct":
         args = pod_case(n, m)
         lift = reconstruct
@@ -73,6 +84,10 @@ def test_streamed_prediction_is_the_saved_one(tmp_path, method, n, m):
         lift = dmd_forecast
     whole = lift(*args)
     save_snapshots(whole, tmp_path / "saved.snp")
+    if width is not None:
+        # blocks of `width` columns give the bytes of the default blocks:
+        # a one-column block rounds as a column of a wider one
+        monkeypatch.setattr(snapshot, "BLOCK_VALUES", n * width)
     assert lift(*args, tmp_path / "streamed.snp") is None
     assert ((tmp_path / "streamed.snp").read_bytes()
             == (tmp_path / "saved.snp").read_bytes())
