@@ -60,7 +60,7 @@ import numpy as np
 
 from . import dmd as dmd_mod
 from . import rbf as rbf_mod
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, _get, load_config
 from .containers import peek_magic, replacing
 from .errors import (
     ConfigError,
@@ -242,8 +242,8 @@ def _read_json(path, decode):
     try:
         with open(path) as f:
             return decode(json.load(f))
-    except (ValueError, KeyError, TypeError, AttributeError,
-            RecursionError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
+            ConfigError) as exc:
         raise FormatError(f"{path}: malformed JSON artifact ({exc!r})") from exc
 
 
@@ -256,11 +256,11 @@ def _read_meta(pred_path: Path) -> tuple:
         return method, 0, 0.0
 
     def decode(tree):
-        recorded = tree.get("method", method)
-        if not isinstance(recorded, str):
-            raise TypeError(f"'method' is {recorded!r}, not a string")
-        return (recorded, int(tree.get("latent_dim", 0)),
-                float(tree.get("runtime_seconds", 0.0)))
+        if not isinstance(tree, dict):
+            raise TypeError("the record is not a JSON object")
+        return (_get(tree, "", "method", str, method),
+                _get(tree, "", "latent_dim", int, 0),
+                _get(tree, "", "runtime_seconds", float, 0.0))
 
     return _read_json(meta, decode)
 
@@ -274,8 +274,9 @@ def _metrics_reports(tree) -> list:
             component=component,
             times=np.asarray(body["times"], dtype=float),
             rmse=np.asarray(body["rmse"], dtype=float),
-            latent_dim=int(body["latent_dim"]),
-            runtime_seconds=float(body["runtime_seconds"]),
+            latent_dim=_get(body, f"{method}.{component}", "latent_dim", int),
+            runtime_seconds=_get(body, f"{method}.{component}",
+                                 "runtime_seconds", float),
         )
         for method, components in tree.items()
         for component, body in components.items()

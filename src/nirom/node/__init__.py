@@ -8,12 +8,10 @@ from .network import (
     TimeMap,
     build_net,
     load_net,
-    net_init,
     save_net,
     scale_fit,
 )
-from .solvers import SolverSpec, ode_solve
-from .gradients import grad
+from .solvers import SolverSpec, grad, ode_solve
 from .training import (
     LrSchedule,
     TrainConfig,
@@ -37,7 +35,6 @@ __all__ = [
     "grad",
     "load_net",
     "lr_at",
-    "net_init",
     "node_forecast",
     "normalize_times",
     "ode_solve",

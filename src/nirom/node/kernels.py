@@ -118,7 +118,11 @@ ACT_ELU = 2
 ACT_TANH = 3
 
 #: steps per table lookup of the rollouts, and the most tables a StepTables
-#: holds; the adjoint recomputes its steps in chunks of as many
+#: holds; the adjoint recomputes its steps in chunks of as many, each kept
+#: for one deferred parameter GEMM per layer. A step stores every layer's
+#: input and cotangent for each of its stages: about 4.3 KiB for an rk4 step
+#: of a 2-64-2 net, so a chunk is about 140 KiB there and about 1 MiB for a
+#: 512-wide preset, while the GEMMs' dispatch is spread over 32 steps
 CHUNK = 32
 
 
@@ -174,7 +178,7 @@ class StageArray:
         self.stages = tuple(zip(self.pre[1:], rows[1:]))
 
 
-#: the most bytes a net's weights (network.net_init) or a plan's stage
+#: the most bytes a net's weights (network.build_net) or a plan's stage
 #: buffers (stage_bytes) may take; both grow with the net's widths, and
 #: backprop's buffers with its schedule
 MAX_NET_BYTES = 1 << 30

@@ -189,45 +189,6 @@ def kernel_args(net: DynamicsNet, params: np.ndarray) -> tuple:
     return fold_biases(params, net.sizes), acts, mid, half, net.time_input
 
 
-def net_init(
-    sizes,
-    activations,
-    augment_dim: int = 0,
-    seed: int = 0,
-    time_input: bool = True,
-    scale: ScaleMap | None = None,
-    name: str = "",
-) -> DynamicsNet:
-    """Glorot-uniform weights (limit sqrt(6/(fan_in+fan_out))), zero biases,
-    drawn layer by layer from a single seeded generator. A net whose
-    parameters would take more than kernels.MAX_NET_BYTES is refused before
-    the first draw."""
-    need = 8 * param_count(sizes)
-    if need > kernels.MAX_NET_BYTES:
-        raise ValueError(
-            f"a net of layer sizes {tuple(sizes)} would take "
-            f"{need / 2**30:.3g} GiB of parameters, above the limit of "
-            f"{kernels.MAX_NET_BYTES / 2**30:g} GiB")
-    rng = np.random.default_rng(seed)
-    chunks = []
-    for l in range(len(sizes) - 1):
-        fan_in, fan_out = sizes[l], sizes[l + 1]
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        chunks.append(rng.uniform(-limit, limit, size=fan_out * fan_in))
-        chunks.append(np.zeros(fan_out))
-    return DynamicsNet(
-        tuple(sizes),
-        tuple(activations),
-        np.concatenate(chunks),
-        augment_dim=augment_dim,
-        time_input=time_input,
-        scale=scale,
-        time_map=None,
-        seed=seed,
-        name=name,
-    )
-
-
 def build_net(
     latent_dim: int,
     hidden: list,
@@ -238,14 +199,36 @@ def build_net(
     scale: ScaleMap | None = None,
     name: str = "",
 ) -> DynamicsNet:
-    """Convenience constructor: hidden widths + one activation, and the
-    linear output layer that every DynamicsNet ends in."""
+    """A net of the given hidden widths, each with one activation, and the
+    linear output layer that every DynamicsNet ends in: Glorot-uniform
+    weights (limit sqrt(6/(fan_in+fan_out))), zero biases, drawn layer by
+    layer from a single seeded generator. A net whose parameters would take
+    more than kernels.MAX_NET_BYTES is refused before the first draw."""
     state = latent_dim + augment_dim
-    sizes = [state + (1 if time_input else 0), *hidden, state]
-    activations = [activation] * len(hidden) + ["linear"]
-    return net_init(
-        sizes, activations, augment_dim=augment_dim, seed=seed,
-        time_input=time_input, scale=scale, name=name,
+    sizes = (state + (1 if time_input else 0), *hidden, state)
+    need = 8 * param_count(sizes)
+    if need > kernels.MAX_NET_BYTES:
+        raise ValueError(
+            f"a net of layer sizes {sizes} would take "
+            f"{need / 2**30:.3g} GiB of parameters, above the limit of "
+            f"{kernels.MAX_NET_BYTES / 2**30:g} GiB")
+    rng = np.random.default_rng(seed)
+    chunks = []
+    for l in range(len(sizes) - 1):
+        fan_in, fan_out = sizes[l], sizes[l + 1]
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        chunks.append(rng.uniform(-limit, limit, size=fan_out * fan_in))
+        chunks.append(np.zeros(fan_out))
+    return DynamicsNet(
+        sizes,
+        (activation,) * len(hidden) + ("linear",),
+        np.concatenate(chunks),
+        augment_dim=augment_dim,
+        time_input=time_input,
+        scale=scale,
+        time_map=None,
+        seed=seed,
+        name=name,
     )
 
 

@@ -1,4 +1,5 @@
-"""Explicit Runge-Kutta integration of the latent dynamics net.
+"""Explicit Runge-Kutta integration of the latent dynamics net, and the
+reverse passes of its trajectory-loss gradient.
 
 Every method lands exactly on the requested times. Fixed-step methods
 (euler, midpoint, rk4) sub-step each observation interval evenly. dopri5 is
@@ -6,6 +7,18 @@ the embedded 4(5) pair with PI step-size control; it shortens any step that
 would pass the next requested time so that it ends there. fixed_rollout
 makes every forward pass, a gradient's included, keeping what the reverse
 pass of its plan's route reads (RolloutPlan).
+
+Reverse-mode gradients of the trajectory-fitting loss take one of two
+routes to the same parameter gradient, the exact gradient of the
+discretized rollout (discretize-then-optimize), each one forward pass and,
+after the loss, its reverse pass. Backprop through the solver (the default)
+caches every stage of the forward pass and replays them backwards. The
+adjoint route keeps only the state at the start of every substep and,
+walking the substeps in reverse, recomputes each step from its state before
+sweeping it back, so it holds the stages of one chunk of steps instead of
+the trajectory's (checkpointed backprop, as in ANODE, Gholami et al. 2019).
+It costs one more forward evaluation per stage. dopri5 takes that route in
+either mode, from the states its adaptive pass keeps.
 """
 
 from dataclasses import dataclass
@@ -14,9 +27,9 @@ import numpy as np
 
 from ..errors import NumericalError
 from ..pod import LatentTrajectory
-from ..snapshot import check_steps, check_times, time_tolerance
+from ..snapshot import check_steps, check_times, same_times, time_tolerance
 from . import kernels
-from .network import DynamicsNet, fold_biases, kernel_args
+from .network import DynamicsNet, fold_biases, kernel_args, unfold_biases
 
 FIXED_METHODS = ("euler", "midpoint", "rk4")
 METHODS = FIXED_METHODS + ("dopri5",)
@@ -33,13 +46,6 @@ MAX_STEPS = 1_000_000
 #: what a RolloutPlan serves: a rollout alone, or a gradient mode's
 GRAD_MODES = ("backprop_through_solver", "adjoint")
 ROUTES = ("rollout",) + GRAD_MODES
-#: adjoint steps recomputed in one forward run and kept for one deferred
-#: parameter GEMM per layer (kernels.CHUNK, the run its tables are looked up
-#: for). A step stores every layer's input and cotangent for each of its
-#: stages: about 4.3 KiB for an rk4 step of a 2-64-2 net, so a chunk is
-#: about 140 KiB there and about 1 MiB for a 512-wide preset, while the
-#: GEMMs' dispatch is spread over 32 steps
-ADJOINT_CHUNK = kernels.CHUNK
 
 
 @dataclass(frozen=True)
@@ -161,9 +167,10 @@ class RolloutPlan:
     keeps, sized here. A rollout keeps one step's stage rows (dopri5 none).
     Fixed-step backprop is `cached`: `stages` holds every substep's rows.
     Any other gradient route keeps every step's start state, and the last,
-    in `states`, and `stages` holds one chunk of at most ADJOINT_CHUNK
+    in `states`, and `stages` holds one chunk of at most kernels.CHUNK
     steps, which the forward pass runs through and the reverse pass
-    recomputes into."""
+    recomputes into. A gradient route also owns its augmented gradient
+    arrays [gW | gb], one per layer, in `grads`."""
 
     def __init__(self, net: DynamicsNet, times, solver: SolverSpec,
                  route: str = "rollout"):
@@ -186,13 +193,15 @@ class RolloutPlan:
         if self.cached:
             n_steps = n_sub
         elif route != "rollout":
-            n_steps = min(ADJOINT_CHUNK, n_sub) if fixed else ADJOINT_CHUNK
+            n_steps = min(kernels.CHUNK, n_sub) if fixed else kernels.CHUNK
             self.states = np.empty((n_sub + 1, net.state_dim)) if fixed else []
         else:
             # a dopri5 rollout marches in its adaptive buffers alone
             n_steps = 1 if fixed else None
         if n_steps is not None:
             self.stages = self.buffers(n_steps * self.n_stages, self.n_stages)
+        self.grads = None if route == "rollout" else tuple(
+            np.zeros_like(w) for w in self.args[0])
 
     def set_params(self, params: np.ndarray) -> None:
         """Fold a new flat parameter vector into the plan's weights."""
@@ -256,6 +265,101 @@ def ode_solve(net: DynamicsNet, z0, times, solver: SolverSpec) -> LatentTrajecto
     z0 = _pad_state(net, z0)
     out, _ = fixed_rollout(RolloutPlan(net, times, solver), z0)
     return LatentTrajectory(out, times)
+
+
+def _target_array(net: DynamicsNet, times: np.ndarray, target) -> np.ndarray:
+    if isinstance(target, LatentTrajectory):
+        if not same_times(target.times, times):
+            raise ValueError("target times do not match the requested times")
+        target = target.coeffs
+    target = np.asarray(target, dtype=np.float64)
+    if target.shape != (net.latent_dim, times.size):
+        raise ValueError(
+            f"target must have shape ({net.latent_dim}, {times.size}), "
+            f"got {target.shape}"
+        )
+    return target
+
+
+def _loss_cotangent(net: DynamicsNet, out: np.ndarray, target: np.ndarray):
+    """Loss over the latent rows only; augmented rows carry no cotangent."""
+    m = net.latent_dim
+    out_bar = np.zeros_like(out)
+    # an overflow gives a non-finite loss, which training reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = out[:m] - target
+        loss = float(np.mean(diff * diff))
+        out_bar[:m] = (2.0 / diff.size) * diff
+    return loss, out_bar
+
+
+def _recompute_backward(plan: RolloutPlan, schedule, out_bar):
+    """The reverse pass from the start states the forward pass kept in
+    plan.states: chunk by chunk from the last, one forward run that
+    recomputes the chunk's steps from its first saved state, one derivative
+    pass over its rows, one adjoint_step per step in reverse, and the
+    chunk's parameter gradient at once."""
+    sub_t0, sub_h, out_idx = schedule
+    buf, states = plan.stages, plan.states
+    layers, acts, _, half, _ = plan.args
+    bars = out_bar.T
+    buf.cot.z[...] = 0.0
+    for hi in range(sub_h.size, 0, -kernels.CHUNK):
+        lo = max(0, hi - kernels.CHUNK)
+        n_rows = (hi - lo) * plan.n_stages
+        tabs = plan.tables.lookup(sub_h[lo:hi].tolist())
+        # step lo + r takes slot hi - 1 - lo - r: the chunk's last step is
+        # swept first, from slot 0
+        slots = buf.steps[hi - 1 - lo::-1]
+        buf.zk.z[...] = states[lo]
+        kernels.march(*plan.args, tabs, sub_t0[lo:hi].tolist(), slots,
+                      buf.zk, buf.zk2)
+        buf.derivs(0, n_rows)
+        for tab, rows, k in zip(tabs[::-1], buf.steps,
+                                out_idx[lo:hi].tolist()[::-1]):
+            kernels.adjoint_step(layers, acts, half, tab, rows, buf, bars, k)
+        kernels.layer_gradients(plan.grads, buf, n_rows)
+
+
+def _loss_and_grad(plan: RolloutPlan, z0: np.ndarray, target: np.ndarray,
+                   params: np.ndarray):
+    """(loss, gradient) of the trajectory MSE against `target` from the
+    full initial state `z0` at the parameter vector `params`: the gradient
+    route's forward pass, then its reverse pass."""
+    plan.set_params(params)
+    grads = plan.grads
+    for g in grads:
+        g.fill(0.0)
+    out, schedule = fixed_rollout(plan, z0)
+    loss, out_bar = _loss_cotangent(plan.net, out, target)
+    # overflow surfaces as a non-finite gradient, which training rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        if plan.cached:
+            _, sub_h, out_idx = schedule
+            layers, acts, _, half, _ = plan.args
+            kernels.rollout_backward(layers, acts, half, plan.tables, sub_h,
+                                     out_idx, plan.stages, out_bar, grads)
+        else:
+            _recompute_backward(plan, schedule, out_bar)
+    return loss, unfold_biases(grads, np.empty(params.size), plan.net.sizes)
+
+
+def grad(
+    net: DynamicsNet,
+    z0,
+    times,
+    target,
+    solver: SolverSpec,
+    mode: str = "backprop_through_solver",
+) -> np.ndarray:
+    """Gradient of the trajectory MSE with respect to the parameter vector."""
+    if mode not in GRAD_MODES:
+        raise ValueError(f"unknown gradient mode {mode!r}; expected {GRAD_MODES}")
+    times = check_times(times)
+    z0 = _pad_state(net, z0)
+    target = _target_array(net, times, target)
+    plan = RolloutPlan(net, times, solver, mode)
+    return _loss_and_grad(plan, z0, target, net.params)[1]
 
 
 # ---------------------------------------------------------------------------

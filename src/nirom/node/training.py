@@ -22,9 +22,9 @@ import numpy as np
 from ..errors import NumericalError
 from ..pod import LatentTrajectory
 from ..snapshot import check_times
-from .gradients import GRAD_MODES, GradPlan, _loss_and_grad
 from .network import DynamicsNet, TimeMap
-from .solvers import SolverSpec, _pad_state, ode_solve
+from .solvers import (GRAD_MODES, RolloutPlan, SolverSpec, _loss_and_grad,
+                      _pad_state, ode_solve)
 
 #: rho and eps of the RMSProp update in the module docstring
 RMSPROP_RHO = 0.9
@@ -146,9 +146,9 @@ def train(
     loss_hist = np.empty(config.epochs)
     lr_hist = np.empty(config.epochs)
     if config.epochs:
-        plan = GradPlan(net, z0, times, traj.coeffs, solver, config.grad_mode)
+        plan = RolloutPlan(net, times, solver, config.grad_mode)
     for epoch in range(config.epochs):
-        loss, g = _loss_and_grad(plan, params)
+        loss, g = _loss_and_grad(plan, z0, traj.coeffs, params)
         if not np.isfinite(loss):
             raise NumericalError(f"loss became non-finite at epoch {epoch}")
         lr = lr_at(config, epoch)

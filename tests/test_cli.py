@@ -1129,6 +1129,34 @@ def test_compare_deeply_nested_prediction_meta_exits_4(train_grid, tmp_path,
     assert str(bad) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,raw", [
+    ("latent_dim", "1e400"), ("latent_dim", "true"), ("runtime_seconds", '"nan"'),
+], ids=["latent-overflow", "latent-bool", "runtime-str"])
+@pytest.mark.parametrize("artifact", ["metrics", "prediction-record"])
+def test_a_json_number_the_config_would_refuse_exits_4(train_grid, tmp_path,
+                                                        capsys, artifact, key,
+                                                        raw):
+    # both artifacts are read through the config's typed getter: a number
+    # must be finite, and a boolean is never one
+    if artifact == "metrics":
+        bad = tmp_path / "metrics.json"
+        tree = {"rbf": {"u": dict(_SERIES, **{key: "@"})}}
+        argv = ("report", str(bad), "--out", str(tmp_path))
+    else:
+        pred = tmp_path / "pred_rbf.snp"
+        shutil.copy(train_grid.out / "pred_rbf.snp", pred)
+        bad = tmp_path / "pred_rbf.snp.meta.json"
+        tree = dict({"method": "rbf", "latent_dim": 2, "runtime_seconds": 0.5},
+                    **{key: "@"})
+        argv = ("compare", str(train_grid.out / "snapshots.snp"), str(pred),
+                "--out", str(tmp_path))
+    bad.write_text(json.dumps(tree).replace('"@"', raw))
+    assert run(*argv) == 4
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and str(bad) in line
+    assert not (tmp_path / "metrics.csv").exists()
+
+
 def test_compare_series_are_spatial_rmse_of_the_loaded_sets(pipeline):
     tree = json.loads((pipeline.out / "metrics.json").read_text())
     truth = load_snapshots(pipeline.truth)

@@ -22,7 +22,6 @@ from nirom.node import (
     TimeMap,
     build_net,
     load_net,
-    net_init,
     save_net,
     scale_fit,
 )
@@ -100,7 +99,7 @@ def test_augmented_net_dimensions():
 
 
 def test_init_biases_zero_weights_bounded():
-    net = net_init((3, 8, 2), ("tanh", "linear"), seed=5)
+    net = build_net(2, [8], "tanh", seed=5)
     layers = layer_views(net.params, net.sizes)
     for l, (fan_out, fan_in) in enumerate([(8, 3), (2, 8)]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -112,10 +111,10 @@ def test_init_biases_zero_weights_bounded():
 
 
 def test_init_deterministic_under_seed():
-    a = net_init((3, 8, 2), ("elu", "linear"), seed=42)
-    b = net_init((3, 8, 2), ("elu", "linear"), seed=42)
+    a = build_net(2, [8], "elu", seed=42)
+    b = build_net(2, [8], "elu", seed=42)
     assert a.params.tobytes() == b.params.tobytes()
-    c = net_init((3, 8, 2), ("elu", "linear"), seed=43)
+    c = build_net(2, [8], "elu", seed=43)
     assert not np.array_equal(a.params, c.params)
 
 

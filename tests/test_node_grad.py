@@ -22,16 +22,16 @@ from nirom.node import (
     grad,
 )
 from nirom.node import kernels
-from nirom.node.gradients import (
-    ADJOINT_CHUNK,
+from nirom.node.network import kernel_args, layer_views
+from nirom.node.solvers import (
     GRAD_MODES,
-    GradPlan,
+    RolloutPlan,
     _loss_and_grad,
     _loss_cotangent,
     _pad_state,
+    fixed_rollout,
+    tableau,
 )
-from nirom.node.network import kernel_args, layer_views
-from nirom.node.solvers import RolloutPlan, fixed_rollout, tableau
 from nirom.pod import LatentTrajectory
 from reference import net_eval
 
@@ -52,11 +52,11 @@ def problem(seed: int = 7):
 
 
 def fd_gradient(net, z0, times, target, solver):
-    plan = GradPlan(net, _pad_state(net, z0), times, target, solver,
-                    "backprop_through_solver")
+    z0 = _pad_state(net, z0)
+    plan = RolloutPlan(net, times, solver, "backprop_through_solver")
 
     def loss_of(p):
-        loss, _ = _loss_and_grad(plan, p)
+        loss, _ = _loss_and_grad(plan, z0, target, p)
         return loss
 
     g = np.empty(net.params.size)
@@ -324,12 +324,12 @@ def test_adjoint_memory_is_bounded_by_its_chunk(built):
     for n_snapshots in (short, long):
         times = np.linspace(0.0, 1.0, n_snapshots)
         built.clear()
-        plan = GradPlan(net, np.zeros(2), times, np.zeros((2, n_snapshots)),
-                        SolverSpec("rk4", step=float(times[1] - times[0])),
-                        "adjoint")
+        plan = RolloutPlan(net, times,
+                           SolverSpec("rk4", step=float(times[1] - times[0])),
+                           "adjoint")
         # one chunk, whatever the grid's length, and no other buffers
-        assert built == [ADJOINT_CHUNK * n_stages]
-        assert len(plan.rollout.stages.rows) == ADJOINT_CHUNK * n_stages
+        assert built == [kernels.CHUNK * n_stages]
+        assert len(plan.stages.rows) == kernels.CHUNK * n_stages
 
 
 @pytest.mark.parametrize("mode", GRAD_MODES)
@@ -347,13 +347,12 @@ def test_dopri5_gradient_memory_is_bounded_by_its_chunk(mode, built):
     # built one chunk at a time
     assert growth < 400
     built.clear()
-    plan = GradPlan(net, np.zeros(2), TIMES, np.zeros((2, TIMES.size)),
-                    SolverSpec("dopri5"), mode)
-    n_rows = ADJOINT_CHUNK * tableau("dopri5")[1].size
+    plan = RolloutPlan(net, TIMES, SolverSpec("dopri5"), mode)
+    n_rows = kernels.CHUNK * tableau("dopri5")[1].size
     # the adaptive pass's seven rows, then one chunk and nothing more
     assert built == [7, n_rows]
-    assert len(plan.rollout.stages.rows) == n_rows
-    _loss_and_grad(plan, net.params)
+    assert len(plan.stages.rows) == n_rows
+    _loss_and_grad(plan, np.zeros(2), np.zeros((2, TIMES.size)), net.params)
     assert built == [7, n_rows]
 
 
@@ -365,9 +364,8 @@ def test_stage_buffers_beyond_the_limit_are_refused_before_allocation(
     target = np.zeros((2, times.size))
     n_stages = tableau("rk4")[1].size
     # the size is the buffers' own: 99 cached substeps, or one chunk
-    chunk = GradPlan(net, np.zeros(2), times, target, solver,
-                     "adjoint").rollout.stages
-    assert kernels.stage_bytes(net.sizes, ADJOINT_CHUNK * n_stages) == sum(
+    chunk = RolloutPlan(net, times, solver, "adjoint").stages
+    assert kernels.stage_bytes(net.sizes, kernels.CHUNK * n_stages) == sum(
         a.nbytes for a in chunk.x + chunk.s)
     cached = kernels.stage_bytes(net.sizes, 99 * n_stages)
     # a limit between the two refuses backprop's cache when its plan is
@@ -375,15 +373,14 @@ def test_stage_buffers_beyond_the_limit_are_refused_before_allocation(
     monkeypatch.setattr(kernels, "MAX_NET_BYTES", cached - 1)
     built.clear()
     with pytest.raises(ValueError, match='grad_mode "adjoint"'):
-        GradPlan(net, np.zeros(2), times, target, solver,
-                 "backprop_through_solver")
+        RolloutPlan(net, times, solver, "backprop_through_solver")
     assert built == []
-    _loss_and_grad(GradPlan(net, np.zeros(2), times, target, solver, "adjoint"),
-                   net.params)
+    _loss_and_grad(RolloutPlan(net, times, solver, "adjoint"), np.zeros(2),
+                   target, net.params)
     # below the chunk, the adjoint is refused too, without that advice
     monkeypatch.setattr(kernels, "MAX_NET_BYTES", 1000)
     with pytest.raises(ValueError, match="above the limit") as refused:
-        GradPlan(net, np.zeros(2), times, target, solver, "adjoint")
+        RolloutPlan(net, times, solver, "adjoint")
     assert "grad_mode" not in str(refused.value)
 
 
@@ -391,15 +388,15 @@ def test_adjoint_chunk_of_a_short_grid_holds_only_its_substeps(built):
     net = small_net("tanh")
     z0, target = problem()
     solver = SolverSpec("rk4", step=0.25)
-    plan = GradPlan(net, _pad_state(net, z0), TIMES, target, solver, "adjoint")
+    plan = RolloutPlan(net, TIMES, solver, "adjoint")
     n_sub = TIMES.size - 1
-    assert n_sub < ADJOINT_CHUNK
+    assert n_sub < kernels.CHUNK
     n_rows = n_sub * tableau("rk4")[1].size
-    assert len(plan.rollout.stages.rows) == n_rows
+    assert len(plan.stages.rows) == n_rows
     # the chunk also carries the forward pass: the plan builds no other
     # buffers, then or in a gradient
     assert built == [n_rows]
-    _loss_and_grad(plan, net.params)
+    _loss_and_grad(plan, _pad_state(net, z0), target, net.params)
     assert built == [n_rows]
 
 

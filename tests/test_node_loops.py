@@ -18,10 +18,9 @@ import pytest
 
 from nirom.node import ScaleMap, SolverSpec, build_net, ode_solve
 from nirom.node import kernels
-from nirom.node.gradients import (ADJOINT_CHUNK, GRAD_MODES, GradPlan,
-                                  _loss_and_grad, _loss_cotangent)
 from nirom.node.network import kernel_args, unfold_biases
-from nirom.node.solvers import (RolloutPlan, _dopri5_core, _pad_state,
+from nirom.node.solvers import (GRAD_MODES, RolloutPlan, _dopri5_core,
+                                _loss_and_grad, _loss_cotangent, _pad_state,
                                 build_schedule, fixed_rollout, tableau)
 
 # ---------------------------------------------------------------------------
@@ -144,8 +143,8 @@ def ref_loss_and_grad(net, z0, times, target, solver, mode):
             ref_step_backward(layers, acts, half, rev[i], buf.steps[i], sc)
         kernels.layer_gradients(grads, buf, n_sub * n_stages)
     else:
-        chunk = ADJOINT_CHUNK if solver.method == "dopri5" else min(
-            ADJOINT_CHUNK, n_sub)
+        chunk = kernels.CHUNK if solver.method == "dopri5" else min(
+            kernels.CHUNK, n_sub)
         buf = kernels.StageBuffers(net.sizes, acts, tin, chunk * n_stages,
                                    n_stages)
         if solver.method != "dopri5":
@@ -154,8 +153,8 @@ def ref_loss_and_grad(net, z0, times, target, solver, mode):
             out = states[landed].T
         loss, out_bar = _loss_cotangent(net, out, target)
         sc.cot[0] = 0.0
-        for hi in range(n_sub, 0, -ADJOINT_CHUNK):
-            lo = max(0, hi - ADJOINT_CHUNK)
+        for hi in range(n_sub, 0, -kernels.CHUNK):
+            lo = max(0, hi - kernels.CHUNK)
             for j, i in enumerate(range(hi - 1, lo - 1, -1)):
                 if out_idx[i] >= 0:
                     sc.cot[0] += out_bar[:, out_idx[i]]
@@ -223,10 +222,10 @@ def test_loops_match_the_per_step_reference(method, grid, scaled):
     for mode in GRAD_MODES:
         want_loss, want_g, want_out = ref_loss_and_grad(net, z0, times, target,
                                                         solver, mode)
-        plan = GradPlan(net, z0, times, target, solver, mode)
+        plan = RolloutPlan(net, times, solver, mode)
         for _ in range(2):
             # the second call looks its step tables up instead of building
-            loss, g = _loss_and_grad(plan, net.params)
+            loss, g = _loss_and_grad(plan, z0, target, net.params)
             assert loss == want_loss, mode
             assert g.tobytes() == want_g.tobytes(), mode
     got_out = ode_solve(net, z0, times, solver).coeffs
@@ -329,10 +328,11 @@ def test_all_different_step_tables_do_not_grow_with_the_grid(route):
             run = lambda: fixed_rollout(plan, z0)  # noqa: E731
             tables = plan.tables
         else:
-            plan = GradPlan(net, z0, times, np.zeros((2, times.size)), solver,
-                            "adjoint")
-            run = lambda: _loss_and_grad(plan, net.params)  # noqa: E731
-            tables = plan.rollout.tables
+            plan = RolloutPlan(net, times, solver, "adjoint")
+            target = np.zeros((2, times.size))
+            run = lambda: _loss_and_grad(plan, z0, target,  # noqa: E731
+                                         net.params)
+            tables = plan.tables
         run()
         tracemalloc.start()
         try:
