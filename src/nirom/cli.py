@@ -265,6 +265,14 @@ def _read_meta(pred_path: Path) -> tuple:
     return _read_json(meta, decode)
 
 
+def _series(body: dict, path: str, key: str) -> np.ndarray:
+    """The list at ``key`` as floats, each entry read as the typed getter
+    reads a float: a finite JSON number, never a boolean or a string."""
+    entries = dict(enumerate(_get(body, path, key, list)))
+    return np.array([_get(entries, f"{path}.{key}", i, float)
+                     for i in entries], dtype=float)
+
+
 def _metrics_reports(tree) -> list:
     """The MetricsReports of a metrics.json tree (method -> component ->
     series and run metadata)."""
@@ -272,8 +280,8 @@ def _metrics_reports(tree) -> list:
         MetricsReport(
             method=method,
             component=component,
-            times=np.asarray(body["times"], dtype=float),
-            rmse=np.asarray(body["rmse"], dtype=float),
+            times=_series(body, f"{method}.{component}", "times"),
+            rmse=_series(body, f"{method}.{component}", "rmse"),
             latent_dim=_get(body, f"{method}.{component}", "latent_dim", int),
             runtime_seconds=_get(body, f"{method}.{component}",
                                  "runtime_seconds", float),

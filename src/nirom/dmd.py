@@ -15,7 +15,8 @@ import numpy as np
 from . import containers as io
 from .errors import NumericalError
 from .pod import thin_svd_matrix, tied_peak
-from .snapshot import SnapshotSet, check_times, product_field, uniform_step
+from .snapshot import (SnapshotSet, check_times, matmul_like, product_field,
+                       uniform_step)
 
 DMD_MAGIC = b"DMD1"
 
@@ -80,7 +81,7 @@ def dmd_fit(snapshots: SnapshotSet, r: int) -> DmdModel:
         )
     u, sigma, v = svd.left, svd.singular, svd.right
 
-    lift = (xp @ v) / sigma  # X' V Sigma^-1, reused for modes
+    lift = matmul_like(xp, v) / sigma  # X' V Sigma^-1, reused for modes
     atilde = u.T @ lift
     try:
         lam, w = np.linalg.eig(atilde)

@@ -11,7 +11,8 @@ The Gram eigenvalues carry eps * sigma[0]**2 of roundoff, so a rank-deficient
 field leaves columns at about sqrt(eps) * sigma[0] above the Gram cut. Lifted
 as s @ v they shrink to the rounding of that product, and the lift drops such
 a trailing block (``TAIL_RTOL``) before the polish instead of factoring it:
-on a rank-2 wave of 20000 x 250 the QR takes 2 columns instead of 121.
+on a rank-2 wave of 20000 x 250 the QR takes 2 columns of the 116 lifted, a
+count that moves with the roundoff in the field.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import containers as io
 from .errors import NumericalError, ValidationError
-from .snapshot import CenteredSet, check_times, product_field
+from .snapshot import CenteredSet, check_times, matmul_like, product_field
 
 POD_MAGIC = b"POD1"
 
@@ -128,7 +129,7 @@ class LatentTrajectory:
 def _lift(s: np.ndarray, sigma: np.ndarray, v: np.ndarray):
     """SVD triplets of s lifted from its Gram eigenpairs (sigma, v), less
     those the polish puts at or below ``RANK_RTOL``."""
-    sv = s @ v
+    sv = matmul_like(s, v)
     # tail[j] = ||sv[:, j:]||_F^2 over its K - j columns, down to the empty
     # block at j = K; the polish takes the columns before the first
     # trailing block of rounding

@@ -1,7 +1,7 @@
 """Plain reference evaluations the optimized code is tested against: the
 dynamics net layer by layer from its flat parameters, the RBF field with
-one fresh array per operation, and each synthetic field built whole from
-its definition."""
+one fresh array per operation, each synthetic field built whole from its
+definition, and numpy's own row-major matrix product."""
 
 import numpy as np
 
@@ -81,3 +81,9 @@ def synthetic_field(spec: SyntheticSpec) -> np.ndarray:
     for k in range(1, times.size):
         field[:, k] = a @ field[:, k - 1]
     return field
+
+
+def row_major_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b as numpy writes it: row-major, whatever a's layout
+    (snapshot.matmul_like writes a's layout)."""
+    return a @ b

@@ -1093,8 +1093,16 @@ _SERIES = {"latent_dim": 2, "runtime_seconds": 0.5, "times": [0.0, 1.0],
     {"rbf": {"u": dict(_SERIES, latent_dim=None)}},
     {"rbf": {"u": dict(_SERIES, rmse=[0.1])}},
     {"rbf": {"u": dict(_SERIES, times=[[0.0, 1.0]], rmse=[[0.1, 0.2]])}},
+    {"rbf": {"u": dict(_SERIES, times=[False, True])}},
+    {"rbf": {"u": dict(_SERIES, rmse=["0.1", "1e5"])}},
+    {"rbf": {"u": dict(_SERIES, times=[0.0, None])}},
+    # json writes these as Infinity and NaN, which json.load reads back,
+    # as it reads 1e400 as infinity
+    {"rbf": {"u": dict(_SERIES, times=[0.0, float("inf")])}},
+    {"rbf": {"u": dict(_SERIES, rmse=[0.1, float("nan")])}},
 ], ids=["empty-body", "no-rmse", "list", "method-int", "body-list",
-        "times-str", "latent-null", "short-rmse", "matrix-series"])
+        "times-str", "latent-null", "short-rmse", "matrix-series",
+        "times-bool", "rmse-str", "times-null", "times-inf", "rmse-nan"])
 def test_report_missing_or_mistyped_key_exits_4(tmp_path, capsys, tree):
     bad = tmp_path / "metrics.json"
     bad.write_text(json.dumps(tree))

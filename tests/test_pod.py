@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nirom import dmd, pod
+from nirom.dmd import dmd_fit
 from nirom.errors import FormatError, NumericalError
 from nirom.pod import (
     RANK_RTOL,
@@ -29,7 +31,15 @@ from nirom.pod import (
     thin_svd_matrix,
     truncate,
 )
-from nirom.snapshot import CenteredSet, SnapshotSet, SyntheticSpec, center, generate_synthetic
+from nirom.snapshot import (
+    CenteredSet,
+    SnapshotSet,
+    SyntheticSpec,
+    center,
+    generate_synthetic,
+    matmul_like,
+)
+from reference import row_major_product
 
 # frozen oracle values for the centered 64 x 100 traveling wave
 WAVE_S1 = 41.075401634898164
@@ -438,6 +448,72 @@ def test_reconstruct_matches_reference_in_column_major(m, shape):
         out = reconstruct(basis, traj).data
         assert out.flags.f_contiguous
         assert out.tobytes() == reference_reconstruct(basis, traj).tobytes()
+
+
+def _factors(field: np.ndarray, times: np.ndarray) -> dict:
+    svd = thin_svd_matrix(field)
+    model = dmd_fit(SnapshotSet(field, times), 2)
+    return {"left": svd.left, "singular": svd.singular, "right": svd.right,
+            "modes": model.modes, "eigenvalues": model.eigenvalues,
+            "amplitudes": model.amplitudes}
+
+
+def _row_major_factors(monkeypatch, field, times) -> dict:
+    with monkeypatch.context() as m:
+        m.setattr(pod, "matmul_like", row_major_product)
+        m.setattr(dmd, "matmul_like", row_major_product)
+        return _factors(field, times)
+
+
+def test_lift_in_column_major_matches_the_row_major_product(monkeypatch):
+    # the tall lifts s @ v and X' V write a column-major field's result
+    # column-major, which OpenBLAS forms with the row-major route's bits
+    wave = generate_synthetic(
+        SyntheticSpec("traveling_wave", 4000, 0.0, 2.4925, 0.01))
+    assert wave.data.shape == (4000, 250) and wave.data.flags.f_contiguous
+    got = _factors(wave.data, wave.times)
+    want = _row_major_factors(monkeypatch, wave.data, wave.times)
+    assert got["singular"].size == 2
+    for key, value in want.items():
+        assert got[key].tobytes() == value.tobytes(), key
+
+
+def test_full_rank_lift_in_column_major_agrees_to_rounding(monkeypatch):
+    # lifting all 250 columns, OpenBLAS rounds the two orientations apart
+    # (by at most 7e-16 of the product's largest entry in five seeds); the
+    # factors the lift feeds stay within 1e-14
+    field = np.asfortranarray(
+        np.random.default_rng(3).standard_normal((4000, 250)))
+    times = np.arange(250.0)
+    got = _factors(field, times)
+    want = _row_major_factors(monkeypatch, field, times)
+    assert got["singular"].size == 250
+    assert np.allclose(got["singular"], want["singular"], rtol=1e-14, atol=0)
+
+    def product(f):
+        return (f["left"] * f["singular"]) @ f["right"].T
+
+    assert (np.linalg.norm(product(got) - product(want))
+            <= 1e-14 * np.linalg.norm(product(want)))
+    for key in ("modes", "eigenvalues", "amplitudes"):
+        assert np.allclose(got[key], want[key], rtol=1e-14, atol=0), key
+
+
+def test_row_major_lift_keeps_a_row_major_result(monkeypatch):
+    rng = np.random.default_rng(4)
+    a, b = rng.standard_normal((500, 64)), rng.standard_normal((64, 64))
+    out = matmul_like(a, b)
+    assert out.flags.c_contiguous
+    assert out.tobytes() == row_major_product(a, b).tobytes()
+    assert matmul_like(np.asfortranarray(a), b).flags.f_contiguous
+    # a wide field is lifted through its transpose, a row-major view; a
+    # column-major result would round this full-rank lift differently
+    wide = np.asfortranarray(rng.standard_normal((64, 500)))
+    times = np.arange(500.0)
+    got = _factors(wide, times)
+    want = _row_major_factors(monkeypatch, wide, times)
+    for key, value in want.items():
+        assert got[key].tobytes() == value.tobytes(), key
 
 
 def test_reconstruct_dimension_mismatch():
