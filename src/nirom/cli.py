@@ -25,11 +25,11 @@ field of another kind or seed on the same grid is refused; latent.snp's
 holds the basis.pod it was projected on, so ``fit`` refuses a pair that an
 interrupted ``decompose`` left mixed; a model's holds its method and, for
 rbf and node, the basis and latent files it was fit on, which ``predict``
-checks before every forecast. ``generate``, ``fit`` and
-``predict`` remove their artifact's record before they replace the
-artifact and write it last (``_recorded``): an interrupted run leaves its
-artifact without a record, which the record checks refuse, and never
-beside an older run's.
+checks with its other inputs before it touches the old prediction.
+``generate``, ``fit`` and ``predict`` remove their artifact's record
+before they replace the artifact and write it last (``_recorded``): an
+interrupted run leaves its artifact without a record, which the record
+checks refuse, and never beside an older run's.
 
 ``predict`` and ``compare`` never hold a full field: ``predict`` writes
 its lift to pred_<method>.snp one column block at a time (its
@@ -424,42 +424,38 @@ def cmd_predict(cfg: PipelineConfig, out: Path, model_path: str) -> None:
             f"{model_file} is not a model file (magic {magic!r})"
         )
     method = MAGIC_METHODS[magic]
+    # every check before the old prediction and its record are replaced
+    want = {"method": method}
+    if method == "dmd":
+        model = dmd_mod.load_model(model_file)
+        latent_dim = model.rank
+    else:
+        want.update(_input_digests(out))
+        basis = load_basis(out / FILE_BASIS)
+        latent = _load_latent(out)
+        if abs(times[0] - latent.times[0]) > time_tolerance(latent.times):
+            raise ConfigError(
+                f"'predict.t_start' is {float(times[0])}, but {method} "
+                f"forecasts start from the first latent snapshot at t="
+                f"{float(latent.times[0])}; set it to that time")
+        z0 = latent.coeffs[:, 0]
+        if method == "rbf":
+            model, forecast = rbf_mod.load_model(model_file), rbf_mod.forecast
+            latent_dim = model.dim
+        else:
+            model, forecast = load_net(model_file), node_forecast
+            latent_dim = model.latent_dim
+        if latent_dim != basis.m:
+            raise ValueError(f"model has {latent_dim} latent components, "
+                             f"basis has {basis.m} modes")
+    _check_record(model_file, want, f"nirom fit --method {method}")
     target = out / f"pred_{method}.snp"
     with _recorded(target) as record:
         started = time.perf_counter()
-        want = {"method": method}
-        if method == "dmd":
-            model = dmd_mod.load_model(model_file)
-            latent_dim = model.rank
-        else:
-            want.update(_input_digests(out))
-            basis = load_basis(out / FILE_BASIS)
-            latent = _load_latent(out)
-            if abs(times[0] - latent.times[0]) > time_tolerance(latent.times):
-                raise ConfigError(
-                    f"'predict.t_start' is {float(times[0])}, but {method} "
-                    f"forecasts start from the first latent snapshot at t="
-                    f"{float(latent.times[0])}; set it to that time"
-                )
-            z0 = latent.coeffs[:, 0]
-            if method == "rbf":
-                model = rbf_mod.load_model(model_file)
-                latent_dim = model.dim
-            else:
-                model = load_net(model_file)
-                latent_dim = model.latent_dim
-            if latent_dim != basis.m:
-                raise ValueError(
-                    f"model has {latent_dim} latent components, "
-                    f"basis has {basis.m} modes"
-                )
-        _check_record(model_file, want, f"nirom fit --method {method}")
         if method == "dmd":
             dmd_mod.dmd_forecast(model, times, target)
-        elif method == "rbf":
-            reconstruct(basis, rbf_mod.forecast(model, z0, times), target)
         else:
-            reconstruct(basis, node_forecast(model, z0, times), target)
+            reconstruct(basis, forecast(model, z0, times), target)
         elapsed = time.perf_counter() - started
         record.update(method=method, latent_dim=latent_dim,
                       runtime_seconds=elapsed)
@@ -567,12 +563,13 @@ def _dispatch(args) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(message)s",
-        force=True,
-    )
+    # only the 'nirom' logger goes to stderr, through one handler replaced
+    # on each call: a host's root handlers and level are left as they are
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+    log.handlers = [handler]
+    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
+    log.propagate = False
     try:
         _dispatch(args)
     # ValidationError is a ValueError, so exit 4 is matched before exit 2

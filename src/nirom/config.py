@@ -3,10 +3,11 @@
 Every block is checked against a closed key set so a typo fails loudly with
 its dotted path instead of being silently ignored, and every value is read
 through one typed getter (numbers must be finite). A node preset is shorthand
-for the node keys it fixes. Numeric invariants of the domain objects
-(positive steps, ranks in range) are enforced by the objects themselves,
-whose messages start with the field at fault; this module names that field
-by its dotted key (_key_error).
+for the node keys it fixes. The rules of the domain objects (positive steps,
+the sizes SNP1 holds, the solver options a method reads) are enforced by
+the objects themselves, whose messages start with the field at fault; this
+module builds them at load and names that field by its dotted key
+(_key_error).
 """
 
 import json
@@ -15,15 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .containers import MAX_LABEL_BYTES
 from .errors import ConfigError
 from .node import LrSchedule, SolverSpec, TrainConfig
 from .node.network import ACTIVATIONS
-from .node.solvers import FIXED_METHODS
-from .snapshot import MAX_FIELD_BYTES, SyntheticSpec, time_grid
+from .snapshot import SyntheticSpec, time_grid
 
 SEED_MAX = 2**64 - 1  # NET1 stores the seed as a u64
-GRID_POINTS_MAX = 2**32 - 1  # SNP1 stores the grid size as a u32
 
 
 def _where(path: str, key: str) -> str:
@@ -134,7 +132,7 @@ def _parse_input(block, seed: int):
             )
         return _get(block, "input", "path", str), None
     try:
-        spec = SyntheticSpec(
+        return None, SyntheticSpec(
             kind=_get(block, "input", "kind", str),
             grid_points=_get(block, "input", "grid_points", int),
             t_start=_get(block, "input", "t_start", float, 0.0),
@@ -147,25 +145,6 @@ def _parse_input(block, seed: int):
         )
     except ValueError as exc:
         raise _key_error("input", exc) from exc
-    n, m = spec.grid_points, spec.times.size
-    if n > GRID_POINTS_MAX:
-        raise ConfigError(f"'input.grid_points' is {n}, but SNP1 holds at "
-                          f"most {GRID_POINTS_MAX} points")
-    try:
-        size = len(spec.component.encode("utf-8"))
-    except UnicodeEncodeError as exc:
-        raise ConfigError(
-            f"'input.component' is not UTF-8 text ({exc.reason})") from exc
-    if size > MAX_LABEL_BYTES:
-        raise ConfigError(f"'input.component' is {size} bytes in UTF-8, but "
-                          f"SNP1 holds a label of at most {MAX_LABEL_BYTES}")
-    need = 8 * n * m + (8 * n * n if spec.kind == "linear_system" else 0)
-    if need > MAX_FIELD_BYTES:
-        raise ConfigError(
-            f"'input.grid_points' is {n}: the {spec.kind} field takes "
-            f"{need / 2**30:.3g} GiB, above the limit of "
-            f"{MAX_FIELD_BYTES / 2**30:g} GiB")
-    return None, spec
 
 
 def _parse_pod(block) -> PodCriterion:
@@ -191,18 +170,11 @@ def _parse_rbf(block) -> RbfBlock:
 
 _SOLVER_OPTIONS = {"step": float, "rtol": float, "atol": float,
                    "max_steps": int}
-#: the options a solver method never reads
-_UNREAD_OPTIONS = {"dopri5": ("step",),
-                   **dict.fromkeys(FIXED_METHODS, ("rtol", "atol"))}
 
 
 def _parse_solver(block) -> SolverSpec:
     _check_keys(block, "node.solver", {"method", *_SOLVER_OPTIONS})
     method = _get(block, "node.solver", "method", str)
-    for key in _UNREAD_OPTIONS.get(method, ()):
-        if key in block:
-            raise ConfigError(
-                f"'node.solver.{key}' is not read by method {method!r}")
     options = {key: _get(block, "node.solver", key, kind)
                for key, kind in _SOLVER_OPTIONS.items() if key in block}
     try:

@@ -50,28 +50,36 @@ ROUTES = ("rollout",) + GRAD_MODES
 
 @dataclass(frozen=True)
 class SolverSpec:
-    """Integrator choice: fixed step size for euler/midpoint/rk4, error
-    tolerances for dopri5. A refused value's message starts with its field."""
+    """Integrator choice: a fixed step for euler/midpoint/rk4, tolerances for
+    dopri5 (1e-6 and 1e-8 unless given). An option the method never reads is
+    refused (rtol before atol); a refusal's message starts with its field."""
 
     method: str = "rk4"
     step: float | None = None
-    rtol: float = 1e-6
-    atol: float = 1e-8
+    rtol: float | None = None
+    atol: float | None = None
     max_steps: int = 100000
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(
                 f"method must be one of {METHODS}, got {self.method!r}")
-        if self.method in FIXED_METHODS:
+        fixed = self.method in FIXED_METHODS
+        for name in ("rtol", "atol") if fixed else ("step",):
+            if getattr(self, name) is not None:
+                raise ValueError(
+                    f"{name} is not read by method {self.method!r}")
+        if fixed:
             if self.step is None or not self.step > 0:
                 raise ValueError(
                     f"step must be positive for method {self.method!r}")
         else:
-            if not self.rtol > 0:
-                raise ValueError("rtol must be positive for method 'dopri5'")
-            if not self.atol > 0:
-                raise ValueError("atol must be positive for method 'dopri5'")
+            for name, default in (("rtol", 1e-6), ("atol", 1e-8)):
+                if getattr(self, name) is None:
+                    object.__setattr__(self, name, default)
+                elif not getattr(self, name) > 0:
+                    raise ValueError(
+                        f"{name} must be positive for method 'dopri5'")
         if not 1 <= self.max_steps <= MAX_STEPS:
             raise ValueError(
                 f"max_steps must be in [1, {MAX_STEPS}], got {self.max_steps}"

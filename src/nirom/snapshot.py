@@ -22,6 +22,7 @@ from . import containers as io
 from .errors import NumericalError, ValidationError
 
 SNP_MAGIC = b"SNP1"
+MAX_GRID_POINTS = 2**32 - 1  # SNP1 stores the grid size as a u32
 
 #: the SyntheticSpec fields each synthetic kind reads besides its grid and
 #: component
@@ -234,6 +235,9 @@ class SyntheticSpec:
                       spectral radius (one map application per time step)
       harmonic_latent [cos(w t), sin(w t)] lifted to N dims by a seeded
                       orthonormal map (identity when N == 2)
+
+    Refused before any allocation, by a ValueError naming the field: a rate
+    that overflows, or a grid, label or field beyond SNP1 or MAX_FIELD_BYTES.
     """
 
     kind: str
@@ -263,6 +267,25 @@ class SyntheticSpec:
                     and not math.isfinite(float(getattr(self, rate)) * far)):
                 raise ValueError(f"{rate} is too large: {rate} * t overflows "
                                  f"at t = {far:.6g}")
+        n = int(self.grid_points)  # numpy's fixed-width n * n would wrap
+        if n > MAX_GRID_POINTS:
+            raise ValueError(f"grid_points is {n}, but SNP1 holds at most "
+                             f"{MAX_GRID_POINTS} points")
+        try:
+            size = len(self.component.encode("utf-8"))
+        except UnicodeEncodeError as exc:
+            raise ValueError(
+                f"component is not UTF-8 text ({exc.reason})") from exc
+        if size > io.MAX_LABEL_BYTES:
+            raise ValueError(f"component is {size} bytes in UTF-8, but SNP1 "
+                             f"holds a label of at most {io.MAX_LABEL_BYTES}")
+        need = 8 * n * self.times.size + (
+            8 * n * n if self.kind == "linear_system" else 0)
+        if need > MAX_FIELD_BYTES:
+            raise ValueError(
+                f"grid_points is {n}: the {self.kind} field takes "
+                f"{need / 2**30:.3g} GiB, above the limit of "
+                f"{MAX_FIELD_BYTES / 2**30:g} GiB")
 
     @property
     def recipe(self) -> dict:
@@ -277,8 +300,8 @@ class SyntheticSpec:
 MAX_GRID_TIMES = 1_000_000
 #: the most bytes a synthetic field (8 N M), with linear_system's N x N
 #: operator, may take: generate streams it, but decompose and fit --method
-#: dmd load it whole beside their working copies, so a larger one exits at
-#: config load, not in the allocator; 20000 points x 3000 times fit
+#: dmd load it whole beside their working copies, so SyntheticSpec refuses
+#: a larger one, not the allocator; 20000 points x 3000 times fit
 MAX_FIELD_BYTES = 1 << 32
 
 

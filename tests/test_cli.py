@@ -8,12 +8,14 @@ one-step map is a pure rotation.
 import csv
 import hashlib
 import json
+import logging
 import os
 import re
 import shutil
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -567,6 +569,74 @@ def test_an_interrupted_predict_leaves_no_record(tmp_path, monkeypatch,
            "--out", str(tmp_path))
     tree = json.loads((tmp_path / "metrics.json").read_text())
     assert tree[method]["u"]["runtime_seconds"] == 0.0
+
+
+def _predicted(tmp_path, method):
+    """A config, and the output directory after one clean predict of the
+    method's model: its model file name and prediction path."""
+    cfg = write_cfg(tmp_path, pod={"rank": 2}, rbf={"shape_factor": 0.05},
+                    dmd={"rank": 2},
+                    predict={"t_start": 0.0, "t_end": 0.99, "dt": 0.01})
+    for command in ("generate", "decompose"):
+        run_ok(command, "--config", cfg)
+    run_ok("fit", "--method", method, "--config", cfg)
+    model = f"model_{method}.{_EXT[method]}"
+    run_ok("predict", model, "--config", cfg)
+    return cfg, model, tmp_path / f"pred_{method}.snp"
+
+
+def _edit(path, edit):
+    doc = json.loads(Path(path).read_text())
+    edit(doc)
+    Path(path).write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("method,refusal,code,message", [
+    ("rbf", "t_start", 2, "'predict.t_start' is 0.5"),
+    ("rbf", "latent_dim", 2, "model has 2 latent components"),
+    ("dmd", "record", 2, 'records method "rbf"'),
+    ("rbf", "basis", 4, "basis.pod"),
+])
+def test_a_refused_predict_keeps_the_previous_prediction(tmp_path, capsys,
+                                                         method, refusal,
+                                                         code, message):
+    cfg, model, pred = _predicted(tmp_path, method)
+    record = Path(f"{pred}.meta.json")
+    kept = {path: path.read_bytes() for path in (pred, record)}
+    if refusal == "t_start":
+        _edit(cfg, lambda doc: doc["predict"].update(t_start=0.5))
+    elif refusal == "latent_dim":  # a rank-1 basis for a rank-2 model
+        _edit(cfg, lambda doc: doc["pod"].update(rank=1))
+        run_ok("decompose", "--config", cfg)
+    elif refusal == "record":
+        _edit(tmp_path / f"{model}.meta.json",
+              lambda doc: doc.update(method="rbf"))
+    else:
+        (tmp_path / "basis.pod").unlink()
+    capsys.readouterr()
+    assert run("predict", model, "--config", cfg) == code
+    assert message in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in kept} == kept
+    # compare still reads the old prediction's record
+    run_ok("compare", str(tmp_path / "snapshots.snp"), str(pred),
+           "--out", str(tmp_path))
+    tree = json.loads((tmp_path / "metrics.json").read_text())[method]["u"]
+    assert tree["latent_dim"] == 2 and tree["runtime_seconds"] > 0
+
+
+def test_predict_runtime_covers_the_forecast_not_the_loads(tmp_path,
+                                                          monkeypatch):
+    cfg, model, pred = _predicted(tmp_path, "rbf")
+
+    def slow_load_basis(path):
+        time.sleep(0.5)
+        return load_basis(path)
+
+    monkeypatch.setattr(cli_mod, "load_basis", slow_load_basis)
+    run_ok("predict", model, "--config", cfg)
+    seconds = json.loads(Path(f"{pred}.meta.json").read_text())[
+        "runtime_seconds"]
+    assert 0 < seconds < 0.5
 
 
 def test_a_temp_file_a_hard_kill_left_is_left_alone(tmp_path):
@@ -1253,6 +1323,81 @@ def test_numba_variable_is_ignored(tmp_path, value):
     done = run_fresh("generate", "--config", cfg, NIROM_NUMBA=value)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "snapshots.snp").exists()
+
+
+_BLOCKS = {"pod": {"rank": 2}, "rbf": {"shape_factor": 0.05},
+           "node": {"hidden": [4], "activation": "tanh", "epochs": 1},
+           "dmd": {"rank": 2},
+           "predict": {"t_start": 0.0, "t_end": 0.99, "dt": 0.01}}
+
+
+@pytest.mark.parametrize("argv,block", [
+    (["decompose"], "pod"),
+    (["fit", "--method", "rbf"], "rbf"),
+    (["fit", "--method", "node"], "node"),
+    (["fit", "--method", "dmd"], "dmd"),
+    (["predict", "model_dmd.dmd"], "predict"),
+], ids=["decompose", "fit_rbf", "fit_node", "fit_dmd", "predict"])
+def test_a_command_without_its_block_exits_2(tmp_path, capsys, argv, block):
+    cfg = write_cfg(tmp_path, **{name: body for name, body in _BLOCKS.items()
+                                 if name != block})
+    assert run(*argv, "--config", cfg) == 2
+    command = " ".join(argv[:3] if argv[0] == "fit" else argv[:1])
+    assert capsys.readouterr().err == (
+        f"error: '{command}' needs a '{block}' block in the config\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+def test_generate_on_a_path_input_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, dmd={"rank": 2})
+    _edit(cfg, lambda doc: doc.update(input={"path": "field.snp"}))
+    assert run("generate", "--config", cfg) == 2
+    assert capsys.readouterr().err == (
+        "error: 'generate' needs a synthetic 'input' block, not a path\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+class _Kept(logging.Handler):
+    """A host program's handler: it keeps every record it is given."""
+
+    def __init__(self):
+        super().__init__()
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+@pytest.fixture
+def host_logging():
+    """A host's own handler on the root logger at a level of its own; the
+    root and 'nirom' loggers are put back as they were afterwards."""
+    root, log = logging.getLogger(), cli_mod.log
+    saved = (list(root.handlers), root.level, list(log.handlers), log.level,
+             log.propagate)
+    host = _Kept()
+    root.addHandler(host)
+    root.setLevel(5)
+    yield host
+    root.handlers, log.handlers, log.propagate = saved[0], saved[2], saved[4]
+    root.setLevel(saved[1])
+    log.setLevel(saved[3])
+
+
+@pytest.mark.parametrize("flags", [[], ["-v"], ["--verbose"]])
+def test_main_logs_to_stderr_and_leaves_the_hosts_logging(tmp_path, capsys,
+                                                          host_logging,
+                                                          flags):
+    cfg = write_cfg(tmp_path, dmd={"rank": 2})
+    root = logging.getLogger()
+    host = (list(root.handlers), root.level)
+    # twice: the second call replaces the first one's handler
+    for _ in range(2):
+        run_ok("generate", "--config", cfg, *flags)
+    assert (list(root.handlers), root.level) == host
+    assert host_logging.records == []
+    line = f"INFO wrote {tmp_path / 'snapshots.snp'} (64 x 100)\n"
+    assert capsys.readouterr().err == (2 * line if flags else "")
 
 
 def test_unknown_config_key_reports_dotted_path(tmp_path, capsys):

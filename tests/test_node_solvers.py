@@ -63,6 +63,36 @@ def test_spec_dopri5_needs_tolerances():
     SolverSpec("dopri5")  # defaults are valid
 
 
+@pytest.mark.parametrize("method,kw,name", [
+    ("rk4", {"step": 0.1, "rtol": 1e-4}, "rtol"),
+    ("euler", {"step": 0.1, "atol": 1e-6}, "atol"),
+    ("midpoint", {"step": 0.1, "rtol": 1e-4, "atol": 1e-6}, "rtol"),
+    # refused before the step itself is checked
+    ("rk4", {"atol": 1e-6}, "atol"),
+    ("dopri5", {"step": 0.1}, "step"),
+    ("dopri5", {"step": -1.0, "rtol": 0.0}, "step"),
+])
+def test_spec_refuses_an_option_its_method_never_reads(method, kw, name):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{name} is not read by method "
+                                             f"'{method}'$"):
+            SolverSpec(method, **kw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5
+
+
+def test_spec_tolerances_are_dopri5s_alone():
+    spec = SolverSpec("dopri5")
+    assert (spec.rtol, spec.atol) == (1e-6, 1e-8)
+    assert spec == SolverSpec("dopri5", rtol=1e-6, atol=1e-8)
+    assert SolverSpec("dopri5", rtol=1e-3).atol == 1e-8
+    fixed = SolverSpec("rk4", step=0.1)
+    assert (fixed.rtol, fixed.atol) == (None, None)
+
+
 def test_spec_max_steps_positive():
     with pytest.raises(ValueError, match="max_steps"):
         SolverSpec("rk4", step=0.1, max_steps=0)
@@ -73,9 +103,9 @@ def test_spec_max_steps_bounded():
     # the cap default_solver gives node predict
     assert MAX_STEPS >= MAX_GRID_TIMES
     assert SolverSpec("rk4", step=0.1, max_steps=MAX_STEPS).max_steps == MAX_STEPS
-    for method in ("rk4", "dopri5"):
+    for method, kw in (("rk4", {"step": 0.1}), ("dopri5", {})):
         with pytest.raises(ValueError, match=rf"max_steps must be in \[1, {MAX_STEPS}\]"):
-            SolverSpec(method, step=0.1, max_steps=MAX_STEPS + 1)
+            SolverSpec(method, **kw, max_steps=MAX_STEPS + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Snapshot container, file round-trips, centering, and the synthetic
 generators."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -388,3 +391,31 @@ def test_bad_spec_parameters_rejected():
         SyntheticSpec("traveling_wave", 8, 0.0, 1.0, -0.1)
     with pytest.raises(ValueError):
         SyntheticSpec("traveling_wave", 8, 1.0, 0.0, 0.1)
+
+
+@pytest.mark.parametrize("kind,n,component,message", [
+    ("traveling_wave", 2**32, "u",
+     "grid_points is 4294967296, but SNP1 holds at most 4294967295 points"),
+    ("traveling_wave", 8, "é" * 32768,
+     "component is 65536 bytes in UTF-8, but SNP1 holds a label of at most "
+     "65535"),
+    ("harmonic_latent", 8, "\ud800", "component is not UTF-8 text"),
+    # the field is 0.7 MB, its 30000 x 30000 operator 6.7 GiB
+    ("linear_system", 30000, "u",
+     "grid_points is 30000: the linear_system field takes 6.71 GiB, above "
+     "the limit of 4 GiB"),
+    # sized in Python integers: 8 N^2 wraps to 0 in int64
+    ("linear_system", np.int64(2**31), "u",
+     "grid_points is 2147483648: the linear_system field takes 3.44e+10 GiB"),
+], ids=["u32", "label", "surrogate", "operator", "int64"])
+def test_a_spec_snp1_cannot_hold_is_refused_before_any_allocation(
+        kind, n, component, message):
+    # the message starts with the field at fault, as every spec refusal's
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            SyntheticSpec(kind, n, 0.0, 2.0, 1.0, component=component)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
